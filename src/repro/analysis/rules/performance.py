@@ -5,9 +5,8 @@ surfaced as ``Simulator.simulate_batch``) replays a trace once for a whole
 block of configs, so a per-point ``simulate_point``/``simulate`` loop in
 harness or study code pays the per-instruction python overhead once per
 design instead of once per block — typically a 3-6x slowdown at realistic
-block sizes.  Intentional scalar paths (the serial campaign reference that
-the batch kernel is checked against) are carried in the analysis baseline
-with a reason.
+block sizes.  An intentional scalar path is carried in the analysis
+baseline with a reason.
 """
 
 from __future__ import annotations
@@ -19,8 +18,9 @@ from ..context import ModuleContext
 from ..findings import Finding, Severity
 from ..registry import Rule, register
 
-#: Scalar per-point simulation entry points.  ``simulate_batch`` and
-#: ``simulate_many`` are the batched replacements and never flagged.
+#: Scalar per-point simulation entry points.  ``Simulator.simulate_batch``
+#: and ``StudyContext.simulate_many`` are the batched replacements and
+#: never flagged.
 _SCALAR_SIMULATE = {"simulate", "simulate_point"}
 
 #: AST nodes whose lexical body repeats per element.
@@ -70,7 +70,7 @@ class ScalarSimulateInLoop(Rule):
         "Per-point simulate()/simulate_point() call inside a loop in"
         " harness or study code — Simulator.simulate_batch replays the"
         " trace once per block of configs with bit-identical results;"
-        " baseline intentional scalar reference paths with a reason."
+        " baseline an intentional scalar path with a reason."
     )
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:

@@ -251,7 +251,7 @@ def cached_campaign(
 ) -> Campaign:
     """Load the matching cached campaign or run and cache a fresh one.
 
-    ``batch_size`` tunes the batched timing kernel on chunked runs; it
+    ``batch_size`` tunes the batched timing kernel on every run; it
     never changes results, so it is absent from the cache key.
 
     A cached file that fails to load (truncated, stale version, missing

@@ -4,6 +4,9 @@ A campaign samples designs uniformly at random from the Table 1 space,
 simulates every sampled design on every benchmark, and assembles training
 and validation datasets — the inputs to model fitting and Figure 1.
 
+Every path simulates through the batched timing kernel: the serial path
+replays each benchmark's trace once per block of designs (one block per
+benchmark by default), and chunk workers do the same per chunk.
 Campaigns are embarrassingly parallel across design points; pass
 ``workers > 1`` to spread simulations over processes (each worker rebuilds
 its deterministic trace, so results are bit-identical to a serial run).
@@ -16,7 +19,7 @@ worker pool breaks repeatedly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,6 +75,33 @@ class Campaign:
             ) from None
 
 
+def _simulate_points(
+    simulator: Simulator,
+    space: DesignSpace,
+    benchmark: str,
+    trace_length: int,
+    seed: int,
+    points: List[DesignPoint],
+    batch_size: Optional[int] = None,
+    on_block: Optional[Callable[[int], None]] = None,
+) -> List[Tuple[float, float]]:
+    """Simulate ``points`` on one benchmark's trace; returns (bips, watts).
+
+    The one way a campaign simulates, on the serial path and in every
+    chunk worker: the trace is replayed through the batched timing kernel
+    once per block of up to ``batch_size`` configs (``None``: one block).
+    Results are bit-identical to a per-point scalar loop for every batch
+    size, so ``batch_size`` stays out of the campaign fingerprint and
+    journals remain portable across batch sizes.  ``on_block`` receives
+    the cumulative point count after each block.
+    """
+    trace = simulator.trace_for(get_profile(benchmark), trace_length, seed=seed)
+    results = simulator.simulate_batch(
+        space, points, trace, batch_size=batch_size, on_block=on_block
+    )
+    return [(r.bips, float(r.watts)) for r in results]
+
+
 def _simulate_chunk(
     space: DesignSpace,
     benchmark: str,
@@ -85,19 +115,57 @@ def _simulate_chunk(
     """Worker: simulate ``points`` for one benchmark; returns (bips, watts).
 
     Runs in a separate process: rebuilds the deterministic trace and a
-    fresh simulator, so outputs are identical to an in-process run.  The
-    chunk goes through the batched timing kernel — one trace replay per
-    block of configs — whose results are bit-identical to the per-point
-    scalar path (``batch_size`` only changes speed, never values, so it
-    stays out of the campaign fingerprint and journals remain portable
-    across batch sizes).
+    fresh simulator, so outputs are identical to an in-process run.
     """
-    simulator = Simulator(memory_mode=memory_mode, warm=warm)
-    trace = simulator.trace_for(get_profile(benchmark), trace_length, seed=seed)
-    results = simulator.simulate_batch(
-        space, points, trace, batch_size=batch_size
+    return _simulate_points(
+        Simulator(memory_mode=memory_mode, warm=warm),
+        space,
+        benchmark,
+        trace_length,
+        seed,
+        points,
+        batch_size,
     )
-    return [(r.bips, float(r.watts)) for r in results]
+
+
+def _dataset(
+    benchmark: str,
+    space: DesignSpace,
+    points: Sequence[DesignPoint],
+    pairs: Sequence[Tuple[float, float]],
+) -> Dataset:
+    """One split's dataset from order-aligned (bips, watts) pairs."""
+    return Dataset(
+        benchmark=benchmark,
+        space=space,
+        points=list(points),
+        metrics={
+            "bips": np.array([float(p[0]) for p in pairs]),
+            "watts": np.array([float(p[1]) for p in pairs]),
+        },
+    )
+
+
+def _split_progress(progress, benchmark: str, splits) -> Callable[[int], None]:
+    """Turn cumulative progress over the concatenated splits into the
+    per-split ``(benchmark, split, done, total)`` stream.
+
+    A split is reported when a block advances it, so each split's counts
+    are cumulative, increasing, and end at the split's size.
+    """
+    reported: Dict[str, int] = {}
+
+    def on_block(done: int) -> None:
+        offset = 0
+        for split, split_points in splits:
+            total = len(split_points)
+            count = min(max(done - offset, 0), total)
+            if count > reported.get(split, 0):
+                reported[split] = count
+                progress(benchmark, split, count, total)
+            offset += total
+
+    return on_block
 
 
 def _chunked(points: List[DesignPoint], chunks: int) -> List[List[DesignPoint]]:
@@ -231,15 +299,8 @@ def _run_campaign_resilient(
     for task, payload in zip(tasks, results):
         by_group.setdefault(task.meta, []).extend(payload)
     for (benchmark, split), pairs in by_group.items():
-        split_points = dict(splits)[split]
-        getattr(campaign, split)[benchmark] = Dataset(
-            benchmark=benchmark,
-            space=space,
-            points=list(split_points),
-            metrics={
-                "bips": np.array([float(p[0]) for p in pairs]),
-                "watts": np.array([float(p[1]) for p in pairs]),
-            },
+        getattr(campaign, split)[benchmark] = _dataset(
+            benchmark, space, dict(splits)[split], pairs
         )
     if journal is not None:
         journal.discard()
@@ -265,20 +326,21 @@ def run_campaign(
 
     ``workers > 1`` parallelizes over processes (results identical to the
     serial run).  ``progress`` callbacks fire on both paths with the same
-    ``(benchmark, split, done, total)`` stream: per point serially, per
-    completed chunk in parallel.
+    ``(benchmark, split, done, total)`` stream, where ``done`` is
+    cumulative per split and ends at ``total``: per completed block of
+    the batch kernel serially, per completed chunk in parallel.
 
     ``resilience`` (or any ``workers > 1`` run, which uses the default
     policy) routes execution through :func:`repro.harness.resilience.run_chunks`:
     transient worker failures retry with backoff, a journal path enables
     checkpoint/resume, and the finished campaign carries a ``run_report``.
 
-    On the chunked path, workers replay each trace once per block of up
-    to ``batch_size`` configs through the batched timing kernel
-    (``None`` batches each chunk whole); results and journal layout are
-    bit-identical for every batch size.  The serial path simulates
-    point-by-point through the scalar kernel and serves as the reference
-    the batch path is checked against.
+    Both paths replay each trace once per block of up to ``batch_size``
+    configs through the batched timing kernel.  ``None`` batches whole
+    units: serially one block per benchmark (train and validation points
+    together), on the chunked path one block per chunk.  Results and
+    journal layout are bit-identical for every batch size and on every
+    path.
     """
     scale = scale or get_scale()
     space = space or sampling_space()
@@ -319,31 +381,31 @@ def run_campaign(
                 batch_size,
             )
 
+        n_train = len(train_points)
         for benchmark in names:
-            profile = get_profile(benchmark)
-            trace = simulator.trace_for(
-                profile, scale.trace_length, seed=scale.seed
-            )
-            for split, split_points in splits:
-                with tracer.span(
-                    "campaign.split",
-                    benchmark=benchmark,
-                    split=split,
-                    points=len(split_points),
-                ):
-                    results = []
-                    for i, point in enumerate(split_points):
-                        results.append(
-                            simulator.simulate_point(space, point, trace)
-                        )
-                        if progress is not None:
-                            progress(
-                                benchmark, split, i + 1, len(split_points)
-                            )
-                dataset = Dataset.from_results(
-                    benchmark, space, split_points, results
+            with tracer.span(
+                "campaign.benchmark", benchmark=benchmark, points=len(points)
+            ):
+                pairs = _simulate_points(
+                    simulator,
+                    space,
+                    benchmark,
+                    scale.trace_length,
+                    scale.seed,
+                    points,
+                    batch_size,
+                    on_block=(
+                        None
+                        if progress is None
+                        else _split_progress(progress, benchmark, splits)
+                    ),
                 )
-                getattr(campaign, split)[benchmark] = dataset
+            campaign.train[benchmark] = _dataset(
+                benchmark, space, train_points, pairs[:n_train]
+            )
+            campaign.validation[benchmark] = _dataset(
+                benchmark, space, validation_points, pairs[n_train:]
+            )
     return campaign
 
 

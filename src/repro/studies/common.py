@@ -107,7 +107,7 @@ class StudyContext:
         #: Optional :class:`repro.harness.ResilienceConfig` applied to the
         #: campaign phase (retries, journaled checkpoint/resume).
         self.resilience = resilience
-        #: Block size for the batched timing kernel (campaign chunks and
+        #: Block size for the batched timing kernel (the campaign and
         #: :meth:`simulate_many`); ``None`` batches each call whole.
         #: Tunes speed/memory only — results are bit-identical throughout.
         self.batch_size = batch_size

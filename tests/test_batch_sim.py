@@ -98,14 +98,15 @@ class TestBatchAPI:
         with pytest.raises(ValueError, match="batch_size"):
             simulator.simulate_batch(SPACE, points, trace, batch_size=0)
 
-    def test_simulate_many_delegates_to_batch(self):
+    def test_on_block_reports_cumulative_points(self):
         simulator = Simulator()
         trace = simulator.trace_for(get_profile("gzip"), 300, seed=4)
-        points = sample_uar(SPACE, 3, seed=5)
-        assert_identical(
-            simulator.simulate_many(SPACE, points, trace),
-            simulator.simulate_batch(SPACE, points, trace),
+        points = sample_uar(SPACE, 5, seed=5)
+        seen = []
+        simulator.simulate_batch(
+            SPACE, points, trace, batch_size=2, on_block=seen.append
         )
+        assert seen == [2, 4, 5]
 
     def test_batch_metrics_are_reported(self):
         with isolated_registry() as registry:
@@ -149,6 +150,21 @@ class TestTraceCacheLRU:
         assert ("gzip", 200, 0) in keys
         assert ("gzip", 200, 1) not in keys
 
+    def test_branch_cache_is_bounded_by_trace_cache(self):
+        simulator = Simulator(trace_cache_size=2)
+        reference = Simulator()
+        profile = get_profile("gzip")
+        point = sample_uar(SPACE, 1, seed=8)[0]
+        for seed in range(simulator.trace_cache_size + 2):
+            trace = simulator.trace_for(profile, 200, seed=seed)
+            got = simulator.simulate_point(SPACE, point, trace)
+            want = reference.simulate_point(
+                SPACE, point, reference.trace_for(profile, 200, seed=seed)
+            )
+            assert_identical([got], [want])
+            assert len(simulator._branch_cache) <= simulator.trace_cache_size
+        assert set(simulator._branch_cache) == set(simulator._trace_cache)
+
     def test_evicted_trace_regenerates_identically(self):
         simulator = Simulator(trace_cache_size=1)
         profile = get_profile("gzip")
@@ -162,9 +178,10 @@ class TestTraceCacheLRU:
 
 
 class TestCampaignBatchPath:
-    """The chunked campaign path runs on the batch kernel; the serial path
-    stays scalar as the reference — so these are campaign-level
-    batch-vs-scalar equivalence checks, with journaling in the loop."""
+    """The chunked and serial campaign paths share one batch-kernel helper
+    at different block shapes; these check they agree bitwise with
+    journaling in the loop.  The independent per-point scalar check of a
+    whole campaign lives in ``tests/test_campaign.py``."""
 
     @pytest.fixture(scope="class")
     def tiny_scale(self):

@@ -1,9 +1,11 @@
 """Tests for simulation campaigns and model fitting."""
 
+import numpy as np
 import pytest
 
 from repro.harness import fit_campaign_models, get_scale, run_campaign
 from repro.simulator import Simulator
+from repro.workloads import get_profile
 
 
 @pytest.fixture(scope="module")
@@ -102,10 +104,45 @@ class TestModelFitting:
             assert models[bench]["bips"].r_squared > 0.7
             assert models[bench]["watts"].r_squared > 0.9
 
+    def test_serial_matches_scalar_per_point_loop(self, mini_campaign):
+        """The batch-kernel campaign equals an independent per-point
+        scalar simulation of the same designs, bit for bit."""
+        simulator = Simulator()
+        scale = mini_campaign.scale
+        for bench in ("gzip", "mcf"):
+            trace = simulator.trace_for(
+                get_profile(bench), scale.trace_length, seed=scale.seed
+            )
+            for split in ("train", "validation"):
+                dataset = mini_campaign.dataset(bench, split)
+                results = [
+                    simulator.simulate_point(mini_campaign.space, point, trace)
+                    for point in dataset.points
+                ]
+                assert np.array_equal(
+                    dataset.metrics["bips"], np.array([r.bips for r in results])
+                )
+                assert np.array_equal(
+                    dataset.metrics["watts"],
+                    np.array([r.watts for r in results]),
+                )
+
+    def test_serial_batch_size_does_not_change_results(self, mini_campaign):
+        blocked = run_campaign(
+            Simulator(),
+            scale=mini_campaign.scale,
+            benchmarks=["gzip", "mcf"],
+            batch_size=7,
+        )
+        for bench in ("gzip", "mcf"):
+            for split in ("train", "validation"):
+                want = mini_campaign.dataset(bench, split).metrics
+                got = blocked.dataset(bench, split).metrics
+                assert np.array_equal(got["bips"], want["bips"])
+                assert np.array_equal(got["watts"], want["watts"])
+
     def test_parallel_matches_serial(self, mini_campaign):
         """Workers rebuild deterministic traces: results are bit-identical."""
-        import numpy as np
-
         parallel = run_campaign(
             Simulator(),
             scale=mini_campaign.scale,
@@ -124,6 +161,9 @@ class TestModelFitting:
                 )
 
     def test_progress_callback(self):
+        """The serial path advances per completed batch-kernel block, with
+        cumulative per-split counts ending at each split's size; with
+        blocks of 3 over 5 + 2 points, one block straddles the splits."""
         scale = get_scale("ci").with_overrides(
             name="tiny", trace_length=500, n_train=5, n_validation=2
         )
@@ -133,9 +173,14 @@ class TestModelFitting:
             scale=scale,
             benchmarks=["gzip"],
             progress=lambda *args: calls.append(args),
+            batch_size=3,
         )
-        assert len(calls) == 7  # 5 train + 2 validation
-        assert calls[0][0] == "gzip"
+        assert calls == [
+            ("gzip", "train", 3, 5),
+            ("gzip", "train", 5, 5),
+            ("gzip", "validation", 1, 2),
+            ("gzip", "validation", 2, 2),
+        ]
 
     def test_parallel_progress_callback(self):
         """The parallel path fires the same (benchmark, split, done, total)

@@ -92,7 +92,7 @@ class TestSimulatorFacadeMore:
 
         trace = generate_trace(get_profile("gzip"), 800, seed=2)
         points = ctx.exploration_points()[:3]
-        results = ctx.simulator.simulate_many(
+        results = ctx.simulator.simulate_batch(
             ctx.exploration_space, points, trace
         )
         assert len(results) == 3
