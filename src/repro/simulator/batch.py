@@ -320,15 +320,64 @@ def _functional_levels(
     return data_levels, instr_levels, counters
 
 
-class _BatchWindow:
+class _LockstepWindow:
     """:class:`~repro.simulator.resources.OccupancyWindow` over a block.
 
-    One ring of release times per config, with per-config capacity: the
-    next occupant of config ``b`` cannot acquire before the release
-    recorded ``capacity[b]`` acquisitions earlier.  Acquisition events are
-    shared across the block (the instruction stream is common), so one
-    head-pointer array advances in lockstep — except for masked acquires
-    (:meth:`acquire_where`), where only some configs consume a slot.
+    Every config in the block acquires at the same instructions (the
+    instruction stream is common), so one python-int acquisition count
+    ``k`` addresses all of them: acquisition ``k`` stores its release
+    times as row ``k % R`` of one shared ``[R, B]`` ring, ``R`` the
+    largest capacity.  Config ``b``'s next occupant waits for the release
+    recorded ``capacity[b]`` acquisitions earlier, in row
+    ``(k - capacity[b]) % R``; ``R >= capacity[b]`` keeps that row
+    unwritten since, and before ``capacity[b]`` acquisitions it is still
+    the initial zero.  A gather table precomputes, per ``k % R``, the flat
+    indices of those rows, so :meth:`next_free` is one gather.
+    """
+
+    __slots__ = ("_rows", "_flat", "_gather", "_size", "_row", "_one")
+
+    def __init__(self, capacities: np.ndarray):
+        size = int(capacities.max())
+        batch = capacities.size
+        ring = np.zeros((size, batch), dtype=np.int64)
+        self._rows = list(ring)
+        self._flat = ring.reshape(-1)
+        gather = (np.arange(size)[:, None] - capacities) % size * batch
+        self._gather = list(gather + np.arange(batch))
+        self._size = size
+        self._row = 0
+        # An array operand: numpy adds a python-int scalar more slowly.
+        self._one = np.ones(batch, dtype=np.int64)
+
+    def next_free(self) -> np.ndarray:
+        return self._flat[self._gather[self._row]]
+
+    def acquire(self, release_time: np.ndarray) -> None:
+        row = self._row
+        self._rows[row][...] = release_time
+        row += 1
+        self._row = 0 if row == self._size else row
+
+    def next_slot(self, earliest: np.ndarray) -> np.ndarray:
+        """:class:`~repro.simulator.resources.ThroughputLimiter` step.
+
+        The occupant holds its slot for one cycle, so the release
+        ``time + 1`` is written straight into the ring row.
+        """
+        row = self._row
+        time = np.maximum(earliest, self._flat[self._gather[row]])
+        np.add(time, self._one, self._rows[row])
+        row += 1
+        self._row = 0 if row == self._size else row
+        return time
+
+
+class _MaskedWindow:
+    """Occupancy window whose acquisitions only some configs make.
+
+    Serves the MSHRs: a load takes one only in the configs where it
+    misses to memory, so each config keeps its own ring row and head.
     """
 
     __slots__ = ("_capacity", "_releases", "_head", "_rows")
@@ -344,12 +393,6 @@ class _BatchWindow:
     def next_free(self) -> np.ndarray:
         return self._releases[self._rows, self._head]
 
-    def acquire(self, release_time: np.ndarray) -> None:
-        head = self._head
-        self._releases[self._rows, head] = release_time
-        np.add(head, 1, out=head)
-        np.remainder(head, self._capacity, out=head)
-
     def acquire_where(self, mask: np.ndarray, release_time: np.ndarray) -> None:
         rows = self._rows[mask]
         head = self._head[rows]
@@ -357,20 +400,6 @@ class _BatchWindow:
         head += 1
         np.remainder(head, self._capacity[rows], out=head)
         self._head[rows] = head
-
-
-class _BatchLimiter:
-    """:class:`~repro.simulator.resources.ThroughputLimiter` over a block."""
-
-    __slots__ = ("_window",)
-
-    def __init__(self, rates: np.ndarray):
-        self._window = _BatchWindow(rates)
-
-    def next_slot(self, earliest: np.ndarray) -> np.ndarray:
-        time = np.maximum(earliest, self._window.next_free())
-        self._window.acquire(time + 1)
-        return time
 
 
 def run_pipeline_batch(
@@ -470,23 +499,23 @@ def run_pipeline_batch(
     in_order = np.array([c.in_order for c in configs], dtype=bool)
     any_in_order = bool(in_order.any())
 
-    fetch_limiter = _BatchLimiter(int_column(lambda c: c.width))
-    dispatch_limiter = _BatchLimiter(int_column(lambda c: c.dispatch_rate))
-    retire_limiter = _BatchLimiter(int_column(lambda c: c.width))
-    rob = _BatchWindow(int_column(lambda c: c.rob_size))
-    gpr = _BatchWindow(int_column(lambda c: c.gpr_rename))
-    fpr = _BatchWindow(int_column(lambda c: c.fpr_rename))
-    fx_rs = _BatchWindow(int_column(lambda c: c.fx_resv))
-    fp_rs = _BatchWindow(int_column(lambda c: c.fp_resv))
-    br_rs = _BatchWindow(int_column(lambda c: c.br_resv))
-    load_queue = _BatchWindow(int_column(lambda c: c.ls_queue))
-    store_q = _BatchWindow(int_column(lambda c: c.store_queue))
+    fetch_limiter = _LockstepWindow(int_column(lambda c: c.width))
+    dispatch_limiter = _LockstepWindow(int_column(lambda c: c.dispatch_rate))
+    retire_limiter = _LockstepWindow(int_column(lambda c: c.width))
+    rob = _LockstepWindow(int_column(lambda c: c.rob_size))
+    gpr = _LockstepWindow(int_column(lambda c: c.gpr_rename))
+    fpr = _LockstepWindow(int_column(lambda c: c.fpr_rename))
+    fx_rs = _LockstepWindow(int_column(lambda c: c.fx_resv))
+    fp_rs = _LockstepWindow(int_column(lambda c: c.fp_resv))
+    br_rs = _LockstepWindow(int_column(lambda c: c.br_resv))
+    load_queue = _LockstepWindow(int_column(lambda c: c.ls_queue))
+    store_q = _LockstepWindow(int_column(lambda c: c.store_queue))
     units = int_column(lambda c: c.functional_units)
-    fxu = _BatchWindow(units)
-    fpu = _BatchWindow(units.copy())
-    lsu = _BatchWindow(units.copy())
-    bru = _BatchWindow(units.copy())
-    mshrs = _BatchWindow(int_column(lambda c: c.mshr_count))
+    fxu = _LockstepWindow(units)
+    fpu = _LockstepWindow(units)
+    lsu = _LockstepWindow(units)
+    bru = _LockstepWindow(units)
+    mshrs = _MaskedWindow(int_column(lambda c: c.mshr_count))
 
     ops = view.ops
     src1 = view.src1
@@ -494,11 +523,16 @@ def run_pipeline_batch(
     fetch_flags = view.fetch_flags
     n = view.n
     ring = view.max_dep + 1
-    completion = np.zeros((ring, batch), dtype=np.int64)
-    fetch_available = np.zeros(batch, dtype=np.int64)
-    last_dispatch = np.zeros(batch, dtype=np.int64)
-    last_issue = np.zeros(batch, dtype=np.int64)
-    last_retire = np.zeros(batch, dtype=np.int64)
+    # Completion times by instruction, ``ring`` deep: each entry is the
+    # ``comp`` array itself, which nothing mutates after it is stored.
+    zeros = np.zeros(batch, dtype=np.int64)
+    completion = [zeros] * ring
+    fetch_available = zeros.copy()
+    last_dispatch = zeros
+    last_issue = zeros
+    last_retire = zeros
+    # An array operand: numpy adds a python-int scalar more slowly.
+    one = np.ones(batch, dtype=np.int64)
     maximum = np.maximum
 
     load_index = 0
@@ -545,7 +579,7 @@ def run_pipeline_batch(
         last_dispatch = disp
 
         # issue
-        ready = disp + 1
+        ready = disp + one
         distance = src1[i]
         if distance:
             maximum(ready, completion[(i - distance) % ring], out=ready)
@@ -561,29 +595,30 @@ def run_pipeline_batch(
             mshrs.acquire_where(miss, comp)
         else:
             comp = issue + latency
+        issue_next = issue + one
         if op == OP_FP_DIV or op == OP_INT_MUL:
             fu.acquire(comp)
         else:
-            fu.acquire(issue + 1)
+            fu.acquire(issue_next)
         last_issue = issue
         completion[i % ring] = comp
 
         if op == OP_BRANCH:
             if uniform_predictor:
                 if mispredict_rows[branch_index]:
-                    maximum(fetch_available, comp + 1, out=fetch_available)
+                    maximum(fetch_available, comp + one, out=fetch_available)
             else:
                 mispredicted = mispredict_rows[branch_index]
                 if mispredicted.any():
                     fetch_available = np.where(
                         mispredicted,
-                        maximum(fetch_available, comp + 1),
+                        maximum(fetch_available, comp + one),
                         fetch_available,
                     )
             branch_index += 1
 
         # retire
-        retire = comp + 1
+        retire = comp + one
         maximum(retire, last_retire, out=retire)
         retire = retire_limiter.next_slot(retire)
         last_retire = retire
@@ -598,7 +633,7 @@ def run_pipeline_batch(
             rs_window.acquire(comp)
             store_q.acquire(retire + dl1_latency)
         else:
-            rs_window.acquire(issue + 1)
+            rs_window.acquire(issue_next)
 
     # ---- assemble per-config outcomes ------------------------------------
     base = view.base_counts

@@ -4,23 +4,29 @@ The batch kernel's contract is *exact* equivalence with the scalar
 pipeline — identical cycles, identical ActivityCounts field by field,
 identical watts — not agreement within tolerance.  The property test
 drives randomized configs, trace lengths, memory modes, warming, and
-prefetch through both paths; the campaign tests check the contract
-survives chunking, journaling, and resume.
+prefetch through both paths; the window tests pin the kernel's
+occupancy-window state against the scalar resource classes; the campaign
+tests check the contract survives chunking, journaling, and resume.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.designspace import sample_uar, sampling_space
+from repro.designspace import extended_space, sample_uar, sampling_space
 from repro.harness import ResilienceConfig, get_scale, run_campaign
 from repro.harness.resilience import ChunkFailure, Fault, FaultPlan
 from repro.obs.metrics import isolated_registry
 from repro.simulator import Simulator
+from repro.simulator.batch import _LockstepWindow, _MaskedWindow
+from repro.simulator.resources import OccupancyWindow, ThroughputLimiter
 from repro.workloads import BENCHMARK_NAMES, get_profile
 
 SPACE = sampling_space()
+# Adds in-order issue and dl1 associativity, both of which reach the
+# batch kernel through X7.
+SPACES = {"sampling": SPACE, "extended": extended_space()}
 
 
 def assert_identical(batch_results, scalar_results):
@@ -34,8 +40,9 @@ def assert_identical(batch_results, scalar_results):
 
 
 class TestEquivalenceProperty:
-    @settings(deadline=None, max_examples=12)
+    @settings(deadline=None, max_examples=16)
     @given(
+        space=st.sampled_from(sorted(SPACES)),
         seed=st.integers(min_value=0, max_value=2**16),
         n_points=st.integers(min_value=1, max_value=6),
         trace_length=st.integers(min_value=150, max_value=600),
@@ -44,23 +51,113 @@ class TestEquivalenceProperty:
         prefetch=st.booleans(),
         benchmark=st.sampled_from(("gzip", "mesa", "mcf")),
     )
+    # A block that mixes in-order and out-of-order issue and three dl1
+    # associativities, replayed through the functional hierarchy.
+    @example(
+        space="extended", seed=3, n_points=6, trace_length=400,
+        memory_mode="functional", warm=True, prefetch=False, benchmark="mcf",
+    )
     def test_batch_matches_scalar(
-        self, seed, n_points, trace_length, memory_mode, warm, prefetch,
-        benchmark,
+        self, space, seed, n_points, trace_length, memory_mode, warm,
+        prefetch, benchmark,
     ):
+        space = SPACES[space]
         simulator = Simulator(memory_mode=memory_mode, warm=warm)
         trace = simulator.trace_for(
             get_profile(benchmark), trace_length, seed=seed % 3
         )
-        points = sample_uar(SPACE, n_points, seed=seed)
+        points = sample_uar(space, n_points, seed=seed)
         batch = simulator.simulate_batch(
-            SPACE, points, trace, prefetch=prefetch
+            space, points, trace, prefetch=prefetch
         )
         scalar = [
-            simulator.simulate_point(SPACE, point, trace, prefetch=prefetch)
+            simulator.simulate_point(space, point, trace, prefetch=prefetch)
             for point in points
         ]
         assert_identical(batch, scalar)
+
+
+def _window_steps():
+    """Per-config capacities plus a step sequence of per-config values.
+
+    The sequence runs from empty to three times the largest capacity, so
+    it both stays inside the ring and wraps it several times.
+    """
+    capacities = st.lists(
+        st.integers(min_value=1, max_value=9), min_size=1, max_size=5
+    )
+
+    def with_steps(caps):
+        row = st.lists(
+            st.integers(min_value=0, max_value=500),
+            min_size=len(caps),
+            max_size=len(caps),
+        )
+        return st.tuples(
+            st.just(caps), st.lists(row, max_size=3 * max(caps) + 2)
+        )
+
+    return capacities.flatmap(with_steps)
+
+
+class TestLockstepWindow:
+    """The kernel's shared-ring window against one scalar window per config."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=_window_steps())
+    @example(case=([1], [[5], [3], [9]]))
+    @example(case=([1, 1, 1], [[1, 2, 3]] * 4))
+    @example(case=([4, 1, 7], [[1, 2, 3], [4, 5, 6]]))
+    @example(case=([3, 8, 1, 5], [[i, 2 * i, 3 * i, i + 7] for i in range(30)]))
+    def test_next_free_matches_occupancy_windows(self, case):
+        capacities, steps = case
+        window = _LockstepWindow(np.array(capacities, dtype=np.int64))
+        scalar = [OccupancyWindow(c) for c in capacities]
+        for releases in steps:
+            want = [w.next_free() for w in scalar]
+            assert window.next_free().tolist() == want
+            window.acquire(np.array(releases, dtype=np.int64))
+            for w, release in zip(scalar, releases):
+                w.acquire(release)
+        assert window.next_free().tolist() == [w.next_free() for w in scalar]
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=_window_steps())
+    @example(case=([1], [[0], [0], [4], [1]]))
+    @example(case=([2, 5, 1], [[i % 3, 0, i] for i in range(20)]))
+    def test_next_slot_matches_throughput_limiters(self, case):
+        rates, steps = case
+        limiter = _LockstepWindow(np.array(rates, dtype=np.int64))
+        scalar = [ThroughputLimiter(r) for r in rates]
+        for earliest in steps:
+            got = limiter.next_slot(np.array(earliest, dtype=np.int64))
+            want = [l.next_slot(e) for l, e in zip(scalar, earliest)]
+            assert got.tolist() == want
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=_window_steps(), data=st.data())
+    def test_masked_window_matches_occupancy_windows(self, case, data):
+        capacities, steps = case
+        window = _MaskedWindow(np.array(capacities, dtype=np.int64))
+        scalar = [OccupancyWindow(c) for c in capacities]
+        for releases in steps:
+            mask = data.draw(
+                st.lists(
+                    st.booleans(),
+                    min_size=len(capacities),
+                    max_size=len(capacities),
+                )
+            )
+            assert window.next_free().tolist() == [
+                w.next_free() for w in scalar
+            ]
+            window.acquire_where(
+                np.array(mask), np.array(releases, dtype=np.int64)
+            )
+            for w, taken, release in zip(scalar, mask, releases):
+                if taken:
+                    w.acquire(release)
+        assert window.next_free().tolist() == [w.next_free() for w in scalar]
 
 
 class TestBatchAPI:
