@@ -3,8 +3,9 @@
 Times the same exhaustive characterization two ways for every benchmark:
 
 - **per-point** — the pre-engine protocol: encode each design with
-  :class:`~repro.designspace.DesignEncoder` (a python loop over points),
-  predict the whole table at once, then reduce (frontier + argmax);
+  :meth:`~repro.designspace.DesignEncoder.encode_point` (a python loop
+  over points), predict the whole table at once, then reduce (frontier +
+  argmax);
 - **blockwise** — :func:`~repro.harness.sweep.run_sweep` with the
   streaming :class:`ParetoFrontierReducer` and :class:`TopKReducer`.
 
@@ -42,7 +43,7 @@ def _per_point_pass(ctx, benchmark, points):
     """The seed implementation: per-point encode, whole-table reduce."""
     encoder = DesignEncoder(ctx.exploration_space)
     predictor = ctx.predictor(benchmark)
-    matrix = encoder.encode(points)
+    matrix = np.vstack([encoder.encode_point(point) for point in points])
     data = {
         name: matrix[:, j] for j, name in enumerate(encoder.feature_names)
     }
@@ -91,7 +92,7 @@ def _peak_bytes(fn, *args):
 
 def test_sweep_engine_throughput(ctx, bench_scale):
     ctx.models  # force the campaign + fit outside the timed region
-    points = ctx.exploration_points()
+    points = list(ctx.exploration_points())
     n = len(points)
     assert n > 0
 

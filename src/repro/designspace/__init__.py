@@ -3,18 +3,23 @@
 Public surface:
 
 - :class:`Parameter`, :class:`DesignSpace`, :class:`DesignPoint` — space model
+- :class:`PointSet` — an ordered point set held as mixed-radix indices
 - :func:`sampling_space`, :func:`exploration_space` — the paper's Table 1 spaces
-- :func:`sample_uar` and friends — samplers (Section 2.3)
+- :func:`sample_uar` and friends — samplers (Section 2.3); the
+  ``*_indices`` variants return index arrays instead of points
 - :class:`DesignEncoder`, :class:`NormalizedEncoder` — numeric codecs
 """
 
 from .encoding import DesignEncoder, NormalizedEncoder
 from .extensions import DL1_ASSOCIATIVITY, IN_ORDER, extended_space
 from .parameters import Parameter, ParameterError, linear_range, pow2_range
+from .pointset import PointSet
 from .sampling import (
     sample_halton,
     sample_stratified,
+    sample_stratified_indices,
     sample_uar,
+    sample_uar_indices,
     split_train_validation,
 )
 from .space import DesignPoint, DesignSpace
@@ -37,12 +42,15 @@ __all__ = [
     "ParameterError",
     "DesignSpace",
     "DesignPoint",
+    "PointSet",
     "DesignEncoder",
     "NormalizedEncoder",
     "linear_range",
     "pow2_range",
     "sample_uar",
+    "sample_uar_indices",
     "sample_stratified",
+    "sample_stratified_indices",
     "sample_halton",
     "split_train_validation",
     "sampling_space",

@@ -15,11 +15,56 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .parameters import ParameterError
+from .pointset import PointSet
 from .space import DesignPoint, DesignSpace
 
 
 def _generator(seed: Optional[int]) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def _uar_indices(
+    size: int, count: int, rng: np.random.Generator, unique: bool
+) -> np.ndarray:
+    """``count`` UAR draws from ``range(size)`` as an int64 array."""
+    if count < 0:
+        raise ParameterError(f"count must be non-negative, got {count}")
+    if not unique:
+        return rng.integers(0, size, size=count)
+    if count > size:
+        raise ParameterError(
+            f"cannot draw {count} unique points from a space of {size}"
+        )
+    if count * 20 >= size:
+        return rng.choice(size, size=count, replace=False)
+    # For huge spaces, rejection sampling beats materializing range(|S|):
+    # draw twice the shortfall, keep each new index at its first
+    # occurrence in draw order, repeat until ``count`` are kept.
+    kept = np.empty(0, dtype=np.int64)
+    while kept.size < count:
+        needed = count - kept.size
+        draws = rng.integers(0, size, size=needed * 2)
+        _, first = np.unique(draws, return_index=True)
+        fresh = draws[np.sort(first)]
+        fresh = fresh[~np.isin(fresh, kept)]
+        kept = np.concatenate([kept, fresh[:needed]])
+    return kept
+
+
+def sample_uar_indices(
+    space: DesignSpace,
+    count: int,
+    seed: Optional[int] = None,
+    unique: bool = True,
+) -> np.ndarray:
+    """Indices into ``space`` of ``count`` points drawn uniformly at random.
+
+    With ``unique=True`` (default) points are sampled without replacement,
+    matching the paper's n=1,000 distinct training designs; requires
+    ``count <= |space|``.  Decode with :meth:`DesignSpace.point_at` or wrap
+    in a :class:`PointSet`.
+    """
+    return _uar_indices(len(space), count, _generator(seed), unique)
 
 
 def sample_uar(
@@ -30,37 +75,41 @@ def sample_uar(
 ) -> List[DesignPoint]:
     """Sample ``count`` points uniformly at random from ``space``.
 
-    With ``unique=True`` (default) points are sampled without replacement,
-    matching the paper's n=1,000 distinct training designs; requires
-    ``count <= |space|``.
+    The points of :func:`sample_uar_indices` with the same arguments.
     """
-    if count < 0:
-        raise ParameterError(f"count must be non-negative, got {count}")
-    size = len(space)
+    return list(PointSet(space, sample_uar_indices(space, count, seed, unique)))
+
+
+def sample_stratified_indices(
+    space: DesignSpace,
+    parameter_name: str,
+    per_level: int,
+    seed: Optional[int] = None,
+) -> np.ndarray:
+    """Indices into ``space`` of ``per_level`` UAR points per parameter level.
+
+    Guarantees every level of ``parameter_name`` appears equally often —
+    useful when validating per-depth trends (Section 5) where plain UAR may
+    under-represent a level at small sample counts.  Each level draws from
+    the subspace with that parameter pinned (seeded from ``seed``), and
+    the subspace indices are re-encoded into ``space``'s mixed radix.
+    """
+    parameter = space.parameter(parameter_name)
+    j = space.names.index(parameter.name)
+    radix = space.radices[j]
+    level_size = len(space) // parameter.cardinality
     rng = _generator(seed)
-    if unique:
-        if count > size:
-            raise ParameterError(
-                f"cannot draw {count} unique points from a space of {size}"
-            )
-        # For huge spaces, rejection sampling beats materializing range(|S|).
-        if count * 20 < size:
-            seen: set = set()
-            indices = []
-            while len(indices) < count:
-                needed = count - len(indices)
-                for i in rng.integers(0, size, size=needed * 2):
-                    i = int(i)
-                    if i not in seen:
-                        seen.add(i)
-                        indices.append(i)
-                        if len(indices) == count:
-                            break
-        else:
-            indices = list(rng.choice(size, size=count, replace=False))
-    else:
-        indices = list(rng.integers(0, size, size=count))
-    return [space.point_at(int(i)) for i in indices]
+    strata = []
+    for level in range(parameter.cardinality):
+        child_seed = int(rng.integers(0, 2**31 - 1))
+        indices = _uar_indices(
+            level_size, per_level, _generator(child_seed), unique=True
+        )
+        # The pinned parameter contributes factor 1 to the subspace
+        # radix, so the digits above it shift up by one place of ``space``.
+        high, low = np.divmod(indices, radix)
+        strata.append((high * parameter.cardinality + level) * radix + low)
+    return np.concatenate(strata)
 
 
 def sample_stratified(
@@ -71,18 +120,10 @@ def sample_stratified(
 ) -> List[DesignPoint]:
     """Sample ``per_level`` points UAR within each level of one parameter.
 
-    Guarantees every level of ``parameter_name`` appears equally often —
-    useful when validating per-depth trends (Section 5) where plain UAR may
-    under-represent a level at small sample counts.
+    The points of :func:`sample_stratified_indices` with the same arguments.
     """
-    parameter = space.parameter(parameter_name)
-    rng = _generator(seed)
-    points: List[DesignPoint] = []
-    for value in parameter.values:
-        level_space = space.fix(**{parameter_name: value})
-        child_seed = int(rng.integers(0, 2**31 - 1))
-        points.extend(sample_uar(level_space, per_level, seed=child_seed))
-    return points
+    indices = sample_stratified_indices(space, parameter_name, per_level, seed)
+    return list(PointSet(space, indices))
 
 
 def _halton_sequence(index: int, base: int) -> float:

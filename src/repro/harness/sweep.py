@@ -42,6 +42,12 @@ import numpy as np
 
 from ..designspace import DesignPoint, DesignSpace
 from ..designspace.parameters import ParameterError
+from ..designspace.pointset import (
+    encoded_level_tables,
+    index_levels,
+    point_levels,
+    raw_level_tables,
+)
 from ..metrics import bips3_per_watt, delay_seconds
 from ..obs.metrics import get_registry, merge_snapshots
 from ..obs.tracing import Stopwatch, get_tracer
@@ -84,15 +90,11 @@ def pareto_indices(delay: np.ndarray, power: np.ndarray) -> np.ndarray:
     order = np.lexsort((power, delay))  # by delay, ties by power
     kept = []
     best_power = np.inf
-    last_delay = None
     for index in order:
+        # Strictly better power than anything at least as fast.
         if power[index] < best_power:
-            # Strictly better power than anything at least as fast.
-            if last_delay is not None and delay[index] == last_delay:
-                pass  # same delay, higher power was filtered by lexsort
             kept.append(index)
             best_power = power[index]
-            last_delay = delay[index]
     return np.array(sorted(kept), dtype=int)
 
 
@@ -216,25 +218,6 @@ class SweepSource:
         raise NotImplementedError
 
 
-def _encoded_level_tables(space: DesignSpace) -> List[np.ndarray]:
-    """Per-parameter lookup table: level index -> encoded coordinate.
-
-    Built with :meth:`Parameter.encode` so lookups are bitwise identical
-    to :class:`~repro.designspace.DesignEncoder`.
-    """
-    return [
-        np.array([parameter.encode(value) for value in parameter.values])
-        for parameter in space.parameters
-    ]
-
-
-def _raw_level_tables(space: DesignSpace) -> List[np.ndarray]:
-    return [
-        np.array(parameter.values, dtype=float)
-        for parameter in space.parameters
-    ]
-
-
 class SpaceSweepSource(SweepSource):
     """Sweep a :class:`DesignSpace` (or an index subset) by mixed radix.
 
@@ -265,8 +248,8 @@ class SpaceSweepSource(SweepSource):
         self._cardinalities = np.array(
             [p.cardinality for p in space.parameters], dtype=np.int64
         )
-        self._encoded = _encoded_level_tables(space)
-        self._raw = _raw_level_tables(space)
+        self._encoded = encoded_level_tables(space)
+        self._raw = raw_level_tables(space)
 
     def __len__(self) -> int:
         return self._length
@@ -291,12 +274,7 @@ class SpaceSweepSource(SweepSource):
         return self._raw[j][self._level_block(j, start, stop)]
 
     def level_block(self, start: int, stop: int) -> np.ndarray:
-        return np.column_stack(
-            [
-                self._level_block(j, start, stop)
-                for j in range(len(self.space.names))
-            ]
-        )
+        return index_levels(self.space, self._index_block(start, stop))
 
     def point_at(self, position: int) -> DesignPoint:
         if self._indices is None:
@@ -308,13 +286,15 @@ class SpaceSweepSource(SweepSource):
 
 
 class PointSweepSource(SweepSource):
-    """Sweep an explicit point list (e.g. a UAR exploration subsample).
+    """Sweep an explicit point list (e.g. search candidates).
 
-    The raw and encoded matrices are built once, lazily, with per-column
-    level-table lookups — the encoded coordinates are bitwise identical
-    to per-point :class:`~repro.designspace.DesignEncoder` output, but
-    the build is vectorized over the whole list.  Points must lie on the
-    space's grid (as :class:`DesignEncoder` also requires).
+    The points' grid levels are found once, lazily, for the whole list
+    (:func:`~repro.designspace.pointset.point_levels`); blocks then gather
+    through the same level tables as :class:`SpaceSweepSource`, so the
+    encoded coordinates are bitwise identical to
+    :class:`~repro.designspace.DesignEncoder` output.  Points must lie on
+    the space's grid (as :class:`DesignEncoder` also requires); an
+    off-grid point raises :class:`ParameterError` at the first block.
     """
 
     def __init__(self, space: DesignSpace, points: Sequence[DesignPoint]):
@@ -325,75 +305,28 @@ class PointSweepSource(SweepSource):
                 f"point parameters {self.points[0].names} do not match "
                 f"space {space.names}"
             )
-        self._raw_matrix: Optional[np.ndarray] = None
-        self._encoded_matrix: Optional[np.ndarray] = None
         self._level_matrix: Optional[np.ndarray] = None
+        self._encoded = encoded_level_tables(space)
+        self._raw = raw_level_tables(space)
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def _raw(self) -> np.ndarray:
-        if self._raw_matrix is None:
-            if not self.points:
-                width = len(self.space.names)
-                self._raw_matrix = np.empty((0, width))
-            else:
-                self._raw_matrix = np.array(
-                    [point.values for point in self.points], dtype=float
-                )
-        return self._raw_matrix
-
-    def _encoded(self) -> np.ndarray:
-        if self._encoded_matrix is None:
-            raw = self._raw()
-            columns = []
-            level_columns = []
-            encoded_tables = _encoded_level_tables(self.space)
-            raw_tables = _raw_level_tables(self.space)
-            for j, parameter in enumerate(self.space.parameters):
-                levels = raw_tables[j]
-                positions = np.searchsorted(levels, raw[:, j])
-                positions = np.minimum(positions, levels.size - 1)
-                if raw.shape[0] and not np.array_equal(
-                    levels[positions], raw[:, j]
-                ):
-                    bad = raw[:, j][levels[positions] != raw[:, j]][0]
-                    raise ParameterError(
-                        f"{bad!r} is not a level of parameter "
-                        f"{parameter.name!r}; levels are {parameter.values}"
-                    )
-                columns.append(encoded_tables[j][positions])
-                level_columns.append(positions.astype(np.int64))
-            self._encoded_matrix = (
-                np.column_stack(columns)
-                if columns
-                else np.empty((len(self.points), 0))
-            )
-            self._level_matrix = (
-                np.column_stack(level_columns)
-                if level_columns
-                else np.empty((len(self.points), 0), dtype=np.int64)
-            )
-        return self._encoded_matrix
-
-    def _levels(self) -> np.ndarray:
+    def level_block(self, start: int, stop: int) -> np.ndarray:
         if self._level_matrix is None:
-            self._encoded()
-        return self._level_matrix
+            self._level_matrix = point_levels(self.space, self.points)
+        return self._level_matrix[start:stop]
 
     def feature_block(self, start: int, stop: int) -> Dict[str, np.ndarray]:
-        encoded = self._encoded()
+        levels = self.level_block(start, stop)
         return {
-            name: encoded[start:stop, j]
+            name: self._encoded[j][levels[:, j]]
             for j, name in enumerate(self.space.names)
         }
 
     def column_block(self, name: str, start: int, stop: int) -> np.ndarray:
         j = self.space.names.index(name)
-        return self._raw()[start:stop, j]
-
-    def level_block(self, start: int, stop: int) -> np.ndarray:
-        return self._levels()[start:stop]
+        return self._raw[j][self.level_block(start, stop)[:, j]]
 
     def point_at(self, position: int) -> DesignPoint:
         return self.points[position]
@@ -421,7 +354,7 @@ class _LevelDesignCache:
     def __init__(self, model: FittedModel, space: DesignSpace):
         self.model = model
         names = list(space.names)
-        encoded = _encoded_level_tables(space)
+        encoded = encoded_level_tables(space)
         self._plans: List[tuple] = []
         self.supported = True
         for term in model.bound_terms:
@@ -455,18 +388,29 @@ class _LevelDesignCache:
             else:
                 self.supported = False
                 break
+        #: Design-matrix width: the intercept plus every term's columns.
+        self._width = 1 + sum(table.shape[1] for _, _, table in self._plans)
 
     def predict(self, levels: np.ndarray) -> np.ndarray:
-        """Predictions for an ``(n, P)`` block of level indices."""
+        """Predictions for an ``(n, P)`` block of level indices.
+
+        Fills one C-order ``(n, 1 + sum of term widths)`` design matrix,
+        the layout :meth:`FittedModel.predict` builds, so the matvec
+        rounds exactly as it does.
+        """
         n = levels.shape[0]
-        blocks = [np.ones((n, 1))]
+        X = np.empty((n, self._width))
+        X[:, 0] = 1.0
+        column = 1
         for kind, key, table in self._plans:
             if kind == "one":
-                blocks.append(table[levels[:, key]])
+                rows = levels[:, key]
             else:
                 ja, jb, nb = key
-                blocks.append(table[levels[:, ja] * nb + levels[:, jb]])
-        X = np.hstack(blocks)
+                rows = levels[:, ja] * nb + levels[:, jb]
+            width = table.shape[1]
+            X[:, column:column + width] = np.take(table, rows, axis=0)
+            column += width
         return self.model.spec.transform.inverse(X @ self.model.coefficients)
 
 

@@ -14,21 +14,26 @@ folded into streaming reducers block by block
 (:meth:`StudyContext.sweep_exploration`,
 :meth:`StudyContext.sweep_per_depth`) — so full-space studies never hold
 all predictions, points, or design matrices at once.
+
+Both point sets are :class:`~repro.designspace.PointSet` objects: index
+arrays from sampling through prediction, with a :class:`DesignPoint`
+decoded only where a study asks for one point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..designspace import (
     DesignPoint,
     DesignSpace,
+    PointSet,
     exploration_space,
-    sample_stratified,
-    sample_uar,
+    sample_stratified_indices,
+    sample_uar_indices,
     sampling_space,
 )
 from ..harness import Campaign, cached_campaign, fit_campaign_models, get_scale
@@ -51,10 +56,14 @@ from ..workloads import BENCHMARK_NAMES, Trace, get_profile
 
 @dataclass
 class PredictionTable:
-    """Regression predictions over a set of design points."""
+    """Regression predictions over a set of design points.
+
+    ``points`` is a :class:`PointSet` for the context's exploration and
+    per-depth sets (decoded lazily) and a list for explicit points.
+    """
 
     benchmark: str
-    points: List[DesignPoint]
+    points: Union[PointSet, List[DesignPoint]]
     bips: np.ndarray
     watts: np.ndarray
     ref_instructions: float
@@ -76,9 +85,13 @@ class PredictionTable:
 
     def subset(self, indices: Sequence[int]) -> "PredictionTable":
         indices = list(indices)
+        if isinstance(self.points, PointSet):
+            points = self.points[indices]
+        else:
+            points = [self.points[i] for i in indices]
         return PredictionTable(
             benchmark=self.benchmark,
-            points=[self.points[i] for i in indices],
+            points=points,
             bips=self.bips[indices],
             watts=self.watts[indices],
             ref_instructions=self.ref_instructions,
@@ -114,8 +127,8 @@ class StudyContext:
         self._refresh = refresh
         self._campaign: Optional[Campaign] = None
         self._models: Optional[Dict[str, Dict[str, FittedModel]]] = None
-        self._exploration_points: Optional[List[DesignPoint]] = None
-        self._stratified_points: Dict[str, List[DesignPoint]] = {}
+        self._exploration_points: Optional[PointSet] = None
+        self._stratified_points: Dict[str, PointSet] = {}
         self._prediction_tables: Dict[tuple, PredictionTable] = {}
         self._traces: Dict[str, Trace] = {}
         self._sources: Dict[tuple, SweepSource] = {}
@@ -164,20 +177,19 @@ class StudyContext:
         """Table 3 baseline snapped onto the exploration grid."""
         return baseline_point(self.exploration_space)
 
-    def exploration_points(self) -> List[DesignPoint]:
+    def exploration_points(self) -> PointSet:
         """The exploration set: all points, or a UAR subsample at scale."""
         if self._exploration_points is None:
             limit = self.scale.exploration_limit
             space = self.exploration_space
             if limit is None or limit >= len(space):
-                self._exploration_points = list(space)
+                indices = np.arange(len(space), dtype=np.int64)
             else:
-                self._exploration_points = sample_uar(
-                    space, limit, seed=self.scale.seed + 1
-                )
+                indices = sample_uar_indices(space, limit, seed=self.scale.seed + 1)
+            self._exploration_points = PointSet(space, indices)
         return self._exploration_points
 
-    def per_depth_points(self, parameter: str = "depth") -> List[DesignPoint]:
+    def per_depth_points(self, parameter: str = "depth") -> PointSet:
         """Stratified exploration set: equal designs at every depth level."""
         if parameter not in self._stratified_points:
             space = self.exploration_space
@@ -186,8 +198,11 @@ class StudyContext:
                 self.scale.per_depth_designs,
                 len(space) // levels,
             )
-            self._stratified_points[parameter] = sample_stratified(
-                space, parameter, per_level, seed=self.scale.seed + 2
+            self._stratified_points[parameter] = PointSet(
+                space,
+                sample_stratified_indices(
+                    space, parameter, per_level, seed=self.scale.seed + 2
+                ),
             )
         return self._stratified_points[parameter]
 
@@ -196,31 +211,22 @@ class StudyContext:
     def exploration_source(self) -> SweepSource:
         """Block-addressable exploration set for the sweep engine.
 
-        A full (unsubsampled) exploration sweep enumerates the space by
-        mixed-radix index — no point list is ever materialized — while a
-        scale-limited sweep wraps the memoized UAR subsample so positions
-        match :meth:`exploration_points` (and thus
-        :meth:`predict_exploration` row indices) exactly.
+        Sweeps the indices of :meth:`exploration_points`, so positions
+        match its entries (and :meth:`predict_exploration` row indices)
+        exactly; no point list is ever materialized.
         """
         key = ("exploration",)
         if key not in self._sources:
-            limit = self.scale.exploration_limit
-            space = self.exploration_space
-            if limit is None or limit >= len(space):
-                self._sources[key] = SpaceSweepSource(space)
-            else:
-                self._sources[key] = PointSweepSource(
-                    space, self.exploration_points()
-                )
+            points = self.exploration_points()
+            self._sources[key] = SpaceSweepSource(points.space, points.indices)
         return self._sources[key]
 
     def per_depth_source(self, parameter: str = "depth") -> SweepSource:
         """Block-addressable depth-stratified set for the sweep engine."""
         key = ("per-depth", parameter)
         if key not in self._sources:
-            self._sources[key] = PointSweepSource(
-                self.exploration_space, self.per_depth_points(parameter)
-            )
+            points = self.per_depth_points(parameter)
+            self._sources[key] = SpaceSweepSource(points.space, points.indices)
         return self._sources[key]
 
     # -- prediction ----------------------------------------------------------
@@ -231,17 +237,13 @@ class StudyContext:
         """Regression-predicted bips and watts for arbitrary points."""
         points = list(points)
         source = PointSweepSource(self.exploration_space, points)
-        bips, watts = predict_source(self.predictor(benchmark), source)
-        return PredictionTable(
-            benchmark=benchmark,
-            points=points,
-            bips=bips,
-            watts=watts,
-            ref_instructions=get_profile(benchmark).ref_instructions,
-        )
+        return self._predict_source_table(benchmark, source, points)
 
     def _predict_source_table(
-        self, benchmark: str, source: SweepSource, points: List[DesignPoint]
+        self,
+        benchmark: str,
+        source: SweepSource,
+        points: Union[PointSet, List[DesignPoint]],
     ) -> PredictionTable:
         bips, watts = predict_source(self.predictor(benchmark), source)
         return PredictionTable(

@@ -260,7 +260,7 @@ def resource_trend(
     """Figure 2's arrows: mean delay/power at each level of one parameter."""
     table = ctx.predict_exploration(benchmark)
     levels: Dict[float, Dict[str, float]] = {}
-    values = np.array([point[parameter] for point in table.points], dtype=float)
+    values = table.points.column(parameter)
     delay = table.delay
     for level in sorted(set(values.tolist())):
         mask = values == level

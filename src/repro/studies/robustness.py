@@ -17,7 +17,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..designspace import DesignPoint
+from ..harness.sweep import BlockPredictor, TopKReducer, run_sweep
 from ..regression import FittedModel, fit_ols, performance_spec, power_spec
+from ..workloads import get_profile
 from .common import StudyContext
 
 
@@ -73,28 +75,30 @@ def optimum_stability(
     replicates: int = 20,
     seed: int = 0,
 ) -> OptimumStability:
-    """How stable is the predicted bips^3/w-optimal design under resampling?"""
-    points = ctx.exploration_points()
+    """How stable is the predicted bips^3/w-optimal design under resampling?
+
+    Each replicate's models sweep the exploration set through the sweep
+    engine, reduced to its efficiency argmax; no design matrix of the
+    whole set is built.
+    """
     table = ctx.predict_exploration(benchmark)
-    nominal_index = int(table.efficiency.argmax())
-    nominal = points[nominal_index]
+    nominal = table.points[int(table.efficiency.argmax())]
 
-    # encode once; every replicate predicts over the same matrix
-    from ..designspace import DesignEncoder
-
-    encoder = DesignEncoder(ctx.exploration_space)
-    matrix = encoder.encode(points)
-    columns = {n: matrix[:, j] for j, n in enumerate(encoder.feature_names)}
-
+    source = ctx.exploration_source()
+    ref_instructions = get_profile(benchmark).ref_instructions
     winners: List[DesignPoint] = []
     efficiencies: List[float] = []
     for models in bootstrap_models(ctx, benchmark, replicates, seed):
-        bips = models.bips.predict(columns)
-        watts = models.watts.predict(columns)
-        efficiency = bips**3 / watts
-        index = int(efficiency.argmax())
-        winners.append(points[index])
-        efficiencies.append(float(efficiency[index]))
+        predictor = BlockPredictor(
+            benchmark=benchmark,
+            bips_model=models.bips,
+            watts_model=models.watts,
+            ref_instructions=ref_instructions,
+        )
+        best = run_sweep(predictor, source, [TopKReducer("efficiency", 1)])
+        optimum = best.results[0]
+        winners.append(optimum.points[0])
+        efficiencies.append(float(optimum.efficiency[0]))
 
     counts = Counter(winners)
     modal_point, modal_count = counts.most_common(1)[0]

@@ -11,8 +11,10 @@ from repro.designspace import (
     NormalizedEncoder,
     Parameter,
     ParameterError,
+    PointSet,
     exploration_space,
     sample_uar,
+    sample_uar_indices,
 )
 
 
@@ -122,3 +124,51 @@ class TestNormalizedEncoder:
         encoder = NormalizedEncoder(space)
         for point in sample_uar(space, 3, seed=seed):
             assert encoder.decode_vector(encoder.encode_point(point)) == point
+
+
+class TestVectorizedEncode:
+    """``encode`` gathers through level tables; ``encode_point`` is the oracle."""
+
+    @staticmethod
+    def stacked(encoder, points):
+        return np.vstack([encoder.encode_point(point) for point in points])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 300))
+    def test_bitwise_equal_to_encode_point(self, seed, count):
+        space = exploration_space()
+        indices = sample_uar_indices(space, count, seed=seed)
+        points = list(PointSet(space, indices))
+        for encoder in (
+            DesignEncoder(space),
+            NormalizedEncoder(space, weights={"depth": 2.0, "width": 0.0}),
+        ):
+            expected = self.stacked(encoder, points).tobytes()
+            assert encoder.encode(points).tobytes() == expected
+            assert encoder.encode(PointSet(space, indices)).tobytes() == expected
+
+    def test_pinned_parameter_matches_encode_point(self, space):
+        pinned = space.fix(width=4)
+        encoder = NormalizedEncoder(pinned)
+        points = list(pinned)
+        expected = self.stacked(encoder, points).tobytes()
+        assert encoder.encode(points).tobytes() == expected
+
+    def test_off_grid_error_names_the_first_bad_point(self, space):
+        encoder = DesignEncoder(space)
+        good = space.point(depth=12, width=2, l2=0.25)
+        points = [
+            good,
+            DesignPoint(space.names, (12, 3, 0.25)),
+            DesignPoint(space.names, (13, 2, 0.25)),
+        ]
+        with pytest.raises(ParameterError) as expected:
+            encoder.encode_point(points[1])
+        with pytest.raises(ParameterError) as got:
+            encoder.encode(points)
+        assert str(got.value) == str(expected.value)
+
+    def test_foreign_names_rejected(self, space):
+        foreign = DesignPoint(("depth", "width", "l3"), (12, 2, 0.25))
+        with pytest.raises(ParameterError, match="do not match"):
+            DesignEncoder(space).encode([space.point_at(0), foreign])

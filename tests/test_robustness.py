@@ -1,8 +1,49 @@
 """Tests for bootstrap robustness analysis."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
-from repro.studies import robustness
+from repro.designspace import DesignEncoder
+from repro.harness import get_scale
+from repro.studies import StudyContext, robustness
+
+
+def _reference_stability(ctx, benchmark, replicates, seed):
+    """The whole-matrix loop that ``optimum_stability`` replaced.
+
+    Encodes every exploration point one by one and predicts each
+    replicate over the whole matrix with ``FittedModel.predict``.
+    """
+    points = list(ctx.exploration_points())
+    table = ctx.predict_exploration(benchmark)
+    nominal = points[int(table.efficiency.argmax())]
+    encoder = DesignEncoder(ctx.exploration_space)
+    matrix = np.vstack([encoder.encode_point(point) for point in points])
+    columns = {n: matrix[:, j] for j, n in enumerate(encoder.feature_names)}
+    winners, efficiencies = [], []
+    for models in robustness.bootstrap_models(ctx, benchmark, replicates, seed):
+        bips = models.bips.predict(columns)
+        watts = models.watts.predict(columns)
+        efficiency = bips**3 / watts
+        index = int(efficiency.argmax())
+        winners.append(points[index])
+        efficiencies.append(float(efficiency[index]))
+    modal_point, modal_count = Counter(winners).most_common(1)[0]
+    efficiencies = np.array(efficiencies)
+    return robustness.OptimumStability(
+        benchmark=benchmark,
+        replicates=replicates,
+        nominal_point=nominal,
+        modal_point=modal_point,
+        modal_fraction=modal_count / replicates,
+        parameter_agreement={
+            name: float(np.mean([w[name] == nominal[name] for w in winners]))
+            for name in nominal.names
+        },
+        efficiency_cv=float(efficiencies.std() / efficiencies.mean()),
+    )
 
 
 class TestBootstrapModels:
@@ -33,6 +74,26 @@ class TestBootstrapModels:
 
 
 class TestOptimumStability:
+    @pytest.fixture(scope="class")
+    def ci_ctx(self, simulator):
+        return StudyContext(
+            scale=get_scale("ci"), simulator=simulator, benchmarks=["gzip", "mcf"]
+        )
+
+    @pytest.mark.parametrize("name", ["gzip", "mcf"])
+    def test_matches_whole_matrix_reference_at_ci_scale(self, ci_ctx, name):
+        got = robustness.optimum_stability(ci_ctx, name, replicates=5, seed=2)
+        expected = _reference_stability(ci_ctx, name, replicates=5, seed=2)
+        for field in (
+            "benchmark", "replicates", "nominal_point", "modal_point",
+            "modal_fraction", "parameter_agreement", "efficiency_cv",
+        ):
+            assert getattr(got, field) == getattr(expected, field), field
+
+    def test_matches_whole_matrix_reference_at_test_scale(self, ctx):
+        got = robustness.optimum_stability(ctx, "mcf", replicates=6, seed=3)
+        assert got == _reference_stability(ctx, "mcf", replicates=6, seed=3)
+
     def test_report_fields(self, ctx):
         stability = robustness.optimum_stability(ctx, "mcf", replicates=6, seed=3)
         assert stability.replicates == 6

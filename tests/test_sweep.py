@@ -13,6 +13,7 @@ from repro.designspace import DesignEncoder
 from repro.designspace.parameters import ParameterError
 from repro.harness.sweep import (
     CollectReducer,
+    _LevelDesignCache,
     GroupedMetricReducer,
     ParetoFrontierReducer,
     PointSweepSource,
@@ -176,6 +177,42 @@ class TestBlockwisePrediction:
             run_sweep(predictor, source, [], block_size=0)
         with pytest.raises(SweepError):
             run_sweep(predictor, source, [], workers=0)
+
+
+class TestLevelKernel:
+    """The level-table gather kernel against the model's own predict."""
+
+    # (start, stop) over the full exploration space: single rows, an odd
+    # and an even small block, a full default block, and the ragged tail
+    # of a default-block sweep (262,500 = 32 * 8192 + 356).
+    BLOCKS = [(0, 1), (131_071, 131_072), (5, 8), (1000, 1004),
+              (8192, 16_384), (262_144, 262_500)]
+
+    @pytest.mark.parametrize("name", ["gzip", "mcf", "applu"])
+    @pytest.mark.parametrize("metric", ["bips", "watts"])
+    def test_bitwise_equal_to_fitted_model_predict(self, ctx, name, metric):
+        space = ctx.exploration_space
+        model = ctx.model(name, metric)
+        cache = _LevelDesignCache(model, space)
+        assert cache.supported
+        source = SpaceSweepSource(space)
+        encoder = DesignEncoder(space)
+        for start, stop in self.BLOCKS:
+            points = [space.point_at(i) for i in range(start, stop)]
+            matrix = np.vstack([encoder.encode_point(p) for p in points])
+            columns = {n: matrix[:, j] for j, n in enumerate(space.names)}
+            expected = model.predict(columns)
+            got = cache.predict(source.level_block(start, stop))
+            assert got.tobytes() == expected.tobytes(), (start, stop)
+
+    def test_accepts_row_major_levels(self, ctx):
+        """The kernel reads any (n, P) level layout, not only column-major."""
+        space = ctx.exploration_space
+        cache = _LevelDesignCache(ctx.model("gzip", "bips"), space)
+        levels = SpaceSweepSource(space).level_block(8192, 16_384)
+        assert np.array_equal(
+            cache.predict(np.ascontiguousarray(levels)), cache.predict(levels)
+        )
 
 
 class TestReducers:
