@@ -37,6 +37,7 @@ from repro.harness import (
     workers_status,
 )
 from repro.simulator import Simulator
+from repro.workloads import BENCHMARK_NAMES
 
 KILL_TIMEOUT_S = 120.0
 
@@ -93,10 +94,13 @@ def kill_one_worker(run_dir: Path, killed: dict) -> None:
 
 
 def main() -> None:
+    # A campaign is one chunk per benchmark: all nine benchmarks on
+    # 3,000-instruction traces keep every worker leasing chunks long
+    # enough for the monitor to strike one mid-lease.
     scale = get_scale("ci").with_overrides(
-        name="distributed-smoke", trace_length=600, n_train=8, n_validation=4
+        name="distributed-smoke", trace_length=3000, n_train=8, n_validation=4
     )
-    benchmarks = ["gzip", "mcf"]
+    benchmarks = list(BENCHMARK_NAMES)
 
     print(f"Reference: clean serial campaign ({scale.n_train}+"
           f"{scale.n_validation} designs x {len(benchmarks)} benchmarks)")

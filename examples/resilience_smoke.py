@@ -57,7 +57,8 @@ def main() -> None:
     scale = get_scale("ci").with_overrides(
         name="resilience-smoke", trace_length=600, n_train=8, n_validation=4
     )
-    benchmarks = ["gzip", "mcf"]
+    # One chunk per benchmark: three give both faults below a real chunk.
+    benchmarks = ["gzip", "mcf", "mesa"]
     simulator = Simulator()
 
     print(f"Reference: clean serial campaign ({scale.n_train}+"
@@ -65,7 +66,7 @@ def main() -> None:
     reference = run_campaign(simulator, scale=scale, benchmarks=benchmarks)
 
     # -- transient worker exceptions on two chunks ---------------------------
-    print("Fault injection: transient worker exceptions on chunks 0 and 9")
+    print("Fault injection: transient worker exceptions on chunks 0 and 2")
     faulty = run_campaign(
         Simulator(),
         scale=scale,
@@ -75,7 +76,7 @@ def main() -> None:
             faults=FaultPlan(
                 [
                     Fault(chunk=0, kind="transient", attempts=(1,)),
-                    Fault(chunk=9, kind="transient", attempts=(1,)),
+                    Fault(chunk=2, kind="transient", attempts=(1,)),
                 ]
             )
         ),
@@ -99,7 +100,7 @@ def main() -> None:
                     policy=RetryPolicy(max_attempts=1, max_pool_restarts=0),
                     journal_path=journal,
                     faults=FaultPlan(
-                        [Fault(chunk=12, kind="kill", attempts=())]
+                        [Fault(chunk=2, kind="kill", attempts=())]
                     ),
                 ),
             )

@@ -4,16 +4,15 @@ A campaign samples designs uniformly at random from the Table 1 space,
 simulates every sampled design on every benchmark, and assembles training
 and validation datasets — the inputs to model fitting and Figure 1.
 
-Every path simulates through the batched timing kernel: the serial path
-replays each benchmark's trace once per block of designs (one block per
-benchmark by default), and chunk workers do the same per chunk.
-Campaigns are embarrassingly parallel across design points; pass
-``workers > 1`` to spread simulations over processes (each worker rebuilds
-its deterministic trace, so results are bit-identical to a serial run).
-Parallel runs go through :mod:`repro.harness.resilience`: chunks are
-retried on transient failures, optionally journaled to disk for
-checkpoint/resume, and the run degrades to in-process execution when the
-worker pool breaks repeatedly.
+The unit of work is one benchmark: every sampled design (train and
+validation together) replayed through the batched timing kernel on that
+benchmark's trace, one block by default.  The serial path runs the units
+in a loop; pass ``workers > 1`` to spread them over processes (each
+worker rebuilds its deterministic trace, so results are bit-identical to
+a serial run).  Parallel runs go through :mod:`repro.harness.resilience`,
+one chunk per benchmark: chunks are retried on transient failures,
+optionally journaled to disk for checkpoint/resume, and the run degrades
+to in-process execution when the worker pool breaks repeatedly.
 """
 
 from __future__ import annotations
@@ -39,12 +38,6 @@ from .resilience import (
     run_chunks,
 )
 from .scale import ScalePreset, get_scale
-
-#: Chunks per (benchmark, split) on the resilient path.  A constant — not
-#: a function of ``workers`` — so a journal written at one worker count
-#: resumes cleanly at another.
-CAMPAIGN_CHUNKS_PER_SPLIT = 8
-
 
 @dataclass
 class Campaign:
@@ -146,6 +139,19 @@ def _dataset(
     )
 
 
+def _assemble(
+    campaign: Campaign, benchmark: str, pairs: Sequence[Tuple[float, float]]
+) -> None:
+    """Split one benchmark's pairs over train + validation at ``n_train``."""
+    n_train = len(campaign.train_points)
+    campaign.train[benchmark] = _dataset(
+        benchmark, campaign.space, campaign.train_points, pairs[:n_train]
+    )
+    campaign.validation[benchmark] = _dataset(
+        benchmark, campaign.space, campaign.validation_points, pairs[n_train:]
+    )
+
+
 def _split_progress(progress, benchmark: str, splits) -> Callable[[int], None]:
     """Turn cumulative progress over the concatenated splits into the
     per-split ``(benchmark, split, done, total)`` stream.
@@ -166,11 +172,6 @@ def _split_progress(progress, benchmark: str, splits) -> Callable[[int], None]:
             offset += total
 
     return on_block
-
-
-def _chunked(points: List[DesignPoint], chunks: int) -> List[List[DesignPoint]]:
-    size = max(1, (len(points) + chunks - 1) // chunks)
-    return [points[i : i + size] for i in range(0, len(points), size)]
 
 
 def _campaign_fingerprint(
@@ -222,44 +223,45 @@ def _validate_campaign_payload(task: ChunkTask, payload) -> None:
 def _run_campaign_resilient(
     campaign: Campaign,
     simulator: Simulator,
-    scale: ScalePreset,
-    space: DesignSpace,
-    names: Sequence[str],
+    points: List[DesignPoint],
     splits,
     progress,
     workers: int,
     resilience: ResilienceConfig,
     batch_size: Optional[int] = None,
 ) -> Campaign:
-    """The chunked path: fan out, retry, journal, and assemble datasets."""
-    tasks: List[ChunkTask] = []
-    chunk_sizes: List[int] = []
-    for benchmark in names:
-        for split, split_points in splits:
-            for chunk in _chunked(split_points, CAMPAIGN_CHUNKS_PER_SPLIT):
-                tasks.append(
-                    ChunkTask(
-                        index=len(tasks),
-                        fn=_simulate_chunk,
-                        args=(
-                            space,
-                            benchmark,
-                            scale.trace_length,
-                            scale.seed,
-                            simulator.memory_mode,
-                            simulator.warm,
-                            chunk,
-                            batch_size,
-                        ),
-                        size=len(chunk),
-                        meta=(benchmark, split),
-                    )
-                )
-                chunk_sizes.append(len(chunk))
+    """The chunked path: fan out, retry, journal, and assemble datasets.
+
+    One chunk per benchmark, covering the same points as one serial
+    iteration.  Parallelism therefore stops at the benchmark count, which
+    still wins at every width: each kernel call carries a fixed
+    per-instruction cost, so splitting a benchmark into smaller chunks
+    multiplies that cost instead of sharing the work.
+    """
+    scale, space, names = campaign.scale, campaign.space, campaign.benchmarks
+    tasks = [
+        ChunkTask(
+            index=index,
+            fn=_simulate_chunk,
+            args=(
+                space,
+                benchmark,
+                scale.trace_length,
+                scale.seed,
+                simulator.memory_mode,
+                simulator.warm,
+                points,
+                batch_size,
+            ),
+            size=len(points),
+            meta=(benchmark,),
+        )
+        for index, benchmark in enumerate(names)
+    ]
 
     fingerprint = _campaign_fingerprint(
         scale, space, names, simulator.memory_mode, simulator.warm,
-        chunk_sizes,
+        [task.size for task in tasks],
     )
     journal = None
     if resilience.journal_path is not None:
@@ -269,17 +271,9 @@ def _run_campaign_resilient(
             resilience.journal_path, fingerprint, strict=resilience.resume
         )
 
-    split_totals = {split: len(pts) for split, pts in splits}
-    done_counts = {
-        (benchmark, split): 0 for benchmark in names for split, _ in splits
-    }
-
     def on_chunk(task, record, payload):
-        if progress is None:
-            return
-        benchmark, split = task.meta
-        done_counts[task.meta] += task.size
-        progress(benchmark, split, done_counts[task.meta], split_totals[split])
+        if progress is not None:
+            _split_progress(progress, task.meta[0], splits)(task.size)
 
     results, report = run_chunks(
         tasks,
@@ -294,14 +288,8 @@ def _run_campaign_resilient(
         fingerprint=fingerprint,
     )
     campaign.run_report = report
-
-    by_group: Dict[tuple, List] = {}
-    for task, payload in zip(tasks, results):
-        by_group.setdefault(task.meta, []).extend(payload)
-    for (benchmark, split), pairs in by_group.items():
-        getattr(campaign, split)[benchmark] = _dataset(
-            benchmark, space, dict(splits)[split], pairs
-        )
+    for benchmark, pairs in zip(names, results):
+        _assemble(campaign, benchmark, pairs)
     if journal is not None:
         journal.discard()
     return campaign
@@ -324,23 +312,23 @@ def run_campaign(
     Section 3.5's guard against extrapolation).  Every sampled design is
     simulated for every benchmark, as in the paper.
 
-    ``workers > 1`` parallelizes over processes (results identical to the
-    serial run).  ``progress`` callbacks fire on both paths with the same
-    ``(benchmark, split, done, total)`` stream, where ``done`` is
-    cumulative per split and ends at ``total``: per completed block of
-    the batch kernel serially, per completed chunk in parallel.
+    ``workers > 1`` parallelizes over processes, one chunk per benchmark
+    (results identical to the serial run).  ``progress`` callbacks fire
+    on both paths with the same ``(benchmark, split, done, total)``
+    stream, where ``done`` is cumulative per split and ends at
+    ``total``: per completed block of the batch kernel serially, once
+    per split when a benchmark's chunk completes in parallel.
 
     ``resilience`` (or any ``workers > 1`` run, which uses the default
     policy) routes execution through :func:`repro.harness.resilience.run_chunks`:
     transient worker failures retry with backoff, a journal path enables
     checkpoint/resume, and the finished campaign carries a ``run_report``.
 
-    Both paths replay each trace once per block of up to ``batch_size``
-    configs through the batched timing kernel.  ``None`` batches whole
-    units: serially one block per benchmark (train and validation points
-    together), on the chunked path one block per chunk.  Results and
-    journal layout are bit-identical for every batch size and on every
-    path.
+    Both paths replay each benchmark's trace once per block of up to
+    ``batch_size`` configs through the batched timing kernel.  ``None``
+    gives one block per benchmark (train and validation points together)
+    on either path.  Results and journal layout are bit-identical for
+    every batch size and on every path.
     """
     scale = scale or get_scale()
     space = space or sampling_space()
@@ -371,9 +359,7 @@ def run_campaign(
             return _run_campaign_resilient(
                 campaign,
                 simulator,
-                scale,
-                space,
-                names,
+                points,
                 splits,
                 progress,
                 workers,
@@ -381,7 +367,6 @@ def run_campaign(
                 batch_size,
             )
 
-        n_train = len(train_points)
         for benchmark in names:
             with tracer.span(
                 "campaign.benchmark", benchmark=benchmark, points=len(points)
@@ -400,12 +385,7 @@ def run_campaign(
                         else _split_progress(progress, benchmark, splits)
                     ),
                 )
-            campaign.train[benchmark] = _dataset(
-                benchmark, space, train_points, pairs[:n_train]
-            )
-            campaign.validation[benchmark] = _dataset(
-                benchmark, space, validation_points, pairs[n_train:]
-            )
+            _assemble(campaign, benchmark, pairs)
     return campaign
 
 

@@ -362,7 +362,7 @@ class ChunkTask:
 
     ``size`` counts work units (e.g. design points) for progress
     accounting and payload validation; ``meta`` is an opaque caller
-    label (the campaign uses ``(benchmark, split)``) handed back through
+    label (the campaign uses ``(benchmark,)``) handed back through
     ``on_chunk`` callbacks.
     """
 

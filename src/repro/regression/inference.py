@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .fit import FitError, FittedModel
 
@@ -33,6 +32,8 @@ class CoefficientTest:
 
 def coefficient_tests(model: FittedModel) -> List[CoefficientTest]:
     """t-test of each coefficient against zero."""
+    from scipy import stats as scipy_stats
+
     dof = model.degrees_of_freedom
     if dof <= 0:
         raise FitError("no residual degrees of freedom for inference")
@@ -70,6 +71,8 @@ class FTest:
 
 def overall_f_test(model: FittedModel) -> FTest:
     """F-test of the whole model against the intercept-only model."""
+    from scipy import stats as scipy_stats
+
     dof = model.degrees_of_freedom
     p = model.n_parameters - 1  # slope parameters
     if dof <= 0 or p <= 0:
@@ -92,6 +95,8 @@ def nested_f_test(full: FittedModel, reduced: FittedModel) -> FTest:
     Both models must be fit to the same observations (same n and the same
     transformed response); the reduced model must have fewer parameters.
     """
+    from scipy import stats as scipy_stats
+
     if full.n_observations != reduced.n_observations:
         raise FitError("nested models must share the training sample")
     extra = full.n_parameters - reduced.n_parameters
@@ -118,6 +123,8 @@ def confidence_intervals(
     model: FittedModel, level: float = 0.95
 ) -> Dict[str, tuple]:
     """Two-sided confidence intervals for every coefficient."""
+    from scipy import stats as scipy_stats
+
     if not 0 < level < 1:
         raise FitError(f"confidence level must be in (0, 1), got {level}")
     dof = model.degrees_of_freedom

@@ -286,16 +286,27 @@ class TestCampaignBatchPath:
             name="tiny-batch", trace_length=400, n_train=6, n_validation=2
         )
 
+    #: One chunk per benchmark: three give the fault below a real chunk
+    #: to land on after two have been journaled.
+    BENCHMARKS = ["gzip", "mcf", "mesa"]
+
     @pytest.fixture(scope="class")
     def serial_campaign(self, tiny_scale):
-        return run_campaign(Simulator(), scale=tiny_scale, benchmarks=["gzip"])
+        return run_campaign(
+            Simulator(), scale=tiny_scale, benchmarks=self.BENCHMARKS
+        )
 
     def assert_campaigns_equal(self, got, want):
-        for split in ("train", "validation"):
-            got_metrics = got.dataset("gzip", split).metrics
-            want_metrics = want.dataset("gzip", split).metrics
-            assert np.array_equal(got_metrics["bips"], want_metrics["bips"])
-            assert np.array_equal(got_metrics["watts"], want_metrics["watts"])
+        for benchmark in got.benchmarks:
+            for split in ("train", "validation"):
+                got_metrics = got.dataset(benchmark, split).metrics
+                want_metrics = want.dataset(benchmark, split).metrics
+                assert np.array_equal(
+                    got_metrics["bips"], want_metrics["bips"]
+                )
+                assert np.array_equal(
+                    got_metrics["watts"], want_metrics["watts"]
+                )
 
     def test_chunked_batch_path_matches_scalar_serial(
         self, tiny_scale, serial_campaign
@@ -314,12 +325,12 @@ class TestCampaignBatchPath:
         self, tiny_scale, serial_campaign, tmp_path
     ):
         path = tmp_path / "campaign.journal.jsonl"
-        faults = FaultPlan([Fault(chunk=5, kind="permanent")])
+        faults = FaultPlan([Fault(chunk=2, kind="permanent")])
         with pytest.raises(ChunkFailure):
             run_campaign(
                 Simulator(),
                 scale=tiny_scale,
-                benchmarks=["gzip"],
+                benchmarks=self.BENCHMARKS,
                 resilience=ResilienceConfig(
                     journal_path=path, faults=faults
                 ),
@@ -328,8 +339,9 @@ class TestCampaignBatchPath:
         resumed = run_campaign(
             Simulator(),
             scale=tiny_scale,
-            benchmarks=["gzip"],
+            benchmarks=self.BENCHMARKS,
             resilience=ResilienceConfig(journal_path=path, resume=True),
         )
         assert resumed.run_report.resumed >= 1
+        assert resumed.benchmarks == tuple(self.BENCHMARKS)
         self.assert_campaigns_equal(resumed, serial_campaign)

@@ -1,7 +1,14 @@
 """Tests for significance testing and confidence intervals."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.regression import (
     FitError,
@@ -102,3 +109,31 @@ class TestConfidenceIntervals:
     def test_invalid_level(self, model):
         with pytest.raises(FitError):
             confidence_intervals(model, level=1.5)
+
+
+def test_importing_the_package_does_not_load_scipy():
+    """scipy is imported only inside the inference functions that need
+    it, so importing the package and its entry points stays cheap."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    code = (
+        "import sys, repro, repro.experiments, repro.studies, "
+        "repro.harness, repro.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded[:5])\n"
+        "sys.exit(1 if loaded else 0)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert result.returncode == 0, (
+        f"scipy loaded at import time: {result.stdout.strip()} "
+        f"{result.stderr[-2000:]}"
+    )

@@ -427,15 +427,21 @@ def resilience_scale():
     )
 
 
+#: A campaign is one chunk per benchmark, so the fault-injection campaigns
+#: below run three to give every injected fault a real chunk to land on.
+CAMPAIGN_BENCHMARKS = ["gzip", "mcf", "mesa"]
+
+
 @pytest.fixture(scope="module")
 def clean_campaign(resilience_scale):
     return run_campaign(
-        Simulator(), scale=resilience_scale, benchmarks=["gzip"]
+        Simulator(), scale=resilience_scale, benchmarks=CAMPAIGN_BENCHMARKS
     )
 
 
-def _assert_campaigns_bitwise_equal(campaign, other, benchmarks=("gzip",)):
-    for bench in benchmarks:
+def _assert_campaigns_bitwise_equal(campaign, other):
+    assert campaign.benchmarks == other.benchmarks
+    for bench in campaign.benchmarks:
         for split in ("train", "validation"):
             ours = campaign.dataset(bench, split).metrics
             theirs = other.dataset(bench, split).metrics
@@ -444,6 +450,27 @@ def _assert_campaigns_bitwise_equal(campaign, other, benchmarks=("gzip",)):
 
 
 class TestCampaignResilience:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_chunk_per_benchmark(
+        self, resilience_scale, clean_campaign, workers
+    ):
+        """A chunk is one benchmark's whole point list: one trace and,
+        with ``batch_size=None``, one kernel block per benchmark."""
+        campaign = run_campaign(
+            Simulator(),
+            scale=resilience_scale,
+            benchmarks=CAMPAIGN_BENCHMARKS,
+            workers=workers,
+            resilience=ResilienceConfig(),
+        )
+        report = campaign.run_report
+        k = len(CAMPAIGN_BENCHMARKS)
+        assert report.total_chunks == report.completed == k
+        counters = report.metrics["counters"]
+        assert counters["simulator.traces_generated"] == k
+        assert counters["simulator.batch.blocks"] == k
+        _assert_campaigns_bitwise_equal(campaign, clean_campaign)
+
     def test_fault_injected_parallel_matches_serial(
         self, resilience_scale, clean_campaign
     ):
@@ -452,13 +479,13 @@ class TestCampaignResilience:
         faults = FaultPlan(
             [
                 Fault(chunk=0, kind="transient", attempts=(1,)),
-                Fault(chunk=4, kind="transient", attempts=(1,)),
+                Fault(chunk=2, kind="transient", attempts=(1,)),
             ]
         )
         campaign = run_campaign(
             Simulator(),
             scale=resilience_scale,
-            benchmarks=["gzip"],
+            benchmarks=CAMPAIGN_BENCHMARKS,
             workers=2,
             resilience=ResilienceConfig(faults=faults),
         )
@@ -472,11 +499,11 @@ class TestCampaignResilience:
             run_campaign(
                 Simulator(),
                 scale=resilience_scale,
-                benchmarks=["gzip"],
+                benchmarks=CAMPAIGN_BENCHMARKS,
                 resilience=ResilienceConfig(faults=faults),
             )
         assert "chunk 2" in excinfo.value.report.failure
-        assert "gzip" in excinfo.value.report.failure
+        assert "mesa" in excinfo.value.report.failure
 
     def test_kill_then_resume_bitwise_identical(
         self, resilience_scale, clean_campaign, tmp_path
@@ -488,13 +515,13 @@ class TestCampaignResilience:
         kill = ResilienceConfig(
             policy=RetryPolicy(max_attempts=1, max_pool_restarts=0),
             journal_path=journal_path,
-            faults=FaultPlan([Fault(chunk=5, kind="kill", attempts=())]),
+            faults=FaultPlan([Fault(chunk=2, kind="kill", attempts=())]),
         )
         with pytest.raises(ChunkFailure):
             run_campaign(
                 Simulator(),
                 scale=resilience_scale,
-                benchmarks=["gzip"],
+                benchmarks=CAMPAIGN_BENCHMARKS,
                 workers=2,
                 resilience=kill,
             )
@@ -503,7 +530,7 @@ class TestCampaignResilience:
         resumed = run_campaign(
             Simulator(),
             scale=resilience_scale,
-            benchmarks=["gzip"],
+            benchmarks=CAMPAIGN_BENCHMARKS,
             workers=2,
             resilience=ResilienceConfig(
                 journal_path=journal_path, resume=True
@@ -526,11 +553,11 @@ class TestCampaignResilience:
             run_campaign(
                 Simulator(),
                 scale=resilience_scale,
-                benchmarks=["gzip"],
+                benchmarks=CAMPAIGN_BENCHMARKS,
                 resilience=ResilienceConfig(
                     policy=RetryPolicy(max_attempts=1),
                     journal_path=journal_path,
-                    faults=FaultPlan([Fault(chunk=8, kind="permanent")]),
+                    faults=FaultPlan([Fault(chunk=2, kind="permanent")]),
                 ),
             )
         other_scale = resilience_scale.with_overrides(
@@ -540,7 +567,7 @@ class TestCampaignResilience:
             run_campaign(
                 Simulator(),
                 scale=other_scale,
-                benchmarks=["gzip"],
+                benchmarks=CAMPAIGN_BENCHMARKS,
                 resilience=ResilienceConfig(
                     journal_path=journal_path, resume=True
                 ),
@@ -550,11 +577,54 @@ class TestCampaignResilience:
         campaign = run_campaign(
             Simulator(),
             scale=other_scale,
-            benchmarks=["gzip"],
+            benchmarks=CAMPAIGN_BENCHMARKS,
             resilience=ResilienceConfig(journal_path=journal_path),
         )
         assert campaign.run_report.resumed == 0
         assert len(campaign.train_points) == 7
+
+
+    def test_journal_from_per_split_layout_is_not_resumed(
+        self, resilience_scale, clean_campaign, tmp_path
+    ):
+        """A journal written when a campaign was several chunks per
+        (benchmark, split) carries other chunk sizes in its fingerprint:
+        an explicit resume refuses it, and a plain run discards it."""
+        from repro.designspace import sampling_space
+        from repro.harness.campaign import _campaign_fingerprint
+
+        simulator = Simulator()
+        n_points = resilience_scale.n_train + resilience_scale.n_validation
+        # Eight chunks per split of at most 6 points: one point per chunk.
+        old_fingerprint = _campaign_fingerprint(
+            resilience_scale,
+            sampling_space(),
+            CAMPAIGN_BENCHMARKS,
+            simulator.memory_mode,
+            simulator.warm,
+            [1] * (n_points * len(CAMPAIGN_BENCHMARKS)),
+        )
+        journal_path = tmp_path / "campaign.journal.jsonl"
+        Journal.open(journal_path, old_fingerprint).record(
+            0, attempts=1, payload=[[0.0, 0.0]]
+        )
+        with pytest.raises(JournalFingerprintError):
+            run_campaign(
+                simulator,
+                scale=resilience_scale,
+                benchmarks=CAMPAIGN_BENCHMARKS,
+                resilience=ResilienceConfig(
+                    journal_path=journal_path, resume=True
+                ),
+            )
+        campaign = run_campaign(
+            simulator,
+            scale=resilience_scale,
+            benchmarks=CAMPAIGN_BENCHMARKS,
+            resilience=ResilienceConfig(journal_path=journal_path),
+        )
+        assert campaign.run_report.resumed == 0
+        _assert_campaigns_bitwise_equal(campaign, clean_campaign)
 
 
 class TestSweepResilience:
