@@ -7,9 +7,7 @@ Exercises the fault-tolerant execution layer end-to-end:
    assert bitwise-identical bips/watts arrays;
 3. kill a worker mid-campaign (a real ``os._exit`` in the child) so the
    run aborts, then resume from the on-disk journal and again assert
-   bitwise-identical results;
-4. sweep the exploration set with injected faults and compare streaming
-   reducer results against a fault-free serial sweep.
+   bitwise-identical results.
 
 Run:  python examples/resilience_smoke.py
 
@@ -24,20 +22,14 @@ import numpy as np
 
 from repro.harness import (
     ChunkFailure,
-    CollectReducer,
     Fault,
     FaultPlan,
     ResilienceConfig,
     RetryPolicy,
-    TopKReducer,
     get_scale,
     run_campaign,
 )
-from repro.designspace import exploration_space
-from repro.harness.campaign import fit_campaign_models
-from repro.harness.sweep import BlockPredictor, SpaceSweepSource, run_sweep
 from repro.simulator import Simulator
-from repro.workloads import get_profile
 
 
 def assert_campaigns_equal(reference, candidate, benchmarks, label):
@@ -121,57 +113,6 @@ def main() -> None:
         if resumed.run_report.resumed == 0:
             raise SystemExit("FAIL: resume restored nothing from the journal")
     assert_campaigns_equal(reference, resumed, benchmarks, "kill + resume")
-
-    # -- fault-injected sweep vs clean serial sweep --------------------------
-    print("Fault injection: sweep with a transient and a corrupt chunk")
-    # model fitting needs more observations than the 12-design campaign
-    # above: run a slightly larger (still serial, still fast) one
-    fit_scale = scale.with_overrides(
-        name="resilience-smoke-fit", n_train=40, n_validation=5
-    )
-    fit_campaign = run_campaign(simulator, scale=fit_scale, benchmarks=["gzip"])
-    models = fit_campaign_models(fit_campaign)["gzip"]
-    predictor = BlockPredictor(
-        benchmark="gzip",
-        bips_model=models["bips"],
-        watts_model=models["watts"],
-        ref_instructions=get_profile("gzip").ref_instructions,
-    )
-    source = SpaceSweepSource(exploration_space())
-
-    def reducers():
-        return [
-            CollectReducer(metrics=("bips", "watts")),
-            TopKReducer(metric="efficiency", k=3),
-        ]
-
-    clean = run_sweep(predictor, source, reducers(), block_size=16384)
-    faulted = run_sweep(
-        predictor,
-        source,
-        reducers(),
-        block_size=16384,
-        workers=2,
-        resilience=ResilienceConfig(
-            faults=FaultPlan(
-                [
-                    Fault(chunk=1, kind="transient", attempts=(1,)),
-                    Fault(chunk=3, kind="corrupt", attempts=(1,)),
-                ]
-            )
-        ),
-    )
-    print(f"  execution: {faulted.run_report.summary()}")
-    clean_cols, clean_best = clean.results
-    fault_cols, fault_best = faulted.results
-    for metric in ("bips", "watts"):
-        if not np.array_equal(
-            clean_cols.metric(metric), fault_cols.metric(metric)
-        ):
-            raise SystemExit(f"FAIL: sweep {metric} diverged under faults")
-    if not np.array_equal(clean_best.indices, fault_best.indices):
-        raise SystemExit("FAIL: sweep top-k diverged under faults")
-    print("  OK [sweep faults]: reducer results identical to serial sweep")
 
     print()
     print("resilience smoke passed: all recovery paths bitwise-identical")

@@ -37,8 +37,8 @@ _MAX_RESOLVE_DEPTH = 8
 #: ``ChunkTask(fn=...)`` (or second positional) is the resilience layer's
 #: chunk descriptor; ``.submit(fn, ...)`` is the raw executor API;
 #: ``Process(target=...)`` / ``Thread(target=...)`` (or second positional)
-#: spawn the distributed workers, whose targets run outside the driver
-#: process just like pool workers do.
+#: spawn workers whose targets run outside the driver's control flow just
+#: like pool workers do.
 _TASK_WRAPPERS = {"ChunkTask"}
 _SUBMIT_METHODS = {"submit"}
 _PROCESS_WRAPPERS = {"Process", "Thread"}

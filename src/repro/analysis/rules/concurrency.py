@@ -1,8 +1,8 @@
 """Concurrency rules (RACE) — pool-worker writes to module state.
 
-Campaign and sweep chunks execute in ``ProcessPoolExecutor`` workers
-(``run_chunks`` in the resilience layer), and the distributed backend
-spawns long-lived workers via ``multiprocessing.Process``.  A worker
+Campaign chunks execute in ``ProcessPoolExecutor`` workers
+(``run_chunks`` in the resilience layer), and any code may spawn
+long-lived workers via ``multiprocessing.Process``.  A worker
 that writes module-level state writes its *own process's* copy: the
 write never reaches the driver, is silently re-applied on retry, and
 merges in whatever order resume replays chunks.  These rules walk the

@@ -4,21 +4,16 @@
 regenerates one (or ``all``); ``repro info`` prints the environment.
 Scale is chosen with ``--scale`` or the ``REPRO_SCALE`` env var.
 
-``repro run`` and ``repro sweep`` accept ``--resume``, ``--retries``, and
-``--chunk-timeout``: these route the expensive phases through the
-resilient executor (:mod:`repro.harness.resilience`), which retries
-transient worker failures and journals completed chunks so an
-interrupted invocation picks up where it stopped.  Expected operational
-errors (bad artifacts, unknown scales, malformed sweeps, failed chunks,
-resume-fingerprint mismatches) print one line to stderr and exit with
-code 2 instead of a traceback.
-
-``--backend distributed`` swaps the in-process pool for the
-lease-coordinated work-stealing backend
-(:mod:`repro.harness.distributed`): ``--workers N`` spawns N worker
-processes that claim chunks from a shared ``--run-dir``, and ``repro
-workers spawn|status|drain|run`` manages extra workers attached to the
-same directory from other shells or hosts.
+``repro run`` and ``repro sweep`` accept ``--workers``, ``--resume``,
+``--retries``, and ``--chunk-timeout`` for the campaign they may build:
+these route the simulation campaign through the resilient executor
+(:mod:`repro.harness.resilience`), which runs one chunk per benchmark
+serially or over a process pool, retries transient worker failures, and
+journals completed chunks so an interrupted invocation picks up where
+it stopped.  The sweep itself always runs in-process.  Expected
+operational errors (bad artifacts, unknown scales, malformed sweeps,
+failed chunks, resume-fingerprint mismatches) print one line to stderr
+and exit with code 2 instead of a traceback.
 
 Observability (:mod:`repro.obs`): ``--trace PATH`` on ``run``/``sweep``
 records a span/event trace readable with ``repro trace summary|tree``;
@@ -95,20 +90,6 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
         "--chunk-timeout", type=float, default=None, metavar="SECONDS",
         help="per-chunk wall-time limit; timed-out chunks are retried",
     )
-    parser.add_argument(
-        "--backend", choices=("pool", "distributed"), default="pool",
-        help="chunk execution backend: in-process worker pool (default) "
-        "or the lease-coordinated distributed work-stealing backend "
-        "(--workers N spawns N local worker processes; attach more "
-        "with 'repro workers spawn')",
-    )
-    parser.add_argument(
-        "--run-dir", default=None, metavar="PATH",
-        help="shared coordination directory for --backend distributed "
-        "(default: derived from the run fingerprint under the artifact "
-        "cache); pass the same path to 'repro workers spawn' on other "
-        "hosts",
-    )
 
 
 def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
@@ -145,16 +126,29 @@ def _tracing_from_args(args: argparse.Namespace):
     return tracing()
 
 
-def _print_metrics(mark: dict, *worker_snapshots: Optional[dict]) -> None:
-    """Print driver-delta metrics merged with worker snapshots.
+def _campaign_report(ctx):
+    """The run report of a campaign ``ctx`` built, or None.
+
+    Only looks at a campaign the command actually built: touching
+    ``ctx.campaign`` would force a build T1-style experiments never need.
+    """
+    campaign = getattr(ctx, "_campaign", None)
+    return None if campaign is None else campaign.run_report
+
+
+def _print_metrics(mark: dict, ctx) -> None:
+    """Print driver-delta metrics merged with the campaign's chunk metrics.
 
     Chunk work runs in isolated registries (its metrics arrive only via
-    the ``RunReport`` snapshots passed here), so this merge never double
+    the campaign's ``RunReport`` snapshot), so this merge never double
     counts, whichever path executed the chunks.
     """
     from .obs import get_registry, merge_snapshots, render_metrics
 
-    merged = merge_snapshots(get_registry().delta(mark), *worker_snapshots)
+    report = _campaign_report(ctx)
+    merged = merge_snapshots(
+        get_registry().delta(mark), report.metrics if report else None
+    )
     print("--- metrics ---")
     print(render_metrics(merged))
 
@@ -163,34 +157,13 @@ def _resilience_from_args(
     args: argparse.Namespace,
 ) -> Optional[ResilienceConfig]:
     """A ResilienceConfig when any resilience flag was given, else None."""
-    backend = getattr(args, "backend", "pool")
-    if (
-        not args.resume
-        and args.retries is None
-        and args.chunk_timeout is None
-        and backend == "pool"
-    ):
+    if not args.resume and args.retries is None and args.chunk_timeout is None:
         return None
     policy = RetryPolicy(
         max_attempts=args.retries if args.retries is not None else 3,
         chunk_timeout=args.chunk_timeout,
     )
-    distributed = None
-    if backend == "distributed":
-        from pathlib import Path
-
-        from .harness import DistributedConfig
-
-        distributed = DistributedConfig(
-            run_dir=Path(args.run_dir) if args.run_dir else None,
-            spawn=max(1, args.workers),
-        )
-    return ResilienceConfig(
-        policy=policy,
-        resume=args.resume,
-        backend=backend,
-        distributed=distributed,
-    )
+    return ResilienceConfig(policy=policy, resume=args.resume)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--workers", type=int, default=1,
-        help="parallel sweep workers (and campaign simulation workers)",
+        help="parallel simulation workers for the campaign phase",
     )
     sweep_parser.add_argument(
         "--block-size", type=int, default=None,
@@ -279,60 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_resilience_arguments(sweep_parser)
     _add_observability_arguments(sweep_parser)
     sweep_parser.set_defaults(func=_cmd_sweep)
-
-    workers_parser = subparsers.add_parser(
-        "workers",
-        help="manage distributed-backend workers attached to a run dir",
-    )
-    workers_sub = workers_parser.add_subparsers(dest="workers_command")
-    wspawn_parser = workers_sub.add_parser(
-        "spawn", help="launch detached worker processes against a run dir"
-    )
-    wspawn_parser.add_argument(
-        "--run-dir", required=True, metavar="PATH",
-        help="coordination directory of the run to join",
-    )
-    wspawn_parser.add_argument(
-        "-n", "--count", type=int, default=1,
-        help="number of worker processes to launch (default 1)",
-    )
-    wspawn_parser.set_defaults(func=_cmd_workers_spawn)
-    wstatus_parser = workers_sub.add_parser(
-        "status", help="show task, worker, and lease state for a run dir"
-    )
-    wstatus_parser.add_argument(
-        "--run-dir", required=True, metavar="PATH",
-        help="coordination directory to inspect",
-    )
-    wstatus_parser.add_argument(
-        "--json", action="store_true", help="print the raw status as JSON"
-    )
-    wstatus_parser.set_defaults(func=_cmd_workers_status)
-    wdrain_parser = workers_sub.add_parser(
-        "drain", help="ask every worker on a run dir to exit after its "
-        "current chunk",
-    )
-    wdrain_parser.add_argument(
-        "--run-dir", required=True, metavar="PATH",
-        help="coordination directory to drain",
-    )
-    wdrain_parser.set_defaults(func=_cmd_workers_drain)
-    wrun_parser = workers_sub.add_parser(
-        "run", help="run one worker in the foreground until the run drains"
-    )
-    wrun_parser.add_argument(
-        "--run-dir", required=True, metavar="PATH",
-        help="coordination directory of the run to join",
-    )
-    wrun_parser.add_argument(
-        "--id", default=None, metavar="WORKER_ID",
-        help="worker identity (default: derived from host and pid)",
-    )
-    wrun_parser.add_argument(
-        "--max-chunks", type=int, default=None, metavar="N",
-        help="exit after claiming at most N chunks",
-    )
-    wrun_parser.set_defaults(func=_cmd_workers_run)
 
     trace_parser = subparsers.add_parser(
         "trace", help="inspect a recorded trace file"
@@ -471,18 +390,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
             print(result.text)
             print()
-    # only report on a campaign the experiments actually built — touching
-    # ctx.campaign here would force a build T1-style experiments never need
-    campaign = getattr(ctx, "_campaign", None)
-    if campaign is not None and campaign.run_report is not None:
-        print(f"campaign execution: {campaign.run_report.summary()}")
+    report = _campaign_report(ctx)
+    if report is not None:
+        print(f"campaign execution: {report.summary()}")
     if args.metrics:
-        worker_metrics = (
-            campaign.run_report.metrics
-            if campaign is not None and campaign.run_report is not None
-            else None
-        )
-        _print_metrics(mark, worker_metrics)
+        _print_metrics(mark, ctx)
     return 0
 
 
@@ -603,13 +515,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         TopKReducer,
         render_design_point,
     )
-    from .harness.artifacts import cache_dir
     from .harness.sweep import run_sweep
     from .obs import get_registry
 
     scale = get_scale(args.scale)
-    resilience = _resilience_from_args(args)
-    ctx = shared_context(scale, workers=args.workers, resilience=resilience)
+    ctx = shared_context(
+        scale, workers=args.workers, resilience=_resilience_from_args(args)
+    )
     benchmarks = args.benchmarks or list(ctx.benchmarks)
     unknown = [b for b in benchmarks if b not in ctx.benchmarks]
     if unknown:
@@ -633,21 +545,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"[scale={scale.name}, workers={args.workers}]"
     )
     mark = get_registry().snapshot()
-    worker_metrics: List[Optional[dict]] = []
     with _tracing_from_args(args):
         for benchmark in benchmarks:
-            bench_resilience = resilience
-            if resilience is not None and resilience.resume:
-                # One journal per benchmark, next to the campaign cache.
-                bench_resilience = ResilienceConfig(
-                    policy=resilience.policy,
-                    journal_path=cache_dir()
-                    / f"sweep-{scale.name}-{benchmark}.journal.jsonl",
-                    resume=True,
-                    faults=resilience.faults,
-                    backend=resilience.backend,
-                    distributed=resilience.distributed,
-                )
             report = run_sweep(
                 ctx.predictor(benchmark),
                 source,
@@ -655,12 +554,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     ParetoFrontierReducer(bins=args.bins),
                     TopKReducer(metric="efficiency", k=1),
                 ],
-                workers=args.workers,
-                resilience=bench_resilience,
                 **kwargs,
             )
-            if report.run_report is not None:
-                worker_metrics.append(report.run_report.metrics)
             front, best = report.results
             print(f"=== {benchmark} ===")
             print(
@@ -678,97 +573,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"  throughput: {report.points_per_second:,.0f} points/s "
                 f"({report.elapsed_seconds * 1e3:.0f} ms)"
             )
-            if report.run_report is not None:
-                print(f"  execution: {report.run_report.summary()}")
     if args.metrics:
-        campaign = getattr(ctx, "_campaign", None)
-        if campaign is not None and campaign.run_report is not None:
-            worker_metrics.append(campaign.run_report.metrics)
-        _print_metrics(mark, *worker_metrics)
-    return 0
-
-
-def _cmd_workers_spawn(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .harness import spawn_workers
-
-    run_dir = Path(args.run_dir)
-    if not run_dir.is_dir():
-        print(f"error: no such run dir: {run_dir}", file=sys.stderr)
-        return 2
-    for entry in spawn_workers(run_dir, max(1, args.count)):
-        print(f"spawned worker {entry['worker']} pid={entry['pid']}")
-    return 0
-
-
-def _cmd_workers_status(args: argparse.Namespace) -> int:
-    import json as _json
-    from pathlib import Path
-
-    from .harness import workers_status
-
-    run_dir = Path(args.run_dir)
-    if not run_dir.is_dir():
-        print(f"error: no such run dir: {run_dir}", file=sys.stderr)
-        return 2
-    status = workers_status(run_dir)
-    if args.json:
-        print(_json.dumps(status, indent=2, sort_keys=True))
-        return 0
-    tasks = status["tasks"]
-    print(f"run dir:     {run_dir}")
-    print(f"fingerprint: {status['fingerprint']}")
-    print(
-        f"tasks:       {tasks['done']}/{tasks['total']} done, "
-        f"{len(tasks['failed'])} failed"
-    )
-    print(f"draining:    {'yes' if status['drain'] else 'no'}")
-    for worker in status["workers"]:
-        alive = worker["alive"]
-        liveness = {True: "alive", False: "dead", None: "remote"}[alive]
-        print(
-            f"worker {worker['worker']}: pid={worker['pid']} "
-            f"host={worker['host']} [{liveness}]"
-        )
-    for lease in status["leases"]:
-        print(
-            f"lease chunk={lease['chunk']} worker={lease['worker']} "
-            f"token={lease['token']} age={lease['age_s']:.1f}s"
-        )
-    return 0
-
-
-def _cmd_workers_drain(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .harness import drain
-
-    run_dir = Path(args.run_dir)
-    if not run_dir.is_dir():
-        print(f"error: no such run dir: {run_dir}", file=sys.stderr)
-        return 2
-    drain(run_dir)
-    print(f"drain requested for {run_dir}")
-    return 0
-
-
-def _cmd_workers_run(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .harness import run_worker
-
-    run_dir = Path(args.run_dir)
-    if not run_dir.is_dir():
-        print(f"error: no such run dir: {run_dir}", file=sys.stderr)
-        return 2
-    outcome = run_worker(
-        run_dir, worker_id=args.id, max_chunks=args.max_chunks
-    )
-    print(
-        f"worker {outcome['worker']} finished: "
-        f"{len(outcome['completed'])} chunks completed"
-    )
+        _print_metrics(mark, ctx)
     return 0
 
 

@@ -519,8 +519,7 @@ def run_x4(ctx: StudyContext) -> ExperimentResult:
 
     config = baseline_config()
     result = ctx.simulate("gzip", ctx.baseline)
-    # rebuild a literal-config result for clean scaling
-    parts = split_power(config, ctx.simulate("gzip", ctx.baseline))
+    parts = split_power(config, result)
     study = invariance_study(config, result)
     rows = [
         [f"{p.voltage_scale:.2f}", f"{p.bips:.2f}", f"{p.watts:.1f}",

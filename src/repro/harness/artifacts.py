@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
@@ -279,14 +280,7 @@ def cached_campaign(
     registry.increment("artifacts.cache.misses")
     if resilience is not None and resilience.journal_path is None:
         journal_path = path.with_suffix(".journal.jsonl")
-        resilience = ResilienceConfig(
-            policy=resilience.policy,
-            journal_path=journal_path,
-            resume=resilience.resume,
-            faults=resilience.faults,
-            backend=resilience.backend,
-            distributed=resilience.distributed,
-        )
+        resilience = replace(resilience, journal_path=journal_path)
         if refresh and journal_path.exists():
             journal_path.unlink()
     campaign = run_campaign(

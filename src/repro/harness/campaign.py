@@ -283,9 +283,6 @@ def _run_campaign_resilient(
         faults=resilience.faults,
         validate=_validate_campaign_payload,
         on_chunk=on_chunk,
-        backend=resilience.backend,
-        distributed=resilience.distributed,
-        fingerprint=fingerprint,
     )
     campaign.run_report = report
     for benchmark, pairs in zip(names, results):

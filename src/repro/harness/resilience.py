@@ -1,9 +1,8 @@
 """Fault-tolerant chunk execution: journal, retries, degradation, faults.
 
-The expensive phases of the reproduction — simulating sampled designs
-(:func:`~repro.harness.campaign.run_campaign`) and sweeping the
-exploration space (:func:`~repro.harness.sweep.run_sweep`) — share one
-execution shape: a list of independent *chunks* fanned out over a
+The expensive phase of the reproduction — simulating sampled designs
+(:func:`~repro.harness.campaign.run_campaign`) — runs as a list of
+independent *chunks*, one per benchmark, in-process or fanned out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  This module makes
 that fan-out durable:
 
@@ -24,10 +23,9 @@ that fan-out durable:
   corrupted payload, threaded through the worker entrypoint so every
   recovery path above is testable without real crashes.
 
-Chunks must be independent and their payloads JSON-representable (via
-the ``encode``/``decode`` hooks when they carry arrays); results are
-always delivered in task order, so callers observe output identical to
-a serial, fault-free run.
+Chunks must be independent and their payloads JSON-representable;
+results are always delivered in task order, so callers observe output
+identical to a serial, fault-free run.
 """
 
 from __future__ import annotations
@@ -61,24 +59,9 @@ logger = logging.getLogger(__name__)
 #: Bump when the journal line format changes.
 JOURNAL_VERSION = 1
 
-#: Fault kinds a :class:`FaultPlan` may inject (see :class:`Fault`).
-#: The first five fire inside the worker entrypoint on any backend; the
-#: last three are lease-protocol faults interpreted by the distributed
-#: work-stealing backend (:mod:`repro.harness.distributed`) and ignored
-#: by the pool backend.
-FAULT_KINDS = (
-    "transient",
-    "permanent",
-    "kill",
-    "hang",
-    "corrupt",
-    "lease_expiry",
-    "zombie",
-    "torn_write",
-)
-
-#: Fault kinds handled inside :func:`_run_chunk` itself.
-_WORKER_FAULT_KINDS = ("transient", "permanent", "kill", "hang", "corrupt")
+#: Fault kinds a :class:`FaultPlan` may inject (see :class:`Fault`); each
+#: fires inside the worker entrypoint, :func:`_run_chunk`.
+FAULT_KINDS = ("transient", "permanent", "kill", "hang", "corrupt")
 
 
 class ResilienceError(RuntimeError):
@@ -89,7 +72,7 @@ class JournalFingerprintError(ResilienceError):
     """An explicit resume hit a journal bound to a different fingerprint.
 
     Raised instead of silently discarding the stale journal so a resume
-    against the wrong campaign/sweep configuration fails loudly, naming
+    against the wrong campaign configuration fails loudly, naming
     both fingerprints (the CLI maps this to a one-line error, exit 2).
     """
 
@@ -281,76 +264,19 @@ class RetryPolicy:
 
 
 @dataclass(frozen=True)
-class DistributedConfig:
-    """Knobs for the work-stealing backend (:mod:`~repro.harness.distributed`).
-
-    ``run_dir`` is the shared directory workers coordinate through (lease
-    files, journal shards, heartbeats); None derives one under the
-    artifact cache from the run fingerprint.  ``spawn`` local worker
-    processes are started by the driver — ``spawn=0`` means workers are
-    attached externally with ``repro workers spawn``.  ``lease_ttl`` is
-    how stale a lease's heartbeat must be before another worker may steal
-    it; ``heartbeat_interval`` is how often owners refresh their leases;
-    ``poll_interval`` paces idle claim scans.  ``wait_timeout`` bounds
-    how long the driver waits for completion (None: forever).
-    """
-
-    run_dir: Optional[Path] = None
-    spawn: int = 1
-    lease_ttl: float = 10.0
-    heartbeat_interval: float = 1.0
-    poll_interval: float = 0.05
-    wait_timeout: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.spawn < 0:
-            raise ResilienceError("spawn must be >= 0")
-        if self.lease_ttl <= 0 or self.heartbeat_interval <= 0:
-            raise ResilienceError(
-                "lease_ttl and heartbeat_interval must be positive"
-            )
-        if self.heartbeat_interval >= self.lease_ttl:
-            raise ResilienceError(
-                "heartbeat_interval must be smaller than lease_ttl, or "
-                "healthy leases look stale and are stolen"
-            )
-        if self.poll_interval <= 0:
-            raise ResilienceError("poll_interval must be positive")
-        if self.wait_timeout is not None and self.wait_timeout <= 0:
-            raise ResilienceError("wait_timeout must be positive or None")
-
-
-#: Execution backends ``run_chunks`` can route a fan-out through.
-BACKENDS = ("pool", "distributed")
-
-
-@dataclass(frozen=True)
 class ResilienceConfig:
-    """Bundle threading the resilient executor through campaigns and sweeps.
+    """Bundle threading the resilient executor through a campaign.
 
     ``journal_path`` enables chunk journaling and resume; when None and
-    ``resume`` is set, callers that own a cache key (``cached_campaign``,
-    the sweep CLI) derive a path next to their artifact.  ``faults`` is
-    the deterministic fault-injection schedule (tests and smoke runs
-    only).  ``backend`` selects how chunks fan out: ``"pool"`` is the
-    in-process driver with a ``ProcessPoolExecutor``; ``"distributed"``
-    is the journal-coordinated work-stealing backend where independent
-    worker processes (possibly on other hosts sharing ``distributed.run_dir``)
-    claim chunks through lease files.
+    ``resume`` is set, ``cached_campaign`` derives a path next to its
+    artifact.  ``faults`` is the deterministic fault-injection schedule
+    (tests and smoke runs only).
     """
 
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     journal_path: Optional[Path] = None
     resume: bool = False
     faults: Optional[FaultPlan] = None
-    backend: str = "pool"
-    distributed: Optional[DistributedConfig] = None
-
-    def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ResilienceError(
-                f"unknown backend {self.backend!r}; choices are {BACKENDS}"
-            )
 
 
 # -- tasks and reports ---------------------------------------------------------
@@ -594,7 +520,7 @@ class Journal:
                 "version": JOURNAL_VERSION,
                 "fingerprint": fingerprint,
             }
-            cls._append(path, header)
+            append_record(path, header)
         return cls(path, fingerprint, completed, attempts, metrics, warnings)
 
     @staticmethod
@@ -635,10 +561,6 @@ class Journal:
                 metrics[index] = body["metrics"]
         return completed, attempts, metrics, warnings
 
-    @staticmethod
-    def _append(path: Path, body: dict) -> None:
-        append_record(path, body)
-
     def record(
         self, index: int, attempts: int, payload, metrics: Optional[dict] = None
     ) -> None:
@@ -656,7 +578,7 @@ class Journal:
         }
         if metrics is not None:
             body["metrics"] = metrics
-        self._append(self.path, body)
+        append_record(self.path, body)
         self.completed[index] = payload
         self.attempts[index] = attempts
         if metrics is not None:
@@ -708,9 +630,6 @@ class _ChunkRunner:
         faults: Optional[FaultPlan],
         validate: Optional[Callable],
         on_chunk: Optional[Callable],
-        encode: Optional[Callable],
-        decode: Optional[Callable],
-        keep_results: bool,
     ):
         indexes = [task.index for task in tasks]
         if len(set(indexes)) != len(indexes):
@@ -722,9 +641,6 @@ class _ChunkRunner:
         self.faults = faults
         self.validate = validate
         self.on_chunk = on_chunk
-        self.encode = encode
-        self.decode = decode
-        self.keep_results = keep_results
         self.records = {
             task.index: ChunkRecord(index=task.index, meta=task.meta)
             for task in self.tasks
@@ -756,13 +672,6 @@ class _ChunkRunner:
         self.report.events.append({"name": name, "attrs": attrs})
         get_tracer().event(name, **attrs)
 
-    @staticmethod
-    def _as_envelope(result) -> _ChunkEnvelope:
-        """Normalize a chunk result (envelopes come from `_run_chunk`)."""
-        if isinstance(result, _ChunkEnvelope):
-            return result
-        return _ChunkEnvelope(payload=result)
-
     def _complete(
         self, task: ChunkTask, attempt: int, envelope: _ChunkEnvelope
     ) -> None:
@@ -789,12 +698,10 @@ class _ChunkRunner:
             meta=[str(m) for m in task.meta],
         )
         if self.journal is not None:
-            encoded = self.encode(payload) if self.encode else payload
             self.journal.record(
-                task.index, attempt, encoded, metrics=envelope.metrics
+                task.index, attempt, payload, metrics=envelope.metrics
             )
-        if self.keep_results:
-            self.results[task.index] = payload
+        self.results[task.index] = payload
         if self.on_chunk is not None:
             self.on_chunk(task, record, payload)
 
@@ -851,8 +758,6 @@ class _ChunkRunner:
             if task.index not in self.journal.completed:
                 continue
             payload = self.journal.completed[task.index]
-            if self.decode is not None:
-                payload = self.decode(payload)
             record = self.records[task.index]
             record.status = "resumed"
             record.attempts = self.journal.attempts.get(task.index, 1)
@@ -867,8 +772,7 @@ class _ChunkRunner:
                 self.report.metrics = merge_snapshots(
                     self.report.metrics, journal_metrics
                 )
-            if self.keep_results:
-                self.results[task.index] = payload
+            self.results[task.index] = payload
             if self.on_chunk is not None:
                 self.on_chunk(task, record, payload)
         if self.report.resumed:
@@ -884,9 +788,7 @@ class _ChunkRunner:
                 attempt += 1
                 fault = self._fault_for(task, attempt, in_process=True)
                 try:
-                    envelope = self._as_envelope(
-                        _run_chunk(task.fn, task.args, fault)
-                    )
+                    envelope = _run_chunk(task.fn, task.args, fault)
                     self._check(task, envelope.payload)
                 except ChunkFailure:
                     raise
@@ -900,6 +802,13 @@ class _ChunkRunner:
                 break
 
     # -- parallel execution ------------------------------------------------
+
+    def _retry_later(self, waiting, task, attempt, error, now) -> None:
+        """Charge a failed attempt; park the chunk until its backoff ends."""
+        self._record_failure(task, attempt, error)
+        waiting.append(
+            (now + self.policy.backoff_seconds(task.index, attempt), task, attempt)
+        )
 
     def _restart_pool(self, executor, inflight, queue):
         """Kill a broken/hung pool; requeue in-flight chunks uncharged.
@@ -983,32 +892,13 @@ class _ChunkRunner:
                     for future in done:
                         task, attempt, _ = inflight.pop(future)
                         try:
-                            envelope = self._as_envelope(future.result())
+                            envelope = future.result()
                             self._check(task, envelope.payload)
-                        except BrokenProcessPool as error:
-                            pool_failed = True
-                            self._record_failure(task, attempt, error)
-                            waiting.append(
-                                (
-                                    time.monotonic()
-                                    + self.policy.backoff_seconds(
-                                        task.index, attempt
-                                    ),
-                                    task,
-                                    attempt,
-                                )
-                            )
                         except Exception as error:
-                            self._record_failure(task, attempt, error)
-                            waiting.append(
-                                (
-                                    time.monotonic()
-                                    + self.policy.backoff_seconds(
-                                        task.index, attempt
-                                    ),
-                                    task,
-                                    attempt,
-                                )
+                            if isinstance(error, BrokenProcessPool):
+                                pool_failed = True
+                            self._retry_later(
+                                waiting, task, attempt, error, time.monotonic()
                             )
                         else:
                             self._complete(task, attempt, envelope)
@@ -1022,18 +912,8 @@ class _ChunkRunner:
                                 f"chunk {task.index} exceeded chunk_timeout="
                                 f"{self.policy.chunk_timeout}s"
                             )
-                            self._record_failure(
-                                task, attempt, timeout_error
-                            )
-                            waiting.append(
-                                (
-                                    now
-                                    + self.policy.backoff_seconds(
-                                        task.index, attempt
-                                    ),
-                                    task,
-                                    attempt,
-                                )
+                            self._retry_later(
+                                waiting, task, attempt, timeout_error, now
                             )
                             pool_failed = True
                 elif not pool_failed and waiting:
@@ -1072,7 +952,7 @@ class _ChunkRunner:
 
     # -- entry point -------------------------------------------------------
 
-    def run(self) -> Tuple[Optional[List[object]], RunReport]:
+    def run(self) -> Tuple[List[object], RunReport]:
         watch = Stopwatch().start()
         with get_tracer().span(
             "resilience.run",
@@ -1098,12 +978,7 @@ class _ChunkRunner:
                 root.set_attr("retried", self.report.retried)
                 root.set_attr("pool_restarts", self.report.pool_restarts)
                 root.set_attr("degraded", self.report.degraded)
-        ordered = (
-            [self.results[task.index] for task in self.tasks]
-            if self.keep_results
-            else None
-        )
-        return ordered, self.report
+        return [self.results[task.index] for task in self.tasks], self.report
 
 
 def run_chunks(
@@ -1114,18 +989,11 @@ def run_chunks(
     faults: Optional[FaultPlan] = None,
     validate: Optional[Callable] = None,
     on_chunk: Optional[Callable] = None,
-    encode: Optional[Callable] = None,
-    decode: Optional[Callable] = None,
-    keep_results: bool = True,
-    backend: str = "pool",
-    distributed: Optional[DistributedConfig] = None,
-    fingerprint: Optional[str] = None,
-) -> Tuple[Optional[List[object]], RunReport]:
+) -> Tuple[List[object], RunReport]:
     """Execute independent chunk tasks with retries, journaling, degradation.
 
     Returns ``(results, report)`` where ``results`` lists each task's
-    payload in task order (or None with ``keep_results=False``, for
-    streaming consumers that take payloads via ``on_chunk``).  Semantics:
+    payload in task order.  Semantics:
 
     - ``workers > 1`` fans chunks over a process pool (at most
       ``workers`` in flight); ``workers == 1`` runs in-process.  Either
@@ -1138,8 +1006,7 @@ def run_chunks(
       then execution degrades to in-process serial for the remainder.
     - ``journal`` restores completed chunks before running anything
       (``on_chunk`` fires for them with status ``"resumed"``) and
-      durably records each newly completed chunk (through ``encode``;
-      restored payloads pass through ``decode``).
+      durably records each newly completed chunk.
     - ``validate(task, payload)`` runs on every fresh payload; raise
       :class:`CorruptResultError` to classify a bad payload as a
       retryable failure.
@@ -1151,40 +1018,7 @@ def run_chunks(
       the account is exact with no double counting).  Retries, pool
       restarts, and degradation land in ``report.events`` and — when
       tracing is configured — in the trace.
-    - ``backend="distributed"`` routes the fan-out through the
-      journal-coordinated work-stealing backend
-      (:mod:`repro.harness.distributed`): independent worker processes
-      sharing ``distributed.run_dir`` claim chunks via lease files and
-      append results to per-worker shards, which merge deterministically
-      into the same ``(results, report)`` a serial run produces.
-      Requires ``fingerprint`` (binding the shared run directory to one
-      exact task layout); ``workers`` is ignored in favor of
-      ``distributed.spawn``.
     """
-    if backend not in BACKENDS:
-        raise ResilienceError(
-            f"unknown backend {backend!r}; choices are {BACKENDS}"
-        )
-    if backend == "distributed":
-        from .distributed import run_distributed_chunks
-
-        if fingerprint is None:
-            raise ResilienceError(
-                "backend='distributed' requires a run fingerprint"
-            )
-        return run_distributed_chunks(
-            tasks=tasks,
-            policy=policy or RetryPolicy(),
-            journal=journal,
-            faults=faults,
-            validate=validate,
-            on_chunk=on_chunk,
-            encode=encode,
-            decode=decode,
-            keep_results=keep_results,
-            config=distributed or DistributedConfig(),
-            fingerprint=fingerprint,
-        )
     runner = _ChunkRunner(
         tasks=tasks,
         workers=workers,
@@ -1193,9 +1027,6 @@ def run_chunks(
         faults=faults,
         validate=validate,
         on_chunk=on_chunk,
-        encode=encode,
-        decode=decode,
-        keep_results=keep_results,
     )
     return runner.run()
 

@@ -12,14 +12,11 @@ state — the pareto frontier by delay bin, the efficiency argmax/top-k,
 per-depth efficiency distributions — so peak memory stays proportional
 to the block size, not ``|S|``.
 
-Blocks are embarrassingly parallel; ``workers > 1`` fans chunks of
-blocks out through :mod:`repro.harness.resilience` mirroring
-``run_campaign``'s worker model — with chunk retries, optional
-journaling for checkpoint/resume, and serial degradation when the pool
-breaks.  Reduction stays in-process and consumes chunks in sweep order,
-so reducers are partition independent: results are identical for any
-block size or worker count, and identical to reducing a monolithic
-whole-space prediction table.
+The sweep runs in one process: the whole exploration space predicts in
+a fraction of a second, so there is nothing to gain from fanning blocks
+out.  Reducers are partition independent: results are identical for any
+block size, and identical to reducing a monolithic whole-space
+prediction table.
 
 The frontier construction (``pareto_indices`` / ``discretized_frontier``)
 lives here — below the studies layer — so both the streaming engine and
@@ -28,7 +25,6 @@ the Study-1 code share one implementation.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -49,25 +45,12 @@ from ..designspace.pointset import (
     raw_level_tables,
 )
 from ..metrics import bips3_per_watt, delay_seconds
-from ..obs.metrics import get_registry, merge_snapshots
-from ..obs.tracing import Stopwatch, get_tracer
+from ..obs.metrics import get_registry
+from ..obs.tracing import get_tracer
 from ..regression import FittedModel
-from .resilience import (
-    ChunkTask,
-    CorruptResultError,
-    Journal,
-    ResilienceConfig,
-    RunReport,
-    fingerprint_payload,
-    run_chunks,
-)
 
 #: Default number of design points predicted per block.
 DEFAULT_BLOCK_SIZE = 8192
-
-#: Target chunk count on the resilient path.  A constant — not a function
-#: of ``workers`` — so a sweep journal resumes at any worker count.
-SWEEP_CHUNKS = 8
 
 
 class SweepError(ValueError):
@@ -213,10 +196,6 @@ class SweepSource:
         """The design point at one sweep position."""
         raise NotImplementedError
 
-    def slice(self, start: int, stop: int) -> "SweepSource":
-        """A standalone source covering positions [start, stop)."""
-        raise NotImplementedError
-
 
 class SpaceSweepSource(SweepSource):
     """Sweep a :class:`DesignSpace` (or an index subset) by mixed radix.
@@ -281,9 +260,6 @@ class SpaceSweepSource(SweepSource):
             return self.space.point_at(int(position))
         return self.space.point_at(int(self._indices[position]))
 
-    def slice(self, start: int, stop: int) -> "SpaceSweepSource":
-        return SpaceSweepSource(self.space, self._index_block(start, stop))
-
 
 class PointSweepSource(SweepSource):
     """Sweep an explicit point list (e.g. search candidates).
@@ -330,9 +306,6 @@ class PointSweepSource(SweepSource):
 
     def point_at(self, position: int) -> DesignPoint:
         return self.points[position]
-
-    def slice(self, start: int, stop: int) -> "PointSweepSource":
-        return PointSweepSource(self.space, self.points[start:stop])
 
 
 # -- prediction ---------------------------------------------------------------
@@ -435,7 +408,7 @@ class BlockPredictor:
     def _level_caches(
         self, space: DesignSpace
     ) -> Optional[Tuple[_LevelDesignCache, _LevelDesignCache]]:
-        """Per-space gather tables, built lazily (e.g. once per worker)."""
+        """Per-space gather tables, built lazily on first use."""
         cached = self.__dict__.get("_caches")
         if cached is None or cached[0] is not space:
             bips = _LevelDesignCache(self.bips_model, space)
@@ -826,15 +799,10 @@ class SweepReport:
     benchmark: str
     n_points: int
     block_size: int
-    workers: int
     elapsed_seconds: float
     results: List[object]
-    #: Execution accounting when the sweep went through the resilient
-    #: executor (retries, resumes, degradation); None on the serial path.
-    run_report: Optional[RunReport] = None
-    #: Merged :mod:`repro.obs` metrics for this sweep: the driver's own
-    #: contribution (reduction, serial prediction) plus every worker
-    #: chunk's snapshot shipped back through the resilient executor.
+    #: The :mod:`repro.obs` metrics this sweep recorded (points, blocks,
+    #: per-block predict and reduce times).
     metrics: Optional[dict] = None
 
     @property
@@ -876,106 +844,6 @@ def _evaluate_range(
     return bips, watts, raw
 
 
-def _sweep_chunk(
-    predictor: BlockPredictor,
-    chunk: SweepSource,
-    offset: int,
-    block_size: int,
-    columns: Tuple[str, ...],
-) -> List[Tuple[int, np.ndarray, np.ndarray, Dict[str, np.ndarray]]]:
-    """Worker: evaluate one sliced chunk block-by-block.
-
-    Runs in a separate process; the chunk source carries only its own
-    points/indices, so fan-out ships O(chunk) data per task.  Returns
-    ``(global_start, bips, watts, raw)`` per block.
-    """
-    registry = get_registry()
-    payloads = []
-    for start, stop in _block_ranges(len(chunk), block_size):
-        with Stopwatch() as watch:
-            bips, watts, raw = _evaluate_range(
-                predictor, chunk, start, stop, columns
-            )
-        payloads.append((offset + start, bips, watts, raw))
-        registry.increment("sweep.points", stop - start)
-        registry.increment("sweep.blocks")
-        registry.observe("sweep.predict_block.seconds", watch.wall_s)
-    return payloads
-
-
-def _encode_sweep_payload(payload) -> list:
-    """Chunk payload → JSON for the journal (dtypes preserved)."""
-    return [
-        [
-            start,
-            bips.tolist(),
-            watts.tolist(),
-            {
-                name: {"dtype": str(col.dtype), "values": col.tolist()}
-                for name, col in raw.items()
-            },
-        ]
-        for start, bips, watts, raw in payload
-    ]
-
-
-def _decode_sweep_payload(encoded) -> list:
-    """Journaled JSON → chunk payload (bitwise: JSON floats round-trip)."""
-    return [
-        (
-            int(start),
-            np.asarray(bips, dtype=float),
-            np.asarray(watts, dtype=float),
-            {
-                name: np.asarray(col["values"], dtype=np.dtype(col["dtype"]))
-                for name, col in raw.items()
-            },
-        )
-        for start, bips, watts, raw in encoded
-    ]
-
-
-def _validate_sweep_payload(task: ChunkTask, payload) -> None:
-    """Reject chunk payloads that do not cover exactly ``task.size`` points."""
-    if not isinstance(payload, list):
-        raise CorruptResultError(
-            f"chunk {task.index} returned {type(payload).__name__}, "
-            "expected a list of blocks"
-        )
-    covered = sum(len(bips) for _, bips, _, _ in payload)
-    if covered != task.size:
-        raise CorruptResultError(
-            f"chunk {task.index} covered {covered} points, "
-            f"expected {task.size}"
-        )
-
-
-def _sweep_fingerprint(
-    predictor: BlockPredictor,
-    total: int,
-    block_size: int,
-    chunk_size: int,
-    columns: Tuple[str, ...],
-) -> str:
-    """Digest binding a sweep journal to one layout *and* one model fit."""
-    coeffs = hashlib.sha256(
-        predictor.bips_model.coefficients.tobytes()
-        + predictor.watts_model.coefficients.tobytes()
-    ).hexdigest()[:16]
-    return fingerprint_payload(
-        {
-            "kind": "sweep",
-            "benchmark": predictor.benchmark,
-            "n_points": total,
-            "block_size": block_size,
-            "chunk_size": chunk_size,
-            "columns": list(columns),
-            "ref_instructions": float(predictor.ref_instructions),
-            "coefficients": coeffs,
-        }
-    )
-
-
 def _make_block(
     predictor: BlockPredictor,
     start: int,
@@ -994,125 +862,21 @@ def _make_block(
     )
 
 
-def _run_sweep_resilient(
-    predictor: BlockPredictor,
-    source: SweepSource,
-    reducers: Sequence[SweepReducer],
-    block_size: int,
-    workers: int,
-    progress,
-    columns: Tuple[str, ...],
-    resilience: ResilienceConfig,
-) -> RunReport:
-    """Chunked fan-out with retries/journal; in-order streaming reduction."""
-    total = len(source)
-    # Chunk boundaries must land on block boundaries: block decomposition
-    # then matches the serial path exactly, which keeps predictions (and
-    # hence reducer results) bitwise identical — BLAS kernels can round
-    # differently for different matrix row counts.
-    chunk_size = -(-total // SWEEP_CHUNKS)  # ceil division
-    chunk_size = max(
-        block_size, -(-chunk_size // block_size) * block_size
-    )
-    tasks = [
-        ChunkTask(
-            index=i,
-            fn=_sweep_chunk,
-            args=(predictor, source.slice(start, stop), start, block_size,
-                  columns),
-            size=stop - start,
-            meta=(start, stop),
-        )
-        for i, (start, stop) in enumerate(_block_ranges(total, chunk_size))
-    ]
-
-    fingerprint = _sweep_fingerprint(
-        predictor, total, block_size, chunk_size, columns
-    )
-    journal = None
-    if resilience.journal_path is not None:
-        if not resilience.resume and resilience.journal_path.exists():
-            resilience.journal_path.unlink()
-        journal = Journal.open(
-            resilience.journal_path, fingerprint, strict=resilience.resume
-        )
-
-    # Reducers are streaming and order-sensitive (running argmaxes break
-    # ties by first occurrence), so chunks completing out of order park
-    # in a buffer until their predecessors arrive.
-    state = {"next": 0, "done": 0}
-    parked: Dict[int, list] = {}
-
-    def consume(payload) -> None:
-        registry = get_registry()
-        for start, bips, watts, raw in payload:
-            block = _make_block(predictor, start, bips, watts, raw)
-            with get_tracer().span(
-                "sweep.reduce_block", start=start, size=len(block)
-            ) as reduce_span:
-                for reducer in reducers:
-                    reducer.update(block)
-            registry.observe(
-                "sweep.reduce_block.seconds", reduce_span.wall_s
-            )
-            state["done"] += len(block)
-        if progress is not None:
-            progress(predictor.benchmark, state["done"], total)
-
-    def on_chunk(task, record, payload) -> None:
-        parked[task.index] = payload
-        while state["next"] in parked:
-            consume(parked.pop(state["next"]))
-            state["next"] += 1
-
-    _, report = run_chunks(
-        tasks,
-        workers=workers,
-        policy=resilience.policy,
-        journal=journal,
-        faults=resilience.faults,
-        validate=_validate_sweep_payload,
-        on_chunk=on_chunk,
-        encode=_encode_sweep_payload,
-        decode=_decode_sweep_payload,
-        keep_results=False,
-        backend=resilience.backend,
-        distributed=resilience.distributed,
-        fingerprint=fingerprint,
-    )
-    if journal is not None:
-        journal.discard()
-    return report
-
-
 def run_sweep(
     predictor: BlockPredictor,
     source: SweepSource,
     reducers: Sequence[SweepReducer],
     block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: int = 1,
     progress=None,
-    resilience: Optional[ResilienceConfig] = None,
 ) -> SweepReport:
     """Sweep ``source`` through ``predictor``, folding into ``reducers``.
 
     Blocks are evaluated in sweep order and every reducer sees every
-    block exactly once; with ``workers > 1`` chunks of blocks evaluate
-    in parallel processes while reduction stays in-process and ordered,
-    so results are identical to a serial run.  ``progress`` (if given)
-    is called as ``progress(benchmark, done_points, total_points)`` after
-    each consumed block or chunk.
-
-    ``resilience`` (or any multi-worker run, which uses the default
-    policy) routes the fan-out through
-    :func:`repro.harness.resilience.run_chunks`: transient chunk failures
-    retry with backoff, a journal path enables checkpoint/resume, and the
-    report carries a ``run_report``.
+    block exactly once.  ``progress`` (if given) is called as
+    ``progress(benchmark, done_points, total_points)`` after each block.
     """
     if block_size < 1:
         raise SweepError(f"block_size must be positive, got {block_size}")
-    if workers < 1:
-        raise SweepError(f"workers must be positive, got {workers}")
     columns: Tuple[str, ...] = tuple(
         dict.fromkeys(name for r in reducers for name in r.columns)
     )
@@ -1120,65 +884,46 @@ def run_sweep(
     tracer = get_tracer()
     registry = get_registry()
     mark = registry.snapshot()
-    run_report = None
 
     with tracer.span(
         "sweep.run",
         benchmark=predictor.benchmark,
         n_points=total,
         block_size=block_size,
-        workers=workers,
     ) as root:
-        if resilience is not None or (workers > 1 and total > block_size):
-            run_report = _run_sweep_resilient(
-                predictor,
-                source,
-                reducers,
-                block_size,
-                workers,
-                progress,
-                columns,
-                resilience or ResilienceConfig(),
+        done = 0
+        for start, stop in _block_ranges(total, block_size):
+            with tracer.span(
+                "sweep.predict_block", start=start, size=stop - start
+            ) as predict_span:
+                bips, watts, raw = _evaluate_range(
+                    predictor, source, start, stop, columns
+                )
+                block = _make_block(predictor, start, bips, watts, raw)
+            with tracer.span(
+                "sweep.reduce_block", start=start, size=len(block)
+            ) as reduce_span:
+                for reducer in reducers:
+                    reducer.update(block)
+            registry.increment("sweep.points", len(block))
+            registry.increment("sweep.blocks")
+            registry.observe(
+                "sweep.predict_block.seconds", predict_span.wall_s
             )
-        else:
-            done = 0
-            for start, stop in _block_ranges(total, block_size):
-                with tracer.span(
-                    "sweep.predict_block", start=start, size=stop - start
-                ) as predict_span:
-                    bips, watts, raw = _evaluate_range(
-                        predictor, source, start, stop, columns
-                    )
-                    block = _make_block(predictor, start, bips, watts, raw)
-                with tracer.span(
-                    "sweep.reduce_block", start=start, size=len(block)
-                ) as reduce_span:
-                    for reducer in reducers:
-                        reducer.update(block)
-                registry.increment("sweep.points", len(block))
-                registry.increment("sweep.blocks")
-                registry.observe(
-                    "sweep.predict_block.seconds", predict_span.wall_s
-                )
-                registry.observe(
-                    "sweep.reduce_block.seconds", reduce_span.wall_s
-                )
-                done += len(block)
-                if progress is not None:
-                    progress(predictor.benchmark, done, total)
+            registry.observe(
+                "sweep.reduce_block.seconds", reduce_span.wall_s
+            )
+            done += len(block)
+            if progress is not None:
+                progress(predictor.benchmark, done, total)
 
     return SweepReport(
         benchmark=predictor.benchmark,
         n_points=total,
         block_size=block_size,
-        workers=workers,
         elapsed_seconds=root.wall_s,
         results=[reducer.finalize(source) for reducer in reducers],
-        run_report=run_report,
-        metrics=merge_snapshots(
-            registry.delta(mark),
-            run_report.metrics if run_report is not None else None,
-        ),
+        metrics=registry.delta(mark),
     )
 
 
@@ -1186,7 +931,6 @@ def predict_source(
     predictor: BlockPredictor,
     source: SweepSource,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    workers: int = 1,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Full (bips, watts) vectors for a source, computed blockwise."""
     report = run_sweep(
@@ -1194,7 +938,6 @@ def predict_source(
         source,
         [CollectReducer(metrics=("bips", "watts"))],
         block_size=block_size,
-        workers=workers,
     )
     collected = report.results[0]
     return collected.metric("bips"), collected.metric("watts")

@@ -286,7 +286,6 @@ class StudyContext:
         set_name: str,
         source: SweepSource,
         reducers: Sequence[SweepReducer],
-        workers: Optional[int],
         block_size: Optional[int],
     ) -> List[object]:
         """Run reducers over a source, memoizing cacheable results.
@@ -314,7 +313,6 @@ class StudyContext:
                 self.predictor(benchmark),
                 source,
                 pending,
-                workers=workers or 1,
                 **kwargs,
             )
             for reducer, result in zip(pending, report.results):
@@ -334,7 +332,6 @@ class StudyContext:
         self,
         benchmark: str,
         reducers: Sequence[SweepReducer],
-        workers: Optional[int] = None,
         block_size: Optional[int] = None,
     ) -> List[object]:
         """Fold streaming reducers over the exploration set.
@@ -348,7 +345,6 @@ class StudyContext:
             "exploration",
             self.exploration_source(),
             reducers,
-            workers,
             block_size,
         )
 
@@ -357,7 +353,6 @@ class StudyContext:
         benchmark: str,
         reducers: Sequence[SweepReducer],
         parameter: str = "depth",
-        workers: Optional[int] = None,
         block_size: Optional[int] = None,
     ) -> List[object]:
         """Fold streaming reducers over the depth-stratified set."""
@@ -366,7 +361,6 @@ class StudyContext:
             f"per-depth:{parameter}",
             self.per_depth_source(parameter),
             reducers,
-            workers,
             block_size,
         )
 

@@ -16,6 +16,17 @@ from repro.simulator import Simulator, baseline_config
 from repro.studies import StudyContext
 from repro.workloads import generate_trace, get_profile
 
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-golden",
+        action="store_true",
+        default=False,
+        help="rewrite tests/golden/test.json from this run's experiment "
+        "outputs instead of checking against it",
+    )
+
+
 #: Scale used by the test suite: even smaller than "ci" so the full suite
 #: stays fast; statistical assertions are calibrated to these knobs.
 TEST_SCALE = get_scale("ci").with_overrides(

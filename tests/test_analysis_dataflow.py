@@ -384,16 +384,12 @@ class TestProjectRulesOnRealTree:
     REPO = Path(__file__).resolve().parents[1]
 
     def test_src_entrypoints_are_the_known_worker_mains(self):
-        # Three pool chunk workers, plus the distributed backend's
-        # process main and its heartbeat thread (``Process``/``Thread``
-        # ``target`` callables count as worker entrypoints too).
+        # The campaign's chunk worker and the executor's entrypoint
+        # that wraps every chunk.
         index = dataflow_index([self.REPO / "src"], root=self.REPO)
         assert index.entrypoints == (
             "repro.harness.campaign._simulate_chunk",
-            "repro.harness.distributed._Heartbeat._run",
-            "repro.harness.distributed._worker_process_main",
             "repro.harness.resilience._run_chunk",
-            "repro.harness.sweep._sweep_chunk",
         )
 
     def test_isolated_registry_swap_is_reachable_from_workers(self):

@@ -1,16 +1,9 @@
 """Tests for the command-line interface."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.cli import build_parser, main
 import repro.experiments as experiments
-
-
-def _triple_chunk(values):
-    """Picklable chunk function for the workers-subcommand tests."""
-    return [v * 3 for v in values]
 
 
 class TestParser:
@@ -100,120 +93,18 @@ class TestResilienceFlags:
         assert config.policy.chunk_timeout == 1.5
         assert config.resume is False
 
-
-class TestDistributedFlags:
-    def test_parsers_accept_backend_and_run_dir(self):
-        args = build_parser().parse_args(
-            ["run", "F1", "--backend", "distributed",
-             "--run-dir", "/tmp/coord", "--workers", "3"]
-        )
-        assert args.backend == "distributed"
-        assert args.run_dir == "/tmp/coord"
-        args = build_parser().parse_args(
-            ["sweep", "--backend", "distributed"]
-        )
-        assert args.backend == "distributed"
-
-    def test_backend_flag_builds_distributed_config(self):
-        from repro.cli import _resilience_from_args
-
-        args = build_parser().parse_args(
-            ["run", "F1", "--backend", "distributed",
-             "--run-dir", "/tmp/coord", "--workers", "3"]
-        )
-        config = _resilience_from_args(args)
-        assert config.backend == "distributed"
-        assert config.distributed.spawn == 3
-        assert config.distributed.run_dir == Path("/tmp/coord")
-
-    def test_default_backend_keeps_pool(self):
-        from repro.cli import _resilience_from_args
-
-        args = build_parser().parse_args(["run", "F1", "--retries", "2"])
-        config = _resilience_from_args(args)
-        assert config.backend == "pool"
-        assert config.distributed is None
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "F1", "--backend", "carrier-pigeon"]
-            )
-
-
-class TestWorkersCommands:
-    def _init_run(self, tmp_path):
-        from repro.harness.distributed import WorkBundle, init_run_dir
-        from repro.harness.resilience import (
-            ChunkTask,
-            DistributedConfig,
-            fingerprint_payload,
-        )
-
-        run_dir = tmp_path / "coord"
-        tasks = tuple(
-            ChunkTask(
-                index=i, fn=_triple_chunk, args=([i, i + 1],), size=2
-            )
-            for i in range(3)
-        )
-        fingerprint = fingerprint_payload({"kind": "cli-workers-test"})
-        init_run_dir(
-            run_dir,
-            WorkBundle(fingerprint=fingerprint, tasks=tasks),
-            DistributedConfig(run_dir=run_dir),
-        )
-        return run_dir
-
-    def test_status_run_drain_round_trip(self, tmp_path, capsys):
-        run_dir = self._init_run(tmp_path)
-        assert main(["workers", "status", "--run-dir", str(run_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "0/3 done" in out
-
-        assert main(
-            ["workers", "run", "--run-dir", str(run_dir), "--id", "cli-w"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "cli-w" in out and "3 chunks completed" in out
-
-        assert main(["workers", "status", "--run-dir", str(run_dir)]) == 0
-        assert "3/3 done" in capsys.readouterr().out
-
-        assert main(["workers", "drain", "--run-dir", str(run_dir)]) == 0
+    def test_removed_executor_options_rejected(self, capsys):
+        # One executor: no backend switch and no worker-management command.
+        parser = build_parser()
+        for argv in (
+            ["run", "F1", "--backend", "pool"],
+            ["sweep", "--run-dir", "coord"],
+            ["workers", "status"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(argv)
+            assert excinfo.value.code == 2
         capsys.readouterr()
-        assert main(["workers", "status", "--run-dir", str(run_dir)]) == 0
-        assert "draining:    yes" in capsys.readouterr().out
-
-    def test_status_json(self, tmp_path, capsys):
-        import json
-
-        run_dir = self._init_run(tmp_path)
-        assert main(
-            ["workers", "status", "--run-dir", str(run_dir), "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["tasks"]["total"] == 3
-        assert payload["drain"] is False
-
-    def test_max_chunks_limits_foreground_worker(self, tmp_path, capsys):
-        run_dir = self._init_run(tmp_path)
-        assert main(
-            ["workers", "run", "--run-dir", str(run_dir),
-             "--id", "partial", "--max-chunks", "1"]
-        ) == 0
-        assert "1 chunks completed" in capsys.readouterr().out
-
-    def test_missing_run_dir_exits_2(self, tmp_path, capsys):
-        missing = str(tmp_path / "nope")
-        for command in ("status", "drain", "run"):
-            assert main(["workers", command, "--run-dir", missing]) == 2
-            err = capsys.readouterr().err
-            assert "no such run dir" in err
-
-    def test_workers_without_subcommand_prints_help(self, capsys):
-        assert main(["workers"]) == 1
-        assert "usage" in capsys.readouterr().out
 
 
 class TestResumeFingerprintMismatch:

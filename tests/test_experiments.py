@@ -78,6 +78,18 @@ class TestContent:
         assert spreads["bips3_per_watt"] < spreads["bips_per_watt"]
         assert 0.0 < result.data["static_share"] < 1.0
 
+    def test_x4_simulates_the_baseline_once(self, ctx, monkeypatch):
+        calls = []
+        simulate = ctx.simulate
+
+        def counting(benchmark, point):
+            calls.append((benchmark, point))
+            return simulate(benchmark, point)
+
+        monkeypatch.setattr(ctx, "simulate", counting)
+        run_experiment("X4", ctx=ctx)
+        assert calls == [("gzip", ctx.baseline)]
+
     def test_x5_covers_three_samplers(self, ctx):
         result = run_experiment("X5", ctx=ctx)
         assert len(result.data) == 3

@@ -625,91 +625,3 @@ class TestCampaignResilience:
         )
         assert campaign.run_report.resumed == 0
         _assert_campaigns_bitwise_equal(campaign, clean_campaign)
-
-
-class TestSweepResilience:
-    @pytest.fixture(scope="class")
-    def predictor_and_source(self, ctx):
-        return ctx.predictor("gzip"), ctx.exploration_source()
-
-    @staticmethod
-    def _reducers():
-        from repro.harness import CollectReducer, TopKReducer
-
-        return [
-            CollectReducer(metrics=("bips", "watts")),
-            TopKReducer(metric="efficiency", k=3),
-        ]
-
-    def test_fault_injected_sweep_matches_serial(self, predictor_and_source):
-        from repro.harness.sweep import run_sweep
-
-        predictor, source = predictor_and_source
-        serial = run_sweep(predictor, source, self._reducers(), block_size=64)
-
-        faults = FaultPlan(
-            [
-                Fault(chunk=0, kind="transient", attempts=(1,)),
-                Fault(chunk=2, kind="corrupt", attempts=(1,)),
-            ]
-        )
-        resilient = run_sweep(
-            predictor,
-            source,
-            self._reducers(),
-            block_size=64,
-            workers=2,
-            resilience=ResilienceConfig(faults=faults),
-        )
-        assert resilient.run_report.retried == 2
-        s_collected, s_best = serial.results
-        r_collected, r_best = resilient.results
-        assert np.array_equal(
-            s_collected.metric("bips"), r_collected.metric("bips")
-        )
-        assert np.array_equal(
-            s_collected.metric("watts"), r_collected.metric("watts")
-        )
-        assert np.array_equal(s_best.indices, r_best.indices)
-        assert np.array_equal(s_best.efficiency, r_best.efficiency)
-
-    def test_sweep_journal_resume_matches_serial(
-        self, predictor_and_source, tmp_path
-    ):
-        from repro.harness.sweep import run_sweep
-
-        predictor, source = predictor_and_source
-        serial = run_sweep(predictor, source, self._reducers(), block_size=64)
-
-        journal_path = tmp_path / "sweep.journal.jsonl"
-        with pytest.raises(ChunkFailure):
-            run_sweep(
-                predictor,
-                source,
-                self._reducers(),
-                block_size=64,
-                resilience=ResilienceConfig(
-                    policy=RetryPolicy(max_attempts=1),
-                    journal_path=journal_path,
-                    faults=FaultPlan([Fault(chunk=3, kind="permanent")]),
-                ),
-            )
-        assert journal_path.exists()
-
-        resumed = run_sweep(
-            predictor,
-            source,
-            self._reducers(),
-            block_size=64,
-            resilience=ResilienceConfig(
-                journal_path=journal_path, resume=True
-            ),
-        )
-        assert resumed.run_report.resumed >= 1
-        s_collected, s_best = serial.results
-        r_collected, r_best = resumed.results
-        assert np.array_equal(
-            s_collected.metric("bips"), r_collected.metric("bips")
-        )
-        assert np.array_equal(s_best.indices, r_best.indices)
-        assert not journal_path.exists()

@@ -1,7 +1,7 @@
 """Tests for the blockwise sweep engine (repro.harness.sweep).
 
-The engine's contract is *partition independence*: any block size, any
-worker count, and any source backing (mixed-radix enumeration or an
+The engine's contract is *partition independence*: any block size and
+any source backing (mixed-radix enumeration or an
 explicit point list) must reduce to the same results as a monolithic
 whole-table pass.
 """
@@ -58,9 +58,6 @@ class TestSources:
         source = SpaceSweepSource(space, indices)
         assert len(source) == 4
         assert source.point_at(2) == space.point_at(101)
-        sliced = source.slice(1, 3)
-        assert len(sliced) == 2
-        assert sliced.point_at(0) == space.point_at(17)
 
     def test_space_source_rejects_bad_indices(self, ctx):
         space = ctx.exploration_space
@@ -135,27 +132,6 @@ class TestBlockwisePrediction:
                 best.values, baseline[1].values, rtol=1e-12
             )
 
-    def test_parallel_matches_serial(self, ctx, predictor, exploration):
-        """Two workers, chunk-aligned blocks: bit-identical reductions."""
-        source = PointSweepSource(ctx.exploration_space, exploration)
-        reducers = lambda: [  # noqa: E731 - test-local factory
-            ParetoFrontierReducer(bins=50),
-            TopKReducer(metric="efficiency", k=3),
-            CollectReducer(metrics=("bips", "watts")),
-        ]
-        serial = run_sweep(predictor, source, reducers(), block_size=100)
-        parallel = run_sweep(
-            predictor, source, reducers(), block_size=100, workers=2
-        )
-        s_front, s_top, s_all = serial.results
-        p_front, p_top, p_all = parallel.results
-        assert np.array_equal(s_front.indices, p_front.indices)
-        assert np.array_equal(s_front.delay, p_front.delay)
-        assert np.array_equal(s_top.indices, p_top.indices)
-        assert np.array_equal(s_top.values, p_top.values)
-        assert np.array_equal(s_all.metric("bips"), p_all.metric("bips"))
-        assert np.array_equal(s_all.metric("watts"), p_all.metric("watts"))
-
     def test_progress_stream(self, ctx, predictor, exploration):
         source = PointSweepSource(ctx.exploration_space, exploration)
         calls = []
@@ -175,8 +151,6 @@ class TestBlockwisePrediction:
         source = PointSweepSource(ctx.exploration_space, exploration[:8])
         with pytest.raises(SweepError):
             run_sweep(predictor, source, [], block_size=0)
-        with pytest.raises(SweepError):
-            run_sweep(predictor, source, [], workers=0)
 
 
 class TestLevelKernel:
