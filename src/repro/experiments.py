@@ -552,7 +552,6 @@ def run_x5(ctx: StudyContext) -> ExperimentResult:
     """Extension: sampler comparison (UAR vs stratified vs Halton)."""
     from .designspace import sample_halton, sample_stratified, sample_uar
     from .harness.dataset import Dataset
-    from .workloads import get_profile
 
     space = ctx.sampling_space
     scale = ctx.scale
@@ -573,9 +572,7 @@ def run_x5(ctx: StudyContext) -> ExperimentResult:
         points = draw()
         medians = []
         for benchmark in benchmarks:
-            trace = ctx.simulator.trace_for(
-                get_profile(benchmark), scale.trace_length, seed=scale.seed
-            )
+            trace = ctx.trace(benchmark)
             results = ctx.simulator.simulate_batch(
                 space, points, trace, batch_size=ctx.batch_size
             )
@@ -649,7 +646,6 @@ def run_x7(ctx: StudyContext) -> ExperimentResult:
     """Extension: the future-work space (associativity + in-order issue)."""
     from .designspace import DesignEncoder, extended_space, sample_uar
     from .regression import extended_performance_spec, prediction_errors
-    from .workloads import get_profile
 
     space = extended_space()
     scale = ctx.scale
@@ -659,9 +655,7 @@ def run_x7(ctx: StudyContext) -> ExperimentResult:
     rows = []
     data_out = {}
     for benchmark in ("gzip", "mesa"):
-        trace = ctx.simulator.trace_for(
-            get_profile(benchmark), scale.trace_length, seed=scale.seed
-        )
+        trace = ctx.trace(benchmark)
         results = ctx.simulator.simulate_batch(
             space, points, trace, batch_size=ctx.batch_size
         )
@@ -699,17 +693,12 @@ def run_x7(ctx: StudyContext) -> ExperimentResult:
 
 def run_x8(ctx: StudyContext) -> ExperimentResult:
     """Extension: idealized next-line prefetching, per benchmark."""
-    from .workloads import get_profile
-
-    scale = ctx.scale
     rows = []
     data_out = {}
     config_off = baseline_config()
     config_on = baseline_config().with_overrides(prefetch=True)
     for benchmark in ctx.benchmarks:
-        trace = ctx.simulator.trace_for(
-            get_profile(benchmark), scale.trace_length, seed=scale.seed
-        )
+        trace = ctx.trace(benchmark)
         off = ctx.simulator.simulate(trace, config_off)
         on = ctx.simulator.simulate(trace, config_on)
         speedup = on.bips / off.bips
@@ -852,7 +841,6 @@ def run_x12(ctx: StudyContext) -> ExperimentResult:
     from .designspace import DesignEncoder
     from .regression import prediction_errors, spearman
     from .simulator import config_from_point
-    from .workloads import get_profile
 
     scale = ctx.scale
     space = ctx.exploration_space
@@ -860,9 +848,7 @@ def run_x12(ctx: StudyContext) -> ExperimentResult:
     data_out = {}
     n_eval = min(25, scale.n_validation)
     for benchmark in ("gzip", "mcf", "mesa", "gcc"):
-        trace = ctx.simulator.trace_for(
-            get_profile(benchmark), scale.trace_length, seed=scale.seed
-        )
+        trace = ctx.trace(benchmark)
         interval = interval_model_for(trace)
         points = ctx.exploration_points()[:n_eval]
         actual = np.array(

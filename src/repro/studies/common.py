@@ -18,6 +18,13 @@ all predictions, points, or design matrices at once.
 Both point sets are :class:`~repro.designspace.PointSet` objects: index
 arrays from sampling through prediction, with a :class:`DesignPoint`
 decoded only where a study asks for one point.
+
+Ground-truth simulations (:meth:`StudyContext.simulate`,
+:meth:`StudyContext.simulate_many`) are memoized per (benchmark, design):
+a design that one study validates is never simulated again by another,
+and only the misses of a call reach the timing kernel.  The memoized
+:class:`SimulationResult` objects are shared between callers, so treat
+them as read-only.
 """
 
 from __future__ import annotations
@@ -130,6 +137,9 @@ class StudyContext:
         self._exploration_points: Optional[PointSet] = None
         self._stratified_points: Dict[str, PointSet] = {}
         self._prediction_tables: Dict[tuple, PredictionTable] = {}
+        self._simulations: Dict[tuple, SimulationResult] = {}
+        #: Table 2 optima, memoized by ``heterogeneity.benchmark_optima``.
+        self._heterogeneity_cache: Dict[tuple, object] = {}
         self._traces: Dict[str, Trace] = {}
         self._sources: Dict[tuple, SweepSource] = {}
         self._sweep_results: Dict[tuple, object] = {}
@@ -381,24 +391,46 @@ class StudyContext:
         return self._traces[benchmark]
 
     def simulate(self, benchmark: str, point: DesignPoint) -> SimulationResult:
-        """Ground-truth simulation of one design on one benchmark."""
-        return self.simulator.simulate_point(
-            self.exploration_space, point, self.trace(benchmark)
-        )
+        """Ground-truth simulation of one design on one benchmark.
+
+        Memoized per (benchmark, design) and shared with
+        :meth:`simulate_many`; the returned result is shared between
+        callers, so treat it as read-only.  A miss runs the scalar
+        kernel — one design is cheaper there than in the batch kernel.
+        """
+        key = (benchmark, tuple(point.values))
+        if key not in self._simulations:
+            self._simulations[key] = self.simulator.simulate_point(
+                self.exploration_space, point, self.trace(benchmark)
+            )
+        return self._simulations[key]
 
     def simulate_many(
         self, benchmark: str, points: Sequence[DesignPoint]
     ) -> List[SimulationResult]:
         """Ground-truth simulation of many designs on one benchmark.
 
-        Goes through the batched timing kernel — one trace replay per
-        block of configs instead of one per design — and returns results
+        Results are memoized per (benchmark, design) and shared with
+        :meth:`simulate`, so treat them as read-only.  The distinct
+        misses of a call go to the batched timing kernel in one call —
+        one trace replay per block of configs instead of one per design —
+        and the results, in input order with duplicates repeated, are
         bit-identical to calling :meth:`simulate` per point.  Validation
         phases (frontier, per-depth, cluster heterogeneity) use this.
         """
-        return self.simulator.simulate_batch(
-            self.exploration_space,
-            list(points),
-            self.trace(benchmark),
-            batch_size=self.batch_size,
-        )
+        points = list(points)
+        keys = [(benchmark, tuple(point.values)) for point in points]
+        misses = {
+            key: point
+            for key, point in zip(keys, points)
+            if key not in self._simulations
+        }
+        if misses:
+            results = self.simulator.simulate_batch(
+                self.exploration_space,
+                list(misses.values()),
+                self.trace(benchmark),
+                batch_size=self.batch_size,
+            )
+            self._simulations.update(zip(misses, results))
+        return [self._simulations[key] for key in keys]

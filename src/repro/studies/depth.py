@@ -283,14 +283,17 @@ def validate_depth_study(
         original = analysis.original
         reference_pred = original.optimal_efficiency
 
-        original_results = ctx.simulate_many(benchmark, original.points)
+        # The original line and the bound architectures share one kernel
+        # call per benchmark.
+        bound_points = [analysis.bound_points[d] for d in depths]
+        results = ctx.simulate_many(benchmark, original.points + bound_points)
+        original_results = results[: len(original.points)]
+        bound_results = results[len(original.points):]
         sim_eff_orig = np.array(
             [r.bips3_per_watt for r in original_results]
         )
         reference_sim = float(sim_eff_orig.max())
 
-        bound_points = [analysis.bound_points[d] for d in depths]
-        bound_results = ctx.simulate_many(benchmark, bound_points)
         bound_pred = ctx.predict_points(benchmark, bound_points)
 
         per_bench[benchmark] = {

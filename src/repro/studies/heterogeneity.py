@@ -48,10 +48,7 @@ def benchmark_optima(
 ) -> Dict[str, EfficiencyOptimum]:
     """Table 2's architectures keyed by benchmark (memoized on the ctx)."""
     cache_key = ("benchmark-optima", validate)
-    store = getattr(ctx, "_heterogeneity_cache", None)
-    if store is None:
-        store = {}
-        ctx._heterogeneity_cache = store
+    store = ctx._heterogeneity_cache
     if cache_key not in store:
         rows = table2(ctx, validate=validate)
         store[cache_key] = {row.benchmark: row for row in rows}

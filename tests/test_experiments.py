@@ -3,6 +3,8 @@
 import pytest
 
 from repro.experiments import EXPERIMENTS, run_experiment
+from repro.obs.metrics import isolated_registry
+from repro.studies import StudyContext
 
 
 ALL_IDS = (
@@ -116,3 +118,20 @@ class TestContent:
     def test_x9_depth_conclusion_stable(self, ctx):
         result = run_experiment("X9", ctx=ctx)
         assert result.data["depth"].within_one_level >= 0.5
+
+
+def test_validation_kernel_call_layout(test_scale, simulator):
+    """F3 -> F4 -> F6 -> F7 on a fresh context: each experiment sends only
+    the designs no earlier one simulated to the batch kernel, one call per
+    benchmark.  F4 re-validates F3's two frontiers for free, F6 validates
+    each benchmark's original line and bound designs in one call, and F7
+    re-reads F6's validations without simulating."""
+    fresh = StudyContext(scale=test_scale, simulator=simulator)
+    fresh.models  # the campaign's kernel calls are not under test
+    calls = {}
+    for experiment_id in ("F3", "F4", "F6", "F7"):
+        with isolated_registry() as registry:
+            run_experiment(experiment_id, ctx=fresh)
+            counters = registry.snapshot()["counters"]
+        calls[experiment_id] = counters.get("simulator.batch.blocks", 0)
+    assert calls == {"F3": 2, "F4": 7, "F6": 9, "F7": 0}
