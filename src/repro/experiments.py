@@ -28,6 +28,7 @@ from .harness.scale import ScalePreset
 from .regression import (
     boxplot_stats,
     error_table,
+    fit_models,
     fit_ols,
     linear_terms,
     main_effects_only_terms,
@@ -444,8 +445,9 @@ def run_x1(ctx: StudyContext) -> ExperimentResult:
             if terms is not None:
                 perf_model_spec = perf_model_spec.with_terms(terms, name=label)
                 power_model_spec = power_model_spec.with_terms(terms, name=label)
-            perf_model = fit_ols(perf_model_spec, train)
-            power_model = fit_ols(power_model_spec, train)
+            perf_model, power_model = fit_models(
+                [perf_model_spec, power_model_spec], train
+            )
             perf_summaries.append(validate_model(perf_model, val, benchmark))
             power_summaries.append(validate_model(power_model, val, benchmark))
         perf_median = error_table(perf_summaries)["overall"]

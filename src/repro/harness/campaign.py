@@ -24,7 +24,7 @@ import numpy as np
 
 from ..designspace import DesignPoint, DesignSpace, sample_uar, sampling_space
 from ..obs.tracing import get_tracer
-from ..regression import FittedModel, fit_ols, performance_spec, power_spec
+from ..regression import FittedModel, fit_models, performance_spec, power_spec
 from ..simulator import Simulator
 from ..workloads import BENCHMARK_NAMES, get_profile
 from .dataset import Dataset
@@ -396,8 +396,6 @@ def fit_campaign_models(
     models: Dict[str, Dict[str, FittedModel]] = {}
     for benchmark in campaign.benchmarks:
         data = campaign.dataset(benchmark, "train").columns()
-        models[benchmark] = {
-            "bips": fit_ols(performance_spec(), data),
-            "watts": fit_ols(power_spec(), data),
-        }
+        bips, watts = fit_models([performance_spec(), power_spec()], data)
+        models[benchmark] = {"bips": bips, "watts": watts}
     return models

@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping
 
 import numpy as np
 
-from .fit import FitError, fit_ols
+from .fit import FitError, fit_models
 from .formula import ModelSpec
 
 
@@ -52,8 +52,7 @@ def predictor_importance(
     spec: ModelSpec, data: Mapping[str, np.ndarray]
 ) -> PredictorImportance:
     """Drop-one partial R^2 for every predictor referenced by ``spec``."""
-    full = fit_ols(spec, data)
-    partial: Dict[str, float] = {}
+    reduced_specs = []
     for predictor in spec.predictors:
         remaining = tuple(
             term for term in spec.terms if predictor not in term.predictors
@@ -62,9 +61,14 @@ def predictor_importance(
             raise FitError(
                 f"cannot drop {predictor!r}: no terms would remain"
             )
-        reduced_spec = spec.with_terms(remaining, name=f"drop-{predictor}")
-        reduced = fit_ols(reduced_spec, data)
-        partial[predictor] = full.r_squared - reduced.r_squared
+        reduced_specs.append(spec.with_terms(remaining, name=f"drop-{predictor}"))
+    # One call binds the full spec's terms once; every drop-one spec
+    # reuses a subset of them.
+    full, *reduced = fit_models([spec] + reduced_specs, data)
+    partial: Dict[str, float] = {
+        predictor: full.r_squared - model.r_squared
+        for predictor, model in zip(spec.predictors, reduced)
+    }
     return PredictorImportance(
         response=spec.response,
         full_r_squared=full.r_squared,

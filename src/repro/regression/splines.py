@@ -9,6 +9,11 @@ columns: the predictor itself plus ``k-2`` non-linear basis terms.
 Knots are placed at fixed quantiles of the predictor's training
 distribution (Stone [22]); predictors strongly correlated with the
 response get 4 knots, weaker ones 3 (Section 3.3).
+
+:func:`rcs_basis` computes every truncated cube ``(x - t_j)+^3`` in one
+broadcast over the knots, then forms the restricted columns with the same
+elementwise operations, in the same order, as a per-knot loop would: the
+basis is bitwise that loop's, one numpy pass instead of ``k``.
 """
 
 from __future__ import annotations
@@ -48,10 +53,11 @@ def quantile_knots(x: np.ndarray, n_knots: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise SplineError("cannot place knots on an empty sample")
-    knots = np.quantile(x, HARRELL_QUANTILES[n_knots])
-    knots = np.unique(knots)
+    knots = np.unique(np.quantile(x, HARRELL_QUANTILES[n_knots]))
+    if knots.size >= 3:
+        return knots
     unique_values = np.unique(x)
-    if knots.size < 3 <= unique_values.size:
+    if unique_values.size >= 3:
         # Quantiles collapsed (heavily discrete predictor): spread knots
         # over the distinct values instead.
         indices = np.linspace(
@@ -80,27 +86,22 @@ def rcs_basis(x: np.ndarray, knots: Sequence[float]) -> np.ndarray:
         )
     if (np.diff(knots) <= 0).any():
         raise SplineError(f"knots must be strictly increasing, got {knots}")
-    k = knots.size
     t_first, t_last, t_penult = knots[0], knots[-1], knots[-2]
     scale = (t_last - t_first) ** 2
-
-    def plus_cubed(values: np.ndarray, knot: float) -> np.ndarray:
-        shifted = values - knot
-        return np.where(shifted > 0, shifted**3, 0.0)
-
-    columns = [x]
-    tail = plus_cubed(x, t_last)
-    penult = plus_cubed(x, t_penult)
     denom = t_last - t_penult
-    for j in range(k - 2):
-        t_j = knots[j]
-        basis = (
-            plus_cubed(x, t_j)
-            - penult * (t_last - t_j) / denom
-            + tail * (t_penult - t_j) / denom
-        ) / scale
-        columns.append(basis)
-    return np.column_stack(columns)
+
+    # Every truncated cube (x - t_j)+^3 in one broadcast: column j is knot j.
+    shifted = x[:, None] - knots
+    cubes = np.where(shifted > 0, shifted**3, 0.0)
+    penult = cubes[:, -2:-1]
+    tail = cubes[:, -1:]
+    head = knots[:-2]
+    restricted = (
+        cubes[:, :-2]
+        - penult * (t_last - head) / denom
+        + tail * (t_penult - head) / denom
+    ) / scale
+    return np.column_stack([x, restricted])
 
 
 def rcs_column_names(name: str, n_knots: int) -> Tuple[str, ...]:

@@ -206,23 +206,32 @@ class _BoundSplineInteraction(BoundTerm):
         return basis * _column(data, self.b)[:, None]
 
 
-def bind_terms(
-    terms: Sequence[Term], data: Columns
-) -> Tuple[Tuple[BoundTerm, ...], Tuple[str, ...]]:
-    """Bind all terms to training data; returns bound terms + column names."""
-    bound = tuple(term.bind(data) for term in terms)
+def column_names(bound: Sequence[BoundTerm]) -> Tuple[str, ...]:
+    """The design columns of ``bound`` in order; rejects duplicates."""
     names: list = []
     for term in bound:
         names.extend(term.column_names)
     if len(set(names)) != len(names):
         raise TermError(f"duplicate design columns: {names}")
-    return bound, tuple(names)
+    return tuple(names)
+
+
+def bind_terms(
+    terms: Sequence[Term], data: Columns
+) -> Tuple[Tuple[BoundTerm, ...], Tuple[str, ...]]:
+    """Bind all terms to training data; returns bound terms + column names."""
+    bound = tuple(term.bind(data) for term in terms)
+    return bound, column_names(bound)
+
+
+def stack_design(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """An intercept column followed by the terms' column blocks, in order."""
+    if not blocks:
+        raise TermError("a model needs at least one term")
+    n = blocks[0].shape[0]
+    return np.hstack([np.ones((n, 1))] + list(blocks))
 
 
 def design_matrix(bound: Sequence[BoundTerm], data: Columns) -> np.ndarray:
     """Stack all bound terms' columns, prefixed with an intercept column."""
-    blocks = [term.design_columns(data) for term in bound]
-    if not blocks:
-        raise TermError("a model needs at least one term")
-    n = blocks[0].shape[0]
-    return np.hstack([np.ones((n, 1))] + blocks)
+    return stack_design([term.design_columns(data) for term in bound])

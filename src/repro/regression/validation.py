@@ -58,7 +58,7 @@ def boxplot_stats(values: Sequence[float]) -> BoxplotStats:
     Whiskers extend to the most extreme data point within 1.5 IQR of the
     nearer quartile; points beyond are outliers.
     """
-    array = np.asarray(list(values), dtype=float)
+    array = np.asarray(values, dtype=float)
     if array.size == 0:
         raise ValidationError("cannot summarize an empty sample")
     q1, median, q3 = np.percentile(array, (25, 50, 75))

@@ -13,7 +13,9 @@ while the exploration and per-depth sets can additionally be *swept* —
 folded into streaming reducers block by block
 (:meth:`StudyContext.sweep_exploration`,
 :meth:`StudyContext.sweep_per_depth`) — so full-space studies never hold
-all predictions, points, or design matrices at once.
+all predictions, points, or design matrices at once.  Each benchmark's
+sweep predictor (:meth:`StudyContext.predictor`) is built once per
+context, so its models' level tables are too.
 
 Both point sets are :class:`~repro.designspace.PointSet` objects: index
 arrays from sampling through prediction, with a :class:`DesignPoint`
@@ -134,6 +136,7 @@ class StudyContext:
         self._refresh = refresh
         self._campaign: Optional[Campaign] = None
         self._models: Optional[Dict[str, Dict[str, FittedModel]]] = None
+        self._predictors: Dict[str, BlockPredictor] = {}
         self._exploration_points: Optional[PointSet] = None
         self._stratified_points: Dict[str, PointSet] = {}
         self._prediction_tables: Dict[tuple, PredictionTable] = {}
@@ -172,13 +175,19 @@ class StudyContext:
         return self.models[benchmark][metric]
 
     def predictor(self, benchmark: str) -> BlockPredictor:
-        """The benchmark's fitted models bundled for the sweep engine."""
-        return BlockPredictor(
-            benchmark=benchmark,
-            bips_model=self.model(benchmark, "bips"),
-            watts_model=self.model(benchmark, "watts"),
-            ref_instructions=get_profile(benchmark).ref_instructions,
-        )
+        """The benchmark's fitted models bundled for the sweep engine.
+
+        Memoized per benchmark: the models are fixed for the context, so
+        every sweep reuses one predictor and its level tables.
+        """
+        if benchmark not in self._predictors:
+            self._predictors[benchmark] = BlockPredictor(
+                benchmark=benchmark,
+                bips_model=self.model(benchmark, "bips"),
+                watts_model=self.model(benchmark, "watts"),
+                ref_instructions=get_profile(benchmark).ref_instructions,
+            )
+        return self._predictors[benchmark]
 
     # -- point sets ----------------------------------------------------------
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..designspace import DesignPoint
 from ..harness.sweep import BlockPredictor, TopKReducer, run_sweep
-from ..regression import FittedModel, fit_ols, performance_spec, power_spec
+from ..regression import FittedModel, fit_models, performance_spec, power_spec
 from ..workloads import get_profile
 from .common import StudyContext
 
@@ -47,12 +47,8 @@ def bootstrap_models(
     for _ in range(replicates):
         rows = rng.integers(0, n, size=n)
         columns = dataset.subset(rows.tolist()).columns()
-        models.append(
-            BootstrapModels(
-                bips=fit_ols(performance_spec(), columns),
-                watts=fit_ols(power_spec(), columns),
-            )
-        )
+        bips, watts = fit_models([performance_spec(), power_spec()], columns)
+        models.append(BootstrapModels(bips=bips, watts=watts))
     return models
 
 

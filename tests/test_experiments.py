@@ -135,3 +135,36 @@ def test_validation_kernel_call_layout(test_scale, simulator):
             counters = registry.snapshot()["counters"]
         calls[experiment_id] = counters.get("simulator.batch.blocks", 0)
     assert calls == {"F3": 2, "F4": 7, "F6": 9, "F7": 0}
+
+
+def test_one_level_table_build_per_model(test_scale, simulator, monkeypatch):
+    """The context memoizes one sweep predictor per benchmark, so each
+    fitted model's level tables are built once however many studies sweep
+    it.  A predictor built per sweep would rebuild both tables each time:
+    126 builds for these experiments at 9 benchmarks."""
+    import repro.harness.sweep as sweep_module
+    from repro.regression import SplineTerm
+
+    fresh = StudyContext(scale=test_scale, simulator=simulator)
+    binds = []
+    bind = SplineTerm.bind
+    monkeypatch.setattr(
+        SplineTerm, "bind", lambda self, data: binds.append(self) or bind(self, data)
+    )
+    fresh.models
+    # performance and power share their 7 spline terms: one bind each
+    assert len(binds) == 7 * len(fresh.benchmarks)
+
+    builds = []
+
+    class CountingCache(sweep_module._LevelDesignCache):
+        def __init__(self, model, space):
+            builds.append(model.spec.response)
+            super().__init__(model, space)
+
+    monkeypatch.setattr(sweep_module, "_LevelDesignCache", CountingCache)
+    benchmark = fresh.benchmarks[0]
+    assert fresh.predictor(benchmark) is fresh.predictor(benchmark)
+    for experiment_id in ("F3", "F4", "T2", "F5a", "F6", "F9a"):
+        run_experiment(experiment_id, ctx=fresh)
+    assert len(builds) == 2 * len(fresh.benchmarks)

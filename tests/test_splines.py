@@ -107,6 +107,67 @@ class TestBasis:
         assert rcs_basis(np.linspace(0, 12, 10), knots).shape == (10, 4)
 
 
+
+def per_knot_rcs_basis(x, knots):
+    """Reference basis: one truncated cube per knot, one column at a time."""
+    x = np.asarray(x, dtype=float)
+    knots = np.asarray(knots, dtype=float)
+    t_first, t_last, t_penult = knots[0], knots[-1], knots[-2]
+    scale = (t_last - t_first) ** 2
+
+    def plus_cubed(values, knot):
+        shifted = values - knot
+        return np.where(shifted > 0, shifted**3, 0.0)
+
+    columns = [x]
+    tail = plus_cubed(x, t_last)
+    penult = plus_cubed(x, t_penult)
+    denom = t_last - t_penult
+    for j in range(knots.size - 2):
+        t_j = knots[j]
+        basis = (
+            plus_cubed(x, t_j)
+            - penult * (t_last - t_j) / denom
+            + tail * (t_penult - t_j) / denom
+        ) / scale
+        columns.append(basis)
+    return np.column_stack(columns)
+
+
+class TestBroadcastBasis:
+    """The one-broadcast basis runs the per-knot loop's elementwise
+    operations in the same order, so it must match it byte for byte; a
+    reordered or re-associated formula would fail here."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(3, 7),
+        st.booleans(),
+        st.lists(st.integers(0, 9), min_size=1, max_size=60),
+        st.lists(st.floats(-100, 100), min_size=1, max_size=60),
+        st.lists(st.floats(-200, 200), max_size=10),
+    )
+    def test_matches_per_knot_oracle(self, n_knots, discrete, levels, reals, probes):
+        # discrete: grid levels, as the design encoder's log2 codes arrive
+        x = np.array(levels if discrete else reals, dtype=float)
+        knots = quantile_knots(x, n_knots)
+        if knots.size < 3:
+            return
+        # evaluate on the sample, the knots themselves and far outside them
+        points = np.concatenate([x, knots, np.array(probes, dtype=float)])
+        expected = per_knot_rcs_basis(points, knots)
+        basis = rcs_basis(points, knots)
+        assert basis.shape == expected.shape
+        assert basis.tobytes() == expected.tobytes()
+
+    def test_collapsed_quantiles_still_thinned(self):
+        # 95% of the mass on one level collapses every Harrell quantile
+        # but one; the knots spread over the distinct values instead.
+        x = np.array([0.0] * 95 + [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert np.unique(np.quantile(x, HARRELL_QUANTILES[4])).size < 3
+        assert quantile_knots(x, 4).tolist() == [0.0, 2.0, 3.0, 5.0]
+
+
 class TestNames:
     def test_column_names(self):
         assert rcs_column_names("depth", 4) == ("depth", "depth'", "depth''")
