@@ -21,10 +21,11 @@ import json
 import time
 from pathlib import Path
 
-from repro.designspace import exploration_space
+import numpy as np
+
+from repro.designspace import PointSet, exploration_space
 from repro.harness.sweep import (
     ParetoFrontierReducer,
-    SpaceSweepSource,
     TopKReducer,
     run_sweep,
 )
@@ -35,21 +36,21 @@ OVERHEAD_CEILING = 1.10
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 
-def _sweep_once(predictor, source):
+def _sweep_once(predictor, points):
     return run_sweep(
         predictor,
-        source,
+        points,
         [ParetoFrontierReducer(bins=50), TopKReducer(metric="efficiency", k=1)],
     )
 
 
-def _best_of(predictor, source, trace_path=None, fsync=False):
+def _best_of(predictor, points, trace_path=None, fsync=False):
     best = None
     for i in range(REPEATS):
         if trace_path is not None:
             configure_tracing(f"{trace_path}.{i}", fsync=fsync)
         started = time.perf_counter()
-        _sweep_once(predictor, source)
+        _sweep_once(predictor, points)
         elapsed = time.perf_counter() - started
         if trace_path is not None:
             disable_tracing()
@@ -60,14 +61,15 @@ def _best_of(predictor, source, trace_path=None, fsync=False):
 
 def test_observability_overhead(ctx, bench_scale, tmp_path):
     predictor = ctx.predictor("gzip")
-    source = SpaceSweepSource(exploration_space())
-    n = len(source)
-    _sweep_once(predictor, source)  # warm caches outside the timed region
+    space = exploration_space()
+    points = PointSet(space, np.arange(len(space)))
+    n = len(points)
+    _sweep_once(predictor, points)  # warm caches outside the timed region
 
-    off = _best_of(predictor, source)
-    traced = _best_of(predictor, source, trace_path=tmp_path / "t")
+    off = _best_of(predictor, points)
+    traced = _best_of(predictor, points, trace_path=tmp_path / "t")
     synced = _best_of(
-        predictor, source, trace_path=tmp_path / "s", fsync=True
+        predictor, points, trace_path=tmp_path / "s", fsync=True
     )
 
     trace_file = f"{tmp_path / 't'}.0"

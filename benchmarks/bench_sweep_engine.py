@@ -24,11 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.designspace import DesignEncoder
+from repro.designspace import DesignEncoder, PointSet
 from repro.harness.sweep import (
     ParetoFrontierReducer,
-    PointSweepSource,
-    SpaceSweepSource,
     TopKReducer,
     discretized_frontier,
     run_sweep,
@@ -47,7 +45,8 @@ def _per_point_pass(ctx, benchmark, points):
     data = {
         name: matrix[:, j] for j, name in enumerate(encoder.feature_names)
     }
-    bips, watts = predictor.predict(data)
+    bips = predictor.bips_model.predict(data)
+    watts = predictor.watts_model.predict(data)
     from repro.metrics import bips3_per_watt, delay_seconds
 
     delay = delay_seconds(bips, predictor.ref_instructions)
@@ -57,11 +56,10 @@ def _per_point_pass(ctx, benchmark, points):
 
 
 def _blockwise_pass(ctx, benchmark, points):
-    """The engine: fresh source (no cached matrices) + streaming reducers."""
-    source = PointSweepSource(ctx.exploration_space, points)
+    """The engine: the point list as a fresh point set + streaming reducers."""
     report = run_sweep(
         ctx.predictor(benchmark),
-        source,
+        PointSet.from_points(ctx.exploration_space, points),
         [ParetoFrontierReducer(bins=50), TopKReducer(metric="efficiency", k=1)],
     )
     front, best = report.results
@@ -148,25 +146,25 @@ def test_sweep_engine_throughput(ctx, bench_scale):
     assert record["mean_speedup"] >= SPEEDUP_FLOOR
 
 
-def test_full_space_source_matches_point_source(ctx):
-    """Mixed-radix full-space blocks encode identically to the point list.
+def test_index_set_matches_point_list(ctx):
+    """An index subset predicts identically to the same designs as points.
 
-    A small index subset of the exploration space is swept both ways with
-    the same block decomposition; the predictions must agree bitwise, so
-    paper-scale sweeps (which never materialize points) are
-    interchangeable with list-backed sweeps.
+    A small index subset of the exploration space is swept as a
+    :class:`PointSet` and as the point list it decodes to (through
+    :meth:`PointSet.from_points`) with the same block decomposition; the
+    predictions must agree bitwise, so paper-scale sweeps (which never
+    materialize points) are interchangeable with list-backed sweeps.
     """
     from repro.harness.sweep import predict_source
 
     space = ctx.exploration_space
     benchmark = ctx.benchmarks[0]
     indices = np.arange(0, len(space), max(1, len(space) // 512), dtype=np.int64)
-    space_source = SpaceSweepSource(space, indices)
-    points = [space.point_at(int(i)) for i in indices]
-    point_source = PointSweepSource(space, points)
+    by_index = PointSet(space, indices)
+    by_list = PointSet.from_points(space, list(by_index))
 
     predictor = ctx.predictor(benchmark)
-    bips_a, watts_a = predict_source(predictor, space_source, block_size=97)
-    bips_b, watts_b = predict_source(predictor, point_source, block_size=97)
+    bips_a, watts_a = predict_source(predictor, by_index, block_size=97)
+    bips_b, watts_b = predict_source(predictor, by_list, block_size=97)
     assert np.array_equal(bips_a, bips_b)
     assert np.array_equal(watts_a, watts_b)

@@ -6,7 +6,7 @@ boundaries.  A bare ``time.perf_counter()`` call in harness code produces a
 number invisible to ``repro trace summary`` and the merged metrics
 snapshot, so the timing silently falls out of the observability story.
 Scheduling clocks (``time.monotonic`` for deadlines, ``time.sleep`` for
-backoff) are not measurements and stay exempt.
+waits) are not measurements and stay exempt.
 """
 
 from __future__ import annotations

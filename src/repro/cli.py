@@ -511,7 +511,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     """
     from .harness import (
         ParetoFrontierReducer,
-        SpaceSweepSource,
         TopKReducer,
         render_design_point,
     )
@@ -530,18 +529,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
 
     if args.space == "sampling":
-        from .designspace import sampling_space
+        import numpy as np
+
+        from .designspace import PointSet, sampling_space
 
         # The sampling space sweeps whole: prediction is cheap enough
         # that no scale subsampling is needed (the point of the paper).
-        source = SpaceSweepSource(sampling_space())
+        space = sampling_space()
+        points = PointSet(space, np.arange(len(space)))
     else:
-        source = ctx.exploration_source()
+        points = ctx.exploration_points()
     kwargs = {}
     if args.block_size is not None:
         kwargs["block_size"] = args.block_size
     print(
-        f"sweeping {len(source):,} {args.space} designs per benchmark "
+        f"sweeping {len(points):,} {args.space} designs per benchmark "
         f"[scale={scale.name}, workers={args.workers}]"
     )
     mark = get_registry().snapshot()
@@ -549,7 +551,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for benchmark in benchmarks:
             report = run_sweep(
                 ctx.predictor(benchmark),
-                source,
+                points,
                 [
                     ParetoFrontierReducer(bins=args.bins),
                     TopKReducer(metric="efficiency", k=1),

@@ -8,9 +8,13 @@ the index array and per-parameter level columns decoded from it; a
 optimum, a frontier design, a validation point).  The exploration set of
 262,500 designs is then 2 MB of indices instead of 262,500 objects.
 
+Explicit point lists (search candidates, frontier designs) become a
+:class:`PointSet` through :meth:`PointSet.from_points`, so the sweep
+engine takes one kind of input.
+
 The level tables map a parameter's grid level index to its encoded
 coordinate or its raw value.  The encoder, the point sets and the sweep
-sources all gather through them, so every path computes the same bits.
+engine all gather through them, so every path computes the same bits.
 """
 
 from __future__ import annotations
@@ -98,7 +102,8 @@ class PointSet:
     ``len``, iteration and int indexing behave like a list of
     :class:`DesignPoint` (each access decodes one point with
     :meth:`DesignSpace.point_at`); slicing and indexing with an integer
-    array or list return a new :class:`PointSet`.  :meth:`levels`,
+    array or list return a new :class:`PointSet`; :meth:`from_points`
+    builds one from explicit points.  :meth:`levels`,
     :meth:`column` and :meth:`level_matrix` give whole per-parameter
     arrays without building any point.
     """
@@ -113,6 +118,18 @@ class PointSet:
             raise ParameterError(f"point set indices out of range for |S|={len(space)}")
         self.space = space
         self.indices = indices
+
+    @classmethod
+    def from_points(
+        cls, space: DesignSpace, points: Sequence[DesignPoint]
+    ) -> "PointSet":
+        """The point set holding ``points`` in order, duplicates kept.
+
+        Raises :class:`ParameterError` for a point off the grid of
+        ``space`` (see :func:`point_levels`).
+        """
+        radices = np.array(space.radices, dtype=np.int64)
+        return cls(space, point_levels(space, list(points)) @ radices)
 
     def __len__(self) -> int:
         return int(self.indices.size)

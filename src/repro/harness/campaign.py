@@ -318,7 +318,7 @@ def run_campaign(
 
     ``resilience`` (or any ``workers > 1`` run, which uses the default
     policy) routes execution through :func:`repro.harness.resilience.run_chunks`:
-    transient worker failures retry with backoff, a journal path enables
+    transient worker failures retry, a journal path enables
     checkpoint/resume, and the finished campaign carries a ``run_report``.
 
     Both paths replay each benchmark's trace once per block of up to

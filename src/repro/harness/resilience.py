@@ -11,11 +11,11 @@ that fan-out durable:
   run resumes from completed chunks instead of restarting.  A header
   fingerprint ties the journal to one exact task layout; stale or
   truncated journals are detected and discarded safely.
-- **RetryPolicy** — bounded attempts with exponential backoff and
-  *deterministic* jitter (hash of chunk index and attempt, never a
-  random generator).  Failures are classified transient (broken pool,
-  timeout, :class:`TransientWorkerError`) or permanent (deterministic
-  exceptions); only transient failures are retried.
+- **RetryPolicy** — bounded attempts per chunk and a per-attempt
+  timeout.  Failures are classified transient (broken pool, timeout,
+  :class:`TransientWorkerError`) or permanent (deterministic
+  exceptions); only transient failures are retried, and a retried
+  chunk goes straight back on the queue.
 - **Graceful degradation** — when the worker pool breaks repeatedly,
   the remaining chunks run serially in-process instead of aborting.
 - **Fault injection** — a :class:`FaultPlan` deterministically fails
@@ -203,8 +203,8 @@ def _run_chunk(fn: Callable, args: tuple, fault_kind: Optional[str]):
 
 # -- retry policy --------------------------------------------------------------
 
-#: Exception types retried by default; everything else is permanent.
-DEFAULT_TRANSIENT_TYPES: Tuple[type, ...] = (
+#: Exception types that are retried; everything else is permanent.
+_TRANSIENT_TYPES: Tuple[type, ...] = (
     BrokenProcessPool,
     FuturesTimeout,
     TimeoutError,
@@ -216,30 +216,21 @@ DEFAULT_TRANSIENT_TYPES: Tuple[type, ...] = (
 class RetryPolicy:
     """How failures are classified, retried, timed out, and degraded.
 
-    ``backoff_seconds`` grows exponentially with the attempt number and
-    adds a deterministic jitter derived from a hash of the chunk index
-    and attempt — reruns back off identically, and no random-number
-    state is consumed.  ``chunk_timeout`` bounds a single attempt's wall
-    time on the parallel path (a timed-out worker is terminated with the
-    pool and the chunk retried).  After ``max_pool_restarts`` pool
-    rebuilds, execution degrades to in-process serial for the remainder.
+    A chunk gets at most ``max_attempts`` attempts; a transient failure
+    retries at once, with no delay.  ``chunk_timeout`` bounds a single
+    attempt's wall time on the parallel path (a timed-out worker is
+    terminated with the pool and the chunk retried).  After
+    ``max_pool_restarts`` pool rebuilds, execution degrades to
+    in-process serial for the remainder.
     """
 
     max_attempts: int = 3
-    backoff_base: float = 0.0
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
     chunk_timeout: Optional[float] = None
     max_pool_restarts: int = 2
-    transient_types: Tuple[type, ...] = DEFAULT_TRANSIENT_TYPES
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ResilienceError("max_attempts must be positive")
-        if self.backoff_base < 0 or self.backoff_factor < 1 or self.jitter < 0:
-            raise ResilienceError(
-                "backoff_base/backoff_factor/jitter must be >= 0 / >= 1 / >= 0"
-            )
         if self.chunk_timeout is not None and self.chunk_timeout <= 0:
             raise ResilienceError("chunk_timeout must be positive or None")
         if self.max_pool_restarts < 0:
@@ -248,19 +239,8 @@ class RetryPolicy:
     def classify(self, error: BaseException) -> str:
         """``"transient"`` (retry) or ``"permanent"`` (abort)."""
         return (
-            "transient"
-            if isinstance(error, self.transient_types)
-            else "permanent"
+            "transient" if isinstance(error, _TRANSIENT_TYPES) else "permanent"
         )
-
-    def backoff_seconds(self, chunk: int, attempt: int) -> float:
-        """Delay before retrying ``chunk`` after its ``attempt``-th failure."""
-        if self.backoff_base <= 0:
-            return 0.0
-        base = self.backoff_base * self.backoff_factor ** (attempt - 1)
-        digest = hashlib.sha256(f"{chunk}:{attempt}".encode("utf-8")).digest()
-        unit = int.from_bytes(digest[:8], "big") / float(2**64)
-        return base * (1.0 + self.jitter * unit)
 
 
 @dataclass(frozen=True)
@@ -794,21 +774,16 @@ class _ChunkRunner:
                     raise
                 except Exception as error:
                     self._record_failure(task, attempt, error)
-                    delay = self.policy.backoff_seconds(task.index, attempt)
-                    if delay > 0:
-                        time.sleep(delay)
                     continue
                 self._complete(task, attempt, envelope)
                 break
 
     # -- parallel execution ------------------------------------------------
 
-    def _retry_later(self, waiting, task, attempt, error, now) -> None:
-        """Charge a failed attempt; park the chunk until its backoff ends."""
+    def _retry(self, queue, task, attempt, error) -> None:
+        """Charge a failed attempt; put the chunk back on the queue."""
         self._record_failure(task, attempt, error)
-        waiting.append(
-            (now + self.policy.backoff_seconds(task.index, attempt), task, attempt)
-        )
+        queue.append((task, attempt))
 
     def _restart_pool(self, executor, inflight, queue):
         """Kill a broken/hung pool; requeue in-flight chunks uncharged.
@@ -837,20 +812,14 @@ class _ChunkRunner:
 
     def _run_parallel(self, pending: Sequence[Tuple[ChunkTask, int]]) -> None:
         queue: Deque[Tuple[ChunkTask, int]] = deque(pending)
-        waiting: List[Tuple[float, ChunkTask, int]] = []
         inflight: Dict[object, Tuple[ChunkTask, int, Optional[float]]] = {}
         executor: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
             max_workers=self.workers
         )
         aborted = True
         try:
-            while queue or waiting or inflight:
+            while queue or inflight:
                 now = time.monotonic()
-                ready = [item for item in waiting if item[0] <= now]
-                waiting = [item for item in waiting if item[0] > now]
-                for _, task, attempts_done in ready:
-                    queue.append((task, attempts_done))
-
                 pool_failed = False
                 while queue and len(inflight) < self.workers:
                     task, attempts_done = queue.popleft()
@@ -877,12 +846,10 @@ class _ChunkRunner:
                         for _, _, deadline in inflight.values()
                         if deadline is not None
                     ]
-                    ready_times = [ready_at for ready_at, _, _ in waiting]
-                    horizon = min(deadlines + ready_times, default=None)
                     timeout = (
-                        None
-                        if horizon is None
-                        else max(0.0, horizon - time.monotonic())
+                        max(0.0, min(deadlines) - time.monotonic())
+                        if deadlines
+                        else None
                     )
                     done, _ = wait(
                         set(inflight),
@@ -897,9 +864,7 @@ class _ChunkRunner:
                         except Exception as error:
                             if isinstance(error, BrokenProcessPool):
                                 pool_failed = True
-                            self._retry_later(
-                                waiting, task, attempt, error, time.monotonic()
-                            )
+                            self._retry(queue, task, attempt, error)
                         else:
                             self._complete(task, attempt, envelope)
                     now = time.monotonic()
@@ -912,25 +877,14 @@ class _ChunkRunner:
                                 f"chunk {task.index} exceeded chunk_timeout="
                                 f"{self.policy.chunk_timeout}s"
                             )
-                            self._retry_later(
-                                waiting, task, attempt, timeout_error, now
-                            )
+                            self._retry(queue, task, attempt, timeout_error)
                             pool_failed = True
-                elif not pool_failed and waiting:
-                    # Nothing running; wait out the nearest backoff.
-                    nearest = min(ready_at for ready_at, _, _ in waiting)
-                    delay = max(0.0, nearest - time.monotonic())
-                    if delay > 0:
-                        time.sleep(delay)
 
                 if pool_failed:
                     executor = self._restart_pool(executor, inflight, queue)
                     if executor is None:
                         self.report.degraded = True
-                        remaining = list(queue) + [
-                            (task, attempts_done)
-                            for _, task, attempts_done in waiting
-                        ]
+                        remaining = list(queue)
                         self._event(
                             "resilience.degraded",
                             pool_restarts=self.report.pool_restarts,
@@ -999,7 +953,7 @@ def run_chunks(
       ``workers`` in flight); ``workers == 1`` runs in-process.  Either
       way results are identical to a fault-free serial run.
     - Failures are classified by ``policy``: transient ones retry up to
-      ``policy.max_attempts`` with deterministic backoff, permanent ones
+      ``policy.max_attempts`` attempts, permanent ones
       abort immediately.  Aborts raise :class:`ChunkFailure` carrying
       the report; chunks journaled before the abort stay resumable.
     - A broken pool is rebuilt up to ``policy.max_pool_restarts`` times,

@@ -3,14 +3,16 @@
 The whole argument of Lee & Brooks is that regression predictions are
 cheap enough to characterize the *entire* 262,500-point exploration space
 exhaustively.  This module delivers that sweep without ever materializing
-the space: design points are visited in fixed-size blocks, each block is
-encoded into predictor columns with vectorized mixed-radix decoding (or
-level-table lookups for explicit point lists), the fitted bips/watts
-models evaluate their design matrices in one batched numpy call per
-block, and *streaming reducers* fold every block into a compact running
-state — the pareto frontier by delay bin, the efficiency argmax/top-k,
-per-depth efficiency distributions — so peak memory stays proportional
-to the block size, not ``|S|``.
+the space: the engine sweeps a :class:`~repro.designspace.PointSet` (an
+index array) in fixed-size blocks, each block's indices decode into grid
+level indices by mixed radix, the fitted bips/watts models assemble
+their design matrices by gathering from per-level tables and evaluate
+them in one batched numpy call per block, and *streaming reducers* fold
+every block into a compact running state — the pareto frontier by delay
+bin, the efficiency argmax/top-k, per-depth efficiency distributions —
+so peak memory stays proportional to the block size, not ``|S|``.
+Explicit point lists sweep the same way once
+:meth:`PointSet.from_points` has turned them into indices.
 
 The sweep runs in one process: the whole exploration space predicts in
 a fraction of a second, so there is nothing to gain from fanning blocks
@@ -36,12 +38,10 @@ from typing import (
 
 import numpy as np
 
-from ..designspace import DesignPoint, DesignSpace
-from ..designspace.parameters import ParameterError
+from ..designspace import DesignPoint, DesignSpace, PointSet
 from ..designspace.pointset import (
     encoded_level_tables,
     index_levels,
-    point_levels,
     raw_level_tables,
 )
 from ..metrics import bips3_per_watt, delay_seconds
@@ -158,156 +158,6 @@ def strict_pareto_mask(delay: np.ndarray, power: np.ndarray) -> np.ndarray:
     return mask
 
 
-# -- point sources -------------------------------------------------------------
-
-
-class SweepSource:
-    """An ordered, block-addressable set of design points.
-
-    Subclasses expose encoded predictor columns and raw parameter columns
-    per block plus point materialization by sweep position, so reducers
-    can resolve the (few) designs they keep without the engine ever
-    holding the full point list.
-    """
-
-    space: DesignSpace
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def feature_block(self, start: int, stop: int) -> Dict[str, np.ndarray]:
-        """Encoded predictor columns for sweep positions [start, stop)."""
-        raise NotImplementedError
-
-    def column_block(self, name: str, start: int, stop: int) -> np.ndarray:
-        """Raw (un-encoded) values of one parameter over [start, stop)."""
-        raise NotImplementedError
-
-    def level_block(self, start: int, stop: int) -> Optional[np.ndarray]:
-        """Per-parameter grid level indices over [start, stop), or None.
-
-        An ``(n, P)`` integer matrix enables the predictor's level-table
-        gather fast path; sources that cannot provide it return None and
-        blocks fall back to :meth:`feature_block` evaluation.
-        """
-        return None
-
-    def point_at(self, position: int) -> DesignPoint:
-        """The design point at one sweep position."""
-        raise NotImplementedError
-
-
-class SpaceSweepSource(SweepSource):
-    """Sweep a :class:`DesignSpace` (or an index subset) by mixed radix.
-
-    Blocks decode integer indices directly into per-parameter level
-    arrays — no :class:`DesignPoint` objects are created — which makes
-    full-space enumeration at paper scale (262,500 designs) both fast and
-    memory-flat.
-    """
-
-    def __init__(self, space: DesignSpace, indices: Optional[np.ndarray] = None):
-        self.space = space
-        if indices is None:
-            self._indices = None
-            self._length = len(space)
-        else:
-            indices = np.asarray(indices, dtype=np.int64)
-            if indices.ndim != 1:
-                raise SweepError("indices must be one-dimensional")
-            if indices.size and (
-                indices.min() < 0 or indices.max() >= len(space)
-            ):
-                raise SweepError(
-                    f"indices out of range for |S|={len(space)}"
-                )
-            self._indices = indices
-            self._length = int(indices.size)
-        self._radices = np.array(space.radices, dtype=np.int64)
-        self._cardinalities = np.array(
-            [p.cardinality for p in space.parameters], dtype=np.int64
-        )
-        self._encoded = encoded_level_tables(space)
-        self._raw = raw_level_tables(space)
-
-    def __len__(self) -> int:
-        return self._length
-
-    def _index_block(self, start: int, stop: int) -> np.ndarray:
-        if self._indices is None:
-            return np.arange(start, stop, dtype=np.int64)
-        return self._indices[start:stop]
-
-    def _level_block(self, j: int, start: int, stop: int) -> np.ndarray:
-        indices = self._index_block(start, stop)
-        return (indices // self._radices[j]) % self._cardinalities[j]
-
-    def feature_block(self, start: int, stop: int) -> Dict[str, np.ndarray]:
-        return {
-            name: self._encoded[j][self._level_block(j, start, stop)]
-            for j, name in enumerate(self.space.names)
-        }
-
-    def column_block(self, name: str, start: int, stop: int) -> np.ndarray:
-        j = self.space.names.index(name)
-        return self._raw[j][self._level_block(j, start, stop)]
-
-    def level_block(self, start: int, stop: int) -> np.ndarray:
-        return index_levels(self.space, self._index_block(start, stop))
-
-    def point_at(self, position: int) -> DesignPoint:
-        if self._indices is None:
-            return self.space.point_at(int(position))
-        return self.space.point_at(int(self._indices[position]))
-
-
-class PointSweepSource(SweepSource):
-    """Sweep an explicit point list (e.g. search candidates).
-
-    The points' grid levels are found once, lazily, for the whole list
-    (:func:`~repro.designspace.pointset.point_levels`); blocks then gather
-    through the same level tables as :class:`SpaceSweepSource`, so the
-    encoded coordinates are bitwise identical to
-    :class:`~repro.designspace.DesignEncoder` output.  Points must lie on
-    the space's grid (as :class:`DesignEncoder` also requires); an
-    off-grid point raises :class:`ParameterError` at the first block.
-    """
-
-    def __init__(self, space: DesignSpace, points: Sequence[DesignPoint]):
-        self.space = space
-        self.points = list(points)
-        if self.points and tuple(self.points[0].names) != space.names:
-            raise ParameterError(
-                f"point parameters {self.points[0].names} do not match "
-                f"space {space.names}"
-            )
-        self._level_matrix: Optional[np.ndarray] = None
-        self._encoded = encoded_level_tables(space)
-        self._raw = raw_level_tables(space)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def level_block(self, start: int, stop: int) -> np.ndarray:
-        if self._level_matrix is None:
-            self._level_matrix = point_levels(self.space, self.points)
-        return self._level_matrix[start:stop]
-
-    def feature_block(self, start: int, stop: int) -> Dict[str, np.ndarray]:
-        levels = self.level_block(start, stop)
-        return {
-            name: self._encoded[j][levels[:, j]]
-            for j, name in enumerate(self.space.names)
-        }
-
-    def column_block(self, name: str, start: int, stop: int) -> np.ndarray:
-        j = self.space.names.index(name)
-        return self._raw[j][self.level_block(start, stop)[:, j]]
-
-    def point_at(self, position: int) -> DesignPoint:
-        return self.points[position]
-
-
 # -- prediction ---------------------------------------------------------------
 
 
@@ -322,6 +172,9 @@ class _LevelDesignCache:
     row.  Results are bitwise identical to row-wise evaluation: the same
     elementwise operations run on the same encoded values, only once per
     level instead of once per design.
+
+    Every term must depend on one or two parameters of ``space``; a term
+    that does not raises :class:`SweepError` naming it.
     """
 
     def __init__(self, model: FittedModel, space: DesignSpace):
@@ -329,25 +182,25 @@ class _LevelDesignCache:
         names = list(space.names)
         encoded = encoded_level_tables(space)
         self._plans: List[tuple] = []
-        self.supported = True
         for term in model.bound_terms:
             try:
                 predictors = term.predictors
             except NotImplementedError:
-                predictors = None
-            if (
-                predictors is not None
-                and len(predictors) == 1
-                and predictors[0] in names
+                predictors = ()
+            if not (
+                1 <= len(predictors) <= 2 and all(p in names for p in predictors)
             ):
+                raise SweepError(
+                    f"term {', '.join(term.column_names)} (predictors "
+                    f"{predictors}) cannot be gathered over space "
+                    f"{space.name!r}: a term needs one or two of the "
+                    f"space's parameters {space.names}"
+                )
+            if len(predictors) == 1:
                 j = names.index(predictors[0])
                 table = term.design_columns({predictors[0]: encoded[j]})
                 self._plans.append(("one", j, table))
-            elif (
-                predictors is not None
-                and len(predictors) == 2
-                and all(p in names for p in predictors)
-            ):
+            else:
                 ja = names.index(predictors[0])
                 jb = names.index(predictors[1])
                 va, vb = encoded[ja], encoded[jb]
@@ -358,9 +211,6 @@ class _LevelDesignCache:
                     }
                 )
                 self._plans.append(("pair", (ja, jb, vb.size), table))
-            else:
-                self.supported = False
-                break
         #: Design-matrix width: the intercept plus every term's columns.
         self._width = 1 + sum(table.shape[1] for _, _, table in self._plans)
 
@@ -396,42 +246,25 @@ class BlockPredictor:
     watts_model: FittedModel
     ref_instructions: float
 
-    def predict(
-        self, features: Dict[str, np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(bips, watts) for one block of encoded predictor columns."""
-        return (
-            self.bips_model.predict(features),
-            self.watts_model.predict(features),
-        )
-
     def _level_caches(
         self, space: DesignSpace
-    ) -> Optional[Tuple[_LevelDesignCache, _LevelDesignCache]]:
+    ) -> Tuple[_LevelDesignCache, _LevelDesignCache]:
         """Per-space gather tables, built lazily on first use."""
         cached = self.__dict__.get("_caches")
         if cached is None or cached[0] is not space:
-            bips = _LevelDesignCache(self.bips_model, space)
-            watts = _LevelDesignCache(self.watts_model, space)
-            if not (bips.supported and watts.supported):
-                cached = (space, None)
-            else:
-                cached = (space, (bips, watts))
+            cached = (
+                space,
+                _LevelDesignCache(self.bips_model, space),
+                _LevelDesignCache(self.watts_model, space),
+            )
             self.__dict__["_caches"] = cached
-        return cached[1]
+        return cached[1:]
 
     def predict_levels(
         self, levels: np.ndarray, space: DesignSpace
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """(bips, watts) for a block of level indices, or None.
-
-        Returns None when some term cannot be gathered from level tables
-        (the engine then falls back to encoded-feature evaluation).
-        """
-        caches = self._level_caches(space)
-        if caches is None:
-            return None
-        bips_cache, watts_cache = caches
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(bips, watts) for an ``(n, P)`` block of level indices."""
+        bips_cache, watts_cache = self._level_caches(space)
         return bips_cache.predict(levels), watts_cache.predict(levels)
 
 
@@ -475,21 +308,21 @@ class SweepReducer:
     Reducers must be *partition independent*: feeding the same points in
     any block decomposition (including one monolithic block) yields the
     same finalized result.  ``columns`` names the raw parameter columns
-    the reducer needs on each block; ``cache_key`` (when not None) lets
-    :class:`~repro.studies.common.StudyContext` memoize finalized results
-    per benchmark and point set.
+    the reducer needs on each block; ``cache_key`` identifies the
+    finalized result, so :class:`~repro.studies.common.StudyContext`
+    memoizes it per benchmark and point set.
     """
 
     columns: Tuple[str, ...] = ()
 
     @property
-    def cache_key(self) -> Optional[tuple]:
-        return None
+    def cache_key(self) -> tuple:
+        raise NotImplementedError
 
     def update(self, block: SweepBlock) -> None:
         raise NotImplementedError
 
-    def finalize(self, source: SweepSource):
+    def finalize(self, points: PointSet):
         """Finish the reduction, materializing any retained designs."""
         raise NotImplementedError
 
@@ -549,7 +382,7 @@ class ParetoFrontierReducer(SweepReducer):
         self._delay.append(delay[keep])
         self._power.append(power[keep])
 
-    def finalize(self, source: SweepSource) -> FrontierResult:
+    def finalize(self, points: PointSet) -> FrontierResult:
         if not self._indices:
             empty = np.array([], dtype=float)
             return FrontierResult(
@@ -567,7 +400,7 @@ class ParetoFrontierReducer(SweepReducer):
         final = chosen[keep]
         return FrontierResult(
             indices=indices[final],
-            points=[source.point_at(int(i)) for i in indices[final]],
+            points=[points[int(i)] for i in indices[final]],
             delay=delay[final],
             power=power[final],
         )
@@ -633,11 +466,11 @@ class TopKReducer(SweepReducer):
         self._indices = indices[order]
         self._state = {name: merged[name][order] for name in self._FIELDS}
 
-    def finalize(self, source: SweepSource) -> TopKResult:
+    def finalize(self, points: PointSet) -> TopKResult:
         return TopKResult(
             metric=self.metric,
             indices=self._indices.copy(),
-            points=[source.point_at(int(i)) for i in self._indices],
+            points=[points[int(i)] for i in self._indices],
             values=self._state["values"].copy(),
             bips=self._state["bips"].copy(),
             watts=self._state["watts"].copy(),
@@ -703,7 +536,7 @@ class GroupedMetricReducer(SweepReducer):
                     block.indices[np.flatnonzero(mask)[local_best]]
                 )
 
-    def finalize(self, source: SweepSource) -> GroupedResult:
+    def finalize(self, points: PointSet) -> GroupedResult:
         levels = sorted(self._values)
         return GroupedResult(
             parameter=self.parameter,
@@ -715,7 +548,7 @@ class GroupedMetricReducer(SweepReducer):
                 level: self._best_index[level] for level in levels
             },
             argmax_points={
-                level: source.point_at(self._best_index[level])
+                level: points[self._best_index[level]]
                 for level in levels
             },
             argmax_values={
@@ -771,7 +604,7 @@ class CollectReducer(SweepReducer):
         for name in self.columns:
             self._columns[name].append(block.raw[name])
 
-    def finalize(self, source: SweepSource) -> CollectedColumns:
+    def finalize(self, points: PointSet) -> CollectedColumns:
         def _concat(chunks: List[np.ndarray]) -> np.ndarray:
             if not chunks:
                 return np.array([], dtype=float)
@@ -821,26 +654,19 @@ def _block_ranges(total: int, block_size: int) -> List[Tuple[int, int]]:
 
 def _evaluate_range(
     predictor: BlockPredictor,
-    source: SweepSource,
+    points: PointSet,
     start: int,
     stop: int,
-    columns: Tuple[str, ...],
+    columns: Dict[str, Tuple[int, np.ndarray]],
 ) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
     """Predict one contiguous range; returns (bips, watts, raw columns).
 
-    Prefers the level-index gather fast path; sources (or models) that
-    cannot provide it fall back to encoded-feature evaluation, which is
-    bitwise identical for the same block decomposition.
+    ``columns`` maps each raw column a reducer needs to its parameter
+    position and raw level table.
     """
-    pair = None
-    levels = source.level_block(start, stop)
-    if levels is not None:
-        pair = predictor.predict_levels(levels, source.space)
-    if pair is None:
-        features = source.feature_block(start, stop)
-        pair = predictor.predict(features)
-    bips, watts = pair
-    raw = {name: source.column_block(name, start, stop) for name in columns}
+    levels = index_levels(points.space, points.indices[start:stop])
+    bips, watts = predictor.predict_levels(levels, points.space)
+    raw = {name: table[levels[:, j]] for name, (j, table) in columns.items()}
     return bips, watts, raw
 
 
@@ -864,23 +690,26 @@ def _make_block(
 
 def run_sweep(
     predictor: BlockPredictor,
-    source: SweepSource,
+    points: PointSet,
     reducers: Sequence[SweepReducer],
     block_size: int = DEFAULT_BLOCK_SIZE,
-    progress=None,
 ) -> SweepReport:
-    """Sweep ``source`` through ``predictor``, folding into ``reducers``.
+    """Sweep ``points`` through ``predictor``, folding into ``reducers``.
 
     Blocks are evaluated in sweep order and every reducer sees every
-    block exactly once.  ``progress`` (if given) is called as
-    ``progress(benchmark, done_points, total_points)`` after each block.
+    block exactly once.  Reducers index their blocks by position in
+    ``points``.
     """
     if block_size < 1:
         raise SweepError(f"block_size must be positive, got {block_size}")
-    columns: Tuple[str, ...] = tuple(
-        dict.fromkeys(name for r in reducers for name in r.columns)
-    )
-    total = len(source)
+    space = points.space
+    raw_tables = raw_level_tables(space)
+    columns = {
+        name: (space.names.index(name), raw_tables[space.names.index(name)])
+        for r in reducers
+        for name in r.columns
+    }
+    total = len(points)
     tracer = get_tracer()
     registry = get_registry()
     mark = registry.snapshot()
@@ -891,13 +720,12 @@ def run_sweep(
         n_points=total,
         block_size=block_size,
     ) as root:
-        done = 0
         for start, stop in _block_ranges(total, block_size):
             with tracer.span(
                 "sweep.predict_block", start=start, size=stop - start
             ) as predict_span:
                 bips, watts, raw = _evaluate_range(
-                    predictor, source, start, stop, columns
+                    predictor, points, start, stop, columns
                 )
                 block = _make_block(predictor, start, bips, watts, raw)
             with tracer.span(
@@ -913,29 +741,26 @@ def run_sweep(
             registry.observe(
                 "sweep.reduce_block.seconds", reduce_span.wall_s
             )
-            done += len(block)
-            if progress is not None:
-                progress(predictor.benchmark, done, total)
 
     return SweepReport(
         benchmark=predictor.benchmark,
         n_points=total,
         block_size=block_size,
         elapsed_seconds=root.wall_s,
-        results=[reducer.finalize(source) for reducer in reducers],
+        results=[reducer.finalize(points) for reducer in reducers],
         metrics=registry.delta(mark),
     )
 
 
 def predict_source(
     predictor: BlockPredictor,
-    source: SweepSource,
+    points: PointSet,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Full (bips, watts) vectors for a source, computed blockwise."""
+    """Full (bips, watts) vectors for a point set, computed blockwise."""
     report = run_sweep(
         predictor,
-        source,
+        points,
         [CollectReducer(metrics=("bips", "watts"))],
         block_size=block_size,
     )

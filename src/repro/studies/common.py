@@ -7,19 +7,18 @@ point sets, and prediction/simulation helpers.  Every study function takes
 a context, so one campaign and one model fit serve all figures.
 
 Prediction runs on the blockwise sweep engine
-(:mod:`repro.harness.sweep`): arbitrary point lists are encoded and
-evaluated in vectorized batches (:meth:`StudyContext.predict_points`),
-while the exploration and per-depth sets can additionally be *swept* —
-folded into streaming reducers block by block
+(:mod:`repro.harness.sweep`), which sweeps a
+:class:`~repro.designspace.PointSet`.  The exploration and per-depth
+sets are point sets from sampling on; arbitrary point lists become one
+through :meth:`PointSet.from_points` (:meth:`StudyContext.predict_points`).
+Point sets are index arrays, with a :class:`DesignPoint` decoded only
+where a study asks for one point.  The exploration and per-depth sets
+can also be *swept* — folded into streaming reducers block by block
 (:meth:`StudyContext.sweep_exploration`,
 :meth:`StudyContext.sweep_per_depth`) — so full-space studies never hold
 all predictions, points, or design matrices at once.  Each benchmark's
 sweep predictor (:meth:`StudyContext.predictor`) is built once per
 context, so its models' level tables are too.
-
-Both point sets are :class:`~repro.designspace.PointSet` objects: index
-arrays from sampling through prediction, with a :class:`DesignPoint`
-decoded only where a study asks for one point.
 
 Ground-truth simulations (:meth:`StudyContext.simulate`,
 :meth:`StudyContext.simulate_many`) are memoized per (benchmark, design):
@@ -32,7 +31,7 @@ them as read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,15 +46,7 @@ from ..designspace import (
 )
 from ..harness import Campaign, cached_campaign, fit_campaign_models, get_scale
 from ..harness.scale import ScalePreset
-from ..harness.sweep import (
-    BlockPredictor,
-    PointSweepSource,
-    SpaceSweepSource,
-    SweepReducer,
-    SweepSource,
-    predict_source,
-    run_sweep,
-)
+from ..harness.sweep import BlockPredictor, SweepReducer, predict_source, run_sweep
 from ..metrics import bips3_per_watt, delay_seconds
 from ..regression import FittedModel
 from ..simulator import Simulator, baseline_point
@@ -65,14 +56,10 @@ from ..workloads import BENCHMARK_NAMES, Trace, get_profile
 
 @dataclass
 class PredictionTable:
-    """Regression predictions over a set of design points.
-
-    ``points`` is a :class:`PointSet` for the context's exploration and
-    per-depth sets (decoded lazily) and a list for explicit points.
-    """
+    """Regression predictions over a set of design points."""
 
     benchmark: str
-    points: Union[PointSet, List[DesignPoint]]
+    points: PointSet
     bips: np.ndarray
     watts: np.ndarray
     ref_instructions: float
@@ -94,13 +81,9 @@ class PredictionTable:
 
     def subset(self, indices: Sequence[int]) -> "PredictionTable":
         indices = list(indices)
-        if isinstance(self.points, PointSet):
-            points = self.points[indices]
-        else:
-            points = [self.points[i] for i in indices]
         return PredictionTable(
             benchmark=self.benchmark,
-            points=points,
+            points=self.points[indices],
             bips=self.bips[indices],
             watts=self.watts[indices],
             ref_instructions=self.ref_instructions,
@@ -143,8 +126,6 @@ class StudyContext:
         self._simulations: Dict[tuple, SimulationResult] = {}
         #: Table 2 optima, memoized by ``heterogeneity.benchmark_optima``.
         self._heterogeneity_cache: Dict[tuple, object] = {}
-        self._traces: Dict[str, Trace] = {}
-        self._sources: Dict[tuple, SweepSource] = {}
         self._sweep_results: Dict[tuple, object] = {}
 
     # -- campaign & models -------------------------------------------------
@@ -225,46 +206,22 @@ class StudyContext:
             )
         return self._stratified_points[parameter]
 
-    # -- sweep sources -------------------------------------------------------
-
-    def exploration_source(self) -> SweepSource:
-        """Block-addressable exploration set for the sweep engine.
-
-        Sweeps the indices of :meth:`exploration_points`, so positions
-        match its entries (and :meth:`predict_exploration` row indices)
-        exactly; no point list is ever materialized.
-        """
-        key = ("exploration",)
-        if key not in self._sources:
-            points = self.exploration_points()
-            self._sources[key] = SpaceSweepSource(points.space, points.indices)
-        return self._sources[key]
-
-    def per_depth_source(self, parameter: str = "depth") -> SweepSource:
-        """Block-addressable depth-stratified set for the sweep engine."""
-        key = ("per-depth", parameter)
-        if key not in self._sources:
-            points = self.per_depth_points(parameter)
-            self._sources[key] = SpaceSweepSource(points.space, points.indices)
-        return self._sources[key]
-
     # -- prediction ----------------------------------------------------------
 
     def predict_points(
         self, benchmark: str, points: Sequence[DesignPoint]
     ) -> PredictionTable:
-        """Regression-predicted bips and watts for arbitrary points."""
-        points = list(points)
-        source = PointSweepSource(self.exploration_space, points)
-        return self._predict_source_table(benchmark, source, points)
+        """Regression-predicted bips and watts for arbitrary points.
 
-    def _predict_source_table(
-        self,
-        benchmark: str,
-        source: SweepSource,
-        points: Union[PointSet, List[DesignPoint]],
-    ) -> PredictionTable:
-        bips, watts = predict_source(self.predictor(benchmark), source)
+        The points must lie on the exploration grid; an off-grid point
+        raises :class:`~repro.designspace.parameters.ParameterError`.
+        """
+        return self._predict_table(
+            benchmark, PointSet.from_points(self.exploration_space, points)
+        )
+
+    def _predict_table(self, benchmark: str, points: PointSet) -> PredictionTable:
+        bips, watts = predict_source(self.predictor(benchmark), points)
         return PredictionTable(
             benchmark=benchmark,
             points=points,
@@ -283,8 +240,8 @@ class StudyContext:
         """
         key = (benchmark, "exploration")
         if key not in self._prediction_tables:
-            self._prediction_tables[key] = self._predict_source_table(
-                benchmark, self.exploration_source(), self.exploration_points()
+            self._prediction_tables[key] = self._predict_table(
+                benchmark, self.exploration_points()
             )
         return self._prediction_tables[key]
 
@@ -292,8 +249,8 @@ class StudyContext:
         """Predictions over the depth-stratified set (memoized)."""
         key = (benchmark, "per-depth")
         if key not in self._prediction_tables:
-            self._prediction_tables[key] = self._predict_source_table(
-                benchmark, self.per_depth_source(), self.per_depth_points()
+            self._prediction_tables[key] = self._predict_table(
+                benchmark, self.per_depth_points()
             )
         return self._prediction_tables[key]
 
@@ -303,55 +260,30 @@ class StudyContext:
         self,
         benchmark: str,
         set_name: str,
-        source: SweepSource,
+        points: PointSet,
         reducers: Sequence[SweepReducer],
-        block_size: Optional[int],
     ) -> List[object]:
-        """Run reducers over a source, memoizing cacheable results.
+        """Run reducers over a point set, memoizing their results.
 
-        Reducers exposing a ``cache_key`` are computed at most once per
-        (benchmark, point set); a single engine pass serves all uncached
-        reducers of the call.
+        Each reducer's result is computed at most once per (benchmark,
+        point set, ``cache_key``); a single engine pass serves all
+        uncached reducers of the call.
         """
-        def key_of(reducer: SweepReducer) -> Optional[tuple]:
-            if reducer.cache_key is None:
-                return None
-            return (benchmark, set_name, reducer.cache_key)
-
-        pending = [
-            reducer
-            for reducer in reducers
-            if key_of(reducer) is None
-            or key_of(reducer) not in self._sweep_results
-        ]
+        keys = [(benchmark, set_name, reducer.cache_key) for reducer in reducers]
+        pending = {
+            key: reducer
+            for key, reducer in zip(keys, reducers)
+            if key not in self._sweep_results
+        }
         if pending:
-            kwargs = {}
-            if block_size is not None:
-                kwargs["block_size"] = block_size
             report = run_sweep(
-                self.predictor(benchmark),
-                source,
-                pending,
-                **kwargs,
+                self.predictor(benchmark), points, list(pending.values())
             )
-            for reducer, result in zip(pending, report.results):
-                cache_key = key_of(reducer)
-                if cache_key is not None:
-                    self._sweep_results[cache_key] = result
-                else:
-                    self._sweep_results[id(reducer)] = result
-        return [
-            self._sweep_results.pop(id(reducer))
-            if key_of(reducer) is None
-            else self._sweep_results[key_of(reducer)]
-            for reducer in reducers
-        ]
+            self._sweep_results.update(zip(pending, report.results))
+        return [self._sweep_results[key] for key in keys]
 
     def sweep_exploration(
-        self,
-        benchmark: str,
-        reducers: Sequence[SweepReducer],
-        block_size: Optional[int] = None,
+        self, benchmark: str, reducers: Sequence[SweepReducer]
     ) -> List[object]:
         """Fold streaming reducers over the exploration set.
 
@@ -360,11 +292,7 @@ class StudyContext:
         :meth:`predict_exploration` table — without building it.
         """
         return self._sweep(
-            benchmark,
-            "exploration",
-            self.exploration_source(),
-            reducers,
-            block_size,
+            benchmark, "exploration", self.exploration_points(), reducers
         )
 
     def sweep_per_depth(
@@ -372,32 +300,27 @@ class StudyContext:
         benchmark: str,
         reducers: Sequence[SweepReducer],
         parameter: str = "depth",
-        block_size: Optional[int] = None,
     ) -> List[object]:
         """Fold streaming reducers over the depth-stratified set."""
         return self._sweep(
             benchmark,
             f"per-depth:{parameter}",
-            self.per_depth_source(parameter),
+            self.per_depth_points(parameter),
             reducers,
-            block_size,
         )
 
     # -- simulation -----------------------------------------------------------
 
     def trace(self, benchmark: str) -> Trace:
-        """The benchmark's synthetic trace at this scale (built once).
+        """The benchmark's synthetic trace at this scale.
 
-        Cached per benchmark on the context, so validating N frontier or
-        depth designs costs one trace build, not N.
+        The simulator's trace cache memoizes it per (benchmark, length,
+        seed), so validating N frontier or depth designs costs one trace
+        build, not N.
         """
-        if benchmark not in self._traces:
-            self._traces[benchmark] = self.simulator.trace_for(
-                get_profile(benchmark),
-                self.scale.trace_length,
-                seed=self.scale.seed,
-            )
-        return self._traces[benchmark]
+        return self.simulator.trace_for(
+            get_profile(benchmark), self.scale.trace_length, seed=self.scale.seed
+        )
 
     def simulate(self, benchmark: str, point: DesignPoint) -> SimulationResult:
         """Ground-truth simulation of one design on one benchmark.

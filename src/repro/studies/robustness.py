@@ -80,7 +80,7 @@ def optimum_stability(
     table = ctx.predict_exploration(benchmark)
     nominal = table.points[int(table.efficiency.argmax())]
 
-    source = ctx.exploration_source()
+    points = ctx.exploration_points()
     ref_instructions = get_profile(benchmark).ref_instructions
     winners: List[DesignPoint] = []
     efficiencies: List[float] = []
@@ -91,7 +91,7 @@ def optimum_stability(
             watts_model=models.watts,
             ref_instructions=ref_instructions,
         )
-        best = run_sweep(predictor, source, [TopKReducer("efficiency", 1)])
+        best = run_sweep(predictor, points, [TopKReducer("efficiency", 1)])
         optimum = best.results[0]
         winners.append(optimum.points[0])
         efficiencies.append(float(optimum.efficiency[0]))

@@ -402,9 +402,9 @@ def _counting_tasks(n_chunks=4, chunk_len=3):
 
 
 def _tracing_overhead_ratio(
-    predictor, source, trace_dir, pairs=9, sweeps_per_sample=2
+    predictor, points, trace_dir, pairs=9, sweeps_per_sample=2
 ):
-    """Median traced/plain time ratio of a frontier sweep over ``source``.
+    """Median traced/plain time ratio of a frontier sweep over ``points``.
 
     Each of ``pairs`` pairs of samples times ``sweeps_per_sample`` plain
     and as many traced sweeps, alternating one plain and one traced
@@ -424,7 +424,7 @@ def _tracing_overhead_ratio(
             configure_tracing(trace_path)
         t0 = _time.perf_counter()
         run_sweep(
-            predictor, source, [ParetoFrontierReducer(bins=50)],
+            predictor, points, [ParetoFrontierReducer(bins=50)],
             block_size=8192,
         )
         elapsed = _time.perf_counter() - t0
@@ -506,16 +506,11 @@ class TestResilienceMetrics:
         assert all("metrics" not in b for b in chunk_bodies)
 
     def test_sweep_report_carries_metrics(self, ctx):
-        from repro.harness.sweep import (
-            ParetoFrontierReducer,
-            PointSweepSource,
-            run_sweep,
-        )
+        from repro.harness.sweep import ParetoFrontierReducer, run_sweep
 
         points = ctx.exploration_points()[:200]
-        source = PointSweepSource(ctx.exploration_space, points)
         report = run_sweep(
-            ctx.predictor("gzip"), source, [ParetoFrontierReducer(bins=50)],
+            ctx.predictor("gzip"), points, [ParetoFrontierReducer(bins=50)],
             block_size=64,
         )
         counters = report.metrics["counters"]
@@ -530,13 +525,15 @@ class TestResilienceMetrics:
         See :func:`_tracing_overhead_ratio` for how the comparison is
         kept robust to scheduler noise on a shared host.
         """
-        from repro.designspace import exploration_space
-        from repro.harness.sweep import SpaceSweepSource
+        import numpy as np
 
-        source = SpaceSweepSource(exploration_space())
-        assert len(source) == 262_500
+        from repro.designspace import PointSet, exploration_space
+
+        space = exploration_space()
+        points = PointSet(space, np.arange(len(space)))
+        assert len(points) == 262_500
         ratio, plain, traced = _tracing_overhead_ratio(
-            ctx.predictor("gzip"), source, tmp_path
+            ctx.predictor("gzip"), points, tmp_path
         )
         assert ratio <= 1.10, (
             f"tracing overhead {ratio - 1:.1%} exceeds 10% "

@@ -70,23 +70,13 @@ class TestRetryPolicy:
         assert policy.classify(RuntimeError("bug")) == "permanent"
         assert policy.classify(ValueError("bad input")) == "permanent"
 
-    def test_backoff_deterministic_and_growing(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0, jitter=0.5)
-        first = policy.backoff_seconds(3, 1)
-        assert first == policy.backoff_seconds(3, 1)  # same inputs, same delay
-        assert policy.backoff_seconds(3, 3) > policy.backoff_seconds(3, 1)
-        assert 0.1 <= first <= 0.1 * 1.5
-
-    def test_zero_base_means_no_delay(self):
-        assert RetryPolicy().backoff_seconds(0, 1) == 0.0
-
     def test_rejects_bad_configuration(self):
         with pytest.raises(ResilienceError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ResilienceError):
             RetryPolicy(chunk_timeout=0.0)
         with pytest.raises(ResilienceError):
-            RetryPolicy(backoff_factor=0.5)
+            RetryPolicy(max_pool_restarts=-1)
 
 
 class TestFaultPlan:

@@ -1,23 +1,24 @@
 """Tests for the blockwise sweep engine (repro.harness.sweep).
 
-The engine's contract is *partition independence*: any block size and
-any source backing (mixed-radix enumeration or an
-explicit point list) must reduce to the same results as a monolithic
-whole-table pass.
+The engine sweeps a :class:`PointSet`.  Its contract is *partition
+independence*: any block size, and a point set built from indices or
+from an explicit point list (:meth:`PointSet.from_points`), must reduce
+to the same results as a monolithic whole-table pass.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.designspace import DesignEncoder
+from repro.designspace import DesignEncoder, DesignPoint, PointSet
 from repro.designspace.parameters import ParameterError
+from repro.designspace.pointset import encoded_level_tables
 from repro.harness.sweep import (
     CollectReducer,
     _LevelDesignCache,
     GroupedMetricReducer,
     ParetoFrontierReducer,
-    PointSweepSource,
-    SpaceSweepSource,
     SweepError,
     TopKReducer,
     discretized_frontier,
@@ -38,71 +39,89 @@ def exploration(ctx):
     return ctx.exploration_points()
 
 
+def _encode(points: PointSet) -> np.ndarray:
+    """``(n, P)`` encoded coordinates gathered through the level tables."""
+    levels = points.level_matrix()
+    tables = encoded_level_tables(points.space)
+    return np.column_stack(
+        [table[levels[:, j]] for j, table in enumerate(tables)]
+    )
+
+
 class TestSources:
+    """Point sets as sweep inputs: indices and explicit point lists."""
+
     def test_space_source_matches_point_at(self, ctx):
         space = ctx.exploration_space
-        source = SpaceSweepSource(space)
+        whole = PointSet(space, np.arange(len(space)))
         encoder = DesignEncoder(space)
         positions = [0, 1, 7, len(space) // 2, len(space) - 1]
         for pos in positions:
-            point = source.point_at(pos)
+            point = whole[pos]
             assert point == space.point_at(pos)
-            features = source.feature_block(pos, pos + 1)
-            expected = encoder.encode_point(point)
-            got = np.array([features[name][0] for name in space.names])
-            assert np.array_equal(got, expected)
+            got = _encode(whole[pos:pos + 1])[0]
+            assert np.array_equal(got, encoder.encode_point(point))
 
     def test_space_source_subset_and_slice(self, ctx):
         space = ctx.exploration_space
         indices = np.array([5, 17, 101, 999], dtype=np.int64)
-        source = SpaceSweepSource(space, indices)
-        assert len(source) == 4
-        assert source.point_at(2) == space.point_at(101)
+        points = PointSet(space, indices)
+        assert len(points) == 4
+        assert points[2] == space.point_at(101)
+        assert np.array_equal(points[1:3].indices, indices[1:3])
 
     def test_space_source_rejects_bad_indices(self, ctx):
         space = ctx.exploration_space
-        with pytest.raises(SweepError):
-            SpaceSweepSource(space, np.array([len(space)]))
-        with pytest.raises(SweepError):
-            SpaceSweepSource(space, np.array([-1]))
+        with pytest.raises(ParameterError):
+            PointSet(space, np.array([len(space)]))
+        with pytest.raises(ParameterError):
+            PointSet(space, np.array([-1]))
 
     def test_point_source_encoding_matches_encoder(self, ctx, exploration):
+        """from_points round-trips the points, their indices and encoding."""
         space = ctx.exploration_space
-        points = exploration[:64]
-        source = PointSweepSource(space, points)
+        points = list(exploration[:64])
+        built = PointSet.from_points(space, points)
+        assert len(built) == len(points)
+        for i, point in enumerate(points):
+            assert built[i] == point
+            assert built.indices[i] == space.index_of(point)
+            assert space.point_at(int(built.indices[i])) == point
         expected = DesignEncoder(space).encode(points)
-        features = source.feature_block(0, len(points))
-        got = np.column_stack([features[name] for name in space.names])
-        assert np.array_equal(got, expected)
+        assert np.array_equal(_encode(built), expected)
 
     def test_point_source_rejects_off_grid(self, ctx):
         space = ctx.exploration_space
         bad = space.point_at(0).replace(depth=13)  # 13 FO4 is not a level
-        source = PointSweepSource(space, [bad])
         with pytest.raises(ParameterError):
-            source.feature_block(0, 1)
+            PointSet.from_points(space, [space.point_at(1), bad])
+        first = space.point_at(0)
+        renamed = DesignPoint(("bogus",) + first.names[1:], first.values)
+        with pytest.raises(ParameterError, match="do not match"):
+            PointSet.from_points(space, [first, renamed])
 
     def test_sources_agree(self, ctx, predictor):
+        """A from_points set predicts byte-equal to the same indices."""
         space = ctx.exploration_space
         indices = np.arange(0, len(space), len(space) // 200, dtype=np.int64)
-        by_index = SpaceSweepSource(space, indices)
-        by_list = PointSweepSource(
+        by_index = PointSet(space, indices)
+        by_list = PointSet.from_points(
             space, [space.point_at(int(i)) for i in indices]
         )
+        assert np.array_equal(by_list.indices, indices)
         bips_a, watts_a = predict_source(predictor, by_index, block_size=64)
         bips_b, watts_b = predict_source(predictor, by_list, block_size=64)
-        assert np.array_equal(bips_a, bips_b)
-        assert np.array_equal(watts_a, watts_b)
+        assert bips_a.tobytes() == bips_b.tobytes()
+        assert watts_a.tobytes() == watts_b.tobytes()
 
 
 class TestBlockwisePrediction:
     def test_matches_predict_points(self, ctx, exploration):
         """Blockwise == whole-table: same values, bit for bit, when the
         block decomposition matches (one monolithic block)."""
-        table = ctx.predict_points("gzip", exploration)
-        source = PointSweepSource(ctx.exploration_space, exploration)
+        table = ctx.predict_points("gzip", list(exploration))
         bips, watts = predict_source(
-            ctx.predictor("gzip"), source, block_size=len(exploration)
+            ctx.predictor("gzip"), exploration, block_size=len(exploration)
         )
         assert np.array_equal(bips, table.bips)
         assert np.array_equal(watts, table.watts)
@@ -110,12 +129,11 @@ class TestBlockwisePrediction:
     def test_block_size_invariance(self, ctx, predictor, exploration):
         """Any block size reproduces the same reductions: identical
         frontier indices and argmax, values equal to float tolerance."""
-        source = PointSweepSource(ctx.exploration_space, exploration)
         baseline = None
         for block_size in (len(exploration), 256, 101, 7):
             report = run_sweep(
                 predictor,
-                source,
+                exploration,
                 [ParetoFrontierReducer(bins=50), TopKReducer()],
                 block_size=block_size,
             )
@@ -132,25 +150,9 @@ class TestBlockwisePrediction:
                 best.values, baseline[1].values, rtol=1e-12
             )
 
-    def test_progress_stream(self, ctx, predictor, exploration):
-        source = PointSweepSource(ctx.exploration_space, exploration)
-        calls = []
-        run_sweep(
-            predictor,
-            source,
-            [TopKReducer()],
-            block_size=256,
-            progress=lambda *args: calls.append(args),
-        )
-        assert calls[0][0] == "gzip"
-        assert calls[-1][1] == len(exploration)
-        done = [c[1] for c in calls]
-        assert done == sorted(done)
-
     def test_rejects_bad_config(self, ctx, predictor, exploration):
-        source = PointSweepSource(ctx.exploration_space, exploration[:8])
         with pytest.raises(SweepError):
-            run_sweep(predictor, source, [], block_size=0)
+            run_sweep(predictor, exploration[:8], [], block_size=0)
 
 
 class TestLevelKernel:
@@ -168,41 +170,55 @@ class TestLevelKernel:
         space = ctx.exploration_space
         model = ctx.model(name, metric)
         cache = _LevelDesignCache(model, space)
-        assert cache.supported
-        source = SpaceSweepSource(space)
         encoder = DesignEncoder(space)
         for start, stop in self.BLOCKS:
             points = [space.point_at(i) for i in range(start, stop)]
             matrix = np.vstack([encoder.encode_point(p) for p in points])
             columns = {n: matrix[:, j] for j, n in enumerate(space.names)}
             expected = model.predict(columns)
-            got = cache.predict(source.level_block(start, stop))
+            levels = PointSet(space, np.arange(start, stop)).level_matrix()
+            got = cache.predict(levels)
             assert got.tobytes() == expected.tobytes(), (start, stop)
 
     def test_accepts_row_major_levels(self, ctx):
         """The kernel reads any (n, P) level layout, not only column-major."""
         space = ctx.exploration_space
         cache = _LevelDesignCache(ctx.model("gzip", "bips"), space)
-        levels = SpaceSweepSource(space).level_block(8192, 16_384)
+        levels = PointSet(space, np.arange(8192, 16_384)).level_matrix()
         assert np.array_equal(
             cache.predict(np.ascontiguousarray(levels)), cache.predict(levels)
         )
 
+    def test_term_outside_space_raises(self, ctx):
+        """A term the level tables cannot gather is an error, not a
+        silent fallback; the message names the term."""
+        from repro.regression.terms import LinearTerm
+
+        model = ctx.model("gzip", "bips")
+        foreign = LinearTerm("bogus").bind({"bogus": np.arange(3.0)})
+        broken = dataclasses.replace(
+            model, bound_terms=model.bound_terms + (foreign,)
+        )
+        with pytest.raises(SweepError, match="bogus"):
+            _LevelDesignCache(broken, ctx.exploration_space)
+
 
 class TestReducers:
     def test_frontier_reducer_matches_whole_table(self, ctx, exploration):
-        table = ctx.predict_points("gzip", exploration)
+        table = ctx.predict_points("gzip", list(exploration))
         expected = discretized_frontier(table.delay, table.watts, bins=50)
-        result = ctx.sweep_exploration(
-            "gzip", [ParetoFrontierReducer(bins=50)], block_size=128
-        )[0]
+        result = run_sweep(
+            ctx.predictor("gzip"), exploration,
+            [ParetoFrontierReducer(bins=50)], block_size=128,
+        ).results[0]
         assert np.array_equal(np.sort(result.indices), np.sort(expected))
 
     def test_topk_matches_argmax(self, ctx, exploration):
-        table = ctx.predict_points("gzip", exploration)
-        best = ctx.sweep_exploration(
-            "gzip", [TopKReducer(metric="efficiency", k=1)], block_size=128
-        )[0]
+        table = ctx.predict_points("gzip", list(exploration))
+        best = run_sweep(
+            ctx.predictor("gzip"), exploration,
+            [TopKReducer(metric="efficiency", k=1)], block_size=128,
+        ).results[0]
         assert best.indices[0] == int(table.efficiency.argmax())
         assert best.points[0] == table.points[int(table.efficiency.argmax())]
 
@@ -210,18 +226,18 @@ class TestReducers:
         """Duplicated points tie exactly; argmax keeps the first."""
         space = ctx.exploration_space
         point = space.point_at(42)
-        source = PointSweepSource(space, [point] * 10)
+        points = PointSet.from_points(space, [point] * 10)
         best = run_sweep(
-            predictor, source, [TopKReducer(k=1)], block_size=3
+            predictor, points, [TopKReducer(k=1)], block_size=3
         ).results[0]
         assert best.indices[0] == 0
 
     def test_grouped_matches_masked_table(self, ctx):
         table = ctx.predict_per_depth("gzip")
-        grouped = ctx.sweep_per_depth(
-            "gzip", [GroupedMetricReducer("depth", "efficiency")],
-            block_size=64,
-        )[0]
+        grouped = run_sweep(
+            ctx.predictor("gzip"), ctx.per_depth_points(),
+            [GroupedMetricReducer("depth", "efficiency")], block_size=64,
+        ).results[0]
         depths = np.array([p["depth"] for p in table.points], dtype=float)
         for level in grouped.levels():
             mask = depths == level
@@ -234,12 +250,12 @@ class TestReducers:
             assert grouped.argmax_points[level] == table.points[best_local]
 
     def test_collect_matches_table(self, ctx, exploration):
-        table = ctx.predict_points("gzip", exploration)
-        collected = ctx.sweep_exploration(
-            "gzip",
+        table = ctx.predict_points("gzip", list(exploration))
+        collected = run_sweep(
+            ctx.predictor("gzip"), exploration,
             [CollectReducer(metrics=("bips", "delay"), columns=("depth",))],
             block_size=173,
-        )[0]
+        ).results[0]
         np.testing.assert_allclose(
             collected.metric("bips"), table.bips, rtol=1e-12
         )
@@ -288,24 +304,26 @@ class TestStudyContextIntegration:
         for idx, point in zip(front.indices, front.points):
             assert table.points[int(idx)] == point
 
-    def test_trace_built_once_per_benchmark(self, test_scale, simulator):
-        """StudyContext.simulate must not rebuild the trace per call."""
+    def test_trace_built_once_per_benchmark(self, test_scale, monkeypatch):
+        """Simulating many designs generates the benchmark's trace once."""
+        import repro.simulator.simulator as simulator_module
+        from repro.simulator import Simulator
         from repro.studies import StudyContext
 
-        fresh = StudyContext(scale=test_scale, simulator=simulator,
+        fresh = StudyContext(scale=test_scale, simulator=Simulator(),
                              benchmarks=["gzip"])
         calls = []
-        original = simulator.trace_for
+        original = simulator_module.generate_trace
 
-        def spying_trace_for(*args, **kwargs):
+        def spying_generate_trace(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        simulator.trace_for = spying_trace_for
-        try:
-            baseline = fresh.baseline
-            for _ in range(4):
-                fresh.simulate("gzip", baseline)
-        finally:
-            simulator.trace_for = original
+        monkeypatch.setattr(
+            simulator_module, "generate_trace", spying_generate_trace
+        )
+        points = list(fresh.exploration_points()[:4])
+        for point in points:
+            fresh.simulate("gzip", point)
+        fresh.simulate_many("gzip", list(fresh.exploration_points()[4:8]))
         assert len(calls) == 1
