@@ -13,7 +13,6 @@ to invalidate.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -29,9 +28,9 @@ from ..obs.metrics import get_registry
 from ..obs.tracing import get_tracer
 from ..simulator import Simulator
 from ..workloads import BENCHMARK_NAMES
-from .campaign import Campaign, run_campaign
+from .campaign import Campaign, _campaign_description, run_campaign
 from .dataset import Dataset
-from .resilience import ResilienceConfig
+from .resilience import ResilienceConfig, fingerprint_payload
 from .scale import ScalePreset, get_scale
 
 logger = logging.getLogger(__name__)
@@ -50,30 +49,14 @@ def cache_dir() -> Path:
 
 
 def _campaign_key(
-    scale: ScalePreset, space: DesignSpace, benchmarks: Sequence[str],
-    memory_mode: str,
+    scale: ScalePreset, space: DesignSpace, benchmarks: Sequence[str]
 ) -> str:
-    payload = {
-        "version": CACHE_VERSION,
-        "scale": {
-            "trace_length": scale.trace_length,
-            "n_train": scale.n_train,
-            "n_validation": scale.n_validation,
-            "seed": scale.seed,
-        },
-        "space": {
-            "name": space.name,
-            "parameters": [
-                [p.name, list(p.values)] for p in space.parameters
-            ],
-        },
-        "benchmarks": list(benchmarks),
-        "memory_mode": memory_mode,
-    }
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    return digest[:16]
+    return fingerprint_payload(
+        {
+            "version": CACHE_VERSION,
+            **_campaign_description(scale, space, benchmarks),
+        }
+    )
 
 
 def save_campaign(campaign: Campaign, path: Path) -> None:
@@ -266,7 +249,7 @@ def cached_campaign(
     scale = scale or get_scale()
     space = space or sampling_space()
     names = tuple(benchmarks or BENCHMARK_NAMES)
-    key = _campaign_key(scale, space, names, simulator.memory_mode)
+    key = _campaign_key(scale, space, names)
     path = cache_dir() / f"campaign-{scale.name}-{key}.json"
     registry = get_registry()
     if path.exists() and not refresh:

@@ -18,7 +18,7 @@ to in-process execution when the worker pool breaks repeatedly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,7 +76,6 @@ def _simulate_points(
     seed: int,
     points: List[DesignPoint],
     batch_size: Optional[int] = None,
-    on_block: Optional[Callable[[int], None]] = None,
 ) -> List[Tuple[float, float]]:
     """Simulate ``points`` on one benchmark's trace; returns (bips, watts).
 
@@ -85,12 +84,11 @@ def _simulate_points(
     once per block of up to ``batch_size`` configs (``None``: one block).
     Results are bit-identical to a per-point scalar loop for every batch
     size, so ``batch_size`` stays out of the campaign fingerprint and
-    journals remain portable across batch sizes.  ``on_block`` receives
-    the cumulative point count after each block.
+    journals remain portable across batch sizes.
     """
     trace = simulator.trace_for(get_profile(benchmark), trace_length, seed=seed)
     results = simulator.simulate_batch(
-        space, points, trace, batch_size=batch_size, on_block=on_block
+        space, points, trace, batch_size=batch_size
     )
     return [(r.bips, float(r.watts)) for r in results]
 
@@ -100,8 +98,6 @@ def _simulate_chunk(
     benchmark: str,
     trace_length: int,
     seed: int,
-    memory_mode: str,
-    warm: bool,
     points: List[DesignPoint],
     batch_size: Optional[int] = None,
 ) -> List[Tuple[float, float]]:
@@ -111,7 +107,7 @@ def _simulate_chunk(
     fresh simulator, so outputs are identical to an in-process run.
     """
     return _simulate_points(
-        Simulator(memory_mode=memory_mode, warm=warm),
+        Simulator(),
         space,
         benchmark,
         trace_length,
@@ -152,55 +148,41 @@ def _assemble(
     )
 
 
-def _split_progress(progress, benchmark: str, splits) -> Callable[[int], None]:
-    """Turn cumulative progress over the concatenated splits into the
-    per-split ``(benchmark, split, done, total)`` stream.
+def _campaign_description(
+    scale: ScalePreset, space: DesignSpace, names: Sequence[str]
+) -> dict:
+    """Everything that determines a campaign's results, as JSON data.
 
-    A split is reported when a block advances it, so each split's counts
-    are cumulative, increasing, and end at the split's size.
+    A simulation result depends only on (trace, config), so the scale
+    knobs, the space and the benchmark list describe a campaign fully.
+    The artifact cache key and the journal fingerprint both digest it.
     """
-    reported: Dict[str, int] = {}
-
-    def on_block(done: int) -> None:
-        offset = 0
-        for split, split_points in splits:
-            total = len(split_points)
-            count = min(max(done - offset, 0), total)
-            if count > reported.get(split, 0):
-                reported[split] = count
-                progress(benchmark, split, count, total)
-            offset += total
-
-    return on_block
+    return {
+        "scale": {
+            "trace_length": scale.trace_length,
+            "n_train": scale.n_train,
+            "n_validation": scale.n_validation,
+            "seed": scale.seed,
+        },
+        "space": {
+            "name": space.name,
+            "parameters": [[p.name, list(p.values)] for p in space.parameters],
+        },
+        "benchmarks": list(names),
+    }
 
 
 def _campaign_fingerprint(
     scale: ScalePreset,
     space: DesignSpace,
     names: Sequence[str],
-    memory_mode: str,
-    warm: bool,
     chunk_sizes: Sequence[int],
 ) -> str:
     """Digest of everything that determines the chunk layout and results."""
     return fingerprint_payload(
         {
             "kind": "campaign",
-            "scale": {
-                "trace_length": scale.trace_length,
-                "n_train": scale.n_train,
-                "n_validation": scale.n_validation,
-                "seed": scale.seed,
-            },
-            "space": {
-                "name": space.name,
-                "parameters": [
-                    [p.name, list(p.values)] for p in space.parameters
-                ],
-            },
-            "benchmarks": list(names),
-            "memory_mode": memory_mode,
-            "warm": warm,
+            **_campaign_description(scale, space, names),
             "chunk_sizes": list(chunk_sizes),
         }
     )
@@ -222,10 +204,7 @@ def _validate_campaign_payload(task: ChunkTask, payload) -> None:
 
 def _run_campaign_resilient(
     campaign: Campaign,
-    simulator: Simulator,
     points: List[DesignPoint],
-    splits,
-    progress,
     workers: int,
     resilience: ResilienceConfig,
     batch_size: Optional[int] = None,
@@ -248,8 +227,6 @@ def _run_campaign_resilient(
                 benchmark,
                 scale.trace_length,
                 scale.seed,
-                simulator.memory_mode,
-                simulator.warm,
                 points,
                 batch_size,
             ),
@@ -260,8 +237,7 @@ def _run_campaign_resilient(
     ]
 
     fingerprint = _campaign_fingerprint(
-        scale, space, names, simulator.memory_mode, simulator.warm,
-        [task.size for task in tasks],
+        scale, space, names, [task.size for task in tasks]
     )
     journal = None
     if resilience.journal_path is not None:
@@ -271,10 +247,6 @@ def _run_campaign_resilient(
             resilience.journal_path, fingerprint, strict=resilience.resume
         )
 
-    def on_chunk(task, record, payload):
-        if progress is not None:
-            _split_progress(progress, task.meta[0], splits)(task.size)
-
     results, report = run_chunks(
         tasks,
         workers=workers,
@@ -282,7 +254,6 @@ def _run_campaign_resilient(
         journal=journal,
         faults=resilience.faults,
         validate=_validate_campaign_payload,
-        on_chunk=on_chunk,
     )
     campaign.run_report = report
     for benchmark, pairs in zip(names, results):
@@ -297,7 +268,6 @@ def run_campaign(
     scale: Optional[ScalePreset] = None,
     space: Optional[DesignSpace] = None,
     benchmarks: Optional[Sequence[str]] = None,
-    progress=None,
     workers: int = 1,
     resilience: Optional[ResilienceConfig] = None,
     batch_size: Optional[int] = None,
@@ -310,11 +280,7 @@ def run_campaign(
     simulated for every benchmark, as in the paper.
 
     ``workers > 1`` parallelizes over processes, one chunk per benchmark
-    (results identical to the serial run).  ``progress`` callbacks fire
-    on both paths with the same ``(benchmark, split, done, total)``
-    stream, where ``done`` is cumulative per split and ends at
-    ``total``: per completed block of the batch kernel serially, once
-    per split when a benchmark's chunk completes in parallel.
+    (results identical to the serial run).
 
     ``resilience`` (or any ``workers > 1`` run, which uses the default
     policy) routes execution through :func:`repro.harness.resilience.run_chunks`:
@@ -343,7 +309,6 @@ def run_campaign(
         train_points=train_points,
         validation_points=validation_points,
     )
-    splits = (("train", train_points), ("validation", validation_points))
     tracer = get_tracer()
     with tracer.span(
         "campaign.run",
@@ -355,10 +320,7 @@ def run_campaign(
         if workers > 1 or resilience is not None:
             return _run_campaign_resilient(
                 campaign,
-                simulator,
                 points,
-                splits,
-                progress,
                 workers,
                 resilience or ResilienceConfig(),
                 batch_size,
@@ -376,11 +338,6 @@ def run_campaign(
                     scale.seed,
                     points,
                     batch_size,
-                    on_block=(
-                        None
-                        if progress is None
-                        else _split_progress(progress, benchmark, splits)
-                    ),
                 )
             _assemble(campaign, benchmark, pairs)
     return campaign

@@ -15,14 +15,6 @@ from .branch import (
     PredictorConfigError,
     build_predictor,
 )
-from .caches import (
-    BLOCK_BYTES,
-    Cache,
-    CacheConfigError,
-    CacheHierarchy,
-    CacheStats,
-    build_hierarchy,
-)
 from .config import (
     ARCHITECTED_FPR,
     ARCHITECTED_GPR,
@@ -35,11 +27,7 @@ from .config import (
     config_from_point,
 )
 from .batch import run_pipeline_batch
-from .memory import (
-    FunctionalMemory,
-    StackDistanceMemory,
-    associativity_factor,
-)
+from .memory import StackDistanceMemory, associativity_factor
 from .pipeline import PipelineOutcome, run_pipeline
 from .resources import OccupancyWindow, ResourceError, ThroughputLimiter
 from .results import ActivityCounts, SimulationResult
@@ -62,12 +50,6 @@ __all__ = [
     "PipelineOutcome",
     "SimulationResult",
     "ActivityCounts",
-    "Cache",
-    "CacheHierarchy",
-    "CacheStats",
-    "CacheConfigError",
-    "build_hierarchy",
-    "BLOCK_BYTES",
     "BranchPredictor",
     "OneBitBHT",
     "BimodalPredictor",
@@ -78,6 +60,5 @@ __all__ = [
     "ThroughputLimiter",
     "ResourceError",
     "StackDistanceMemory",
-    "FunctionalMemory",
     "associativity_factor",
 ]

@@ -19,12 +19,12 @@ than approximate:
   instruction; only the *values* (latencies, capacities, outcome streams)
   differ across the block.
 - **The memory and branch streams are timing-independent.**  The scalar
-  pipeline consults the cache model and the predictor in program order
-  regardless of the cycles it assigns, so service levels, mispredict
-  outcomes, fetch penalties and prefetch coverage can all be precomputed
-  per block (and the trace-only parts once per trace, memoized via
-  :meth:`~repro.workloads.trace.Trace.derived`) before the timing loop
-  runs.
+  pipeline consults the stack-distance memory model and the predictor in
+  program order regardless of the cycles it assigns, so service levels,
+  mispredict outcomes, fetch penalties and prefetch coverage can all be
+  precomputed per block (and the trace-only parts once per trace,
+  memoized via :meth:`~repro.workloads.trace.Trace.derived`) before the
+  timing loop runs.
 
 The equivalence contract is *hard*: for every config in the block,
 :func:`run_pipeline_batch` returns bit-identical cycles and
@@ -34,7 +34,7 @@ The equivalence contract is *hard*: for every config in the block,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,31 +49,25 @@ from ..workloads.trace import (
     Trace,
 )
 from .branch import build_predictor
-from .caches import build_hierarchy
 from .config import MachineConfig
-from .memory import FunctionalMemory, StackDistanceMemory
+from .memory import StackDistanceMemory
 from .pipeline import PipelineOutcome
 from .results import ActivityCounts
-
-_LEVEL_CODES = {"l1": 0, "l2": 1, "mem": 2}
 
 
 class _TraceView:
     """Config-independent precomputation, built once per trace.
 
     Everything here depends only on the trace columns: python-scalar
-    copies of the hot columns, the program-order access streams consumed
-    by the memory models, per-load next-line-sequential flags, and the
-    activity counts that are identical for every config.
+    copies of the hot columns, the program-order reuse-distance streams
+    consumed by the stack-distance model, per-load next-line-sequential
+    flags, and the activity counts that are identical for every config.
     """
 
     __slots__ = (
         "n", "ops", "src1", "src2", "max_dep", "fetch_flags",
         "instr_reuse", "mem_reuse", "mem_is_load", "load_sequential",
-        "branch_sites", "branch_takens",
-        "access_is_data", "access_blocks",
-        "warm_data_blocks", "warm_instr_blocks",
-        "base_counts",
+        "branch_sites", "branch_takens", "base_counts",
     )
 
     def __init__(self, trace: Trace):
@@ -115,27 +109,6 @@ class _TraceView:
         self.branch_sites = trace.branch_site[branch_mask].tolist()
         self.branch_takens = trace.taken[branch_mask].tolist()
 
-        # Interleaved program-order access sequence for the stateful
-        # functional hierarchy: within one instruction, the fetch access
-        # precedes the data access, matching the scalar loop's order.
-        f_pos = np.flatnonzero(fetch_mask) * 2
-        d_pos = np.flatnonzero(is_mem_op) * 2 + 1
-        order = np.argsort(np.concatenate([f_pos, d_pos]), kind="stable")
-        self.access_is_data = np.concatenate(
-            [np.zeros(f_pos.size, dtype=bool), np.ones(d_pos.size, dtype=bool)]
-        )[order].tolist()
-        self.access_blocks = np.concatenate(
-            [
-                trace.iblock[fetch_mask].astype(np.int64),
-                trace.mem_block[is_mem_op].astype(np.int64),
-            ]
-        )[order].tolist()
-
-        # Warm-up replay streams (Simulator._warm_structures order: the
-        # full data stream first, then the full instruction stream).
-        self.warm_data_blocks = trace.mem_block[block_mask].tolist()
-        self.warm_instr_blocks = trace.iblock[fetch_mask].tolist()
-
         # Activity counts that depend only on the trace.
         reads = (trace.src1 != 0).astype(np.int64) + (trace.src2 != 0)
         fp_mask = (op == OP_FP) | (op == OP_FP_DIV)
@@ -162,15 +135,15 @@ def _trace_view(trace: Trace) -> _TraceView:
 
 
 def _mispredict_stream(
-    trace: Trace, view: _TraceView, name: str, entries: int, warm: bool
+    trace: Trace, view: _TraceView, name: str, entries: int
 ) -> np.ndarray:
     """Per-branch mispredict outcomes for one predictor geometry.
 
     The scalar pipeline updates the predictor for every branch in program
     order regardless of timing, so one replay of the branch stream fixes
     the outcome of every branch for every config sharing the predictor.
-    ``warm`` replays the stream once beforehand (the warming pass resets
-    only the stats, never the tables, so outcomes shift accordingly).
+    The stream is replayed once beforehand, as the simulator's warming
+    pass does (it resets only the stats, never the tables).
     """
 
     def build() -> np.ndarray:
@@ -178,15 +151,14 @@ def _mispredict_stream(
         predict_and_update = predictor.predict_and_update
         sites = view.branch_sites
         takens = view.branch_takens
-        if warm:
-            for site, taken in zip(sites, takens):
-                predict_and_update(site, taken)
+        for site, taken in zip(sites, takens):
+            predict_and_update(site, taken)
         return np.array(
             [not predict_and_update(s, t) for s, t in zip(sites, takens)],
             dtype=bool,
         )
 
-    return trace.derived(("batch", "mispredict", name, entries, warm), build)
+    return trace.derived(("batch", "mispredict", name, entries), build)
 
 
 def _stack_levels(
@@ -231,91 +203,6 @@ def _stack_levels(
         "l2_accesses": dl1_misses + il1_misses,
         "l2_misses": data_mem + instr_mem,
         "memory_accesses": data_mem + instr_mem,
-    }
-    return data_levels, instr_levels, counters
-
-
-def _functional_replay(
-    view: _TraceView,
-    geometry: tuple,
-    warm: bool,
-    cache: Optional[Dict[tuple, tuple]],
-) -> Tuple[np.ndarray, np.ndarray, Dict[str, int]]:
-    """Replay the interleaved access stream through one concrete hierarchy.
-
-    The unified L2 couples the instruction and data streams, so the
-    stateful hierarchy is replayed once per distinct cache geometry in the
-    block (``cache`` shares replays across sub-blocks of one call).
-    """
-    if cache is not None and geometry in cache:
-        return cache[geometry]
-    il1_kb, il1_assoc, dl1_kb, dl1_assoc, l2_mb, l2_assoc = geometry
-    hierarchy = build_hierarchy(
-        il1_kb,
-        dl1_kb,
-        l2_mb,
-        il1_assoc=il1_assoc,
-        dl1_assoc=dl1_assoc,
-        l2_assoc=l2_assoc,
-    )
-    if warm:
-        data_access = hierarchy.data_access
-        for block in view.warm_data_blocks:
-            data_access(block)
-        instruction_access = hierarchy.instruction_access
-        for block in view.warm_instr_blocks:
-            instruction_access(block)
-        hierarchy.il1.stats.reset()
-        hierarchy.dl1.stats.reset()
-        hierarchy.l2.stats.reset()
-        hierarchy.memory_accesses = 0
-    data_codes: List[int] = []
-    instr_codes: List[int] = []
-    data_access = hierarchy.data_access
-    instruction_access = hierarchy.instruction_access
-    for is_data, block in zip(view.access_is_data, view.access_blocks):
-        if is_data:
-            data_codes.append(_LEVEL_CODES[data_access(block)])
-        else:
-            instr_codes.append(_LEVEL_CODES[instruction_access(block)])
-    counts = FunctionalMemory(hierarchy).counts()
-    result = (
-        np.array(data_codes, dtype=np.int8),
-        np.array(instr_codes, dtype=np.int8),
-        counts,
-    )
-    if cache is not None:
-        cache[geometry] = result
-    return result
-
-
-def _functional_levels(
-    view: _TraceView,
-    configs: Sequence[MachineConfig],
-    warm: bool,
-    cache: Optional[Dict[tuple, tuple]],
-) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
-    """Per-config level streams + counters under the functional model."""
-    geometries = [
-        (
-            config.il1_kb,
-            config.il1_assoc,
-            config.dl1_kb,
-            config.dl1_assoc,
-            config.l2_mb,
-            config.l2_assoc,
-        )
-        for config in configs
-    ]
-    replays = {
-        geometry: _functional_replay(view, geometry, warm, cache)
-        for geometry in dict.fromkeys(geometries)
-    }
-    data_levels = np.stack([replays[g][0] for g in geometries])
-    instr_levels = np.stack([replays[g][1] for g in geometries])
-    counters = {
-        key: np.array([replays[g][2][key] for g in geometries], dtype=np.int64)
-        for key in replays[geometries[0]][2]
     }
     return data_levels, instr_levels, counters
 
@@ -403,40 +290,24 @@ class _MaskedWindow:
 
 
 def run_pipeline_batch(
-    trace: Trace,
-    configs: Sequence[MachineConfig],
-    memory_mode: str = "stack",
-    warm: bool = True,
-    _functional_cache: Optional[Dict[tuple, tuple]] = None,
+    trace: Trace, configs: Sequence[MachineConfig]
 ) -> List[PipelineOutcome]:
     """Schedule ``trace`` on every config at once; one outcome per config.
 
     Bit-identical to calling the scalar
     :func:`~repro.simulator.pipeline.run_pipeline` per config with the
-    matching memory model and a warmed/unwarmed predictor — the hard
-    equivalence contract of the batch kernel.  ``memory_mode`` and
-    ``warm`` mirror the :class:`~repro.simulator.simulator.Simulator`
-    settings; ``_functional_cache`` optionally shares functional-hierarchy
-    replays across consecutive blocks of one caller.
+    stack-distance memory model and a predictor warmed as
+    :class:`~repro.simulator.simulator.Simulator` warms it — the hard
+    equivalence contract of the batch kernel.
     """
     configs = list(configs)
     if not configs:
         return []
-    if memory_mode not in ("stack", "functional"):
-        raise ValueError(
-            f"unknown memory mode {memory_mode!r}; choices are "
-            "('stack', 'functional')"
-        )
     view = _trace_view(trace)
     batch = len(configs)
 
     # ---- per-block precompute (timing-independent) -----------------------
-    if memory_mode == "stack":
-        data_levels, instr_levels, mem_counters = _stack_levels(view, configs)
-    else:
-        data_levels, instr_levels, mem_counters = _functional_levels(
-            view, configs, warm, _functional_cache
-        )
+    data_levels, instr_levels, mem_counters = _stack_levels(view, configs)
 
     def int_column(get) -> np.ndarray:
         return np.array([get(config) for config in configs], dtype=np.int64)
@@ -473,13 +344,13 @@ def run_pipeline_batch(
     predictor_keys = [(c.predictor, c.predictor_entries) for c in configs]
     uniform_predictor = len(set(predictor_keys)) == 1
     if uniform_predictor:
-        stream = _mispredict_stream(trace, view, *predictor_keys[0], warm)
+        stream = _mispredict_stream(trace, view, *predictor_keys[0])
         mispredict_rows = stream.tolist()
         mispredict_totals = np.full(batch, int(stream.sum()), dtype=np.int64)
     else:
         matrix = np.stack(
             [
-                _mispredict_stream(trace, view, name, entries, warm)
+                _mispredict_stream(trace, view, name, entries)
                 for name, entries in predictor_keys
             ],
             axis=1,

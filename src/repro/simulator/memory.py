@@ -1,31 +1,24 @@
-"""Memory hierarchy models consumed by the timing pipeline.
+"""Memory hierarchy model consumed by the timing pipeline.
 
-Two interchangeable implementations of one interface:
+:class:`StackDistanceMemory` classifies each access by its LRU reuse
+distance against the effective capacity of each level, via the inclusion
+(stack) property of LRU: an access with distance ``d`` hits in any LRU
+cache holding more than ``d`` blocks.  Set-associativity costs a conflict
+factor (:func:`associativity_factor`, Smith's rule of thumb: ``a`` ways
+remove about ``2^-a`` of fully-associative hits), which is how the
+extended space's ``dl1_assoc`` reaches the timing model.  This gives
+*steady-state* cache behaviour even for short traces — the role the
+paper's sampled, validated traces [11] play — and guarantees miss-rate
+monotonicity in capacity, which the design-space studies rely on.
 
-- :class:`StackDistanceMemory` (default) — classifies each access by its
-  LRU reuse distance against the effective capacity of each level, via the
-  inclusion (stack) property of LRU: an access with distance ``d`` hits in
-  any LRU cache holding more than ``d`` blocks.  Set-associativity costs a
-  conflict factor (Smith's rule of thumb: a ways remove about
-  ``2^-a`` of fully-associative hits).  This gives *steady-state* cache
-  behaviour even for short traces — the role the paper's sampled,
-  validated traces [11] play — and guarantees miss-rate monotonicity in
-  capacity, which the design-space studies rely on.
-
-- :class:`FunctionalMemory` — drives the real set-associative LRU
-  :class:`~repro.simulator.caches.CacheHierarchy` with concrete block ids.
-  Exact, stateful and subject to cold-start; used for validation,
-  associativity experiments and tests.
-
-Both return the level that services each access ("l1" / "l2" / "mem") and
-keep identical counters.
+The model is stateless apart from its counters: it returns the level that
+services each access ("l1" / "l2" / "mem") and counts the traffic.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from .caches import CacheHierarchy
 from .config import MachineConfig
 
 #: Fraction of the unified L2 effectively available to the data stream.
@@ -95,31 +88,6 @@ class StackDistanceMemory:
 
     def counts(self) -> Dict[str, int]:
         return dict(self._counts)
-
-
-class FunctionalMemory:
-    """Concrete set-associative hierarchy driven by block ids."""
-
-    def __init__(self, hierarchy: CacheHierarchy):
-        self.hierarchy = hierarchy
-
-    def data_access(self, block: int, reuse: int) -> str:
-        return self.hierarchy.data_access(block)
-
-    def instr_access(self, block: int, reuse: int) -> str:
-        return self.hierarchy.instruction_access(block)
-
-    def counts(self) -> Dict[str, int]:
-        stats = self.hierarchy.stats()
-        return {
-            "il1_accesses": stats.il1.accesses,
-            "il1_misses": stats.il1.misses,
-            "dl1_accesses": stats.dl1.accesses,
-            "dl1_misses": stats.dl1.misses,
-            "l2_accesses": stats.l2.accesses,
-            "l2_misses": stats.l2.misses,
-            "memory_accesses": stats.memory_accesses,
-        }
 
 
 def _new_counts() -> Dict[str, int]:

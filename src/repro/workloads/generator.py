@@ -15,10 +15,10 @@ The generator models:
 - **data locality** — every memory access carries an LRU stack distance
   drawn from the profile's reuse strata (the benchmark's cacheability
   signature, consumed by the stack-distance memory model) *and* a concrete
-  block id from a Zipf-popularity walk (consumed by the functional cache
-  model);
+  block id from a Zipf-popularity walk (its sequential runs drive the
+  next-line prefetcher);
 - **instruction locality** — fetch-block boundary events with their own
-  reuse distances, plus a loop-walk block stream for the functional model;
+  reuse distances, plus a loop-walk block id stream;
 - **branch behaviour** — static sites whose outcomes follow a Markov
   persistence process: a biased site repeats its previous outcome with
   probability ``branch_bias`` (so a 1-bit BHT achieves exactly that
@@ -175,8 +175,8 @@ class TraceGenerator:
             rng, profile.data_reuse_strata, count
         )
 
-        # Concrete block ids for the functional cache model: Zipf popularity
-        # with geometric sequential runs.
+        # Concrete block ids: Zipf popularity with geometric sequential
+        # runs (the next-line prefetcher's input).
         footprint = profile.data_footprint_blocks
         cdf = _zipf_cdf(footprint, profile.data_zipf)
         uniforms = rng.random(count)
@@ -215,7 +215,7 @@ class TraceGenerator:
             rng, profile.instr_reuse_strata, events.size
         )
 
-        # Concrete instruction blocks (functional model): loop walk.
+        # Concrete instruction blocks: loop walk.
         footprint = profile.instr_footprint_blocks
         n_blocks = (length + INSTRUCTIONS_PER_BLOCK - 1) // INSTRUCTIONS_PER_BLOCK
         starts = rng.integers(0, footprint, size=n_blocks + 1)

@@ -70,7 +70,7 @@ class Trace:
       ``d > 0`` means "depends on the instruction ``d`` earlier").
     - ``mem_block``: int64 data block id touched by loads/stores (-1 for
       non-memory ops).  A block models 128 bytes.  Consumed by the
-      *functional* memory model.
+      next-line prefetcher and by trace characterization.
     - ``data_reuse``: int64 LRU stack distance (in blocks) of the data
       access (:data:`NO_DATA` for non-memory ops, :data:`COLD_DISTANCE`
       for first touches).  Consumed by the default *stack-distance* memory

@@ -14,7 +14,8 @@ from repro.harness import (
     save_campaign,
 )
 from repro.harness.artifacts import CACHE_VERSION, _campaign_key, cache_dir
-from repro.designspace import sampling_space
+from repro.harness.campaign import _campaign_fingerprint
+from repro.designspace import exploration_space, sampling_space
 from repro.simulator import Simulator
 
 
@@ -66,27 +67,48 @@ class TestRoundTrip:
 class TestKeying:
     def test_key_stable(self, tiny_scale):
         space = sampling_space()
-        a = _campaign_key(tiny_scale, space, ("gzip",), "stack")
-        b = _campaign_key(tiny_scale, space, ("gzip",), "stack")
+        a = _campaign_key(tiny_scale, space, ("gzip",))
+        b = _campaign_key(tiny_scale, space, ("gzip",))
         assert a == b
 
     def test_key_changes_with_scale(self, tiny_scale):
         space = sampling_space()
         other = tiny_scale.with_overrides(n_train=13)
-        assert _campaign_key(tiny_scale, space, ("gzip",), "stack") != _campaign_key(
-            other, space, ("gzip",), "stack"
+        assert _campaign_key(tiny_scale, space, ("gzip",)) != _campaign_key(
+            other, space, ("gzip",)
         )
 
     def test_key_changes_with_benchmarks(self, tiny_scale):
         space = sampling_space()
-        assert _campaign_key(tiny_scale, space, ("gzip",), "stack") != _campaign_key(
-            tiny_scale, space, ("gzip", "mcf"), "stack"
+        assert _campaign_key(tiny_scale, space, ("gzip",)) != _campaign_key(
+            tiny_scale, space, ("gzip", "mcf")
         )
 
-    def test_key_changes_with_memory_mode(self, tiny_scale):
-        space = sampling_space()
-        assert _campaign_key(tiny_scale, space, ("gzip",), "stack") != _campaign_key(
-            tiny_scale, space, ("gzip",), "functional"
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param({"trace_length": 601}, id="trace_length"),
+            pytest.param({"n_train": 13}, id="n_train"),
+            pytest.param({"n_validation": 5}, id="n_validation"),
+            pytest.param({"seed": 8}, id="seed"),
+            pytest.param({"space": exploration_space()}, id="space"),
+            pytest.param({"benchmarks": ("gzip", "mcf")}, id="benchmark-added"),
+            pytest.param({"benchmarks": ("mcf",)}, id="benchmark-swapped"),
+        ],
+    )
+    def test_description_change_moves_key_and_fingerprint(
+        self, tiny_scale, change
+    ):
+        """The artifact key and the journal fingerprint digest one campaign
+        description: any change to it moves both."""
+        change = dict(change)
+        space = change.pop("space", sampling_space())
+        names = change.pop("benchmarks", ("gzip",))
+        base = (tiny_scale, sampling_space(), ("gzip",))
+        other = (tiny_scale.with_overrides(**change), space, names)
+        assert _campaign_key(*base) != _campaign_key(*other)
+        assert _campaign_fingerprint(*base, [16]) != _campaign_fingerprint(
+            *other, [16]
         )
 
 

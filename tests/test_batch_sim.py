@@ -3,10 +3,10 @@
 The batch kernel's contract is *exact* equivalence with the scalar
 pipeline — identical cycles, identical ActivityCounts field by field,
 identical watts — not agreement within tolerance.  The property test
-drives randomized configs, trace lengths, memory modes, warming, and
-prefetch through both paths; the window tests pin the kernel's
-occupancy-window state against the scalar resource classes; the campaign
-tests check the contract survives chunking, journaling, and resume.
+drives randomized configs, trace lengths, benchmarks and prefetch through
+both paths; the window tests pin the kernel's occupancy-window state
+against the scalar resource classes; the campaign tests check the
+contract survives chunking, journaling, and resume.
 """
 
 import numpy as np
@@ -22,6 +22,7 @@ from repro.simulator import Simulator
 from repro.simulator.batch import _LockstepWindow, _MaskedWindow
 from repro.simulator.resources import OccupancyWindow, ThroughputLimiter
 from repro.workloads import BENCHMARK_NAMES, get_profile
+from repro.workloads.sampling import systematic_sample
 
 SPACE = sampling_space()
 # Adds in-order issue and dl1 associativity, both of which reach the
@@ -46,23 +47,20 @@ class TestEquivalenceProperty:
         seed=st.integers(min_value=0, max_value=2**16),
         n_points=st.integers(min_value=1, max_value=6),
         trace_length=st.integers(min_value=150, max_value=600),
-        memory_mode=st.sampled_from(["stack", "functional"]),
-        warm=st.booleans(),
         prefetch=st.booleans(),
         benchmark=st.sampled_from(("gzip", "mesa", "mcf")),
     )
     # A block that mixes in-order and out-of-order issue and three dl1
-    # associativities, replayed through the functional hierarchy.
+    # associativities under the stack-distance model.
     @example(
         space="extended", seed=3, n_points=6, trace_length=400,
-        memory_mode="functional", warm=True, prefetch=False, benchmark="mcf",
+        prefetch=False, benchmark="mcf",
     )
     def test_batch_matches_scalar(
-        self, space, seed, n_points, trace_length, memory_mode, warm,
-        prefetch, benchmark,
+        self, space, seed, n_points, trace_length, prefetch, benchmark
     ):
         space = SPACES[space]
-        simulator = Simulator(memory_mode=memory_mode, warm=warm)
+        simulator = Simulator()
         trace = simulator.trace_for(
             get_profile(benchmark), trace_length, seed=seed % 3
         )
@@ -195,16 +193,6 @@ class TestBatchAPI:
         with pytest.raises(ValueError, match="batch_size"):
             simulator.simulate_batch(SPACE, points, trace, batch_size=0)
 
-    def test_on_block_reports_cumulative_points(self):
-        simulator = Simulator()
-        trace = simulator.trace_for(get_profile("gzip"), 300, seed=4)
-        points = sample_uar(SPACE, 5, seed=5)
-        seen = []
-        simulator.simulate_batch(
-            SPACE, points, trace, batch_size=2, on_block=seen.append
-        )
-        assert seen == [2, 4, 5]
-
     def test_batch_metrics_are_reported(self):
         with isolated_registry() as registry:
             simulator = Simulator()
@@ -247,20 +235,27 @@ class TestTraceCacheLRU:
         assert ("gzip", 200, 0) in keys
         assert ("gzip", 200, 1) not in keys
 
-    def test_branch_cache_is_bounded_by_trace_cache(self):
-        simulator = Simulator(trace_cache_size=2)
-        reference = Simulator()
+    def test_sampled_trace_gets_its_own_branch_stream(self):
+        """A sampled trace can share (name, length, seed) with a trace the
+        cache holds; its warming stream must come from its own columns."""
+        simulator = Simulator()
         profile = get_profile("gzip")
         point = sample_uar(SPACE, 1, seed=8)[0]
-        for seed in range(simulator.trace_cache_size + 2):
-            trace = simulator.trace_for(profile, 200, seed=seed)
-            got = simulator.simulate_point(SPACE, point, trace)
-            want = reference.simulate_point(
-                SPACE, point, reference.trace_for(profile, 200, seed=seed)
-            )
-            assert_identical([got], [want])
-            assert len(simulator._branch_cache) <= simulator.trace_cache_size
-        assert set(simulator._branch_cache) == set(simulator._trace_cache)
+        cached = simulator.trace_for(profile, 200, seed=0)
+        simulator.simulate_point(SPACE, point, cached)
+        sampled = systematic_sample(
+            simulator.trace_for(profile, 800, seed=0), 4, 50
+        )
+        assert (sampled.name, len(sampled), sampled.metadata["seed"]) == (
+            cached.name, len(cached), cached.metadata["seed"]
+        )
+        assert not np.array_equal(sampled.branch_site, cached.branch_site)
+        got = simulator.simulate_point(SPACE, point, sampled)
+        want = Simulator().simulate_point(SPACE, point, sampled)
+        assert_identical([got], [want])
+        # each trace object memoizes the stream of its own columns
+        key = ("simulator", "branch_stream")
+        assert sampled.derived(key, list) != cached.derived(key, list)
 
     def test_evicted_trace_regenerates_identically(self):
         simulator = Simulator(trace_cache_size=1)

@@ -159,51 +159,3 @@ class TestModelFitting:
                 assert np.array_equal(
                     serial_metrics["watts"], parallel_metrics["watts"]
                 )
-
-    def test_progress_callback(self):
-        """The serial path advances per completed batch-kernel block, with
-        cumulative per-split counts ending at each split's size; with
-        blocks of 3 over 5 + 2 points, one block straddles the splits."""
-        scale = get_scale("ci").with_overrides(
-            name="tiny", trace_length=500, n_train=5, n_validation=2
-        )
-        calls = []
-        run_campaign(
-            Simulator(),
-            scale=scale,
-            benchmarks=["gzip"],
-            progress=lambda *args: calls.append(args),
-            batch_size=3,
-        )
-        assert calls == [
-            ("gzip", "train", 3, 5),
-            ("gzip", "train", 5, 5),
-            ("gzip", "validation", 1, 2),
-            ("gzip", "validation", 2, 2),
-        ]
-
-    def test_parallel_progress_callback(self):
-        """The parallel path fires the same (benchmark, split, done, total)
-        stream as the serial path, advancing per completed chunk."""
-        scale = get_scale("ci").with_overrides(
-            name="tiny-par", trace_length=500, n_train=6, n_validation=3
-        )
-        calls = []
-        run_campaign(
-            Simulator(),
-            scale=scale,
-            benchmarks=["gzip"],
-            progress=lambda *args: calls.append(args),
-            workers=2,
-        )
-        assert calls, "parallel run_campaign dropped progress callbacks"
-        per_split = {}
-        for benchmark, split, done, total in calls:
-            assert benchmark == "gzip"
-            assert split in ("train", "validation")
-            previous = per_split.get(split, 0)
-            assert done > previous  # cumulative and increasing
-            per_split[split] = done
-            assert total == (6 if split == "train" else 3)
-        assert per_split["train"] == 6
-        assert per_split["validation"] == 3

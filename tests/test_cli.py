@@ -118,7 +118,6 @@ class TestResumeFingerprintMismatch:
         from repro.harness.artifacts import _campaign_key
         from repro.harness.resilience import Journal
         from repro.designspace import sampling_space
-        from repro.simulator import Simulator
         from repro.workloads import BENCHMARK_NAMES
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -128,10 +127,7 @@ class TestResumeFingerprintMismatch:
         )
         # Plant a journal bound to a different fingerprint exactly where
         # cached_campaign will look for it.
-        key = _campaign_key(
-            test_scale, sampling_space(), BENCHMARK_NAMES,
-            Simulator().memory_mode,
-        )
+        key = _campaign_key(test_scale, sampling_space(), BENCHMARK_NAMES)
         journal_path = (
             tmp_path / f"campaign-{test_scale.name}-{key}.journal.jsonl"
         )

@@ -1,14 +1,12 @@
-"""Tests for the stack-distance and functional memory models."""
+"""Tests for the stack-distance memory model."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simulator import (
-    FunctionalMemory,
     StackDistanceMemory,
     associativity_factor,
     baseline_config,
-    build_hierarchy,
 )
 
 
@@ -82,28 +80,3 @@ class TestStackDistanceMemory:
         short, long = sorted((a, b))
         order = {"l1": 0, "l2": 1, "mem": 2}
         assert order[memory.data_access(0, short)] <= order[memory.data_access(0, long)]
-
-
-class TestFunctionalMemory:
-    def test_wraps_hierarchy(self):
-        memory = FunctionalMemory(build_hierarchy(16, 8, 0.25))
-        assert memory.data_access(1, reuse=0) == "mem"
-        assert memory.data_access(1, reuse=0) == "l1"
-
-    def test_ignores_reuse_argument(self):
-        memory = FunctionalMemory(build_hierarchy(16, 8, 0.25))
-        memory.data_access(1, reuse=1 << 40)
-        assert memory.data_access(1, reuse=1 << 40) == "l1"
-
-    def test_counts_shape_matches_stack_model(self):
-        functional = FunctionalMemory(build_hierarchy(16, 8, 0.25))
-        stack = StackDistanceMemory(baseline_config())
-        functional.data_access(1, 0)
-        stack.data_access(1, 0)
-        assert set(functional.counts()) == set(stack.counts())
-
-    def test_instruction_side(self):
-        memory = FunctionalMemory(build_hierarchy(16, 8, 0.25))
-        assert memory.instr_access(3, reuse=0) == "mem"
-        assert memory.instr_access(3, reuse=0) == "l1"
-        assert memory.counts()["il1_accesses"] == 2

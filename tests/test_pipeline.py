@@ -241,7 +241,7 @@ class TestPrefetcher:
 
 
 class TestMemoryInjection:
-    def test_custom_memory_model_used(self, mcf_trace):
+    def test_injected_memory_is_used(self, mcf_trace):
         config = baseline_config()
 
         class AlwaysMiss(StackDistanceMemory):
@@ -263,23 +263,8 @@ class TestSimulatorFacade:
         assert result.bips > 0
         assert result.power_breakdown
 
-    def test_memory_mode_functional(self, gzip_trace):
-        result = Simulator(memory_mode="functional").simulate(
-            gzip_trace, baseline_config()
-        )
-        assert result.bips > 0
-
-    def test_unknown_memory_mode(self):
-        with pytest.raises(ValueError):
-            Simulator(memory_mode="magic")
-
     def test_trace_memoization(self):
         simulator = Simulator()
         a = simulator.trace_for(get_profile("gzip"), 500, seed=1)
         b = simulator.trace_for(get_profile("gzip"), 500, seed=1)
         assert a is b
-
-    def test_warm_reduces_mispredicts(self, gzip_trace):
-        cold = Simulator(warm=False).simulate(gzip_trace, baseline_config())
-        warm = Simulator(warm=True).simulate(gzip_trace, baseline_config())
-        assert warm.counts.mispredicts <= cold.counts.mispredicts

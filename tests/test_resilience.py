@@ -590,8 +590,6 @@ class TestCampaignResilience:
             resilience_scale,
             sampling_space(),
             CAMPAIGN_BENCHMARKS,
-            simulator.memory_mode,
-            simulator.warm,
             [1] * (n_points * len(CAMPAIGN_BENCHMARKS)),
         )
         journal_path = tmp_path / "campaign.journal.jsonl"
