@@ -6,8 +6,9 @@ Exercises the fault-tolerant execution layer end-to-end:
 2. rerun in parallel with injected worker exceptions on two chunks and
    assert bitwise-identical bips/watts arrays;
 3. kill a worker mid-campaign (a real ``os._exit`` in the child) so the
-   run aborts, then resume from the on-disk journal and again assert
-   bitwise-identical results.
+   cached run aborts with the finished benchmarks already on disk, then
+   rerun it: only the missing benchmark is simulated, and the results
+   are again bitwise-identical.
 
 Run:  python examples/resilience_smoke.py
 
@@ -15,6 +16,7 @@ Exits non-zero if any recovered run diverges from its clean reference —
 CI uses this as the resilience acceptance gate.
 """
 
+import os
 import tempfile
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from repro.harness import (
     FaultPlan,
     ResilienceConfig,
     RetryPolicy,
+    cached_campaign,
     get_scale,
     run_campaign,
 )
@@ -78,19 +81,20 @@ def main() -> None:
         raise SystemExit("FAIL: expected exactly 2 retried chunks")
     assert_campaigns_equal(reference, faulty, benchmarks, "transient faults")
 
-    # -- kill a worker mid-run, then resume from the journal -----------------
-    print("Fault injection: worker killed mid-campaign, resume from journal")
+    # -- kill a worker mid-run, then rerun from the cached benchmarks ---------
+    print("Fault injection: worker killed mid-campaign, rerun from the cache")
     with tempfile.TemporaryDirectory() as tmp:
-        journal = Path(tmp) / "campaign.journal.jsonl"
+        os.environ["REPRO_CACHE_DIR"] = tmp
         try:
-            run_campaign(
+            cached_campaign(
                 Simulator(),
                 scale=scale,
                 benchmarks=benchmarks,
                 workers=2,
+                # Two attempts: a chunk in flight when the pool dies still
+                # finishes in-process after the run degrades to serial.
                 resilience=ResilienceConfig(
-                    policy=RetryPolicy(max_attempts=1, max_pool_restarts=0),
-                    journal_path=journal,
+                    policy=RetryPolicy(max_attempts=2, max_pool_restarts=0),
                     faults=FaultPlan(
                         [Fault(chunk=2, kind="kill", attempts=())]
                     ),
@@ -99,20 +103,17 @@ def main() -> None:
             raise SystemExit("FAIL: killed campaign unexpectedly completed")
         except ChunkFailure as failure:
             print(f"  aborted as expected: {failure.report.summary()}")
-        if not journal.exists():
-            raise SystemExit("FAIL: no journal left behind by aborted run")
+        for bench in benchmarks[:2]:
+            if not list(Path(tmp).glob(f"campaign-*-{bench}-*.json")):
+                raise SystemExit(f"FAIL: finished benchmark {bench} not cached")
 
-        resumed = run_campaign(
-            Simulator(),
-            scale=scale,
-            benchmarks=benchmarks,
-            workers=2,
-            resilience=ResilienceConfig(journal_path=journal, resume=True),
+        resumed = cached_campaign(
+            Simulator(), scale=scale, benchmarks=benchmarks, workers=2
         )
         print(f"  execution: {resumed.run_report.summary()}")
-        if resumed.run_report.resumed == 0:
-            raise SystemExit("FAIL: resume restored nothing from the journal")
-    assert_campaigns_equal(reference, resumed, benchmarks, "kill + resume")
+        if resumed.run_report.total_chunks != 1:
+            raise SystemExit("FAIL: rerun did not simulate only the killed chunk")
+    assert_campaigns_equal(reference, resumed, benchmarks, "kill + rerun")
 
     print()
     print("resilience smoke passed: all recovery paths bitwise-identical")

@@ -4,16 +4,16 @@
 regenerates one (or ``all``); ``repro info`` prints the environment.
 Scale is chosen with ``--scale`` or the ``REPRO_SCALE`` env var.
 
-``repro run`` and ``repro sweep`` accept ``--workers``, ``--resume``,
-``--retries``, and ``--chunk-timeout`` for the campaign they may build:
-these route the simulation campaign through the resilient executor
-(:mod:`repro.harness.resilience`), which runs one chunk per benchmark
-serially or over a process pool, retries transient worker failures, and
-journals completed chunks so an interrupted invocation picks up where
-it stopped.  The sweep itself always runs in-process.  Expected
-operational errors (bad artifacts, unknown scales, malformed sweeps,
-failed chunks, resume-fingerprint mismatches) print one line to stderr
-and exit with code 2 instead of a traceback.
+``repro run`` and ``repro sweep`` accept ``--workers``, ``--retries``,
+and ``--chunk-timeout`` for the campaign they may build.  The campaign
+runs through the resilient executor (:mod:`repro.harness.resilience`),
+one chunk per benchmark, serially or over a process pool, retrying
+transient worker failures.  Each finished benchmark is cached on disk at
+once, so a rerun of an interrupted invocation simulates only the
+benchmarks still missing.  The sweep itself always runs in-process.
+Expected operational errors (bad artifacts, unknown scales, malformed
+sweeps, failed chunks) print one line to stderr and exit with code 2
+instead of a traceback.
 
 Observability (:mod:`repro.obs`): ``--trace PATH`` on ``run``/``sweep``
 records a span/event trace readable with ``repro trace summary|tree``;
@@ -77,11 +77,7 @@ def _configure_logging(verbose: int, quiet: bool) -> None:
 
 
 def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared --resume/--retries/--chunk-timeout flag group."""
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="journal completed chunks and resume an interrupted run",
-    )
+    """The shared --retries/--chunk-timeout flag group."""
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
         help="max attempts per chunk for transient failures (default 3)",
@@ -157,13 +153,13 @@ def _resilience_from_args(
     args: argparse.Namespace,
 ) -> Optional[ResilienceConfig]:
     """A ResilienceConfig when any resilience flag was given, else None."""
-    if not args.resume and args.retries is None and args.chunk_timeout is None:
+    if args.retries is None and args.chunk_timeout is None:
         return None
     policy = RetryPolicy(
         max_attempts=args.retries if args.retries is not None else 3,
         chunk_timeout=args.chunk_timeout,
     )
-    return ResilienceConfig(policy=policy, resume=args.resume)
+    return ResilienceConfig(policy=policy)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -646,7 +642,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except ChunkFailure as error:
         # A chunk failed permanently or exhausted its retries; show what
-        # completed (journaled chunks remain resumable) and the reason.
+        # completed (those benchmarks are cached, so a rerun skips them)
+        # and the reason.
         if error.report is not None:
             print(f"error: {error.report.summary()}", file=sys.stderr)
         print(f"error: {error}", file=sys.stderr)

@@ -1,10 +1,17 @@
-"""Artifact persistence: campaign caching.
+"""Artifact persistence: one cached file per campaign benchmark.
 
 Simulation campaigns are the expensive phase of every experiment, and the
-benchmarks for different figures share one campaign.  Campaigns are
-serialized to JSON keyed by a digest of everything that determines them
-(scale knobs, space shape, benchmark list, library version), so repeated
-bench/test invocations pay once.
+benchmarks for different figures share one campaign.  Each benchmark's
+result — its ``bips``/``watts`` columns over the campaign's sampled
+points, in sampling order — is one JSON file keyed by a digest of the
+campaign description with the benchmark list cut to that benchmark
+(scale knobs, space shape, benchmark, cache version).  The points
+themselves are not stored: the scale's seed redraws them.
+
+A file is written atomically as soon as its benchmark finishes, so an
+interrupted campaign keeps every finished benchmark, and a campaign over
+a subset or superset of the benchmarks reuses the files it shares with
+earlier runs.
 
 The cache directory defaults to ``.repro_cache`` under the current
 working directory; override via ``REPRO_CACHE_DIR``.  Delete the directory
@@ -13,30 +20,38 @@ to invalidate.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import logging
 import os
 import tempfile
-from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..designspace import DesignPoint, DesignSpace, sampling_space
+from ..designspace import DesignSpace
 from ..obs.metrics import get_registry
 from ..obs.tracing import get_tracer
 from ..simulator import Simulator
-from ..workloads import BENCHMARK_NAMES
-from .campaign import Campaign, _campaign_description, run_campaign
-from .dataset import Dataset
-from .resilience import ResilienceConfig, fingerprint_payload
-from .scale import ScalePreset, get_scale
+from .campaign import (
+    Campaign,
+    _assemble,
+    _campaign_description,
+    _new_campaign,
+    _simulate_benchmarks,
+)
+from .resilience import ResilienceConfig
+from .scale import ScalePreset
 
 logger = logging.getLogger(__name__)
 
 #: Bump to invalidate caches when simulator/workload semantics change.
-CACHE_VERSION = 5
+CACHE_VERSION = 6
+
+#: The metric columns each artifact holds, in (bips, watts) pair order.
+_COLUMNS = ("bips", "watts")
 
 
 class ArtifactError(RuntimeError):
@@ -48,42 +63,41 @@ def cache_dir() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
 
 
-def _campaign_key(
-    scale: ScalePreset, space: DesignSpace, benchmarks: Sequence[str]
-) -> str:
-    return fingerprint_payload(
+def _digest(payload: dict) -> str:
+    """Stable short digest of a JSON-representable description."""
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode("utf-8")
+    ).hexdigest()[:16]
+
+
+def _campaign_key(scale: ScalePreset, space: DesignSpace, benchmark: str) -> str:
+    """Digest of everything that determines one benchmark's results."""
+    return _digest(
         {
             "version": CACHE_VERSION,
-            **_campaign_description(scale, space, benchmarks),
+            **_campaign_description(scale, space, [benchmark]),
         }
     )
 
 
-def save_campaign(campaign: Campaign, path: Path) -> None:
-    """Serialize a campaign (points + metric columns) to JSON."""
+def _artifact_path(campaign: Campaign, benchmark: str) -> Path:
+    key = _campaign_key(campaign.scale, campaign.space, benchmark)
+    return cache_dir() / f"campaign-{campaign.scale.name}-{benchmark}-{key}.json"
+
+
+def save_campaign(campaign: Campaign, benchmark: str) -> None:
+    """Write one assembled benchmark of ``campaign`` to its cache file."""
+    path = _artifact_path(campaign, benchmark)
     with get_tracer().span("artifacts.save", path=str(path)):
-        _save_campaign(campaign, path)
+        train = campaign.dataset(benchmark, "train").metrics
+        validation = campaign.dataset(benchmark, "validation").metrics
+        payload = {"version": CACHE_VERSION, "benchmark": benchmark}
+        for name in _COLUMNS:
+            payload[name] = train[name].tolist() + validation[name].tolist()
+        _write_atomically(path, json.dumps(payload))
 
 
-def _save_campaign(campaign: Campaign, path: Path) -> None:
-    payload = {
-        "version": CACHE_VERSION,
-        "space": campaign.space.name,
-        "scale": campaign.scale.name,
-        "benchmarks": list(campaign.benchmarks),
-        "train_points": [list(p.values) for p in campaign.train_points],
-        "validation_points": [list(p.values) for p in campaign.validation_points],
-        "metrics": {
-            split: {
-                bench: {
-                    name: getattr(campaign, split)[bench].metrics[name].tolist()
-                    for name in ("bips", "watts")
-                }
-                for bench in campaign.benchmarks
-            }
-            for split in ("train", "validation")
-        },
-    }
+def _write_atomically(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     # Crash safety: stage in a unique temp file in the same directory,
     # fsync, then atomically rename — an interrupt at any instant leaves
@@ -93,7 +107,7 @@ def _save_campaign(campaign: Campaign, path: Path) -> None:
     )
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(json.dumps(payload))
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
@@ -105,17 +119,20 @@ def _save_campaign(campaign: Campaign, path: Path) -> None:
         raise
 
 
-def load_campaign(
-    path: Path, space: DesignSpace, scale: ScalePreset
-) -> Campaign:
-    """Deserialize a campaign; raises ArtifactError on any mismatch."""
+def load_campaign(campaign: Campaign, benchmark: str) -> None:
+    """Assemble one benchmark of ``campaign`` from its cache file.
+
+    Raises ArtifactError when the file is missing or unreadable, has
+    another cache version, names another benchmark, or does not hold
+    one numeric ``bips`` and ``watts`` value per sampled point.
+    """
+    path = _artifact_path(campaign, benchmark)
+    size = len(campaign.train_points) + len(campaign.validation_points)
     with get_tracer().span("artifacts.load", path=str(path)):
-        return _load_campaign(path, space, scale)
+        _assemble(campaign, benchmark, _read_pairs(path, benchmark, size))
 
 
-def _load_campaign(
-    path: Path, space: DesignSpace, scale: ScalePreset
-) -> Campaign:
+def _read_pairs(path: Path, benchmark: str, size: int) -> List[Tuple]:
     try:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as error:
@@ -129,72 +146,32 @@ def _load_campaign(
         raise ArtifactError(
             f"artifact version {payload.get('version')} != {CACHE_VERSION}"
         )
-
-    def fetch(table, key, where: str):
-        """Index into the payload; malformed shapes become ArtifactError."""
-        try:
-            return table[key]
-        except (KeyError, TypeError, IndexError) as error:
+    for key in ("benchmark",) + _COLUMNS:
+        if key not in payload:
             raise ArtifactError(
-                f"malformed campaign artifact {path}: missing or malformed "
-                f"key {key!r} in {where} ({type(error).__name__}: {error})"
-            ) from error
-
-    def rebuild(key) -> list:
-        raw_points = fetch(payload, key, "payload")
+                f"malformed campaign artifact {path}: missing key {key!r}"
+            )
+    if payload["benchmark"] != benchmark:
+        raise ArtifactError(
+            f"malformed campaign artifact {path}: holds benchmark "
+            f"{payload['benchmark']!r}, expected {benchmark!r}"
+        )
+    columns = []
+    for name in _COLUMNS:
         try:
-            return [
-                DesignPoint(space.names, tuple(values))
-                for values in raw_points
-            ]
+            column = np.asarray(payload[name], dtype=float)
         except (TypeError, ValueError) as error:
             raise ArtifactError(
-                f"malformed campaign artifact {path}: bad point data under "
-                f"{key!r}: {error}"
+                f"malformed campaign artifact {path}: non-numeric "
+                f"{name!r} column: {error}"
             ) from error
-
-    train_points = rebuild("train_points")
-    validation_points = rebuild("validation_points")
-    benchmarks = tuple(fetch(payload, "benchmarks", "payload"))
-    campaign = Campaign(
-        space=space,
-        scale=scale,
-        benchmarks=benchmarks,
-        train_points=train_points,
-        validation_points=validation_points,
-    )
-    all_metrics = fetch(payload, "metrics", "payload")
-    for split, points in (
-        ("train", train_points),
-        ("validation", validation_points),
-    ):
-        split_metrics = fetch(all_metrics, split, "'metrics'")
-        for bench in benchmarks:
-            metrics = fetch(split_metrics, bench, f"'metrics'/{split!r}")
-            columns = {}
-            for name in ("bips", "watts"):
-                raw = fetch(metrics, name, f"'metrics'/{split!r}/{bench!r}")
-                try:
-                    column = np.asarray(raw, dtype=float)
-                except (TypeError, ValueError) as error:
-                    raise ArtifactError(
-                        f"malformed campaign artifact {path}: non-numeric "
-                        f"{name!r} column for {bench!r}/{split}: {error}"
-                    ) from error
-                if column.ndim != 1 or len(column) != len(points):
-                    raise ArtifactError(
-                        f"malformed campaign artifact {path}: {name!r} column "
-                        f"for {bench!r}/{split} has shape {column.shape}, "
-                        f"expected ({len(points)},)"
-                    )
-                columns[name] = column
-            getattr(campaign, split)[bench] = Dataset(
-                benchmark=bench,
-                space=space,
-                points=points,
-                metrics=columns,
+        if column.ndim != 1 or len(column) != size:
+            raise ArtifactError(
+                f"malformed campaign artifact {path}: {name!r} column has "
+                f"shape {column.shape}, expected ({size},)"
             )
-    return campaign
+        columns.append(column)
+    return list(zip(*columns))
 
 
 def quarantine_artifact(path: Path, reason: str) -> Optional[Path]:
@@ -223,6 +200,23 @@ def quarantine_artifact(path: Path, reason: str) -> Optional[Path]:
     return target
 
 
+def _load_cached(campaign: Campaign, benchmark: str) -> bool:
+    """Assemble ``benchmark`` from its cache file if a valid one exists.
+
+    A file that fails to load is quarantined, so only its benchmark is
+    simulated again.
+    """
+    path = _artifact_path(campaign, benchmark)
+    if not path.exists():
+        return False
+    try:
+        load_campaign(campaign, benchmark)
+    except ArtifactError as error:
+        quarantine_artifact(path, str(error))
+        return False
+    return True
+
+
 def cached_campaign(
     simulator: Optional[Simulator] = None,
     scale: Optional[ScalePreset] = None,
@@ -233,47 +227,34 @@ def cached_campaign(
     resilience: Optional[ResilienceConfig] = None,
     batch_size: Optional[int] = None,
 ) -> Campaign:
-    """Load the matching cached campaign or run and cache a fresh one.
+    """Load each benchmark's cached artifact; simulate and cache the rest.
+
+    Benchmarks without a valid file (or all of them, with ``refresh``)
+    are simulated as in :func:`repro.harness.campaign.run_campaign`, and
+    each one's file is written as soon as its chunk completes — so
+    rerunning an interrupted campaign simulates only what is missing.
+    ``artifacts.cache.hits``/``.misses`` count benchmarks loaded and
+    simulated; ``run_report`` covers the simulated ones.
 
     ``batch_size`` tunes the batched timing kernel on every run; it
     never changes results, so it is absent from the cache key.
-
-    A cached file that fails to load (truncated, stale version, missing
-    keys) is quarantined to ``<name>.corrupt`` with a logged reason, then
-    regenerated.  When ``resilience`` asks for resume without naming a
-    journal, the journal lives next to the artifact
-    (``<name>.journal.jsonl``) so an interrupted regeneration continues
-    from completed chunks.
     """
-    simulator = simulator or Simulator()
-    scale = scale or get_scale()
-    space = space or sampling_space()
-    names = tuple(benchmarks or BENCHMARK_NAMES)
-    key = _campaign_key(scale, space, names)
-    path = cache_dir() / f"campaign-{scale.name}-{key}.json"
+    campaign = _new_campaign(scale, space, benchmarks)
     registry = get_registry()
-    if path.exists() and not refresh:
-        try:
-            campaign = load_campaign(path, space, scale)
-        except ArtifactError as error:
-            quarantine_artifact(path, str(error))
-        else:
+    missing = []
+    for benchmark in campaign.benchmarks:
+        if not refresh and _load_cached(campaign, benchmark):
             registry.increment("artifacts.cache.hits")
-            return campaign
-    registry.increment("artifacts.cache.misses")
-    if resilience is not None and resilience.journal_path is None:
-        journal_path = path.with_suffix(".journal.jsonl")
-        resilience = replace(resilience, journal_path=journal_path)
-        if refresh and journal_path.exists():
-            journal_path.unlink()
-    campaign = run_campaign(
-        simulator,
-        scale=scale,
-        space=space,
-        benchmarks=names,
-        workers=workers,
-        resilience=resilience,
-        batch_size=batch_size,
+        else:
+            registry.increment("artifacts.cache.misses")
+            missing.append(benchmark)
+    _simulate_benchmarks(
+        simulator or Simulator(),
+        campaign,
+        missing,
+        workers,
+        resilience,
+        batch_size,
+        on_benchmark=functools.partial(save_campaign, campaign),
     )
-    save_campaign(campaign, path)
     return campaign

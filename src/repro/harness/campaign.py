@@ -6,19 +6,20 @@ and validation datasets — the inputs to model fitting and Figure 1.
 
 The unit of work is one benchmark: every sampled design (train and
 validation together) replayed through the batched timing kernel on that
-benchmark's trace, one block by default.  The serial path runs the units
-in a loop; pass ``workers > 1`` to spread them over processes (each
-worker rebuilds its deterministic trace, so results are bit-identical to
-a serial run).  Parallel runs go through :mod:`repro.harness.resilience`,
-one chunk per benchmark: chunks are retried on transient failures,
-optionally journaled to disk for checkpoint/resume, and the run degrades
-to in-process execution when the worker pool breaks repeatedly.
+benchmark's trace, one block by default.  Every run goes through
+:func:`repro.harness.resilience.run_chunks`, one chunk per benchmark:
+in-process on the caller's simulator with ``workers == 1``, over a
+process pool otherwise (each worker rebuilds its deterministic trace, so
+results are bit-identical to an in-process run).  Chunks are retried on
+transient failures, and a pool run degrades to in-process execution
+when the pool breaks repeatedly.  :func:`repro.harness.artifacts.cached_campaign`
+persists each benchmark's result as its chunk completes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,10 +32,8 @@ from .dataset import Dataset
 from .resilience import (
     ChunkTask,
     CorruptResultError,
-    Journal,
     ResilienceConfig,
     RunReport,
-    fingerprint_payload,
     run_chunks,
 )
 from .scale import ScalePreset, get_scale
@@ -50,8 +49,10 @@ class Campaign:
     validation_points: List[DesignPoint]
     train: Dict[str, Dataset] = field(default_factory=dict)
     validation: Dict[str, Dataset] = field(default_factory=dict)
-    #: Execution accounting when the run went through the resilient
-    #: executor (retries, resumes, degradation); None on the serial path.
+    #: Execution accounting (chunks, retries, degradation, metrics) of
+    #: the benchmarks simulated by the run that built this campaign.
+    #: Benchmarks loaded from disk are not in it: when every one was,
+    #: it reports zero chunks and no metrics.
     run_report: Optional[RunReport] = None
 
     def dataset(self, benchmark: str, split: str = "train") -> Dataset:
@@ -68,8 +69,8 @@ class Campaign:
             ) from None
 
 
-def _simulate_points(
-    simulator: Simulator,
+def _simulate_chunk(
+    simulator: Optional[Simulator],
     space: DesignSpace,
     benchmark: str,
     trace_length: int,
@@ -79,42 +80,20 @@ def _simulate_points(
 ) -> List[Tuple[float, float]]:
     """Simulate ``points`` on one benchmark's trace; returns (bips, watts).
 
-    The one way a campaign simulates, on the serial path and in every
-    chunk worker: the trace is replayed through the batched timing kernel
-    once per block of up to ``batch_size`` configs (``None``: one block).
+    The one way a campaign simulates: the trace is replayed through the
+    batched timing kernel once per block of up to ``batch_size`` configs
+    (``None``: one block).  In-process chunks pass the caller's
+    ``simulator``; pool workers pass None and build a fresh one, whose
+    deterministic trace gives outputs identical to an in-process run.
     Results are bit-identical to a per-point scalar loop for every batch
-    size, so ``batch_size`` stays out of the campaign fingerprint and
-    journals remain portable across batch sizes.
+    size, so ``batch_size`` stays out of the artifact key.
     """
+    simulator = simulator or Simulator()
     trace = simulator.trace_for(get_profile(benchmark), trace_length, seed=seed)
     results = simulator.simulate_batch(
         space, points, trace, batch_size=batch_size
     )
     return [(r.bips, float(r.watts)) for r in results]
-
-
-def _simulate_chunk(
-    space: DesignSpace,
-    benchmark: str,
-    trace_length: int,
-    seed: int,
-    points: List[DesignPoint],
-    batch_size: Optional[int] = None,
-) -> List[Tuple[float, float]]:
-    """Worker: simulate ``points`` for one benchmark; returns (bips, watts).
-
-    Runs in a separate process: rebuilds the deterministic trace and a
-    fresh simulator, so outputs are identical to an in-process run.
-    """
-    return _simulate_points(
-        Simulator(),
-        space,
-        benchmark,
-        trace_length,
-        seed,
-        points,
-        batch_size,
-    )
 
 
 def _dataset(
@@ -155,7 +134,8 @@ def _campaign_description(
 
     A simulation result depends only on (trace, config), so the scale
     knobs, the space and the benchmark list describe a campaign fully.
-    The artifact cache key and the journal fingerprint both digest it.
+    The artifact cache keys each benchmark by digesting it with
+    ``names`` set to that one benchmark.
     """
     return {
         "scale": {
@@ -172,22 +152,6 @@ def _campaign_description(
     }
 
 
-def _campaign_fingerprint(
-    scale: ScalePreset,
-    space: DesignSpace,
-    names: Sequence[str],
-    chunk_sizes: Sequence[int],
-) -> str:
-    """Digest of everything that determines the chunk layout and results."""
-    return fingerprint_payload(
-        {
-            "kind": "campaign",
-            **_campaign_description(scale, space, names),
-            "chunk_sizes": list(chunk_sizes),
-        }
-    )
-
-
 def _validate_campaign_payload(task: ChunkTask, payload) -> None:
     """Reject worker payloads that are not ``task.size`` (bips, watts) pairs."""
     if not isinstance(payload, list) or len(payload) != task.size:
@@ -202,27 +166,57 @@ def _validate_campaign_payload(task: ChunkTask, payload) -> None:
             )
 
 
-def _run_campaign_resilient(
-    campaign: Campaign,
-    points: List[DesignPoint],
-    workers: int,
-    resilience: ResilienceConfig,
-    batch_size: Optional[int] = None,
+def _new_campaign(
+    scale: Optional[ScalePreset],
+    space: Optional[DesignSpace],
+    benchmarks: Optional[Sequence[str]],
 ) -> Campaign:
-    """The chunked path: fan out, retry, journal, and assemble datasets.
+    """A campaign with its UAR sample drawn and no benchmark simulated."""
+    scale = scale or get_scale()
+    space = space or sampling_space()
+    points = sample_uar(space, scale.n_train + scale.n_validation, seed=scale.seed)
+    return Campaign(
+        space=space,
+        scale=scale,
+        benchmarks=tuple(benchmarks or BENCHMARK_NAMES),
+        train_points=points[: scale.n_train],
+        validation_points=points[scale.n_train :],
+    )
 
-    One chunk per benchmark, covering the same points as one serial
-    iteration.  Parallelism therefore stops at the benchmark count, which
-    still wins at every width: each kernel call carries a fixed
+
+def _simulate_benchmarks(
+    simulator: Simulator,
+    campaign: Campaign,
+    names: Sequence[str],
+    workers: int,
+    resilience: Optional[ResilienceConfig],
+    batch_size: Optional[int],
+    on_benchmark: Optional[Callable[[str], None]] = None,
+) -> None:
+    """Simulate ``names`` over the campaign's points and assemble them.
+
+    One chunk per benchmark, covering train and validation points in one
+    kernel call.  Parallelism therefore stops at the benchmark count,
+    which still wins at every width: each kernel call carries a fixed
     per-instruction cost, so splitting a benchmark into smaller chunks
-    multiplies that cost instead of sharing the work.
+    multiplies that cost instead of sharing the work.  With
+    ``workers == 1`` the chunks run in-process on ``simulator``, so its
+    trace cache serves later studies; with more they run on the pool.
+
+    ``on_benchmark(name)`` fires once a benchmark's validated result is
+    assembled into the campaign; ``campaign.run_report`` covers exactly
+    these chunks.
     """
-    scale, space, names = campaign.scale, campaign.space, campaign.benchmarks
+    scale, space = campaign.scale, campaign.space
+    resilience = resilience or ResilienceConfig()
+    points = campaign.train_points + campaign.validation_points
+    in_process = None if workers > 1 else simulator
     tasks = [
         ChunkTask(
             index=index,
             fn=_simulate_chunk,
             args=(
+                in_process,
                 space,
                 benchmark,
                 scale.trace_length,
@@ -236,31 +230,27 @@ def _run_campaign_resilient(
         for index, benchmark in enumerate(names)
     ]
 
-    fingerprint = _campaign_fingerprint(
-        scale, space, names, [task.size for task in tasks]
-    )
-    journal = None
-    if resilience.journal_path is not None:
-        if not resilience.resume and resilience.journal_path.exists():
-            resilience.journal_path.unlink()
-        journal = Journal.open(
-            resilience.journal_path, fingerprint, strict=resilience.resume
-        )
-
-    results, report = run_chunks(
-        tasks,
-        workers=workers,
-        policy=resilience.policy,
-        journal=journal,
-        faults=resilience.faults,
-        validate=_validate_campaign_payload,
-    )
-    campaign.run_report = report
-    for benchmark, pairs in zip(names, results):
+    def completed(task: ChunkTask, record, pairs) -> None:
+        (benchmark,) = task.meta
         _assemble(campaign, benchmark, pairs)
-    if journal is not None:
-        journal.discard()
-    return campaign
+        if on_benchmark is not None:
+            on_benchmark(benchmark)
+
+    with get_tracer().span(
+        "campaign.run",
+        benchmarks=list(names),
+        n_train=scale.n_train,
+        n_validation=scale.n_validation,
+        workers=workers,
+    ):
+        _, campaign.run_report = run_chunks(
+            tasks,
+            workers=workers,
+            policy=resilience.policy,
+            faults=resilience.faults,
+            validate=_validate_campaign_payload,
+            on_chunk=completed,
+        )
 
 
 def run_campaign(
@@ -277,69 +267,24 @@ def run_campaign(
     The training and validation samples are drawn disjointly UAR from the
     *sampling* space (which is wider in depth than the exploration space —
     Section 3.5's guard against extrapolation).  Every sampled design is
-    simulated for every benchmark, as in the paper.
+    simulated for every benchmark, as in the paper, and nothing is
+    persisted (:func:`repro.harness.artifacts.cached_campaign` does that).
 
-    ``workers > 1`` parallelizes over processes, one chunk per benchmark
-    (results identical to the serial run).
+    Execution goes through :func:`repro.harness.resilience.run_chunks`,
+    one chunk per benchmark: in-process on ``simulator`` when
+    ``workers == 1``, over a process pool otherwise, with results
+    identical either way.  ``resilience`` sets the retry policy and any
+    injected faults; the finished campaign carries a ``run_report``.
 
-    ``resilience`` (or any ``workers > 1`` run, which uses the default
-    policy) routes execution through :func:`repro.harness.resilience.run_chunks`:
-    transient worker failures retry, a journal path enables
-    checkpoint/resume, and the finished campaign carries a ``run_report``.
-
-    Both paths replay each benchmark's trace once per block of up to
-    ``batch_size`` configs through the batched timing kernel.  ``None``
-    gives one block per benchmark (train and validation points together)
-    on either path.  Results and journal layout are bit-identical for
-    every batch size and on every path.
+    Each benchmark's trace is replayed once per block of up to
+    ``batch_size`` configs through the batched timing kernel; ``None``
+    gives one block per benchmark (train and validation points
+    together).  Results are bit-identical for every batch size.
     """
-    scale = scale or get_scale()
-    space = space or sampling_space()
-    names = tuple(benchmarks or BENCHMARK_NAMES)
-
-    total = scale.n_train + scale.n_validation
-    points = sample_uar(space, total, seed=scale.seed)
-    train_points = points[: scale.n_train]
-    validation_points = points[scale.n_train :]
-
-    campaign = Campaign(
-        space=space,
-        scale=scale,
-        benchmarks=names,
-        train_points=train_points,
-        validation_points=validation_points,
+    campaign = _new_campaign(scale, space, benchmarks)
+    _simulate_benchmarks(
+        simulator, campaign, campaign.benchmarks, workers, resilience, batch_size
     )
-    tracer = get_tracer()
-    with tracer.span(
-        "campaign.run",
-        benchmarks=list(names),
-        n_train=scale.n_train,
-        n_validation=scale.n_validation,
-        workers=workers,
-    ):
-        if workers > 1 or resilience is not None:
-            return _run_campaign_resilient(
-                campaign,
-                points,
-                workers,
-                resilience or ResilienceConfig(),
-                batch_size,
-            )
-
-        for benchmark in names:
-            with tracer.span(
-                "campaign.benchmark", benchmark=benchmark, points=len(points)
-            ):
-                pairs = _simulate_points(
-                    simulator,
-                    space,
-                    benchmark,
-                    scale.trace_length,
-                    scale.seed,
-                    points,
-                    batch_size,
-                )
-            _assemble(campaign, benchmark, pairs)
     return campaign
 
 

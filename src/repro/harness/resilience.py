@@ -1,16 +1,11 @@
-"""Fault-tolerant chunk execution: journal, retries, degradation, faults.
+"""Fault-tolerant chunk execution: retries, degradation, faults.
 
 The expensive phase of the reproduction — simulating sampled designs
 (:func:`~repro.harness.campaign.run_campaign`) — runs as a list of
 independent *chunks*, one per benchmark, in-process or fanned out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  This module makes
-that fan-out durable:
+that fan-out robust:
 
-- **Journal** — an append-only JSONL file records every completed
-  chunk's payload (checksummed, fsync'd per line), so an interrupted
-  run resumes from completed chunks instead of restarting.  A header
-  fingerprint ties the journal to one exact task layout; stale or
-  truncated journals are detected and discarded safely.
 - **RetryPolicy** — bounded attempts per chunk and a per-attempt
   timeout.  Failures are classified transient (broken pool, timeout,
   :class:`TransientWorkerError`) or permanent (deterministic
@@ -23,15 +18,16 @@ that fan-out durable:
   corrupted payload, threaded through the worker entrypoint so every
   recovery path above is testable without real crashes.
 
-Chunks must be independent and their payloads JSON-representable;
-results are always delivered in task order, so callers observe output
-identical to a serial, fault-free run.
+Chunks must be independent; results are always delivered in task
+order, so callers observe output identical to a serial, fault-free run.
+Durability belongs to the caller: ``on_chunk`` fires as each chunk
+completes, and the campaign persists that benchmark's artifact there
+(:mod:`repro.harness.artifacts`), so an interrupted run loses only the
+chunks still in flight.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import os
 import time
@@ -40,7 +36,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (
     Callable,
     Deque,
@@ -56,25 +51,13 @@ from ..obs.tracing import Stopwatch, get_tracer
 
 logger = logging.getLogger(__name__)
 
-#: Bump when the journal line format changes.
-JOURNAL_VERSION = 1
-
 #: Fault kinds a :class:`FaultPlan` may inject (see :class:`Fault`); each
 #: fires inside the worker entrypoint, :func:`_run_chunk`.
 FAULT_KINDS = ("transient", "permanent", "kill", "hang", "corrupt")
 
 
 class ResilienceError(RuntimeError):
-    """Raised for unusable resilience configurations or journals."""
-
-
-class JournalFingerprintError(ResilienceError):
-    """An explicit resume hit a journal bound to a different fingerprint.
-
-    Raised instead of silently discarding the stale journal so a resume
-    against the wrong campaign configuration fails loudly, naming
-    both fingerprints (the CLI maps this to a one-line error, exit 2).
-    """
+    """Raised for unusable resilience configurations."""
 
 
 class TransientWorkerError(RuntimeError):
@@ -90,8 +73,8 @@ class ChunkFailure(ResilienceError):
 
     Carries the :class:`RunReport` accumulated so far as ``report`` so
     callers (and the CLI) can name the failing chunk and show what did
-    complete — everything journaled before the failure remains
-    resumable.
+    complete.  Chunks that completed before the failure have already
+    been handed to ``on_chunk`` (a campaign has persisted them).
     """
 
     def __init__(self, message: str, report: Optional["RunReport"] = None):
@@ -247,15 +230,12 @@ class RetryPolicy:
 class ResilienceConfig:
     """Bundle threading the resilient executor through a campaign.
 
-    ``journal_path`` enables chunk journaling and resume; when None and
-    ``resume`` is set, ``cached_campaign`` derives a path next to its
-    artifact.  ``faults`` is the deterministic fault-injection schedule
-    (tests and smoke runs only).
+    ``faults`` is the deterministic fault-injection schedule (tests and
+    smoke runs only).
     """
 
     policy: RetryPolicy = field(default_factory=RetryPolicy)
-    journal_path: Optional[Path] = None
-    resume: bool = False
+    resume: bool = False  #: unread; benchmarks/e2e/workload.py still passes it
     faults: Optional[FaultPlan] = None
 
 
@@ -285,7 +265,7 @@ class ChunkRecord:
 
     index: int
     meta: tuple = ()
-    status: str = "pending"  #: pending | completed | resumed | failed
+    status: str = "pending"  #: pending | completed | failed
     attempts: int = 0
     errors: Tuple[str, ...] = ()
 
@@ -294,24 +274,21 @@ class ChunkRecord:
 class RunReport:
     """Structured outcome of one resilient run.
 
-    ``completed`` counts chunks that finished this run plus chunks
-    restored from the journal (``resumed``); ``retried`` counts chunks
+    ``completed`` counts chunks that finished; ``retried`` counts chunks
     that needed more than one attempt; ``failure`` names the aborting
     chunk when the run raised :class:`ChunkFailure`.
 
     ``metrics`` is the merged :mod:`repro.obs` snapshot of every
     completed chunk's contribution — shipped back from pool workers in
-    result envelopes, restored from the journal for resumed chunks, so
-    the account covers the whole logical run with no double counting
-    (failed attempts' metrics are discarded).  ``events`` lists the
-    structured occurrences (``resilience.retry``, ``.pool_restart``,
-    ``.degraded``, ``.resumed``, ``.chunk_failed``) that also land in
-    the trace when tracing is active.
+    result envelopes — with no double counting (failed attempts'
+    metrics are discarded).  ``events`` lists the structured occurrences
+    (``resilience.retry``, ``.pool_restart``, ``.degraded``,
+    ``.chunk_failed``) that also land in the trace when tracing is
+    active.
     """
 
     total_chunks: int
     completed: int = 0
-    resumed: int = 0
     retried: int = 0
     pool_restarts: int = 0
     degraded: bool = False
@@ -324,8 +301,6 @@ class RunReport:
     def summary(self) -> str:
         """One-line human-readable account of the run."""
         parts = [f"chunks {self.completed}/{self.total_chunks}"]
-        if self.resumed:
-            parts.append(f"{self.resumed} resumed from journal")
         if self.retried:
             parts.append(f"{self.retried} retried")
         if self.pool_restarts:
@@ -336,243 +311,6 @@ class RunReport:
             parts.append(f"FAILED ({self.failure})")
         parts.append(f"{self.elapsed_seconds:.1f}s")
         return "; ".join(parts)
-
-
-# -- the journal ---------------------------------------------------------------
-
-
-def _canonical(body: dict) -> str:
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
-
-
-def _line_for(body: dict) -> bytes:
-    canonical = _canonical(body)
-    sha = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-    return (
-        json.dumps(
-            {"sha": sha, "body": body}, sort_keys=True, separators=(",", ":")
-        )
-        + "\n"
-    ).encode("utf-8")
-
-
-def append_record(path: Path, body: dict) -> None:
-    """Durably append one checksummed record line to a journal file.
-
-    A single ``O_APPEND`` write followed by an fsync: a crash mid-write
-    leaves at most one truncated tail line, which
-    :func:`read_journal_records` skips with a warning.  A file whose
-    last byte is not a newline (a torn tail from an earlier crash) is
-    sealed with one first, so the new record starts on its own line
-    instead of extending the garbage.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd = os.open(str(path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        line = _line_for(body)
-        size = os.fstat(fd).st_size
-        if size:
-            with open(path, "rb") as reader:
-                reader.seek(size - 1)
-                if reader.read(1) != b"\n":
-                    line = b"\n" + line
-        os.write(fd, line)
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def read_journal_records(path: Path) -> Tuple[List[dict], List[dict]]:
-    """Parse a checksummed JSONL journal, tolerating a torn final record.
-
-    Returns ``(bodies, warnings)``.  A final line truncated mid-write by
-    a crash is skipped with a structured ``journal_torn_tail`` warning
-    (never an exception).  Undecodable *interior* lines — a sealed tear
-    from an earlier crash, with appends continuing after it — are
-    skipped with a ``journal_corrupt_line`` warning; records beyond them
-    stay trustworthy because every line carries its own checksum, and a
-    line whose checksum does not match its body is skipped with a
-    ``journal_bad_checksum`` warning.  Each warning is a dict with
-    ``kind``, ``path``, and ``line`` (1-based) keys, ready to land in
-    ``RunReport.events``.
-    """
-    bodies: List[dict] = []
-    warnings: List[dict] = []
-
-    def warn(kind: str, lineno: int) -> None:
-        warnings.append({"kind": kind, "path": str(path), "line": lineno})
-
-    try:
-        lines = path.read_text().splitlines()
-    except OSError:
-        return bodies, warnings
-    for lineno, raw in enumerate(lines, start=1):
-        torn = False
-        body = None
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError:
-            torn = True
-        else:
-            body = record.get("body") if isinstance(record, dict) else None
-            if not isinstance(body, dict):
-                torn = True
-        if torn:
-            if lineno == len(lines):
-                warn("journal_torn_tail", lineno)
-            else:
-                warn("journal_corrupt_line", lineno)
-            continue
-        sha = hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()[:16]
-        if record.get("sha") != sha:
-            warn("journal_bad_checksum", lineno)
-            continue
-        bodies.append(body)
-    for warning in warnings:
-        logger.warning(
-            "journal %s: %s at line %d",
-            path,
-            warning["kind"],
-            warning["line"],
-        )
-    return bodies, warnings
-
-
-class Journal:
-    """Append-only, checksummed JSONL record of completed chunks.
-
-    Line 1 is a header binding the file to one ``fingerprint`` (a digest
-    of everything that determines the task layout and its results); each
-    further line records one completed chunk's payload with a checksum.
-    Lines are written with a single ``O_APPEND`` write and fsync'd, so a
-    mid-write interrupt leaves at most one truncated tail line — which
-    loading tolerates (the tail is dropped, completed chunks survive).
-    """
-
-    def __init__(
-        self,
-        path: Path,
-        fingerprint: str,
-        completed: Dict[int, object],
-        attempts: Dict[int, int],
-        metrics: Optional[Dict[int, dict]] = None,
-        warnings: Optional[List[dict]] = None,
-    ):
-        self.path = Path(path)
-        self.fingerprint = fingerprint
-        self.completed = completed
-        self.attempts = attempts
-        self.metrics = metrics if metrics is not None else {}
-        #: Structured read anomalies (torn tail, bad checksums) collected
-        #: while loading; the executor replays them as report events.
-        self.warnings = warnings if warnings is not None else []
-
-    @classmethod
-    def open(cls, path, fingerprint: str, strict: bool = False) -> "Journal":
-        """Open or create a journal bound to ``fingerprint``.
-
-        An existing file with a matching header is loaded (its completed
-        chunks become resumable); a torn final record is skipped with a
-        structured warning, never an error.  A stale, mismatched, or
-        unreadable file is discarded with a warning and the journal
-        starts fresh — unless ``strict`` is set (an explicit ``--resume``),
-        in which case a readable header with the *wrong* fingerprint
-        raises :class:`JournalFingerprintError` naming both fingerprints
-        instead of silently restarting the run.
-        """
-        path = Path(path)
-        completed: Dict[int, object] = {}
-        attempts: Dict[int, int] = {}
-        metrics: Dict[int, dict] = {}
-        warnings: List[dict] = []
-        if path.exists():
-            loaded = cls._read(path, fingerprint, strict=strict)
-            if loaded is None:
-                logger.warning(
-                    "discarding stale or corrupt journal %s", path
-                )
-                path.unlink()
-            else:
-                completed, attempts, metrics, warnings = loaded
-        if not path.exists():
-            header = {
-                "kind": "header",
-                "version": JOURNAL_VERSION,
-                "fingerprint": fingerprint,
-            }
-            append_record(path, header)
-        return cls(path, fingerprint, completed, attempts, metrics, warnings)
-
-    @staticmethod
-    def _read(path: Path, fingerprint: str, strict: bool = False):
-        """Parse a journal; None when the header does not match."""
-        completed: Dict[int, object] = {}
-        attempts: Dict[int, int] = {}
-        metrics: Dict[int, dict] = {}
-        entries, warnings = read_journal_records(path)
-        if not entries:
-            return None
-        header = entries[0]
-        if header.get("kind") != "header":
-            return None
-        if (
-            strict
-            and header.get("version") == JOURNAL_VERSION
-            and header.get("fingerprint") != fingerprint
-        ):
-            raise JournalFingerprintError(
-                f"journal {path} was written for fingerprint "
-                f"{header.get('fingerprint')}, but the current run's "
-                f"fingerprint is {fingerprint}; the configuration changed "
-                "— delete the journal or rerun without --resume"
-            )
-        if (
-            header.get("version") != JOURNAL_VERSION
-            or header.get("fingerprint") != fingerprint
-        ):
-            return None
-        for body in entries[1:]:
-            if body.get("kind") != "chunk" or "index" not in body:
-                continue
-            index = int(body["index"])
-            completed[index] = body.get("payload")
-            attempts[index] = int(body.get("attempts", 1))
-            if body.get("metrics") is not None:
-                metrics[index] = body["metrics"]
-        return completed, attempts, metrics, warnings
-
-    def record(
-        self, index: int, attempts: int, payload, metrics: Optional[dict] = None
-    ) -> None:
-        """Durably record one completed chunk (atomic append + fsync).
-
-        ``metrics`` (the chunk's obs snapshot) rides along so a resumed
-        run restores the chunk's metrics contribution exactly once —
-        the field is optional, keeping older journals readable.
-        """
-        body = {
-            "kind": "chunk",
-            "index": index,
-            "attempts": attempts,
-            "payload": payload,
-        }
-        if metrics is not None:
-            body["metrics"] = metrics
-        append_record(self.path, body)
-        self.completed[index] = payload
-        self.attempts[index] = attempts
-        if metrics is not None:
-            self.metrics[index] = metrics
-
-    def discard(self) -> None:
-        """Delete the journal file (the run it covered completed)."""
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            logger.debug("journal %s already removed", self.path)
-        self.completed = {}
-        self.attempts = {}
-        self.metrics = {}
 
 
 # -- the resilient executor ----------------------------------------------------
@@ -606,7 +344,6 @@ class _ChunkRunner:
         tasks: Sequence[ChunkTask],
         workers: int,
         policy: RetryPolicy,
-        journal: Optional[Journal],
         faults: Optional[FaultPlan],
         validate: Optional[Callable],
         on_chunk: Optional[Callable],
@@ -617,7 +354,6 @@ class _ChunkRunner:
         self.tasks = list(tasks)
         self.workers = max(1, workers)
         self.policy = policy
-        self.journal = journal
         self.faults = faults
         self.validate = validate
         self.on_chunk = on_chunk
@@ -630,7 +366,6 @@ class _ChunkRunner:
             chunks=[self.records[task.index] for task in self.tasks],
         )
         self.results: Dict[int, object] = {}
-        self._done: Dict[int, bool] = {}
 
     # -- outcome bookkeeping ----------------------------------------------
 
@@ -662,7 +397,6 @@ class _ChunkRunner:
         if attempt > 1:
             self.report.retried += 1
         self.report.completed += 1
-        self._done[task.index] = True
         if envelope.metrics is not None:
             # Merge only after validation passed: a corrupt or retried
             # attempt's metrics never reach the report.
@@ -677,10 +411,6 @@ class _ChunkRunner:
             attempts=attempt,
             meta=[str(m) for m in task.meta],
         )
-        if self.journal is not None:
-            self.journal.record(
-                task.index, attempt, payload, metrics=envelope.metrics
-            )
         self.results[task.index] = payload
         if self.on_chunk is not None:
             self.on_chunk(task, record, payload)
@@ -726,37 +456,6 @@ class _ChunkRunner:
     def _check(self, task: ChunkTask, payload) -> None:
         if self.validate is not None:
             self.validate(task, payload)
-
-    # -- resume ------------------------------------------------------------
-
-    def _resume_from_journal(self) -> None:
-        if self.journal is None:
-            return
-        for warning in self.journal.warnings:
-            self._event("resilience.journal_warning", **warning)
-        for task in self.tasks:
-            if task.index not in self.journal.completed:
-                continue
-            payload = self.journal.completed[task.index]
-            record = self.records[task.index]
-            record.status = "resumed"
-            record.attempts = self.journal.attempts.get(task.index, 1)
-            self.report.resumed += 1
-            self.report.completed += 1
-            self._done[task.index] = True
-            journal_metrics = self.journal.metrics.get(task.index)
-            if journal_metrics is not None:
-                # The chunk's metrics were journaled when it first
-                # completed; restoring them here (and nowhere else)
-                # keeps the merged account exact across resumes.
-                self.report.metrics = merge_snapshots(
-                    self.report.metrics, journal_metrics
-                )
-            self.results[task.index] = payload
-            if self.on_chunk is not None:
-                self.on_chunk(task, record, payload)
-        if self.report.resumed:
-            self._event("resilience.resumed", chunks=self.report.resumed)
 
     # -- serial execution --------------------------------------------------
 
@@ -914,21 +613,14 @@ class _ChunkRunner:
             workers=self.workers,
         ) as root:
             try:
-                self._resume_from_journal()
-                pending = [
-                    (task, 0)
-                    for task in self.tasks
-                    if not self._done.get(task.index)
-                ]
-                if pending:
-                    if self.workers > 1:
-                        self._run_parallel(pending)
-                    else:
-                        self._run_serial(pending)
+                pending = [(task, 0) for task in self.tasks]
+                if self.workers > 1 and pending:
+                    self._run_parallel(pending)
+                else:
+                    self._run_serial(pending)
             finally:
                 self.report.elapsed_seconds = watch.stop().wall_s
                 root.set_attr("completed", self.report.completed)
-                root.set_attr("resumed", self.report.resumed)
                 root.set_attr("retried", self.report.retried)
                 root.set_attr("pool_restarts", self.report.pool_restarts)
                 root.set_attr("degraded", self.report.degraded)
@@ -939,12 +631,11 @@ def run_chunks(
     tasks: Sequence[ChunkTask],
     workers: int = 1,
     policy: Optional[RetryPolicy] = None,
-    journal: Optional[Journal] = None,
     faults: Optional[FaultPlan] = None,
     validate: Optional[Callable] = None,
     on_chunk: Optional[Callable] = None,
 ) -> Tuple[List[object], RunReport]:
-    """Execute independent chunk tasks with retries, journaling, degradation.
+    """Execute independent chunk tasks with retries and degradation.
 
     Returns ``(results, report)`` where ``results`` lists each task's
     payload in task order.  Semantics:
@@ -955,21 +646,18 @@ def run_chunks(
     - Failures are classified by ``policy``: transient ones retry up to
       ``policy.max_attempts`` attempts, permanent ones
       abort immediately.  Aborts raise :class:`ChunkFailure` carrying
-      the report; chunks journaled before the abort stay resumable.
+      the report.
     - A broken pool is rebuilt up to ``policy.max_pool_restarts`` times,
       then execution degrades to in-process serial for the remainder.
-    - ``journal`` restores completed chunks before running anything
-      (``on_chunk`` fires for them with status ``"resumed"``) and
-      durably records each newly completed chunk.
     - ``validate(task, payload)`` runs on every fresh payload; raise
       :class:`CorruptResultError` to classify a bad payload as a
       retryable failure.
     - ``on_chunk(task, record, payload)`` fires as chunks complete (in
-      completion order, not task order).
+      completion order, not task order), only after ``validate``
+      passed; it is where a caller persists each chunk's result.
     - Each chunk runs inside an isolated :mod:`repro.obs` metrics
       registry; the snapshots ship back with the payloads and merge into
-      ``report.metrics`` (journaled chunks restore theirs on resume, so
-      the account is exact with no double counting).  Retries, pool
+      ``report.metrics`` with no double counting.  Retries, pool
       restarts, and degradation land in ``report.events`` and — when
       tracing is configured — in the trace.
     """
@@ -977,21 +665,9 @@ def run_chunks(
         tasks=tasks,
         workers=workers,
         policy=policy or RetryPolicy(),
-        journal=journal,
         faults=faults,
         validate=validate,
         on_chunk=on_chunk,
     )
     return runner.run()
 
-
-def fingerprint_payload(payload: dict) -> str:
-    """Stable short digest of a JSON-representable description.
-
-    Used to bind a :class:`Journal` to one exact task layout: any change
-    to the digested description (scale knobs, space shape, chunking,
-    model coefficients) makes existing journal entries unresumable.
-    """
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
-    ).hexdigest()[:16]

@@ -12,7 +12,7 @@ and snapshots compose:
   processes ship per-chunk metrics back through
   :mod:`repro.harness.resilience` without global coordination;
 - :func:`merge_snapshots` folds any number of snapshots (driver plus
-  workers, fresh plus journal-resumed) into one, with well-defined
+  and every chunk's worker) into one, with well-defined
   semantics: counters and histogram buckets add, gauges take the
   maximum (merge order must not matter).
 

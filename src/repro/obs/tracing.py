@@ -6,15 +6,15 @@ when no sink is attached, so instrumentation stays in place permanently
 and tracing is a runtime switch (``--trace PATH`` on the CLI, or
 :func:`configure_tracing` from code).
 
-The on-disk format reuses the discipline of ``resilience.Journal``: one
-JSON object per line, ``{"sha": sha256(canonical-body)[:16], "body":
-{...}}``, written with a single ``O_APPEND`` write per record so
-concurrent appenders cannot interleave partial lines.  A crash leaves at
-most one truncated tail line, which :func:`read_trace` tolerates; a
-corrupted checksum is skipped with a warning rather than failing the
-load.  Unlike the journal, fsync is opt-in (``TraceSink(path,
-fsync=True)``): traces are diagnostics, not recovery state, and
-fsync-per-span would dominate the hot paths the trace is measuring.
+The on-disk format is checksummed JSONL: one JSON object per line,
+``{"sha": sha256(canonical-body)[:16], "body": {...}}``, written with a
+single ``O_APPEND`` write per record so concurrent appenders cannot
+interleave partial lines.  A crash leaves at most one truncated tail
+line, which :func:`read_trace` tolerates; a corrupted checksum is
+skipped with a warning rather than failing the load.  fsync is opt-in
+(``TraceSink(path, fsync=True)``): traces are diagnostics, not recovery
+state, and fsync-per-span would dominate the hot paths the trace is
+measuring.
 
 Record bodies come in three kinds (see ``docs/OBSERVABILITY.md``):
 

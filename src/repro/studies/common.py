@@ -110,7 +110,7 @@ class StudyContext:
         self.exploration_space: DesignSpace = exploration_space()
         self.workers = workers
         #: Optional :class:`repro.harness.ResilienceConfig` applied to the
-        #: campaign phase (retries, journaled checkpoint/resume).
+        #: campaign phase (retry policy, injected faults).
         self.resilience = resilience
         #: Block size for the batched timing kernel (the campaign and
         #: :meth:`simulate_many`); ``None`` batches each call whole.

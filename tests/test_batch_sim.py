@@ -6,7 +6,7 @@ identical watts — not agreement within tolerance.  The property test
 drives randomized configs, trace lengths, benchmarks and prefetch through
 both paths; the window tests pin the kernel's occupancy-window state
 against the scalar resource classes; the campaign tests check the
-contract survives chunking, journaling, and resume.
+contract survives block shapes and a rerun from cached benchmarks.
 """
 
 import numpy as np
@@ -15,7 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.designspace import extended_space, sample_uar, sampling_space
-from repro.harness import ResilienceConfig, get_scale, run_campaign
+from repro.harness import (
+    ResilienceConfig,
+    cached_campaign,
+    get_scale,
+    run_campaign,
+)
 from repro.harness.resilience import ChunkFailure, Fault, FaultPlan
 from repro.obs.metrics import isolated_registry
 from repro.simulator import Simulator
@@ -270,9 +275,8 @@ class TestTraceCacheLRU:
 
 
 class TestCampaignBatchPath:
-    """The chunked and serial campaign paths share one batch-kernel helper
-    at different block shapes; these check they agree bitwise with
-    journaling in the loop.  The independent per-point scalar check of a
+    """Campaigns at different block shapes, and a campaign rerun from its
+    cached benchmarks, agree bitwise with the default run.  The independent per-point scalar check of a
     whole campaign lives in ``tests/test_campaign.py``."""
 
     @pytest.fixture(scope="class")
@@ -282,7 +286,7 @@ class TestCampaignBatchPath:
         )
 
     #: One chunk per benchmark: three give the fault below a real chunk
-    #: to land on after two have been journaled.
+    #: to land on after two have been cached.
     BENCHMARKS = ["gzip", "mcf", "mesa"]
 
     @pytest.fixture(scope="class")
@@ -317,26 +321,23 @@ class TestCampaignBatchPath:
             self.assert_campaigns_equal(chunked, serial_campaign)
 
     def test_resumed_journaled_run_is_bitwise_identical(
-        self, tiny_scale, serial_campaign, tmp_path
+        self, tiny_scale, serial_campaign, tmp_path, monkeypatch
     ):
-        path = tmp_path / "campaign.journal.jsonl"
+        """Each finished benchmark is persisted as its chunk completes: a
+        rerun after a failure simulates only the rest, bitwise equal."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         faults = FaultPlan([Fault(chunk=2, kind="permanent")])
         with pytest.raises(ChunkFailure):
-            run_campaign(
+            cached_campaign(
                 Simulator(),
                 scale=tiny_scale,
                 benchmarks=self.BENCHMARKS,
-                resilience=ResilienceConfig(
-                    journal_path=path, faults=faults
-                ),
+                resilience=ResilienceConfig(faults=faults),
             )
-        assert path.exists()
-        resumed = run_campaign(
-            Simulator(),
-            scale=tiny_scale,
-            benchmarks=self.BENCHMARKS,
-            resilience=ResilienceConfig(journal_path=path, resume=True),
+        assert len(list(tmp_path.glob("campaign-*.json"))) == 2
+        resumed = cached_campaign(
+            Simulator(), scale=tiny_scale, benchmarks=self.BENCHMARKS
         )
-        assert resumed.run_report.resumed >= 1
+        assert resumed.run_report.total_chunks == 1
         assert resumed.benchmarks == tuple(self.BENCHMARKS)
         self.assert_campaigns_equal(resumed, serial_campaign)

@@ -64,17 +64,14 @@ class TestRun:
 class TestResilienceFlags:
     def test_run_parser_accepts_resilience_flags(self):
         args = build_parser().parse_args(
-            ["run", "T1", "--resume", "--retries", "5",
-             "--chunk-timeout", "2.5"]
+            ["run", "T1", "--retries", "5", "--chunk-timeout", "2.5"]
         )
-        assert args.resume is True
         assert args.retries == 5
         assert args.chunk_timeout == 2.5
 
     def test_sweep_parser_accepts_resilience_flags(self):
-        args = build_parser().parse_args(["sweep", "--resume"])
-        assert args.resume is True
-        assert args.retries is None and args.chunk_timeout is None
+        args = build_parser().parse_args(["sweep", "--retries", "2"])
+        assert args.retries == 2 and args.chunk_timeout is None
 
     def test_no_flags_means_no_config(self):
         from repro.cli import _resilience_from_args
@@ -91,7 +88,6 @@ class TestResilienceFlags:
         config = _resilience_from_args(args)
         assert config.policy.max_attempts == 7
         assert config.policy.chunk_timeout == 1.5
-        assert config.resume is False
 
     def test_removed_executor_options_rejected(self, capsys):
         # One executor: no backend switch and no worker-management command.
@@ -105,41 +101,6 @@ class TestResilienceFlags:
                 parser.parse_args(argv)
             assert excinfo.value.code == 2
         capsys.readouterr()
-
-
-class TestResumeFingerprintMismatch:
-    """--resume against a journal from another configuration must fail
-    loudly: one line naming both fingerprints, exit 2 — never a silent
-    restart."""
-
-    def test_cli_resume_mismatch_exits_2(
-        self, test_scale, tmp_path, capsys, monkeypatch
-    ):
-        from repro.harness.artifacts import _campaign_key
-        from repro.harness.resilience import Journal
-        from repro.designspace import sampling_space
-        from repro.workloads import BENCHMARK_NAMES
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(experiments, "_CONTEXTS", {})
-        monkeypatch.setattr(
-            "repro.cli.get_scale", lambda name=None: test_scale
-        )
-        # Plant a journal bound to a different fingerprint exactly where
-        # cached_campaign will look for it.
-        key = _campaign_key(test_scale, sampling_space(), BENCHMARK_NAMES)
-        journal_path = (
-            tmp_path / f"campaign-{test_scale.name}-{key}.journal.jsonl"
-        )
-        Journal.open(journal_path, "feedc0ffee000000")
-
-        assert main(["run", "F1", "--resume"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert err.count("\n") == 1
-        assert "Traceback" not in err
-        assert "feedc0ffee000000" in err
-        assert err.count("fingerprint") >= 2
 
 
 class TestObservabilityFlags:

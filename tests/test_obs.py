@@ -3,20 +3,15 @@
 The observability layer's contracts: spans round-trip through the
 checksummed JSONL sink, the metrics registry snapshots/deltas/merges
 without double counting (including across the resilience executor's
-retries and journal resumes), and the renderers stay dependency-free.
+retries), and the renderers stay dependency-free.
 """
-
-import json
 
 import pytest
 
 from repro.harness.resilience import (
-    ChunkFailure,
     ChunkTask,
     Fault,
     FaultPlan,
-    Journal,
-    RetryPolicy,
     run_chunks,
 )
 from repro.obs import (
@@ -473,37 +468,6 @@ class TestResilienceMetrics:
         _, report = run_chunks(tasks, faults=faults, validate=validate)
         assert report.retried == 1
         assert report.metrics["counters"]["test.units"] == 12
-
-    def test_journal_resume_restores_metrics_exactly_once(self, tmp_path):
-        path = tmp_path / "run.journal.jsonl"
-        tasks = _counting_tasks(n_chunks=5, chunk_len=3)
-        faults = FaultPlan([Fault(chunk=3, kind="permanent")])
-        with pytest.raises(ChunkFailure):
-            run_chunks(
-                tasks,
-                journal=Journal.open(path, "fp"),
-                faults=faults,
-                policy=RetryPolicy(max_attempts=1),
-            )
-        _, report = run_chunks(tasks, journal=Journal.open(path, "fp"))
-        assert report.resumed == 3
-        assert report.metrics["counters"]["test.units"] == 15
-        assert (
-            report.metrics["histograms"]["test.chunk.seconds"]["count"] == 5
-        )
-
-    def test_journal_round_trips_metrics(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = Journal.open(path, "fp")
-        snap = {"version": 1, "counters": {"n": 2}, "gauges": {},
-                "histograms": {}}
-        journal.record(0, attempts=1, payload=[1], metrics=snap)
-        journal.record(1, attempts=1, payload=[2])  # no metrics: omitted
-        reopened = Journal.open(path, "fp")
-        assert reopened.metrics == {0: snap}
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        chunk_bodies = [e["body"] for e in lines if e["body"].get("index") == 1]
-        assert all("metrics" not in b for b in chunk_bodies)
 
     def test_sweep_report_carries_metrics(self, ctx):
         from repro.harness.sweep import ParetoFrontierReducer, run_sweep

@@ -1,30 +1,24 @@
 """Tests for the fault-tolerant execution layer.
 
 Every recovery path — retry, timeout, pool restart, serial degradation,
-journal resume — is exercised through the deterministic fault-injection
-hook, never with real crashes or sleeps in test code.
+rerun after a kill — is exercised through the deterministic
+fault-injection hook, never with real crashes or sleeps in test code.
 """
-
-import json
 
 import numpy as np
 import pytest
 
-from repro.harness import get_scale, run_campaign
+from repro.harness import cached_campaign, get_scale, run_campaign
 from repro.harness.resilience import (
     ChunkFailure,
     ChunkTask,
     CorruptResultError,
     Fault,
     FaultPlan,
-    Journal,
-    JournalFingerprintError,
     ResilienceConfig,
     ResilienceError,
     RetryPolicy,
     TransientWorkerError,
-    append_record,
-    read_journal_records,
     run_chunks,
 )
 from repro.simulator import Simulator
@@ -95,144 +89,6 @@ class TestFaultPlan:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ResilienceError):
             Fault(chunk=0, kind="meltdown")
-
-
-class TestJournal:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "run.journal.jsonl"
-        journal = Journal.open(path, "fp-1")
-        journal.record(0, attempts=1, payload=[1, 2])
-        journal.record(2, attempts=3, payload=[5, 6])
-
-        reopened = Journal.open(path, "fp-1")
-        assert reopened.completed == {0: [1, 2], 2: [5, 6]}
-        assert reopened.attempts == {0: 1, 2: 3}
-
-    def test_fingerprint_mismatch_discards(self, tmp_path):
-        path = tmp_path / "run.journal.jsonl"
-        journal = Journal.open(path, "fp-old")
-        journal.record(0, attempts=1, payload=[1])
-
-        reopened = Journal.open(path, "fp-new")
-        assert reopened.completed == {}
-        # the file was recreated with the new fingerprint
-        assert Journal.open(path, "fp-new").completed == {}
-
-    def test_truncated_tail_tolerated(self, tmp_path):
-        path = tmp_path / "run.journal.jsonl"
-        journal = Journal.open(path, "fp")
-        journal.record(0, attempts=1, payload=[1])
-        with open(path, "a") as handle:
-            handle.write('{"sha": "abcd", "body": {"kind": "chu')  # interrupt
-
-        reopened = Journal.open(path, "fp")
-        assert reopened.completed == {0: [1]}
-
-    def test_checksum_mismatch_skipped(self, tmp_path, caplog):
-        path = tmp_path / "run.journal.jsonl"
-        journal = Journal.open(path, "fp")
-        journal.record(0, attempts=1, payload=[1])
-        tampered = {
-            "sha": "0" * 16,
-            "body": {"kind": "chunk", "index": 1, "payload": [9]},
-        }
-        with open(path, "a") as handle:
-            handle.write(json.dumps(tampered) + "\n")
-
-        with caplog.at_level("WARNING"):
-            reopened = Journal.open(path, "fp")
-        assert reopened.completed == {0: [1]}
-        assert any("checksum" in r.message for r in caplog.records)
-
-
-class TestTornTailEveryOffset:
-    """A crash can cut the final journal record at *any* byte.
-
-    The tolerant reader must, for every possible truncation point of the
-    last record, return exactly the intact records with a structured
-    ``journal_torn_tail`` warning — never an exception, never a partial
-    or corrupted body.
-    """
-
-    def _journal(self, tmp_path, n_records=3):
-        path = tmp_path / "torn.journal.jsonl"
-        for i in range(n_records):
-            append_record(
-                path,
-                {"kind": "chunk", "index": i, "payload": [i, i * 2]},
-            )
-        return path
-
-    def test_truncation_at_every_byte_of_last_record(self, tmp_path):
-        path = self._journal(tmp_path)
-        data = path.read_bytes()
-        intact = data[: data.rfind(b"\n", 0, len(data) - 1) + 1]
-        expected, clean_warnings = read_journal_records(path)
-        assert clean_warnings == []
-        assert [b["index"] for b in expected] == [0, 1, 2]
-
-        for cut in range(len(intact), len(data)):
-            path.write_bytes(data[:cut])
-            bodies, warnings = read_journal_records(path)
-            if cut in (len(intact), len(data) - 1):
-                # Cut exactly at the record boundary (nothing of the
-                # last record remains) or only the trailing newline is
-                # missing (the record is bytewise complete): no tear.
-                expected_tail = [0, 1] if cut == len(intact) else [0, 1, 2]
-                assert [b["index"] for b in bodies] == expected_tail
-                assert warnings == []
-                continue
-            assert [b["index"] for b in bodies] == [0, 1], (
-                f"wrong records after truncating at byte {cut}"
-            )
-            assert len(warnings) == 1, f"no warning at byte {cut}"
-            warning = warnings[0]
-            assert warning["kind"] in (
-                "journal_torn_tail",
-                "journal_bad_checksum",
-            )
-            assert warning["path"] == str(path)
-            assert warning["line"] == 3
-
-    def test_torn_tail_recovers_on_append(self, tmp_path):
-        path = self._journal(tmp_path, n_records=2)
-        data = path.read_bytes()
-        path.write_bytes(data[:-5])  # tear the second record
-        bodies, warnings = read_journal_records(path)
-        assert [b["index"] for b in bodies] == [0]
-        assert warnings[0]["kind"] in (
-            "journal_torn_tail",
-            "journal_bad_checksum",
-        )
-        # The journal stays appendable: the torn line is superseded by a
-        # rewritten record on the next line.
-        append_record(path, {"kind": "chunk", "index": 1, "payload": [1]})
-        bodies, _ = read_journal_records(path)
-        assert [b["index"] for b in bodies] == [0, 1]
-
-    def test_merged_tear_swallows_next_record(self, tmp_path):
-        path = self._journal(tmp_path)
-        lines = path.read_bytes().splitlines(keepends=True)
-        # A tear that ate record 1's newline merges it with record 2
-        # into one undecodable line: both are lost, with a warning —
-        # record 0 survives.
-        path.write_bytes(lines[0] + lines[1][:-10] + lines[2])
-        bodies, warnings = read_journal_records(path)
-        assert [b["index"] for b in bodies] == [0]
-        assert warnings
-        assert warnings[0]["line"] == 2
-
-    def test_sealed_tear_keeps_later_records(self, tmp_path):
-        path = self._journal(tmp_path)
-        lines = path.read_bytes().splitlines(keepends=True)
-        # A sealed interior tear (garbage line with its own newline, as
-        # append_record leaves after repairing a torn tail): the damage
-        # is skipped, but later checksummed records stay trusted.
-        path.write_bytes(lines[0] + lines[1][:-10] + b"\n" + lines[2])
-        bodies, warnings = read_journal_records(path)
-        assert [b["index"] for b in bodies] == [0, 2]
-        assert warnings[0]["kind"] == "journal_corrupt_line"
-        assert warnings[0]["line"] == 2
 
 
 class TestRunChunksSerial:
@@ -368,48 +224,6 @@ class TestRunChunksParallel:
         assert sorted(seen) == list(range(8))
 
 
-class TestJournalResume:
-    def test_resume_after_abort_skips_completed_chunks(self, tmp_path):
-        path = tmp_path / "run.journal.jsonl"
-        tasks = _tasks(n_chunks=5)
-        faults = FaultPlan([Fault(chunk=3, kind="permanent")])
-
-        with pytest.raises(ChunkFailure):
-            run_chunks(tasks, journal=Journal.open(path, "fp"), faults=faults)
-        assert path.exists()
-
-        journal = Journal.open(path, "fp")
-        assert set(journal.completed) == {0, 1, 2}
-
-        statuses = []
-        results, report = run_chunks(
-            tasks,
-            journal=journal,
-            on_chunk=lambda task, record, payload: statuses.append(
-                record.status
-            ),
-        )
-        assert results == _expected(tasks)
-        assert report.resumed == 3
-        assert statuses.count("resumed") == 3
-        assert report.completed == 5
-
-    def test_resumed_results_identical_to_clean_run(self, tmp_path):
-        path = tmp_path / "run.journal.jsonl"
-        tasks = _tasks(n_chunks=4)
-        clean, _ = run_chunks(tasks)
-
-        with pytest.raises(ChunkFailure):
-            run_chunks(
-                tasks,
-                journal=Journal.open(path, "fp"),
-                faults=FaultPlan([Fault(chunk=2, kind="permanent")]),
-            )
-        resumed, report = run_chunks(tasks, journal=Journal.open(path, "fp"))
-        assert resumed == clean
-        assert report.resumed == 2
-
-
 @pytest.fixture(scope="module")
 def resilience_scale():
     return get_scale("ci").with_overrides(
@@ -496,120 +310,35 @@ class TestCampaignResilience:
         assert "mesa" in excinfo.value.report.failure
 
     def test_kill_then_resume_bitwise_identical(
-        self, resilience_scale, clean_campaign, tmp_path
+        self, resilience_scale, clean_campaign, tmp_path, monkeypatch
     ):
         """The acceptance scenario: a chunk killed mid-run aborts the
-        campaign, and resuming from the journal completes with results
-        bitwise-identical to an uninterrupted serial run."""
-        journal_path = tmp_path / "campaign.journal.jsonl"
+        campaign, and rerunning it loads the benchmarks that finished
+        and completes with results bitwise-identical to an uninterrupted
+        serial run."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        # Two attempts: a chunk in flight when the pool dies still
+        # finishes in-process after the run degrades to serial.
         kill = ResilienceConfig(
-            policy=RetryPolicy(max_attempts=1, max_pool_restarts=0),
-            journal_path=journal_path,
+            policy=RetryPolicy(max_attempts=2, max_pool_restarts=0),
             faults=FaultPlan([Fault(chunk=2, kind="kill", attempts=())]),
         )
         with pytest.raises(ChunkFailure):
-            run_campaign(
+            cached_campaign(
                 Simulator(),
                 scale=resilience_scale,
                 benchmarks=CAMPAIGN_BENCHMARKS,
                 workers=2,
                 resilience=kill,
             )
-        assert journal_path.exists()
+        for bench in CAMPAIGN_BENCHMARKS[:2]:
+            assert list(tmp_path.glob(f"campaign-*-{bench}-*.json"))
 
-        resumed = run_campaign(
+        resumed = cached_campaign(
             Simulator(),
             scale=resilience_scale,
             benchmarks=CAMPAIGN_BENCHMARKS,
             workers=2,
-            resilience=ResilienceConfig(
-                journal_path=journal_path, resume=True
-            ),
         )
         _assert_campaigns_bitwise_equal(resumed, clean_campaign)
-        assert resumed.run_report.resumed >= 1
-        # success removes the journal
-        assert not journal_path.exists()
-
-    def test_journal_ignored_across_layout_changes(
-        self, resilience_scale, tmp_path
-    ):
-        """A journal written for one campaign shape must not leak results
-        into a differently-shaped campaign: an explicit resume fails
-        loudly naming both fingerprints, and a non-resume run discards
-        the stale journal and restarts."""
-        journal_path = tmp_path / "campaign.journal.jsonl"
-        with pytest.raises(ChunkFailure):
-            run_campaign(
-                Simulator(),
-                scale=resilience_scale,
-                benchmarks=CAMPAIGN_BENCHMARKS,
-                resilience=ResilienceConfig(
-                    policy=RetryPolicy(max_attempts=1),
-                    journal_path=journal_path,
-                    faults=FaultPlan([Fault(chunk=2, kind="permanent")]),
-                ),
-            )
-        other_scale = resilience_scale.with_overrides(
-            name="resilience-other", n_train=7
-        )
-        with pytest.raises(JournalFingerprintError) as excinfo:
-            run_campaign(
-                Simulator(),
-                scale=other_scale,
-                benchmarks=CAMPAIGN_BENCHMARKS,
-                resilience=ResilienceConfig(
-                    journal_path=journal_path, resume=True
-                ),
-            )
-        # The one-line error names both fingerprints (16 hex chars each).
-        assert str(excinfo.value).count("fingerprint") >= 2
-        campaign = run_campaign(
-            Simulator(),
-            scale=other_scale,
-            benchmarks=CAMPAIGN_BENCHMARKS,
-            resilience=ResilienceConfig(journal_path=journal_path),
-        )
-        assert campaign.run_report.resumed == 0
-        assert len(campaign.train_points) == 7
-
-
-    def test_journal_from_per_split_layout_is_not_resumed(
-        self, resilience_scale, clean_campaign, tmp_path
-    ):
-        """A journal written when a campaign was several chunks per
-        (benchmark, split) carries other chunk sizes in its fingerprint:
-        an explicit resume refuses it, and a plain run discards it."""
-        from repro.designspace import sampling_space
-        from repro.harness.campaign import _campaign_fingerprint
-
-        simulator = Simulator()
-        n_points = resilience_scale.n_train + resilience_scale.n_validation
-        # Eight chunks per split of at most 6 points: one point per chunk.
-        old_fingerprint = _campaign_fingerprint(
-            resilience_scale,
-            sampling_space(),
-            CAMPAIGN_BENCHMARKS,
-            [1] * (n_points * len(CAMPAIGN_BENCHMARKS)),
-        )
-        journal_path = tmp_path / "campaign.journal.jsonl"
-        Journal.open(journal_path, old_fingerprint).record(
-            0, attempts=1, payload=[[0.0, 0.0]]
-        )
-        with pytest.raises(JournalFingerprintError):
-            run_campaign(
-                simulator,
-                scale=resilience_scale,
-                benchmarks=CAMPAIGN_BENCHMARKS,
-                resilience=ResilienceConfig(
-                    journal_path=journal_path, resume=True
-                ),
-            )
-        campaign = run_campaign(
-            simulator,
-            scale=resilience_scale,
-            benchmarks=CAMPAIGN_BENCHMARKS,
-            resilience=ResilienceConfig(journal_path=journal_path),
-        )
-        assert campaign.run_report.resumed == 0
-        _assert_campaigns_bitwise_equal(campaign, clean_campaign)
+        assert resumed.run_report.total_chunks == 1
