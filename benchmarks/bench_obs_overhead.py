@@ -38,9 +38,9 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 def _sweep_once(predictor, points):
     return run_sweep(
-        predictor,
+        [predictor],
         points,
-        [ParetoFrontierReducer(bins=50), TopKReducer(metric="efficiency", k=1)],
+        [[ParetoFrontierReducer(bins=50), TopKReducer(metric="efficiency", k=1)]],
     )
 
 

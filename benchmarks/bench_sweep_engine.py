@@ -58,11 +58,11 @@ def _per_point_pass(ctx, benchmark, points):
 def _blockwise_pass(ctx, benchmark, points):
     """The engine: the point list as a fresh point set + streaming reducers."""
     report = run_sweep(
-        ctx.predictor(benchmark),
+        [ctx.predictor(benchmark)],
         PointSet.from_points(ctx.exploration_space, points),
-        [ParetoFrontierReducer(bins=50), TopKReducer(metric="efficiency", k=1)],
+        [[ParetoFrontierReducer(bins=50), TopKReducer(metric="efficiency", k=1)]],
     )
-    front, best = report.results
+    front, best = report.results[0]
     return front.indices, int(best.indices[0])
 
 

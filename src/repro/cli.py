@@ -499,11 +499,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Sweep the exploration set per benchmark, printing reductions.
+    """Sweep the exploration set for the benchmarks, printing reductions.
 
-    For every benchmark the streaming engine folds one pass into the
-    pareto-frontier and efficiency-argmax reducers, then prints the
-    frontier size, the bips^3/w-optimal design, and throughput.
+    One pass of the streaming engine folds every benchmark into its own
+    pareto-frontier and efficiency-argmax reducers; then the frontier
+    size and bips^3/w-optimal design of each benchmark are printed, and
+    the pass's throughput.
     """
     from .harness import (
         ParetoFrontierReducer,
@@ -544,33 +545,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     mark = get_registry().snapshot()
     with _tracing_from_args(args):
-        for benchmark in benchmarks:
-            report = run_sweep(
-                ctx.predictor(benchmark),
-                points,
+        report = run_sweep(
+            [ctx.predictor(benchmark) for benchmark in benchmarks],
+            points,
+            [
                 [
                     ParetoFrontierReducer(bins=args.bins),
                     TopKReducer(metric="efficiency", k=1),
-                ],
-                **kwargs,
-            )
-            front, best = report.results
-            print(f"=== {benchmark} ===")
-            print(
-                f"  frontier: {len(front)} designs across {args.bins} "
-                "delay bins"
-            )
-            print(
-                f"  bips^3/w optimum: {render_design_point(best.points[0])}"
-            )
-            print(
-                f"    bips={best.bips[0]:.3f}  watts={best.watts[0]:.2f}  "
-                f"efficiency={best.efficiency[0]:.4g}"
-            )
-            print(
-                f"  throughput: {report.points_per_second:,.0f} points/s "
-                f"({report.elapsed_seconds * 1e3:.0f} ms)"
-            )
+                ]
+                for _ in benchmarks
+            ],
+            **kwargs,
+        )
+    for benchmark, (front, best) in zip(benchmarks, report.results):
+        print(f"=== {benchmark} ===")
+        print(f"  frontier: {len(front)} designs across {args.bins} delay bins")
+        print(f"  bips^3/w optimum: {render_design_point(best.points[0])}")
+        print(
+            f"    bips={best.bips[0]:.3f}  watts={best.watts[0]:.2f}  "
+            f"efficiency={best.efficiency[0]:.4g}"
+        )
+    print(
+        f"throughput: {report.points_per_second:,.0f} points/s over "
+        f"{len(benchmarks)} benchmarks ({report.elapsed_seconds * 1e3:.0f} ms)"
+    )
     if args.metrics:
         _print_metrics(mark, ctx)
     return 0

@@ -247,8 +247,8 @@ def run_f3(ctx: StudyContext) -> ExperimentResult:
     """Figure 3: modeled vs simulated pareto optima."""
     blocks = []
     data = {}
-    for benchmark in REPRESENTATIVE:
-        validation = pareto.validate_frontier(ctx, benchmark)
+    validations = pareto.validate_frontiers(ctx, REPRESENTATIVE)
+    for benchmark, validation in validations.items():
         modeled = Series(
             f"{benchmark}-modeled",
             tuple(validation.model_delay),
@@ -269,8 +269,8 @@ def run_f4(ctx: StudyContext) -> ExperimentResult:
     """Figure 4: error distributions on the pareto frontier."""
     delay_panel, power_panel = {}, {}
     medians = {"delay": {}, "power": {}}
-    for benchmark in ctx.benchmarks:
-        validation = pareto.validate_frontier(ctx, benchmark)
+    validations = pareto.validate_frontiers(ctx, ctx.benchmarks)
+    for benchmark, validation in validations.items():
         delay_panel[benchmark] = validation.delay_errors.stats
         power_panel[benchmark] = validation.power_errors.stats
         medians["delay"][benchmark] = validation.delay_errors.median_percent

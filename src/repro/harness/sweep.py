@@ -4,10 +4,11 @@ The whole argument of Lee & Brooks is that regression predictions are
 cheap enough to characterize the *entire* 262,500-point exploration space
 exhaustively.  This module delivers that sweep without ever materializing
 the space: the engine sweeps a :class:`~repro.designspace.PointSet` (an
-index array) in fixed-size blocks, each block's indices decode into grid
-level indices by mixed radix, the fitted bips/watts models assemble
-their design matrices by gathering from per-level tables and evaluate
-them in one batched numpy call per block, and *streaming reducers* fold
+index array) in fixed-size blocks for any number of benchmarks' fitted
+bips/watts models at once.  Each block's indices decode into grid level
+indices by mixed radix once; every distinct design layout assembles its
+design matrix once by gathering from per-level tables, and each model
+evaluates that matrix in one batched numpy call; *streaming reducers* fold
 every block into a compact running state — the pareto frontier by delay
 bin, the efficiency argmax/top-k, per-depth efficiency distributions —
 so peak memory stays proportional to the block size, not ``|S|``.
@@ -48,6 +49,7 @@ from ..metrics import bips3_per_watt, delay_seconds
 from ..obs.metrics import get_registry
 from ..obs.tracing import get_tracer
 from ..regression import FittedModel
+from ..regression.terms import BoundTerm
 
 #: Default number of design points predicted per block.
 DEFAULT_BLOCK_SIZE = 8192
@@ -161,28 +163,31 @@ def strict_pareto_mask(delay: np.ndarray, power: np.ndarray) -> np.ndarray:
 # -- prediction ---------------------------------------------------------------
 
 
-class _LevelDesignCache:
+class DesignLayout:
     """Gather tables mapping grid level indices to design-matrix columns.
 
     Every predictor takes a handful of grid levels, so each bound term's
     design columns — which depend only on the term's one or two
     predictors — are precomputed on the encoded level values (or the
-    level cross product) once per model.  Block design matrices then
+    level cross product) once per layout.  Block design matrices then
     assemble by integer gather instead of re-evaluating spline bases per
     row.  Results are bitwise identical to row-wise evaluation: the same
     elementwise operations run on the same encoded values, only once per
     level instead of once per design.
 
+    Layouts compare by value: two layouts are equal when their plans and
+    tables are bitwise equal, so every model with an equal layout can
+    share one design matrix per block (:func:`run_sweep`).
+
     Every term must depend on one or two parameters of ``space``; a term
     that does not raises :class:`SweepError` naming it.
     """
 
-    def __init__(self, model: FittedModel, space: DesignSpace):
-        self.model = model
+    def __init__(self, bound_terms: Sequence[BoundTerm], space: DesignSpace):
         names = list(space.names)
         encoded = encoded_level_tables(space)
         self._plans: List[tuple] = []
-        for term in model.bound_terms:
+        for term in bound_terms:
             try:
                 predictors = term.predictors
             except NotImplementedError:
@@ -212,17 +217,29 @@ class _LevelDesignCache:
                 )
                 self._plans.append(("pair", (ja, jb, vb.size), table))
         #: Design-matrix width: the intercept plus every term's columns.
-        self._width = 1 + sum(table.shape[1] for _, _, table in self._plans)
+        self.width = 1 + sum(table.shape[1] for _, _, table in self._plans)
+        self._key = tuple(
+            (kind, key, table.dtype.str, table.shape, table.tobytes())
+            for kind, key, table in self._plans
+        )
 
-    def predict(self, levels: np.ndarray) -> np.ndarray:
-        """Predictions for an ``(n, P)`` block of level indices.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DesignLayout):
+            return NotImplemented
+        return self._key == other._key
 
-        Fills one C-order ``(n, 1 + sum of term widths)`` design matrix,
-        the layout :meth:`FittedModel.predict` builds, so the matvec
-        rounds exactly as it does.
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def design(self, levels: np.ndarray) -> np.ndarray:
+        """The design matrix of an ``(n, P)`` block of level indices.
+
+        Fills one C-order ``(n, 1 + sum of term widths)`` matrix, the
+        layout :meth:`FittedModel.predict` builds, so a matvec with a
+        model's coefficients rounds exactly as it does there.
         """
         n = levels.shape[0]
-        X = np.empty((n, self._width))
+        X = np.empty((n, self.width))
         X[:, 0] = 1.0
         column = 1
         for kind, key, table in self._plans:
@@ -234,7 +251,37 @@ class _LevelDesignCache:
             width = table.shape[1]
             X[:, column:column + width] = np.take(table, rows, axis=0)
             column += width
+        return X
+
+
+class _LevelDesignCache:
+    """One model evaluated over a design layout.
+
+    :meth:`predict` fills the layout's design matrix for a block of level
+    indices and evaluates the model on it; :func:`run_sweep` fills each
+    distinct layout once per block and calls :meth:`evaluate` for every
+    model that shares it.
+    """
+
+    def __init__(
+        self,
+        model: FittedModel,
+        space: DesignSpace,
+        layout: Optional[DesignLayout] = None,
+    ):
+        self.model = model
+        self.layout = (
+            layout if layout is not None
+            else DesignLayout(model.bound_terms, space)
+        )
+
+    def evaluate(self, X: np.ndarray) -> np.ndarray:
+        """Predictions from a design matrix of this model's layout."""
         return self.model.spec.transform.inverse(X @ self.model.coefficients)
+
+    def predict(self, levels: np.ndarray) -> np.ndarray:
+        """Predictions for an ``(n, P)`` block of level indices."""
+        return self.evaluate(self.layout.design(levels))
 
 
 @dataclass
@@ -249,23 +296,29 @@ class BlockPredictor:
     def _level_caches(
         self, space: DesignSpace
     ) -> Tuple[_LevelDesignCache, _LevelDesignCache]:
-        """Per-space gather tables, built lazily on first use."""
+        """The (bips, watts) evaluators over ``space``, built lazily.
+
+        Models bound to the very same term objects (as
+        :func:`~repro.regression.fit_models` binds the paper's two specs)
+        share one layout, so its tables are built once per predictor.
+        """
         cached = self.__dict__.get("_caches")
         if cached is None or cached[0] is not space:
-            cached = (
-                space,
-                _LevelDesignCache(self.bips_model, space),
-                _LevelDesignCache(self.watts_model, space),
+            bips = _LevelDesignCache(self.bips_model, space)
+            shared = _same_terms(self.bips_model, self.watts_model)
+            watts = _LevelDesignCache(
+                self.watts_model, space, bips.layout if shared else None
             )
+            cached = (space, bips, watts)
             self.__dict__["_caches"] = cached
         return cached[1:]
 
-    def predict_levels(
-        self, levels: np.ndarray, space: DesignSpace
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(bips, watts) for an ``(n, P)`` block of level indices."""
-        bips_cache, watts_cache = self._level_caches(space)
-        return bips_cache.predict(levels), watts_cache.predict(levels)
+
+def _same_terms(a: FittedModel, b: FittedModel) -> bool:
+    """Whether two models are bound to the very same term objects."""
+    return len(a.bound_terms) == len(b.bound_terms) and all(
+        x is y for x, y in zip(a.bound_terms, b.bound_terms)
+    )
 
 
 @dataclass
@@ -450,21 +503,37 @@ class TopKReducer(SweepReducer):
         if not len(block):
             return
         values = block.metric(self.metric)
+        keep = self._candidates(values)
         merged = {
-            "values": np.concatenate([self._state["values"], values]),
-            "bips": np.concatenate([self._state["bips"], block.bips]),
-            "watts": np.concatenate([self._state["watts"], block.watts]),
-            "delay": np.concatenate([self._state["delay"], block.delay]),
+            "values": np.concatenate([self._state["values"], values[keep]]),
+            "bips": np.concatenate([self._state["bips"], block.bips[keep]]),
+            "watts": np.concatenate([self._state["watts"], block.watts[keep]]),
+            "delay": np.concatenate([self._state["delay"], block.delay[keep]]),
             "efficiency": np.concatenate(
-                [self._state["efficiency"], block.efficiency]
+                [self._state["efficiency"], block.efficiency[keep]]
             ),
         }
-        indices = np.concatenate([self._indices, block.indices])
+        indices = np.concatenate([self._indices, block.indices[keep]])
         # Highest value first; ties resolve to the lowest sweep index,
         # matching argmax over a whole-space table.
         order = np.lexsort((indices, -merged["values"]))[: self.k]
         self._indices = indices[order]
         self._state = {name: merged[name][order] for name in self._FIELDS}
+
+    def _candidates(self, values: np.ndarray) -> np.ndarray:
+        """Positions of the block's designs that can still reach the top k.
+
+        A design below the block's own k-th largest value trails k
+        strictly better designs, so it can never rank.  Designs equal to
+        that value are kept for the sweep-index tie-break, and NaNs (which
+        rank last) are dropped.  A block with fewer than k non-NaN values
+        keeps everything.
+        """
+        ranked = values[~np.isnan(values)]
+        if ranked.size < self.k:
+            return np.arange(values.size)
+        kth = np.partition(ranked, ranked.size - self.k)[ranked.size - self.k]
+        return np.flatnonzero(values >= kth)
 
     def finalize(self, points: PointSet) -> TopKResult:
         return TopKResult(
@@ -477,6 +546,17 @@ class TopKReducer(SweepReducer):
             delay=self._state["delay"].copy(),
             efficiency=self._state["efficiency"].copy(),
         )
+
+
+def _compacted(chunks: List[np.ndarray]) -> np.ndarray:
+    """The chunks joined into one array, which then replaces them.
+
+    Finalizing a suite sweep's reducers one after another would
+    otherwise hold every reducer's chunks and every joined copy at once.
+    """
+    whole = np.concatenate(chunks) if chunks else np.array([], dtype=float)
+    chunks[:] = [whole]
+    return whole
 
 
 @dataclass
@@ -541,9 +621,7 @@ class GroupedMetricReducer(SweepReducer):
         return GroupedResult(
             parameter=self.parameter,
             metric=self.metric,
-            values={
-                level: np.concatenate(self._values[level]) for level in levels
-            },
+            values={level: _compacted(self._values[level]) for level in levels},
             argmax_indices={
                 level: self._best_index[level] for level in levels
             },
@@ -605,18 +683,13 @@ class CollectReducer(SweepReducer):
             self._columns[name].append(block.raw[name])
 
     def finalize(self, points: PointSet) -> CollectedColumns:
-        def _concat(chunks: List[np.ndarray]) -> np.ndarray:
-            if not chunks:
-                return np.array([], dtype=float)
-            return np.concatenate(chunks)
-
         return CollectedColumns(
             metrics={
-                name: _concat(chunks)
+                name: _compacted(chunks)
                 for name, chunks in self._metrics.items()
             },
             columns={
-                name: _concat(chunks)
+                name: _compacted(chunks)
                 for name, chunks in self._columns.items()
             },
         )
@@ -629,20 +702,22 @@ class CollectReducer(SweepReducer):
 class SweepReport:
     """Outcome of one sweep: reducer results plus throughput accounting."""
 
-    benchmark: str
-    n_points: int
+    benchmarks: Tuple[str, ...]   #: one per predictor, in sweep order
+    n_points: int                 #: designs swept per predictor
     block_size: int
     elapsed_seconds: float
-    results: List[object]
+    #: One list per predictor, holding each of its reducers' results.
+    results: List[List[object]]
     #: The :mod:`repro.obs` metrics this sweep recorded (points, blocks,
     #: per-block predict and reduce times).
     metrics: Optional[dict] = None
 
     @property
     def points_per_second(self) -> float:
+        """Predicted designs per second, summed over the predictors."""
         if self.elapsed_seconds <= 0:
             return float("inf")
-        return self.n_points / self.elapsed_seconds
+        return len(self.benchmarks) * self.n_points / self.elapsed_seconds
 
 
 def _block_ranges(total: int, block_size: int) -> List[Tuple[int, int]]:
@@ -652,63 +727,88 @@ def _block_ranges(total: int, block_size: int) -> List[Tuple[int, int]]:
     ]
 
 
-def _evaluate_range(
-    predictor: BlockPredictor,
-    points: PointSet,
-    start: int,
-    stop: int,
-    columns: Dict[str, Tuple[int, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
-    """Predict one contiguous range; returns (bips, watts, raw columns).
+def _layout_groups(
+    predictors: Sequence[BlockPredictor], space: DesignSpace
+) -> Dict[DesignLayout, List[Tuple[int, str, _LevelDesignCache]]]:
+    """The (predictor position, metric, evaluator) uses of each distinct layout.
 
-    ``columns`` maps each raw column a reducer needs to its parameter
-    position and raw level table.
+    Layouts group by value, so models whose tables are bitwise equal
+    share one design matrix per block however they were built.
     """
-    levels = index_levels(points.space, points.indices[start:stop])
-    bips, watts = predictor.predict_levels(levels, points.space)
-    raw = {name: table[levels[:, j]] for name, (j, table) in columns.items()}
-    return bips, watts, raw
+    groups: Dict[DesignLayout, List[Tuple[int, str, _LevelDesignCache]]] = {}
+    for position, predictor in enumerate(predictors):
+        bips, watts = predictor._level_caches(space)
+        groups.setdefault(bips.layout, []).append((position, "bips", bips))
+        groups.setdefault(watts.layout, []).append((position, "watts", watts))
+    return groups
 
 
-def _make_block(
-    predictor: BlockPredictor,
-    start: int,
-    bips: np.ndarray,
-    watts: np.ndarray,
+def _predict_blocks(
+    predictors: Sequence[BlockPredictor],
+    groups: Dict[DesignLayout, List[Tuple[int, str, _LevelDesignCache]]],
+    levels: np.ndarray,
+    indices: np.ndarray,
     raw: Dict[str, np.ndarray],
-) -> SweepBlock:
-    return SweepBlock(
-        benchmark=predictor.benchmark,
-        indices=np.arange(start, start + bips.size, dtype=np.int64),
-        bips=bips,
-        watts=watts,
-        delay=delay_seconds(bips, predictor.ref_instructions),
-        efficiency=bips3_per_watt(bips, watts),
-        raw=raw,
-    )
+) -> List[SweepBlock]:
+    """Each predictor's :class:`SweepBlock` for one block of level indices.
+
+    Fills one design matrix per distinct layout and evaluates every model
+    that uses it before the next fill, so one matrix is alive at a time.
+    """
+    predicted: List[Dict[str, np.ndarray]] = [{} for _ in predictors]
+    for layout, uses in groups.items():
+        X = layout.design(levels)
+        for position, metric, cache in uses:
+            predicted[position][metric] = cache.evaluate(X)
+    return [
+        SweepBlock(
+            benchmark=predictor.benchmark,
+            indices=indices,
+            bips=out["bips"],
+            watts=out["watts"],
+            delay=delay_seconds(out["bips"], predictor.ref_instructions),
+            efficiency=bips3_per_watt(out["bips"], out["watts"]),
+            raw=raw,
+        )
+        for predictor, out in zip(predictors, predicted)
+    ]
 
 
 def run_sweep(
-    predictor: BlockPredictor,
+    predictors: Sequence[BlockPredictor],
     points: PointSet,
-    reducers: Sequence[SweepReducer],
+    reducers: Sequence[Sequence[SweepReducer]],
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> SweepReport:
-    """Sweep ``points`` through ``predictor``, folding into ``reducers``.
+    """Sweep ``points`` through every predictor, folding into its reducers.
 
-    Blocks are evaluated in sweep order and every reducer sees every
-    block exactly once.  Reducers index their blocks by position in
-    ``points``.
+    ``reducers`` holds one reducer list per predictor; a single benchmark
+    is a one-element sequence of each.  Blocks are evaluated in sweep
+    order.  Each block decodes its level indices and raw columns once,
+    fills one design matrix per distinct :class:`DesignLayout` among the
+    predictors' models, evaluates every model on its layout's matrix,
+    and passes each predictor's own :class:`SweepBlock` to that
+    predictor's reducers; every reducer sees every block exactly once.
+    Reducers index their blocks by position in ``points``.
     """
+    predictors = list(predictors)
+    reducers = [list(group) for group in reducers]
+    if len(reducers) != len(predictors):
+        raise SweepError(
+            f"{len(predictors)} predictors need as many reducer lists, "
+            f"got {len(reducers)}"
+        )
     if block_size < 1:
         raise SweepError(f"block_size must be positive, got {block_size}")
     space = points.space
     raw_tables = raw_level_tables(space)
     columns = {
         name: (space.names.index(name), raw_tables[space.names.index(name)])
-        for r in reducers
+        for group in reducers
+        for r in group
         for name in r.columns
     }
+    groups = _layout_groups(predictors, space)
     total = len(points)
     tracer = get_tracer()
     registry = get_registry()
@@ -716,7 +816,8 @@ def run_sweep(
 
     with tracer.span(
         "sweep.run",
-        benchmark=predictor.benchmark,
+        benchmarks=[predictor.benchmark for predictor in predictors],
+        layouts=len(groups),
         n_points=total,
         block_size=block_size,
     ) as root:
@@ -724,16 +825,25 @@ def run_sweep(
             with tracer.span(
                 "sweep.predict_block", start=start, size=stop - start
             ) as predict_span:
-                bips, watts, raw = _evaluate_range(
-                    predictor, points, start, stop, columns
+                levels = index_levels(space, points.indices[start:stop])
+                raw = {
+                    name: table[levels[:, j]]
+                    for name, (j, table) in columns.items()
+                }
+                blocks = _predict_blocks(
+                    predictors,
+                    groups,
+                    levels,
+                    np.arange(start, stop, dtype=np.int64),
+                    raw,
                 )
-                block = _make_block(predictor, start, bips, watts, raw)
             with tracer.span(
-                "sweep.reduce_block", start=start, size=len(block)
+                "sweep.reduce_block", start=start, size=stop - start
             ) as reduce_span:
-                for reducer in reducers:
-                    reducer.update(block)
-            registry.increment("sweep.points", len(block))
+                for block, group in zip(blocks, reducers):
+                    for reducer in group:
+                        reducer.update(block)
+            registry.increment("sweep.points", (stop - start) * len(predictors))
             registry.increment("sweep.blocks")
             registry.observe(
                 "sweep.predict_block.seconds", predict_span.wall_s
@@ -743,11 +853,14 @@ def run_sweep(
             )
 
     return SweepReport(
-        benchmark=predictor.benchmark,
+        benchmarks=tuple(predictor.benchmark for predictor in predictors),
         n_points=total,
         block_size=block_size,
         elapsed_seconds=root.wall_s,
-        results=[reducer.finalize(points) for reducer in reducers],
+        results=[
+            [reducer.finalize(points) for reducer in group]
+            for group in reducers
+        ],
         metrics=registry.delta(mark),
     )
 
@@ -759,10 +872,10 @@ def predict_source(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Full (bips, watts) vectors for a point set, computed blockwise."""
     report = run_sweep(
-        predictor,
+        [predictor],
         points,
-        [CollectReducer(metrics=("bips", "watts"))],
+        [[CollectReducer(metrics=("bips", "watts"))]],
         block_size=block_size,
     )
-    collected = report.results[0]
+    collected = report.results[0][0]
     return collected.metric("bips"), collected.metric("watts")

@@ -1,19 +1,17 @@
-"""Observability layer: tracing, metrics, and profiling hooks.
+"""Observability layer: tracing and metrics.
 
 ``repro.obs`` is the telemetry substrate under every other repro
 package — it imports nothing from the rest of the codebase and needs
 no third-party dependencies, so any layer (simulator hot loops,
 sweep block folds, the resilience chunk executor) can instrument
-itself unconditionally.  Three pillars:
+itself unconditionally.  Two pillars:
 
 - **tracing** (:mod:`repro.obs.tracing`) — nested spans with wall/CPU
   timings written as checksummed JSONL; always measures, emits only
   when a sink is configured (``--trace PATH`` / ``configure_tracing``);
 - **metrics** (:mod:`repro.obs.metrics`) — a process-wide registry of
   counters, gauges, and fixed-bucket histograms whose snapshots merge
-  across the resilience process pool;
-- **profiling** (:mod:`repro.obs.profiling`) — opt-in cProfile capture
-  attached to a trace span.
+  across the resilience process pool.
 
 ``repro trace summary|tree|validate`` reads the recorded traces; see
 ``docs/OBSERVABILITY.md`` for the file format and naming conventions.
@@ -31,7 +29,6 @@ from .metrics import (
     merge_snapshots,
     reset_registry,
 )
-from .profiling import ProfileHandle, profile
 from .summary import (
     SpanStats,
     render_metrics,
@@ -64,7 +61,6 @@ __all__ = [
     "Histogram",
     "MetricsError",
     "MetricsRegistry",
-    "ProfileHandle",
     "Span",
     "SpanNode",
     "SpanStats",
@@ -80,7 +76,6 @@ __all__ = [
     "get_tracer",
     "isolated_registry",
     "merge_snapshots",
-    "profile",
     "read_trace",
     "render_metrics",
     "render_summary",

@@ -16,7 +16,9 @@ where a study asks for one point.  The exploration and per-depth sets
 can also be *swept* — folded into streaming reducers block by block
 (:meth:`StudyContext.sweep_exploration`,
 :meth:`StudyContext.sweep_per_depth`) — so full-space studies never hold
-all predictions, points, or design matrices at once.  Each benchmark's
+all predictions, points, or design matrices at once.  A study that
+loops over benchmarks sweeps them all in one pass, so the suite shares
+each block's decode and design matrix.  Each benchmark's
 sweep predictor (:meth:`StudyContext.predictor`) is built once per
 context, so its models' level tables are too.
 
@@ -31,7 +33,7 @@ them as read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -258,52 +260,72 @@ class StudyContext:
 
     def _sweep(
         self,
-        benchmark: str,
+        benchmarks: Sequence[str],
         set_name: str,
         points: PointSet,
-        reducers: Sequence[SweepReducer],
-    ) -> List[object]:
-        """Run reducers over a point set, memoizing their results.
+        reducers: Callable[[], Sequence[SweepReducer]],
+    ) -> Dict[str, List[object]]:
+        """Run fresh reducers per benchmark over a point set, memoized.
 
-        Each reducer's result is computed at most once per (benchmark,
-        point set, ``cache_key``); a single engine pass serves all
-        uncached reducers of the call.
+        ``reducers`` builds one benchmark's reducer list.  Each result is
+        computed at most once per (benchmark, point set, ``cache_key``);
+        one engine pass serves the uncached reducers of every benchmark
+        in the call, so the benchmarks share each block's decode and
+        design matrices.
         """
-        keys = [(benchmark, set_name, reducer.cache_key) for reducer in reducers]
-        pending = {
-            key: reducer
-            for key, reducer in zip(keys, reducers)
-            if key not in self._sweep_results
-        }
+        keys: Dict[str, List[tuple]] = {}
+        pending: Dict[str, Dict[tuple, SweepReducer]] = {}
+        for benchmark in dict.fromkeys(benchmarks):
+            fresh = list(reducers())
+            keys[benchmark] = [
+                (benchmark, set_name, reducer.cache_key) for reducer in fresh
+            ]
+            missing = {
+                key: reducer
+                for key, reducer in zip(keys[benchmark], fresh)
+                if key not in self._sweep_results
+            }
+            if missing:
+                pending[benchmark] = missing
         if pending:
             report = run_sweep(
-                self.predictor(benchmark), points, list(pending.values())
+                [self.predictor(benchmark) for benchmark in pending],
+                points,
+                [list(missing.values()) for missing in pending.values()],
             )
-            self._sweep_results.update(zip(pending, report.results))
-        return [self._sweep_results[key] for key in keys]
+            for missing, results in zip(pending.values(), report.results):
+                self._sweep_results.update(zip(missing, results))
+        return {
+            benchmark: [self._sweep_results[key] for key in benchmark_keys]
+            for benchmark, benchmark_keys in keys.items()
+        }
 
     def sweep_exploration(
-        self, benchmark: str, reducers: Sequence[SweepReducer]
-    ) -> List[object]:
+        self,
+        benchmarks: Sequence[str],
+        reducers: Callable[[], Sequence[SweepReducer]],
+    ) -> Dict[str, List[object]]:
         """Fold streaming reducers over the exploration set.
 
-        Returns one finalized result per reducer, identical (by reducer
-        partition independence) to reducing the monolithic
-        :meth:`predict_exploration` table — without building it.
+        ``reducers`` builds a fresh reducer list for one benchmark.
+        Returns, per benchmark, one finalized result per reducer,
+        identical (by reducer partition independence) to reducing the
+        monolithic :meth:`predict_exploration` table — without building
+        it.  All benchmarks of the call sweep in one pass.
         """
         return self._sweep(
-            benchmark, "exploration", self.exploration_points(), reducers
+            benchmarks, "exploration", self.exploration_points(), reducers
         )
 
     def sweep_per_depth(
         self,
-        benchmark: str,
-        reducers: Sequence[SweepReducer],
+        benchmarks: Sequence[str],
+        reducers: Callable[[], Sequence[SweepReducer]],
         parameter: str = "depth",
-    ) -> List[object]:
+    ) -> Dict[str, List[object]]:
         """Fold streaming reducers over the depth-stratified set."""
         return self._sweep(
-            benchmark,
+            benchmarks,
             f"per-depth:{parameter}",
             self.per_depth_points(parameter),
             reducers,

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..designspace import DesignPoint
-from ..harness.sweep import CollectReducer, GroupedMetricReducer
+from ..harness.sweep import CollectReducer, GroupedMetricReducer, GroupedResult
 from ..regression.validation import BoxplotStats, boxplot_stats
 from .common import StudyContext
 
@@ -97,11 +97,15 @@ class EnhancedAnalysis:
         return {d: e / best for d, e in self.bound_efficiency.items()}
 
 
-def _per_depth_efficiency(ctx: StudyContext, benchmark: str):
-    """The streaming per-depth efficiency reduction (memoized on the ctx)."""
-    return ctx.sweep_per_depth(
-        benchmark, [GroupedMetricReducer(parameter="depth", metric="efficiency")]
-    )[0]
+def _per_depth_efficiency(
+    ctx: StudyContext, benchmarks: Sequence[str]
+) -> Dict[str, GroupedResult]:
+    """The streaming per-depth efficiency reductions (memoized on the ctx)."""
+    results = ctx.sweep_per_depth(
+        benchmarks,
+        lambda: [GroupedMetricReducer(parameter="depth", metric="efficiency")],
+    )
+    return {benchmark: result for benchmark, (result,) in results.items()}
 
 
 def enhanced_analysis(ctx: StudyContext, benchmark: str) -> EnhancedAnalysis:
@@ -114,7 +118,7 @@ def enhanced_analysis(ctx: StudyContext, benchmark: str) -> EnhancedAnalysis:
     """
     original = original_analysis(ctx, benchmark)
     reference = original.optimal_efficiency
-    grouped = _per_depth_efficiency(ctx, benchmark)
+    grouped = _per_depth_efficiency(ctx, [benchmark])[benchmark]
 
     distributions: Dict[float, BoxplotStats] = {}
     bound_points: Dict[float, DesignPoint] = {}
@@ -159,6 +163,8 @@ class SuiteDepthSummary:
 
 def suite_depth_summary(ctx: StudyContext) -> SuiteDepthSummary:
     """Average the original and enhanced analyses over the suite."""
+    # One suite pass; each enhanced analysis then reads the memo.
+    grouped = _per_depth_efficiency(ctx, ctx.benchmarks)
     analyses = {b: enhanced_analysis(ctx, b) for b in ctx.benchmarks}
     depths = list(depth_levels(ctx))
 
@@ -176,10 +182,9 @@ def suite_depth_summary(ctx: StudyContext) -> SuiteDepthSummary:
         for b in ctx.benchmarks:
             analysis = analyses[b]
             reference = analysis.original.optimal_efficiency
-            grouped = _per_depth_efficiency(ctx, b)
             # Per-level chunks arrive in sweep order, so the stratified
             # designs align element-wise across benchmarks.
-            per_bench_values.append(grouped.values[float(depth)] / reference)
+            per_bench_values.append(grouped[b].values[float(depth)] / reference)
         stacked = np.mean(np.vstack(per_bench_values), axis=0)
         pooled[depth] = boxplot_stats(stacked)
         bound_relative[depth] = float(stacked.max())
@@ -209,13 +214,13 @@ def top_percentile_cache_distribution(
     # benchmark by the original optimum (axis does not matter for ranks).
     # The sweep engine collects only the efficiency vector and the two
     # raw parameter columns the histogram needs.
-    collected = {
-        b: ctx.sweep_per_depth(
-            b,
-            [CollectReducer(metrics=("efficiency",), columns=("depth", "dl1_kb"))],
-        )[0]
-        for b in ctx.benchmarks
-    }
+    swept = ctx.sweep_per_depth(
+        ctx.benchmarks,
+        lambda: [
+            CollectReducer(metrics=("efficiency",), columns=("depth", "dl1_kb"))
+        ],
+    )
+    collected = {b: results[0] for b, results in swept.items()}
     first = collected[ctx.benchmarks[0]]
     depths = first.column("depth")
     dl1 = first.column("dl1_kb")

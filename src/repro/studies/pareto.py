@@ -31,12 +31,14 @@ __all__ = [
     "discretized_frontier",
     "hypervolume_2d",
     "characterize",
+    "frontiers",
     "frontier",
     "EfficiencyOptimum",
     "efficiency_optimum",
     "table2",
     "FrontierValidation",
     "validate_frontier",
+    "validate_frontiers",
     "resource_trend",
 ]
 
@@ -95,27 +97,38 @@ def characterize(ctx: StudyContext, benchmark: str) -> PredictionTable:
     return ctx.predict_exploration(benchmark)
 
 
+def frontiers(
+    ctx: StudyContext, benchmarks: Sequence[str], bins: int = 50
+) -> Dict[str, ParetoFrontier]:
+    """The regression-predicted pareto frontiers of several benchmarks.
+
+    Runs on the streaming sweep engine in one pass over the exploration
+    set for all of ``benchmarks``: the set is predicted blockwise and
+    only frontier candidates are retained, so the full 262,500-point
+    sweep never materializes a prediction table.  Indices are sweep
+    positions — identical to row indices of
+    :meth:`~repro.studies.common.StudyContext.predict_exploration`.
+    """
+    results = ctx.sweep_exploration(
+        benchmarks, lambda: [ParetoFrontierReducer(bins=bins)]
+    )
+    return {
+        benchmark: ParetoFrontier(
+            benchmark=benchmark,
+            indices=result.indices,
+            points=result.points,
+            delay=result.delay,
+            power=result.power,
+        )
+        for benchmark, (result,) in results.items()
+    }
+
+
 def frontier(
     ctx: StudyContext, benchmark: str, bins: int = 50
 ) -> ParetoFrontier:
-    """The regression-predicted pareto frontier for one benchmark.
-
-    Runs on the streaming sweep engine: the exploration set is predicted
-    blockwise and only frontier candidates are retained, so the full
-    262,500-point sweep never materializes a prediction table.  Indices
-    are sweep positions — identical to row indices of
-    :meth:`~repro.studies.common.StudyContext.predict_exploration`.
-    """
-    result = ctx.sweep_exploration(
-        benchmark, [ParetoFrontierReducer(bins=bins)]
-    )[0]
-    return ParetoFrontier(
-        benchmark=benchmark,
-        indices=result.indices,
-        points=result.points,
-        delay=result.delay,
-        power=result.power,
-    )
+    """The regression-predicted pareto frontier for one benchmark."""
+    return frontiers(ctx, [benchmark], bins=bins)[benchmark]
 
 
 @dataclass
@@ -142,6 +155,10 @@ class EfficiencyOptimum:
         return (self.simulated_watts - self.predicted_watts) / self.predicted_watts
 
 
+def _optimum_reducers() -> List[TopKReducer]:
+    return [TopKReducer(metric="efficiency", k=1)]
+
+
 def efficiency_optimum(
     ctx: StudyContext, benchmark: str, validate: bool = True
 ) -> EfficiencyOptimum:
@@ -150,9 +167,7 @@ def efficiency_optimum(
     The argmax streams through the sweep engine (first occurrence wins on
     ties, as with ``argmax`` over a whole-space table).
     """
-    best = ctx.sweep_exploration(
-        benchmark, [TopKReducer(metric="efficiency", k=1)]
-    )[0]
+    best = ctx.sweep_exploration([benchmark], _optimum_reducers)[benchmark][0]
     point = best.points[0]
     row = EfficiencyOptimum(
         benchmark=benchmark,
@@ -172,6 +187,8 @@ def efficiency_optimum(
 
 def table2(ctx: StudyContext, validate: bool = True) -> List[EfficiencyOptimum]:
     """Table 2: per-benchmark bips^3/w optima with validation errors."""
+    # One suite pass; each row's sweep then reads the context's memo.
+    ctx.sweep_exploration(ctx.benchmarks, _optimum_reducers)
     return [
         efficiency_optimum(ctx, benchmark, validate=validate)
         for benchmark in ctx.benchmarks
@@ -252,6 +269,24 @@ def validate_frontier(
             stats=boxplot_stats(power_errors),
         ),
     )
+
+
+def validate_frontiers(
+    ctx: StudyContext,
+    benchmarks: Sequence[str],
+    count: int = None,
+    bins: int = 50,
+) -> Dict[str, FrontierValidation]:
+    """:func:`validate_frontier` for several benchmarks.
+
+    Their frontiers come from one sweep pass; each validation then reads
+    its frontier from the context's memo.
+    """
+    frontiers(ctx, benchmarks, bins=bins)
+    return {
+        benchmark: validate_frontier(ctx, benchmark, count=count, bins=bins)
+        for benchmark in benchmarks
+    }
 
 
 def resource_trend(

@@ -73,28 +73,29 @@ def optimum_stability(
 ) -> OptimumStability:
     """How stable is the predicted bips^3/w-optimal design under resampling?
 
-    Each replicate's models sweep the exploration set through the sweep
-    engine, reduced to its efficiency argmax; no design matrix of the
-    whole set is built.
+    Every replicate's models sweep the exploration set in one pass of the
+    sweep engine, each reduced to its efficiency argmax; no design matrix
+    of the whole set is built.
     """
     table = ctx.predict_exploration(benchmark)
     nominal = table.points[int(table.efficiency.argmax())]
 
     points = ctx.exploration_points()
     ref_instructions = get_profile(benchmark).ref_instructions
-    winners: List[DesignPoint] = []
-    efficiencies: List[float] = []
-    for models in bootstrap_models(ctx, benchmark, replicates, seed):
-        predictor = BlockPredictor(
+    predictors = [
+        BlockPredictor(
             benchmark=benchmark,
             bips_model=models.bips,
             watts_model=models.watts,
             ref_instructions=ref_instructions,
         )
-        best = run_sweep(predictor, points, [TopKReducer("efficiency", 1)])
-        optimum = best.results[0]
-        winners.append(optimum.points[0])
-        efficiencies.append(float(optimum.efficiency[0]))
+        for models in bootstrap_models(ctx, benchmark, replicates, seed)
+    ]
+    report = run_sweep(
+        predictors, points, [[TopKReducer("efficiency", 1)] for _ in predictors]
+    )
+    winners = [optimum.points[0] for (optimum,) in report.results]
+    efficiencies = [float(optimum.efficiency[0]) for (optimum,) in report.results]
 
     counts = Counter(winners)
     modal_point, modal_count = counts.most_common(1)[0]

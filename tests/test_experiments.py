@@ -138,10 +138,11 @@ def test_validation_kernel_call_layout(test_scale, simulator):
 
 
 def test_one_level_table_build_per_model(test_scale, simulator, monkeypatch):
-    """The context memoizes one sweep predictor per benchmark, so each
-    fitted model's level tables are built once however many studies sweep
-    it.  A predictor built per sweep would rebuild both tables each time:
-    126 builds for these experiments at 9 benchmarks."""
+    """The context memoizes one sweep predictor per benchmark, and a
+    predictor's bips and watts models share their bound terms, so each
+    benchmark's level tables are built once however many studies sweep
+    it: one build per benchmark, where one per model made 18 and a
+    predictor built per sweep would make 126 for these experiments."""
     import repro.harness.sweep as sweep_module
     from repro.regression import SplineTerm
 
@@ -157,14 +158,14 @@ def test_one_level_table_build_per_model(test_scale, simulator, monkeypatch):
 
     builds = []
 
-    class CountingCache(sweep_module._LevelDesignCache):
-        def __init__(self, model, space):
-            builds.append(model.spec.response)
-            super().__init__(model, space)
+    class CountingLayout(sweep_module.DesignLayout):
+        def __init__(self, bound_terms, space):
+            builds.append(bound_terms)
+            super().__init__(bound_terms, space)
 
-    monkeypatch.setattr(sweep_module, "_LevelDesignCache", CountingCache)
+    monkeypatch.setattr(sweep_module, "DesignLayout", CountingLayout)
     benchmark = fresh.benchmarks[0]
     assert fresh.predictor(benchmark) is fresh.predictor(benchmark)
     for experiment_id in ("F3", "F4", "T2", "F5a", "F6", "F9a"):
         run_experiment(experiment_id, ctx=fresh)
-    assert len(builds) == 2 * len(fresh.benchmarks)
+    assert len(builds) == len(fresh.benchmarks)

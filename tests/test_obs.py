@@ -1,4 +1,4 @@
-"""Tests for repro.obs: tracing, metrics, profiling, and summaries.
+"""Tests for repro.obs: tracing, metrics, and summaries.
 
 The observability layer's contracts: spans round-trip through the
 checksummed JSONL sink, the metrics registry snapshots/deltas/merges
@@ -30,7 +30,6 @@ from repro.obs import (
     get_tracer,
     isolated_registry,
     merge_snapshots,
-    profile,
     read_trace,
     render_metrics,
     render_summary,
@@ -355,23 +354,6 @@ class TestSummaries:
         assert "n" in text and "h" in text
 
 
-# -- profiling ---------------------------------------------------------------
-
-
-class TestProfiling:
-    def test_profile_attaches_stats_to_a_span(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        configure_tracing(path)
-        with profile("hotspot", top=5) as handle:
-            sum(i * i for i in range(10000))
-        disable_tracing()
-        assert handle.report
-        assert handle.top_functions(3)
-        (record,) = read_trace(path, strict=True)
-        assert record["name"] == "profile.hotspot"
-        assert "profile" in record["attrs"]
-
-
 # -- resilience integration --------------------------------------------------
 
 
@@ -419,7 +401,7 @@ def _tracing_overhead_ratio(
             configure_tracing(trace_path)
         t0 = _time.perf_counter()
         run_sweep(
-            predictor, points, [ParetoFrontierReducer(bins=50)],
+            [predictor], points, [[ParetoFrontierReducer(bins=50)]],
             block_size=8192,
         )
         elapsed = _time.perf_counter() - t0
@@ -474,7 +456,7 @@ class TestResilienceMetrics:
 
         points = ctx.exploration_points()[:200]
         report = run_sweep(
-            ctx.predictor("gzip"), points, [ParetoFrontierReducer(bins=50)],
+            [ctx.predictor("gzip")], points, [[ParetoFrontierReducer(bins=50)]],
             block_size=64,
         )
         counters = report.metrics["counters"]

@@ -16,6 +16,8 @@ from repro.designspace.parameters import ParameterError
 from repro.designspace.pointset import encoded_level_tables
 from repro.harness.sweep import (
     CollectReducer,
+    DesignLayout,
+    SweepBlock,
     _LevelDesignCache,
     GroupedMetricReducer,
     ParetoFrontierReducer,
@@ -132,12 +134,12 @@ class TestBlockwisePrediction:
         baseline = None
         for block_size in (len(exploration), 256, 101, 7):
             report = run_sweep(
-                predictor,
+                [predictor],
                 exploration,
-                [ParetoFrontierReducer(bins=50), TopKReducer()],
+                [[ParetoFrontierReducer(bins=50), TopKReducer()]],
                 block_size=block_size,
             )
-            front, best = report.results
+            front, best = report.results[0]
             if baseline is None:
                 baseline = (front, best)
                 continue
@@ -152,7 +154,7 @@ class TestBlockwisePrediction:
 
     def test_rejects_bad_config(self, ctx, predictor, exploration):
         with pytest.raises(SweepError):
-            run_sweep(predictor, exploration[:8], [], block_size=0)
+            run_sweep([predictor], exploration[:8], [[]], block_size=0)
 
 
 class TestLevelKernel:
@@ -207,17 +209,17 @@ class TestReducers:
     def test_frontier_reducer_matches_whole_table(self, ctx, exploration):
         table = ctx.predict_points("gzip", list(exploration))
         expected = discretized_frontier(table.delay, table.watts, bins=50)
-        result = run_sweep(
-            ctx.predictor("gzip"), exploration,
-            [ParetoFrontierReducer(bins=50)], block_size=128,
+        (result,) = run_sweep(
+            [ctx.predictor("gzip")], exploration,
+            [[ParetoFrontierReducer(bins=50)]], block_size=128,
         ).results[0]
         assert np.array_equal(np.sort(result.indices), np.sort(expected))
 
     def test_topk_matches_argmax(self, ctx, exploration):
         table = ctx.predict_points("gzip", list(exploration))
-        best = run_sweep(
-            ctx.predictor("gzip"), exploration,
-            [TopKReducer(metric="efficiency", k=1)], block_size=128,
+        (best,) = run_sweep(
+            [ctx.predictor("gzip")], exploration,
+            [[TopKReducer(metric="efficiency", k=1)]], block_size=128,
         ).results[0]
         assert best.indices[0] == int(table.efficiency.argmax())
         assert best.points[0] == table.points[int(table.efficiency.argmax())]
@@ -227,16 +229,16 @@ class TestReducers:
         space = ctx.exploration_space
         point = space.point_at(42)
         points = PointSet.from_points(space, [point] * 10)
-        best = run_sweep(
-            predictor, points, [TopKReducer(k=1)], block_size=3
+        (best,) = run_sweep(
+            [predictor], points, [[TopKReducer(k=1)]], block_size=3
         ).results[0]
         assert best.indices[0] == 0
 
     def test_grouped_matches_masked_table(self, ctx):
         table = ctx.predict_per_depth("gzip")
-        grouped = run_sweep(
-            ctx.predictor("gzip"), ctx.per_depth_points(),
-            [GroupedMetricReducer("depth", "efficiency")], block_size=64,
+        (grouped,) = run_sweep(
+            [ctx.predictor("gzip")], ctx.per_depth_points(),
+            [[GroupedMetricReducer("depth", "efficiency")]], block_size=64,
         ).results[0]
         depths = np.array([p["depth"] for p in table.points], dtype=float)
         for level in grouped.levels():
@@ -251,9 +253,9 @@ class TestReducers:
 
     def test_collect_matches_table(self, ctx, exploration):
         table = ctx.predict_points("gzip", list(exploration))
-        collected = run_sweep(
-            ctx.predictor("gzip"), exploration,
-            [CollectReducer(metrics=("bips", "delay"), columns=("depth",))],
+        (collected,) = run_sweep(
+            [ctx.predictor("gzip")], exploration,
+            [[CollectReducer(metrics=("bips", "delay"), columns=("depth",))]],
             block_size=173,
         ).results[0]
         np.testing.assert_allclose(
@@ -268,9 +270,240 @@ class TestReducers:
         assert np.array_equal(collected.column("depth"), expected_depth)
 
     def test_reducer_results_memoized(self, ctx):
-        a = ctx.sweep_exploration("gzip", [ParetoFrontierReducer(bins=50)])[0]
-        b = ctx.sweep_exploration("gzip", [ParetoFrontierReducer(bins=50)])[0]
+        def reducers():
+            return [ParetoFrontierReducer(bins=50)]
+
+        a = ctx.sweep_exploration(["gzip"], reducers)["gzip"][0]
+        b = ctx.sweep_exploration(["gzip"], reducers)["gzip"][0]
         assert a is b  # cached finalized result, not a re-run
+
+
+def _assert_identical(a, b, where=()):
+    """Bitwise equality of two finalized reducer results."""
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape, where
+        assert a.tobytes() == b.tobytes(), where
+    elif dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in dataclasses.fields(a):
+            _assert_identical(
+                getattr(a, f.name), getattr(b, f.name), where + (f.name,)
+            )
+    elif isinstance(a, dict):
+        assert list(a) == list(b), where
+        for key in a:
+            _assert_identical(a[key], b[key], where + (key,))
+    else:
+        assert a == b, where
+
+
+def _all_reducers():
+    return [
+        ParetoFrontierReducer(bins=20),
+        TopKReducer(metric="efficiency", k=3),
+        GroupedMetricReducer("depth", "efficiency"),
+        CollectReducer(metrics=("bips", "watts", "delay"), columns=("dl1_kb",)),
+    ]
+
+
+def _strided(space, n):
+    """``n`` designs spread over the whole space, in ascending order."""
+    return PointSet(space, np.linspace(0, len(space) - 1, n).astype(np.int64))
+
+
+class TestSuiteSweep:
+    """Many predictors in one pass: shared decode and design matrices."""
+
+    # Each size sweeps a set with a ragged last block (but block size 1).
+    SIZES = {1: 40, 7: 200, 64: 1000, 8192: 8192 + 357}
+
+    @pytest.mark.parametrize("block_size", sorted(SIZES))
+    def test_suite_equals_one_benchmark_at_a_time(self, ctx, block_size):
+        points = _strided(ctx.exploration_space, self.SIZES[block_size])
+        predictors = [ctx.predictor(b) for b in ctx.benchmarks]
+        suite = run_sweep(
+            predictors, points, [_all_reducers() for _ in predictors],
+            block_size=block_size,
+        )
+        assert suite.benchmarks == tuple(ctx.benchmarks)
+        for predictor, results in zip(predictors, suite.results):
+            alone = run_sweep(
+                [predictor], points, [_all_reducers()], block_size=block_size
+            )
+            for got, expected in zip(results, alone.results[0]):
+                _assert_identical(got, expected, (predictor.benchmark,))
+
+    def test_distinct_layouts_get_their_own_matrix(self, ctx, monkeypatch):
+        """Bootstrap refits bind other knots, so they gather from other
+        tables; each model still equals its own FittedModel.predict."""
+        from repro.studies.robustness import bootstrap_models
+
+        nominal = ctx.predictor("mcf")
+        predictors = [nominal] + [
+            dataclasses.replace(
+                nominal, bips_model=models.bips, watts_model=models.watts
+            )
+            for models in bootstrap_models(ctx, "mcf", replicates=2, seed=3)
+        ]
+        space = ctx.exploration_space
+        layouts = {p._level_caches(space)[0].layout for p in predictors}
+        assert len(layouts) == len(predictors)
+
+        fills = []
+        design = DesignLayout.design
+        monkeypatch.setattr(
+            DesignLayout, "design",
+            lambda self, levels: fills.append(self) or design(self, levels),
+        )
+        points = _strided(space, 500)
+        report = run_sweep(
+            predictors, points,
+            [[CollectReducer(metrics=("bips", "watts"))] for _ in predictors],
+            block_size=len(points),
+        )
+        assert len(fills) == len(predictors)
+        encoder = DesignEncoder(space)
+        matrix = encoder.encode(list(points))
+        columns = {n: matrix[:, j] for j, n in enumerate(encoder.feature_names)}
+        for predictor, (collected,) in zip(predictors, report.results):
+            for metric in ("bips", "watts"):
+                model = getattr(predictor, f"{metric}_model")
+                expected = model.predict(columns)
+                assert collected.metric(metric).tobytes() == expected.tobytes()
+
+    def test_one_matrix_fill_per_block_per_layout(self, ctx, monkeypatch):
+        """The suite's 18 models share one layout: the paper's specs share
+        their terms, and every benchmark binds its knots to the same
+        training designs.  One fill per block serves all of them."""
+        fills = []
+        design = DesignLayout.design
+        monkeypatch.setattr(
+            DesignLayout, "design",
+            lambda self, levels: fills.append(levels.shape[0])
+            or design(self, levels),
+        )
+        predictors = [ctx.predictor(b) for b in ctx.benchmarks]
+        space = ctx.exploration_space
+        layouts = [
+            cache.layout
+            for p in predictors
+            for cache in p._level_caches(space)
+        ]
+        assert len(set(layouts)) == 1
+        points = _strided(space, 1000)
+        run_sweep(
+            predictors, points, [[TopKReducer()] for _ in predictors],
+            block_size=64,
+        )
+        assert fills == [64] * 15 + [40]
+
+    def test_points_counter_counts_every_predictor(self, ctx):
+        predictors = [ctx.predictor(b) for b in ctx.benchmarks]
+        points = _strided(ctx.exploration_space, 300)
+        report = run_sweep(
+            predictors, points, [[TopKReducer()] for _ in predictors],
+            block_size=128,
+        )
+        counters = report.metrics["counters"]
+        assert counters["sweep.points"] == len(predictors) * len(points)
+        assert counters["sweep.blocks"] == 3
+        assert report.points_per_second > 0
+
+    def test_reducer_lists_must_match_predictors(self, ctx, predictor):
+        with pytest.raises(SweepError, match="reducer lists"):
+            run_sweep(
+                [predictor, predictor], ctx.exploration_points()[:8],
+                [[TopKReducer()]],
+            )
+
+    def test_context_sweeps_missing_benchmarks_in_one_pass(
+        self, test_scale, simulator, monkeypatch
+    ):
+        """The memo is per benchmark: a suite request after a
+        one-benchmark request sweeps only the rest, in one run."""
+        import repro.studies.common as common_module
+        from repro.studies import StudyContext
+
+        fresh = StudyContext(scale=test_scale, simulator=simulator)
+        runs = []
+        original = common_module.run_sweep
+        monkeypatch.setattr(
+            common_module, "run_sweep",
+            lambda predictors, *args, **kw: runs.append(
+                [p.benchmark for p in predictors]
+            ) or original(predictors, *args, **kw),
+        )
+
+        def reducers():
+            return [TopKReducer()]
+
+        first = fresh.sweep_exploration(["gzip"], reducers)
+        suite = fresh.sweep_exploration(fresh.benchmarks, reducers)
+        assert runs == [
+            ["gzip"], [b for b in fresh.benchmarks if b != "gzip"]
+        ]
+        assert suite["gzip"][0] is first["gzip"][0]
+        assert list(suite) == list(fresh.benchmarks)
+        fresh.sweep_exploration(fresh.benchmarks, reducers)
+        assert len(runs) == 2
+
+
+def _old_topk(blocks, metric, k):
+    """The full-merge top-k: concatenate every candidate, lexsort."""
+    indices = np.array([], dtype=np.int64)
+    values = np.array([], dtype=float)
+    for block in blocks:
+        indices = np.concatenate([indices, block.indices])
+        values = np.concatenate([values, block.metric(metric)])
+        order = np.lexsort((indices, -values))[:k]
+        indices, values = indices[order], values[order]
+    return indices, values
+
+
+def _synthetic_blocks(rng, sizes, nan_share, levels):
+    """Blocks of coarse random values: ties and NaNs on purpose."""
+    blocks, start = [], 0
+    for size in sizes:
+        efficiency = rng.integers(0, levels, size).astype(float)
+        efficiency[rng.random(size) < nan_share] = np.nan
+        bips = rng.random(size)
+        blocks.append(
+            SweepBlock(
+                benchmark="synthetic",
+                indices=np.arange(start, start + size, dtype=np.int64),
+                bips=bips,
+                watts=rng.random(size),
+                delay=1.0 / bips,
+                efficiency=efficiency,
+            )
+        )
+        start += size
+    return blocks
+
+
+class TestTopKPrefilter:
+    """The block prefilter keeps exactly the old full-lexsort result."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("nan_share", [0.0, 0.3, 0.9, 1.0])
+    @pytest.mark.parametrize(
+        "sizes", [[50, 50, 7], [1, 2, 1, 40], [2, 2, 2], [300, 1]]
+    )
+    def test_matches_full_lexsort(self, k, nan_share, sizes):
+        rng = np.random.default_rng(len(sizes) * 100 + k)
+        for levels in (3, 1000):  # heavy ties at the boundary, then few
+            blocks = _synthetic_blocks(rng, sizes, nan_share, levels)
+            reducer = TopKReducer(metric="efficiency", k=k)
+            for block in blocks:
+                reducer.update(block)
+            indices, values = _old_topk(blocks, "efficiency", k)
+            assert reducer._indices.tobytes() == indices.tobytes()
+            assert reducer._state["values"].tobytes() == values.tobytes()
+            for name in ("bips", "watts", "delay"):
+                whole = np.concatenate([b.metric(name) for b in blocks])
+                assert (
+                    reducer._state[name].tobytes() == whole[indices].tobytes()
+                )
 
 
 class TestFrontierMath:
@@ -299,8 +532,8 @@ class TestStudyContextIntegration:
         """Sweep positions index predict_exploration rows."""
         table = ctx.predict_exploration("gzip")
         front = ctx.sweep_exploration(
-            "gzip", [ParetoFrontierReducer(bins=50)]
-        )[0]
+            ["gzip"], lambda: [ParetoFrontierReducer(bins=50)]
+        )["gzip"][0]
         for idx, point in zip(front.indices, front.points):
             assert table.points[int(idx)] == point
 
