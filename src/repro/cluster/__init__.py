@@ -3,7 +3,6 @@
 from .kmeans import (
     KMeansError,
     KMeansResult,
-    elbow_inertias,
     kmeans,
     lloyd_iteration,
 )
@@ -11,7 +10,6 @@ from .kmeans import (
 __all__ = [
     "kmeans",
     "lloyd_iteration",
-    "elbow_inertias",
     "KMeansResult",
     "KMeansError",
 ]

@@ -11,7 +11,7 @@ paper's step 1) remains available.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -137,16 +137,3 @@ def kmeans(
             best = result
     assert best is not None
     return best
-
-
-def elbow_inertias(
-    points: np.ndarray,
-    k_values: Tuple[int, ...],
-    seed: Optional[int] = None,
-    restarts: int = 10,
-) -> dict:
-    """Inertia per k — the diminishing-returns curve behind Figure 9."""
-    return {
-        k: kmeans(points, k, seed=seed, restarts=restarts).inertia
-        for k in k_values
-    }

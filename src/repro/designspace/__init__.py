@@ -20,7 +20,6 @@ from .sampling import (
     sample_stratified_indices,
     sample_uar,
     sample_uar_indices,
-    split_train_validation,
 )
 from .space import DesignPoint, DesignSpace
 from .table1 import (
@@ -52,7 +51,6 @@ __all__ = [
     "sample_stratified",
     "sample_stratified_indices",
     "sample_halton",
-    "split_train_validation",
     "sampling_space",
     "exploration_space",
     "extended_space",

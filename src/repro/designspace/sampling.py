@@ -10,7 +10,7 @@ low-discrepancy (Halton) sampler.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -167,21 +167,3 @@ def sample_halton(
             values[parameter.name] = parameter.values[level]
         points.append(space.point(**values))
     return points
-
-
-def split_train_validation(
-    points: Sequence[DesignPoint],
-    validation_count: int,
-    seed: Optional[int] = None,
-) -> tuple:
-    """Shuffle ``points`` and split off ``validation_count`` of them."""
-    if validation_count > len(points):
-        raise ParameterError(
-            f"cannot hold out {validation_count} of {len(points)} points"
-        )
-    rng = _generator(seed)
-    order = list(range(len(points)))
-    rng.shuffle(order)
-    validation = [points[i] for i in order[:validation_count]]
-    training = [points[i] for i in order[validation_count:]]
-    return training, validation

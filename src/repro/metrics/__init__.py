@@ -4,14 +4,10 @@ from .metrics import (
     MetricError,
     bips3_per_watt,
     delay_seconds,
-    energy_delay_squared,
-    relative_efficiency,
 )
 
 __all__ = [
     "bips3_per_watt",
     "delay_seconds",
-    "energy_delay_squared",
-    "relative_efficiency",
     "MetricError",
 ]

@@ -34,17 +34,3 @@ def bips3_per_watt(bips, watts):
     if np.any(bips < 0):
         raise MetricError("bips must be non-negative")
     return bips**3 / np.asarray(watts, dtype=float)
-
-
-def energy_delay_squared(bips, watts, ref_instructions: float):
-    """ED^2 product over the full run — the inverse view of bips^3/w."""
-    delay = delay_seconds(bips, ref_instructions)
-    energy = np.asarray(watts, dtype=float) * delay
-    return energy * delay**2
-
-
-def relative_efficiency(bips, watts, baseline_bips: float, baseline_watts: float):
-    """Efficiency normalized to a baseline design (Figures 5, 9)."""
-    return bips3_per_watt(bips, watts) / bips3_per_watt(
-        baseline_bips, baseline_watts
-    )

@@ -8,8 +8,7 @@ form CACTI produces for this size range:
   lengths) plus a small per-way comparator cost;
 - access energy likewise grows ~sqrt(capacity), with an associativity
   surcharge for reading multiple ways;
-- leakage grows near-linearly with capacity;
-- area grows linearly with capacity (used as a leakage/floorplan proxy).
+- leakage grows near-linearly with capacity.
 
 Constants are chosen for a 90nm-class technology so the POWER4-like
 baseline (Table 3) lands at its documented latencies: ~1-2 cycle 32KB L1
@@ -42,7 +41,6 @@ _E_WAY_FACTOR = 0.15
 _LEAK_W_PER_KB = 0.0016
 _LEAK_EXPONENT = 0.97
 
-_AREA_MM2_PER_KB = 0.055
 
 
 def _check(size_kb: float, assoc: int) -> None:
@@ -74,9 +72,3 @@ def leakage_w(size_kb: float) -> float:
     """Standby leakage power in watts."""
     _check(size_kb, 1)
     return _LEAK_W_PER_KB * size_kb**_LEAK_EXPONENT
-
-
-def area_mm2(size_kb: float) -> float:
-    """Array area in mm^2 (floorplan / leakage proxy)."""
-    _check(size_kb, 1)
-    return _AREA_MM2_PER_KB * size_kb

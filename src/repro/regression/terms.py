@@ -216,14 +216,6 @@ def column_names(bound: Sequence[BoundTerm]) -> Tuple[str, ...]:
     return tuple(names)
 
 
-def bind_terms(
-    terms: Sequence[Term], data: Columns
-) -> Tuple[Tuple[BoundTerm, ...], Tuple[str, ...]]:
-    """Bind all terms to training data; returns bound terms + column names."""
-    bound = tuple(term.bind(data) for term in terms)
-    return bound, column_names(bound)
-
-
 def stack_design(blocks: Sequence[np.ndarray]) -> np.ndarray:
     """An intercept column followed by the terms' column blocks, in order."""
     if not blocks:

@@ -70,20 +70,3 @@ class LogTransform(ResponseTransform):
 
     def inverse(self, z: np.ndarray) -> np.ndarray:
         return np.exp(np.asarray(z, dtype=float))
-
-
-TRANSFORMS = {
-    IdentityTransform.name: IdentityTransform,
-    SqrtTransform.name: SqrtTransform,
-    LogTransform.name: LogTransform,
-}
-
-
-def get_transform(name: str) -> ResponseTransform:
-    """Transform instance by name."""
-    try:
-        return TRANSFORMS[name]()
-    except KeyError:
-        raise TransformError(
-            f"unknown transform {name!r}; choices are {sorted(TRANSFORMS)}"
-        ) from None

@@ -7,14 +7,7 @@ before ``config`` is loaded.
 """
 
 from . import frequency  # noqa: F401  (must precede config; see docstring)
-from .branch import (
-    BimodalPredictor,
-    BranchPredictor,
-    GSharePredictor,
-    OneBitBHT,
-    PredictorConfigError,
-    build_predictor,
-)
+from .branch import OneBitBHT
 from .config import (
     ARCHITECTED_FPR,
     ARCHITECTED_GPR,
@@ -50,12 +43,7 @@ __all__ = [
     "PipelineOutcome",
     "SimulationResult",
     "ActivityCounts",
-    "BranchPredictor",
     "OneBitBHT",
-    "BimodalPredictor",
-    "GSharePredictor",
-    "build_predictor",
-    "PredictorConfigError",
     "OccupancyWindow",
     "ThroughputLimiter",
     "ResourceError",

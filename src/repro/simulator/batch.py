@@ -48,7 +48,7 @@ from ..workloads.trace import (
     OP_STORE,
     Trace,
 )
-from .branch import build_predictor
+from .branch import OneBitBHT
 from .config import MachineConfig
 from .memory import StackDistanceMemory
 from .pipeline import PipelineOutcome
@@ -134,21 +134,17 @@ def _trace_view(trace: Trace) -> _TraceView:
     return trace.derived(("batch", "view"), lambda: _TraceView(trace))
 
 
-def _mispredict_stream(
-    trace: Trace, view: _TraceView, name: str, entries: int
-) -> np.ndarray:
-    """Per-branch mispredict outcomes for one predictor geometry.
+def _mispredict_stream(trace: Trace, view: _TraceView) -> np.ndarray:
+    """Per-branch mispredict outcomes of the Table 3 predictor.
 
     The scalar pipeline updates the predictor for every branch in program
     order regardless of timing, so one replay of the branch stream fixes
-    the outcome of every branch for every config sharing the predictor.
-    The stream is replayed once beforehand, as the simulator's warming
-    pass does (it resets only the stats, never the tables).
+    the outcome of every branch for every config.  The stream is replayed
+    once beforehand, as the simulator's warming pass does.
     """
 
     def build() -> np.ndarray:
-        predictor = build_predictor(name, entries)
-        predict_and_update = predictor.predict_and_update
+        predict_and_update = OneBitBHT().predict_and_update
         sites = view.branch_sites
         takens = view.branch_takens
         for site, taken in zip(sites, takens):
@@ -158,7 +154,7 @@ def _mispredict_stream(
             dtype=bool,
         )
 
-    return trace.derived(("batch", "mispredict", name, entries), build)
+    return trace.derived(("batch", "mispredict"), build)
 
 
 def _stack_levels(
@@ -341,22 +337,9 @@ def run_pipeline_batch(
     load_lat = np.ascontiguousarray(load_lat.T)
     load_miss = np.ascontiguousarray(load_miss.T)
 
-    predictor_keys = [(c.predictor, c.predictor_entries) for c in configs]
-    uniform_predictor = len(set(predictor_keys)) == 1
-    if uniform_predictor:
-        stream = _mispredict_stream(trace, view, *predictor_keys[0])
-        mispredict_rows = stream.tolist()
-        mispredict_totals = np.full(batch, int(stream.sum()), dtype=np.int64)
-    else:
-        matrix = np.stack(
-            [
-                _mispredict_stream(trace, view, name, entries)
-                for name, entries in predictor_keys
-            ],
-            axis=1,
-        )
-        mispredict_rows = matrix
-        mispredict_totals = matrix.sum(axis=0).astype(np.int64)
+    stream = _mispredict_stream(trace, view)
+    mispredict_rows = stream.tolist()
+    mispredicts = int(stream.sum())
 
     # ---- per-config scalars and resource state ---------------------------
     frontend = int_column(lambda c: c.frontend_stages)
@@ -475,17 +458,8 @@ def run_pipeline_batch(
         completion[i % ring] = comp
 
         if op == OP_BRANCH:
-            if uniform_predictor:
-                if mispredict_rows[branch_index]:
-                    maximum(fetch_available, comp + one, out=fetch_available)
-            else:
-                mispredicted = mispredict_rows[branch_index]
-                if mispredicted.any():
-                    fetch_available = np.where(
-                        mispredicted,
-                        maximum(fetch_available, comp + one),
-                        fetch_available,
-                    )
+            if mispredict_rows[branch_index]:
+                maximum(fetch_available, comp + one, out=fetch_available)
             branch_index += 1
 
         # retire
@@ -521,7 +495,7 @@ def run_pipeline_batch(
             loads=base["loads"],
             stores=base["stores"],
             branches=base["branches"],
-            mispredicts=int(mispredict_totals[b]),
+            mispredicts=mispredicts,
             gpr_reads=base["gpr_reads"],
             gpr_writes=base["gpr_writes"],
             fpr_reads=base["fpr_reads"],

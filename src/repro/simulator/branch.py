@@ -1,151 +1,24 @@
-"""Branch predictors.
+"""Branch predictor.
 
-Table 3's baseline machine carries a 16k-entry 1-bit branch history table;
-that predictor is the default.  A 2-bit bimodal table and a gshare
-predictor are provided for ablation studies — branch behaviour interacts
-with pipeline depth (the mispredict penalty scales with front-end stages),
-so predictor quality shifts the depth optimum.
+Table 3's baseline machine carries a 16k-entry 1-bit branch history table,
+and no study varies it, so it is the one predictor the simulator models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+#: Table 3's branch history table size.
+BHT_ENTRIES = 16 * 1024
 
 
-class PredictorConfigError(ValueError):
-    """Raised for invalid predictor geometries."""
-
-
-@dataclass
-class PredictorStats:
-    predictions: int = 0
-    mispredictions: int = 0
-
-    @property
-    def mispredict_rate(self) -> float:
-        return self.mispredictions / self.predictions if self.predictions else 0.0
-
-
-class BranchPredictor:
-    """Interface: ``predict_and_update(site, taken) -> correct``."""
-
-    name = "abstract"
+class OneBitBHT:
+    """1-bit branch history table — the Table 3 baseline."""
 
     def __init__(self) -> None:
-        self.stats = PredictorStats()
+        self._table = [True] * BHT_ENTRIES  # initialized taken
 
     def predict_and_update(self, site: int, taken: bool) -> bool:
-        """Predict branch at ``site``, learn ``taken``, return correctness."""
-        prediction = self._predict(site)
-        self._update(site, taken)
-        self.stats.predictions += 1
-        correct = prediction == taken
-        if not correct:
-            self.stats.mispredictions += 1
+        """Predict the branch at ``site``, learn ``taken``, return correctness."""
+        index = site % BHT_ENTRIES
+        correct = self._table[index] == taken
+        self._table[index] = taken
         return correct
-
-    def _predict(self, site: int) -> bool:
-        raise NotImplementedError
-
-    def _update(self, site: int, taken: bool) -> None:
-        raise NotImplementedError
-
-
-class OneBitBHT(BranchPredictor):
-    """1-bit branch history table — the Table 3 baseline (16k entries)."""
-
-    name = "bht-1bit"
-
-    def __init__(self, entries: int = 16 * 1024):
-        super().__init__()
-        if entries < 1:
-            raise PredictorConfigError(f"entries must be >= 1, got {entries}")
-        self.entries = entries
-        self._table = [True] * entries  # initialized weakly taken
-
-    def _index(self, site: int) -> int:
-        return site % self.entries
-
-    def _predict(self, site: int) -> bool:
-        return self._table[self._index(site)]
-
-    def _update(self, site: int, taken: bool) -> None:
-        self._table[self._index(site)] = taken
-
-
-class BimodalPredictor(BranchPredictor):
-    """2-bit saturating-counter table."""
-
-    name = "bimodal-2bit"
-
-    def __init__(self, entries: int = 16 * 1024):
-        super().__init__()
-        if entries < 1:
-            raise PredictorConfigError(f"entries must be >= 1, got {entries}")
-        self.entries = entries
-        self._table = [2] * entries  # weakly taken
-
-    def _index(self, site: int) -> int:
-        return site % self.entries
-
-    def _predict(self, site: int) -> bool:
-        return self._table[self._index(site)] >= 2
-
-    def _update(self, site: int, taken: bool) -> None:
-        index = self._index(site)
-        counter = self._table[index]
-        if taken:
-            self._table[index] = min(3, counter + 1)
-        else:
-            self._table[index] = max(0, counter - 1)
-
-
-class GSharePredictor(BranchPredictor):
-    """Global-history predictor: 2-bit counters indexed by PC xor history."""
-
-    name = "gshare"
-
-    def __init__(self, entries: int = 16 * 1024, history_bits: int = 10):
-        super().__init__()
-        if entries < 1:
-            raise PredictorConfigError(f"entries must be >= 1, got {entries}")
-        if not 0 <= history_bits <= 30:
-            raise PredictorConfigError(f"history_bits out of range: {history_bits}")
-        self.entries = entries
-        self.history_bits = history_bits
-        self._history_mask = (1 << history_bits) - 1
-        self._history = 0
-        self._table = [2] * entries
-
-    def _index(self, site: int) -> int:
-        return (site ^ self._history) % self.entries
-
-    def _predict(self, site: int) -> bool:
-        return self._table[self._index(site)] >= 2
-
-    def _update(self, site: int, taken: bool) -> None:
-        index = self._index(site)
-        counter = self._table[index]
-        if taken:
-            self._table[index] = min(3, counter + 1)
-        else:
-            self._table[index] = max(0, counter - 1)
-        self._history = ((self._history << 1) | int(taken)) & self._history_mask
-
-
-PREDICTORS = {
-    OneBitBHT.name: OneBitBHT,
-    BimodalPredictor.name: BimodalPredictor,
-    GSharePredictor.name: GSharePredictor,
-}
-
-
-def build_predictor(name: str = OneBitBHT.name, entries: int = 16 * 1024):
-    """Construct a predictor by name; defaults to the Table 3 baseline."""
-    try:
-        cls = PREDICTORS[name]
-    except KeyError:
-        raise PredictorConfigError(
-            f"unknown predictor {name!r}; choices are {sorted(PREDICTORS)}"
-        ) from None
-    return cls(entries=entries)

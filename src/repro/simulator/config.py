@@ -1,10 +1,9 @@
 """Machine configuration.
 
 A :class:`MachineConfig` resolves a design point (plus fixed baseline
-choices such as associativities, predictor geometry and technology
-constants) into everything the timing and power models need: stage counts,
-clock frequency, per-op latencies in cycles, queue/register capacities and
-cache geometry.
+choices such as associativities and technology constants) into everything
+the timing and power models need: stage counts, clock frequency, per-op
+latencies in cycles, queue/register capacities and cache geometry.
 
 The Table 3 POWER4-like baseline is exposed both as a literal config
 (:func:`baseline_config`) and as a design point snapped onto the Table 1
@@ -62,8 +61,9 @@ class MachineConfig:
     """Fully resolved machine parameters for one design.
 
     Primary design parameters mirror Table 1; the remaining fields are the
-    fixed baseline choices of Table 3 (associativities, predictor) and the
-    technology-derived quantities (frequency, stage counts, latencies).
+    fixed baseline choices of Table 3 (associativities, ROB and MSHR
+    counts) and the technology-derived quantities (frequency, stage
+    counts, latencies).
     """
 
     # -- Table 1 design parameters ----------------------------------------
@@ -86,8 +86,6 @@ class MachineConfig:
     il1_assoc: int = 1
     dl1_assoc: int = 2
     l2_assoc: int = 4
-    predictor: str = "bht-1bit"
-    predictor_entries: int = 16 * 1024
     rob_size: int = ROB_SIZE
     mshr_count: int = 16
     in_order: bool = False

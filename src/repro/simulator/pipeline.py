@@ -43,7 +43,7 @@ from ..workloads.trace import (
     OP_STORE,
     Trace,
 )
-from .branch import BranchPredictor, build_predictor
+from .branch import OneBitBHT
 from .config import MachineConfig
 from .memory import StackDistanceMemory
 from .resources import OccupancyWindow, ThroughputLimiter
@@ -62,19 +62,20 @@ def run_pipeline(
     trace: Trace,
     config: MachineConfig,
     memory=None,
-    predictor: Optional[BranchPredictor] = None,
+    predictor: Optional[OneBitBHT] = None,
 ) -> PipelineOutcome:
     """Schedule ``trace`` on ``config``; returns cycles and activity counts.
 
     ``memory`` is any object with the
     :class:`~repro.simulator.memory.StackDistanceMemory` interface
     (defaults to a fresh stack-distance model for the config);
-    ``predictor`` defaults to the config's branch predictor.
+    ``predictor`` is any object with a ``predict_and_update(site, taken)``
+    method (defaults to a fresh Table 3 :class:`OneBitBHT`).
     """
     if memory is None:
         memory = StackDistanceMemory(config)
     if predictor is None:
-        predictor = build_predictor(config.predictor, config.predictor_entries)
+        predictor = OneBitBHT()
 
     # Next-line prefetcher: a memory access that continues a sequential
     # block run is covered by the prefetch issued on its predecessor, so a

@@ -7,28 +7,17 @@ from .suite import (
     REPRESENTATIVE,
     SUITE,
     get_profile,
-    suite_profiles,
 )
 from .characterize import (
     WorkloadCharacter,
     branch_predictability,
     characterize,
     dataflow_ilp,
-    footprint_growth,
     instruction_miss_rate_curve,
     miss_rate_curve,
 )
-from .extras import EXTRA_SUITE, get_extra_profile
-from .io import TRACE_FORMAT_VERSION, load_trace, save_trace
-from .sampling import (
-    SamplingValidation,
-    TraceSamplingError,
-    systematic_sample,
-    validate_sampling,
-)
 from .validation import Check, ConformanceReport, validate_trace
 from .trace import (
-    FPR_WRITERS,
     GPR_WRITERS,
     OP_BRANCH,
     OP_CODES,
@@ -54,7 +43,6 @@ __all__ = [
     "BENCHMARK_NAMES",
     "REPRESENTATIVE",
     "get_profile",
-    "suite_profiles",
     "OP_INT",
     "OP_INT_MUL",
     "OP_FP",
@@ -65,24 +53,13 @@ __all__ = [
     "OP_NAMES",
     "OP_CODES",
     "GPR_WRITERS",
-    "FPR_WRITERS",
     "validate_trace",
     "ConformanceReport",
     "Check",
-    "save_trace",
-    "load_trace",
-    "TRACE_FORMAT_VERSION",
-    "EXTRA_SUITE",
-    "get_extra_profile",
     "characterize",
     "WorkloadCharacter",
     "dataflow_ilp",
     "branch_predictability",
     "miss_rate_curve",
     "instruction_miss_rate_curve",
-    "footprint_growth",
-    "systematic_sample",
-    "validate_sampling",
-    "SamplingValidation",
-    "TraceSamplingError",
 ]

@@ -1,7 +1,7 @@
 """Workload characterization.
 
 Quantifies the program properties that drive design-space behaviour —
-inherent ILP, branch predictability, cacheability, footprint growth — the
+inherent ILP, branch predictability, cacheability, footprint — the
 quantities architects consult when interpreting why a benchmark's optimum
 lands where it does (e.g. the Section 4.1 discussion of ammp's parallelism
 versus mcf's memory boundedness).
@@ -12,9 +12,7 @@ All analyses operate on a concrete :class:`~repro.workloads.trace.Trace`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import Dict, Sequence
 
 from .trace import NO_FETCH, OP_BRANCH, Trace
 
@@ -92,24 +90,6 @@ def branch_predictability(trace: Trace) -> float:
             correct += last[site] == taken
         last[site] = taken
     return correct / total if total else 1.0
-
-
-def footprint_growth(trace: Trace, checkpoints: int = 10) -> List[tuple]:
-    """(instructions, distinct data blocks) at evenly spaced checkpoints."""
-    if checkpoints < 1:
-        raise ValueError("need at least one checkpoint")
-    mem_positions = np.flatnonzero(trace.mem_block >= 0)
-    blocks = trace.mem_block[mem_positions]
-    marks = np.linspace(len(trace) / checkpoints, len(trace), checkpoints)
-    seen: set = set()
-    growth = []
-    cursor = 0
-    for mark in marks:
-        while cursor < mem_positions.size and mem_positions[cursor] < mark:
-            seen.add(int(blocks[cursor]))
-            cursor += 1
-        growth.append((int(mark), len(seen)))
-    return growth
 
 
 @dataclass

@@ -26,7 +26,7 @@ to convert instruction rate into end-to-end delay seconds.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from .profile import WorkloadProfile
 
@@ -257,10 +257,3 @@ def get_profile(name: str) -> WorkloadProfile:
         raise KeyError(
             f"unknown benchmark {name!r}; suite contains {sorted(SUITE)}"
         ) from None
-
-
-def suite_profiles(names: Optional[List[str]] = None) -> List[WorkloadProfile]:
-    """Profiles for the requested benchmarks (default: whole suite)."""
-    if names is None:
-        return list(SUITE.values())
-    return [get_profile(name) for name in names]

@@ -51,8 +51,6 @@ NO_DATA = -1
 
 #: Op classes that write a general-purpose (integer) physical register.
 GPR_WRITERS = (OP_INT, OP_INT_MUL, OP_LOAD)
-#: Op classes that write a floating-point physical register.
-FPR_WRITERS = (OP_FP, OP_FP_DIV)
 
 
 class TraceError(ValueError):

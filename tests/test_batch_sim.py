@@ -9,6 +9,8 @@ against the scalar resource classes; the campaign tests check the
 contract survives block shapes and a rerun from cached benchmarks.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,11 +25,12 @@ from repro.harness import (
 )
 from repro.harness.resilience import ChunkFailure, Fault, FaultPlan
 from repro.obs.metrics import isolated_registry
-from repro.simulator import Simulator
+from repro.simulator import Simulator, config_from_point, run_pipeline_batch
+from repro.simulator import batch as batch_module
 from repro.simulator.batch import _LockstepWindow, _MaskedWindow
 from repro.simulator.resources import OccupancyWindow, ThroughputLimiter
 from repro.workloads import BENCHMARK_NAMES, get_profile
-from repro.workloads.sampling import systematic_sample
+from repro.workloads.trace import OP_BRANCH
 
 SPACE = sampling_space()
 # Adds in-order issue and dl1 associativity, both of which reach the
@@ -209,6 +212,30 @@ class TestBatchAPI:
             assert counters["simulator.batch.blocks"] == 3
             assert counters["simulator.instructions"] == 5 * len(trace)
 
+    def test_one_predictor_replay_per_trace(self, monkeypatch):
+        """Every config shares the Table 3 predictor, so the branch
+        stream is replayed once per trace, however the blocks differ."""
+        built = []
+
+        class CountingBHT(batch_module.OneBitBHT):
+            def __init__(self):
+                built.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(batch_module, "OneBitBHT", CountingBHT)
+        space = SPACES["extended"]
+        simulator = Simulator()
+        trace = simulator.trace_for(get_profile("gcc"), 300, seed=4)
+        base = sample_uar(space, 1, seed=5)[0]
+        blocks = [
+            [base.replace(dl1_assoc=1, in_order=0), base.replace(dl1_assoc=8)],
+            [base.replace(in_order=1), base.replace(dl1_assoc=4, in_order=1)],
+        ]
+        for points in blocks:
+            configs = [config_from_point(space, p) for p in points]
+            run_pipeline_batch(trace, configs)
+        assert len(built) == 1
+
 
 class TestTraceCacheLRU:
     def test_rejects_bad_cache_size(self):
@@ -240,27 +267,37 @@ class TestTraceCacheLRU:
         assert ("gzip", 200, 0) in keys
         assert ("gzip", 200, 1) not in keys
 
-    def test_sampled_trace_gets_its_own_branch_stream(self):
-        """A sampled trace can share (name, length, seed) with a trace the
-        cache holds; its warming stream must come from its own columns."""
+    def test_trace_sharing_a_cache_key_gets_its_own_branch_stream(self):
+        """A trace built from a cached trace's columns can share its
+        (name, length, seed); its warming and mispredict streams must
+        come from its own columns."""
         simulator = Simulator()
         profile = get_profile("gzip")
         point = sample_uar(SPACE, 1, seed=8)[0]
         cached = simulator.trace_for(profile, 200, seed=0)
-        simulator.simulate_point(SPACE, point, cached)
-        sampled = systematic_sample(
-            simulator.trace_for(profile, 800, seed=0), 4, 50
+        before = simulator.simulate_point(SPACE, point, cached)
+        simulator.simulate_batch(SPACE, [point], cached)
+        # every branch on one static site: a different branch stream
+        aliased = dataclasses.replace(
+            cached,
+            branch_site=np.where(cached.op == OP_BRANCH, 0, -1).astype(np.int32),
         )
-        assert (sampled.name, len(sampled), sampled.metadata["seed"]) == (
+        assert (aliased.name, len(aliased), aliased.metadata["seed"]) == (
             cached.name, len(cached), cached.metadata["seed"]
         )
-        assert not np.array_equal(sampled.branch_site, cached.branch_site)
-        got = simulator.simulate_point(SPACE, point, sampled)
-        want = Simulator().simulate_point(SPACE, point, sampled)
+        assert not np.array_equal(aliased.branch_site, cached.branch_site)
+        got = simulator.simulate_point(SPACE, point, aliased)
+        want = Simulator().simulate_point(SPACE, point, aliased)
         assert_identical([got], [want])
-        # each trace object memoizes the stream of its own columns
+        assert got.counts.mispredicts != before.counts.mispredicts
+        assert_identical(simulator.simulate_batch(SPACE, [point], aliased), [want])
+        # each trace object memoizes the streams of its own columns
         key = ("simulator", "branch_stream")
-        assert sampled.derived(key, list) != cached.derived(key, list)
+        assert aliased.derived(key, list) != cached.derived(key, list)
+        key = ("batch", "mispredict")
+        assert not np.array_equal(
+            aliased.derived(key, list), cached.derived(key, list)
+        )
 
     def test_evicted_trace_regenerates_identically(self):
         simulator = Simulator(trace_cache_size=1)

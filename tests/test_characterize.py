@@ -7,7 +7,6 @@ from repro.workloads import (
     branch_predictability,
     characterize,
     dataflow_ilp,
-    footprint_growth,
     generate_trace,
     get_profile,
     instruction_miss_rate_curve,
@@ -93,19 +92,6 @@ class TestMissCurves:
         mcf = miss_rate_curve(generate_trace(get_profile("mcf"), 8000, seed=1))
         gzip = miss_rate_curve(generate_trace(get_profile("gzip"), 8000, seed=1))
         assert mcf[16384] > gzip[16384]
-
-
-class TestFootprint:
-    def test_growth_monotone(self):
-        trace = generate_trace(get_profile("gcc"), 8000, seed=1)
-        growth = footprint_growth(trace, checkpoints=8)
-        sizes = [blocks for _, blocks in growth]
-        assert sizes == sorted(sizes)
-        assert sizes[-1] == trace.data_footprint()
-
-    def test_requires_checkpoints(self):
-        with pytest.raises(ValueError):
-            footprint_growth(chain_trace(), checkpoints=0)
 
 
 class TestCharacterize:

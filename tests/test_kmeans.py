@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import KMeansError, elbow_inertias, kmeans, lloyd_iteration
+from repro.cluster import KMeansError, kmeans, lloyd_iteration
 
 
 def blob_data(seed=0):
@@ -61,12 +61,6 @@ class TestBasics:
 
 
 class TestInertia:
-    def test_inertia_non_increasing_in_k(self):
-        points, _ = blob_data()
-        inertias = elbow_inertias(points, (1, 2, 3, 4, 5), seed=1, restarts=5)
-        values = list(inertias.values())
-        assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
-
     def test_inertia_matches_definition(self):
         points, _ = blob_data()
         result = kmeans(points, 3, seed=0)

@@ -7,8 +7,6 @@ from repro.metrics import (
     MetricError,
     bips3_per_watt,
     delay_seconds,
-    energy_delay_squared,
-    relative_efficiency,
 )
 
 
@@ -49,27 +47,3 @@ class TestEfficiency:
         # 10% performance gain at equal power is ~33% efficiency gain
         gain = bips3_per_watt(1.1, 10.0) / bips3_per_watt(1.0, 10.0)
         assert gain == pytest.approx(1.331)
-
-
-class TestED2:
-    def test_inverse_relationship_with_bips3w(self):
-        # ED^2 = ref^3 / (bips^3/w) / 1e27; check proportionality
-        a = energy_delay_squared(1.0, 10.0, 1e9)
-        b = energy_delay_squared(2.0, 10.0, 1e9)
-        assert a / b == pytest.approx(8.0)
-
-    def test_energy_component(self):
-        value = energy_delay_squared(1.0, 10.0, 1e9)
-        assert value == pytest.approx(10.0)  # 10W x 1s x 1s^2
-
-
-class TestRelative:
-    def test_baseline_is_unity(self):
-        assert relative_efficiency(1.5, 20.0, 1.5, 20.0) == pytest.approx(1.0)
-
-    def test_better_design(self):
-        assert relative_efficiency(2.0, 20.0, 1.0, 20.0) == pytest.approx(8.0)
-
-    def test_array_numerator(self):
-        values = relative_efficiency(np.array([1.0, 2.0]), 10.0, 1.0, 10.0)
-        assert values == pytest.approx([1.0, 8.0])

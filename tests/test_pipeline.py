@@ -6,7 +6,6 @@ import pytest
 from repro.simulator import (
     Simulator,
     baseline_config,
-    build_predictor,
     run_pipeline,
 )
 from repro.simulator.memory import StackDistanceMemory
@@ -142,9 +141,6 @@ class TestPredictorInteraction:
         config = baseline_config()
 
         class AlwaysWrong:
-            def __init__(self):
-                self.stats = build_predictor().stats
-
             def predict_and_update(self, site, taken):
                 return False
 
@@ -159,9 +155,6 @@ class TestPredictorInteraction:
         config = baseline_config()
 
         class Oracle:
-            def __init__(self):
-                self.stats = build_predictor().stats
-
             def predict_and_update(self, site, taken):
                 return True
 

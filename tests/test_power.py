@@ -29,9 +29,6 @@ class TestCacti:
         ratio = cacti.leakage_w(4096) / cacti.leakage_w(1024)
         assert 3.0 < ratio < 4.2
 
-    def test_area_linear(self):
-        assert cacti.area_mm2(64) == pytest.approx(2 * cacti.area_mm2(32))
-
     def test_rejects_non_positive_size(self):
         with pytest.raises(CactiError):
             cacti.access_time_ns(0)

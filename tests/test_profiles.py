@@ -10,7 +10,6 @@ from repro.workloads import (
     SUITE,
     ProfileError,
     get_profile,
-    suite_profiles,
 )
 from repro.workloads.profile import reuse_survival, validate_strata
 
@@ -31,12 +30,6 @@ class TestSuite:
     def test_get_profile_unknown_lists_names(self):
         with pytest.raises(KeyError, match="ammp"):
             get_profile("bogus")
-
-    def test_suite_profiles_default_order(self):
-        assert [p.name for p in suite_profiles()] == list(BENCHMARK_NAMES)
-
-    def test_suite_profiles_selection(self):
-        assert [p.name for p in suite_profiles(["mcf", "gzip"])] == ["mcf", "gzip"]
 
     def test_mcf_is_most_memory_bound(self):
         # mcf's survival at the largest L2 should dominate the suite's

@@ -16,7 +16,6 @@ from repro.designspace import (
     sample_uar,
     sample_uar_indices,
     sampling_space,
-    split_train_validation,
 )
 from repro.designspace.sampling import _uar_indices
 
@@ -127,25 +126,6 @@ class TestHalton:
         ]
         with pytest.raises(ParameterError):
             sample_halton(DesignSpace(parameters), 4)
-
-
-class TestSplit:
-    def test_sizes(self, toy_space):
-        points = sample_uar(toy_space, 20, seed=1)
-        train, validation = split_train_validation(points, 5, seed=2)
-        assert len(train) == 15
-        assert len(validation) == 5
-
-    def test_disjoint_and_complete(self, toy_space):
-        points = sample_uar(toy_space, 20, seed=1)
-        train, validation = split_train_validation(points, 5, seed=2)
-        assert set(train) | set(validation) == set(points)
-        assert not set(train) & set(validation)
-
-    def test_cannot_hold_out_more_than_available(self, toy_space):
-        points = sample_uar(toy_space, 4, seed=1)
-        with pytest.raises(ParameterError):
-            split_train_validation(points, 5)
 
 
 # -- index samplers ------------------------------------------------------------

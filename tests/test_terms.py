@@ -8,9 +8,9 @@ from repro.regression import (
     LinearTerm,
     SplineTerm,
     TermError,
-    bind_terms,
     design_matrix,
 )
+from repro.regression.terms import column_names
 
 
 @pytest.fixture
@@ -102,18 +102,17 @@ class TestInteractionTerm:
 
 
 class TestAssembly:
-    def test_bind_terms_names(self, data):
-        bound, names = bind_terms(
-            [SplineTerm("depth", knots=3), LinearTerm("l2")], data
-        )
-        assert names == ("depth", "depth'", "l2")
+    def test_column_names(self, data):
+        bound = (SplineTerm("depth", knots=3).bind(data), LinearTerm("l2").bind(data))
+        assert column_names(bound) == ("depth", "depth'", "l2")
 
     def test_duplicate_columns_rejected(self, data):
+        bound = (LinearTerm("depth").bind(data), LinearTerm("depth").bind(data))
         with pytest.raises(TermError, match="duplicate"):
-            bind_terms([LinearTerm("depth"), LinearTerm("depth")], data)
+            column_names(bound)
 
     def test_design_matrix_has_intercept(self, data):
-        bound, _ = bind_terms([LinearTerm("depth")], data)
+        bound = (LinearTerm("depth").bind(data),)
         matrix = design_matrix(bound, data)
         assert matrix.shape == (200, 2)
         assert (matrix[:, 0] == 1.0).all()

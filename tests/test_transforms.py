@@ -9,7 +9,6 @@ from repro.regression import (
     LogTransform,
     SqrtTransform,
     TransformError,
-    get_transform,
 )
 
 
@@ -65,15 +64,6 @@ class TestLog:
 
 
 class TestRegistry:
-    def test_lookup_by_name(self):
-        assert isinstance(get_transform("sqrt"), SqrtTransform)
-        assert isinstance(get_transform("log"), LogTransform)
-        assert isinstance(get_transform("identity"), IdentityTransform)
-
-    def test_unknown_name(self):
-        with pytest.raises(TransformError, match="choices"):
-            get_transform("boxcox")
-
     def test_names_stable(self):
         assert SqrtTransform().name == "sqrt"
         assert LogTransform().name == "log"
