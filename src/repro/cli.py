@@ -203,12 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="parallel simulation workers for the campaign phase",
     )
-    run_parser.add_argument(
-        "--batch-size", type=int, default=None,
-        help="configs per block of the batched timing kernel "
-        "(default: a whole chunk, or a whole benchmark on a serial run; "
-        "results are identical for any value)",
-    )
     _add_resilience_arguments(run_parser)
     _add_observability_arguments(run_parser)
     run_parser.set_defaults(func=_cmd_run)
@@ -374,7 +368,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             scale,
             workers=args.workers,
             resilience=_resilience_from_args(args),
-            batch_size=args.batch_size,
         )
         for experiment_id in ids:
             started = time.time()

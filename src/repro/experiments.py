@@ -58,14 +58,12 @@ def shared_context(
     scale: Optional[ScalePreset] = None,
     workers: int = 1,
     resilience=None,
-    batch_size: Optional[int] = None,
 ) -> StudyContext:
     """Process-wide context per scale: one campaign serves every figure.
 
-    ``resilience`` (a :class:`repro.harness.ResilienceConfig`) and
-    ``batch_size`` (block size of the batched timing kernel) only take
-    effect when the context for this scale is first built — the campaign
-    runs once and is shared afterwards.
+    ``resilience`` (a :class:`repro.harness.ResilienceConfig`) only
+    takes effect when the context for this scale is first built — the
+    campaign runs once and is shared afterwards.
     """
     scale = scale or get_scale()
     if scale.name not in _CONTEXTS:
@@ -73,7 +71,6 @@ def shared_context(
             scale=scale,
             workers=workers,
             resilience=resilience,
-            batch_size=batch_size,
         )
     return _CONTEXTS[scale.name]
 
@@ -575,9 +572,7 @@ def run_x5(ctx: StudyContext) -> ExperimentResult:
         medians = []
         for benchmark in benchmarks:
             trace = ctx.trace(benchmark)
-            results = ctx.simulator.simulate_batch(
-                space, points, trace, batch_size=ctx.batch_size
-            )
+            results = ctx.simulator.simulate_batch(space, points, trace)
             dataset = Dataset.from_results(benchmark, space, points, results)
             model = fit_ols(performance_spec(), dataset.columns())
             validation = ctx.campaign.dataset(benchmark, "validation").columns()
@@ -658,9 +653,7 @@ def run_x7(ctx: StudyContext) -> ExperimentResult:
     data_out = {}
     for benchmark in ("gzip", "mesa"):
         trace = ctx.trace(benchmark)
-        results = ctx.simulator.simulate_batch(
-            space, points, trace, batch_size=ctx.batch_size
-        )
+        results = ctx.simulator.simulate_batch(space, points, trace)
         data = {n: matrix[:, j] for j, n in enumerate(encoder.feature_names)}
         data["bips"] = np.array([r.bips for r in results])
         holdout = max(10, len(points) // 5)

@@ -225,7 +225,6 @@ def cached_campaign(
     refresh: bool = False,
     workers: int = 1,
     resilience: Optional[ResilienceConfig] = None,
-    batch_size: Optional[int] = None,
 ) -> Campaign:
     """Load each benchmark's cached artifact; simulate and cache the rest.
 
@@ -235,9 +234,6 @@ def cached_campaign(
     rerunning an interrupted campaign simulates only what is missing.
     ``artifacts.cache.hits``/``.misses`` count benchmarks loaded and
     simulated; ``run_report`` covers the simulated ones.
-
-    ``batch_size`` tunes the batched timing kernel on every run; it
-    never changes results, so it is absent from the cache key.
     """
     campaign = _new_campaign(scale, space, benchmarks)
     registry = get_registry()
@@ -254,7 +250,6 @@ def cached_campaign(
         missing,
         workers,
         resilience,
-        batch_size,
         on_benchmark=functools.partial(save_campaign, campaign),
     )
     return campaign

@@ -6,7 +6,7 @@ and validation datasets — the inputs to model fitting and Figure 1.
 
 The unit of work is one benchmark: every sampled design (train and
 validation together) replayed through the batched timing kernel on that
-benchmark's trace, one block by default.  Every run goes through
+benchmark's trace in one kernel call.  Every run goes through
 :func:`repro.harness.resilience.run_chunks`, one chunk per benchmark:
 in-process on the caller's simulator with ``workers == 1``, over a
 process pool otherwise (each worker rebuilds its deterministic trace, so
@@ -76,23 +76,17 @@ def _simulate_chunk(
     trace_length: int,
     seed: int,
     points: List[DesignPoint],
-    batch_size: Optional[int] = None,
 ) -> List[Tuple[float, float]]:
     """Simulate ``points`` on one benchmark's trace; returns (bips, watts).
 
-    The one way a campaign simulates: the trace is replayed through the
-    batched timing kernel once per block of up to ``batch_size`` configs
-    (``None``: one block).  In-process chunks pass the caller's
+    The one way a campaign simulates: one batched timing kernel call
+    over every point.  In-process chunks pass the caller's
     ``simulator``; pool workers pass None and build a fresh one, whose
     deterministic trace gives outputs identical to an in-process run.
-    Results are bit-identical to a per-point scalar loop for every batch
-    size, so ``batch_size`` stays out of the artifact key.
     """
     simulator = simulator or Simulator()
     trace = simulator.trace_for(get_profile(benchmark), trace_length, seed=seed)
-    results = simulator.simulate_batch(
-        space, points, trace, batch_size=batch_size
-    )
+    results = simulator.simulate_batch(space, points, trace)
     return [(r.bips, float(r.watts)) for r in results]
 
 
@@ -190,7 +184,6 @@ def _simulate_benchmarks(
     names: Sequence[str],
     workers: int,
     resilience: Optional[ResilienceConfig],
-    batch_size: Optional[int],
     on_benchmark: Optional[Callable[[str], None]] = None,
 ) -> None:
     """Simulate ``names`` over the campaign's points and assemble them.
@@ -222,7 +215,6 @@ def _simulate_benchmarks(
                 scale.trace_length,
                 scale.seed,
                 points,
-                batch_size,
             ),
             size=len(points),
             meta=(benchmark,),
@@ -260,7 +252,6 @@ def run_campaign(
     benchmarks: Optional[Sequence[str]] = None,
     workers: int = 1,
     resilience: Optional[ResilienceConfig] = None,
-    batch_size: Optional[int] = None,
 ) -> Campaign:
     """Sample, simulate, and assemble datasets.
 
@@ -275,15 +266,12 @@ def run_campaign(
     ``workers == 1``, over a process pool otherwise, with results
     identical either way.  ``resilience`` sets the retry policy and any
     injected faults; the finished campaign carries a ``run_report``.
-
-    Each benchmark's trace is replayed once per block of up to
-    ``batch_size`` configs through the batched timing kernel; ``None``
-    gives one block per benchmark (train and validation points
-    together).  Results are bit-identical for every batch size.
+    Each benchmark's trace is replayed once through the batched timing
+    kernel, over its train and validation points together.
     """
     campaign = _new_campaign(scale, space, benchmarks)
     _simulate_benchmarks(
-        simulator, campaign, campaign.benchmarks, workers, resilience, batch_size
+        simulator, campaign, campaign.benchmarks, workers, resilience
     )
     return campaign
 

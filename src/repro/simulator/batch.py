@@ -48,7 +48,7 @@ from ..workloads.trace import (
     OP_STORE,
     Trace,
 )
-from .branch import OneBitBHT
+from .branch import OneBitBHT, branch_stream
 from .config import MachineConfig
 from .memory import StackDistanceMemory
 from .pipeline import PipelineOutcome
@@ -67,7 +67,7 @@ class _TraceView:
     __slots__ = (
         "n", "ops", "src1", "src2", "max_dep", "fetch_flags",
         "instr_reuse", "mem_reuse", "mem_is_load", "load_sequential",
-        "branch_sites", "branch_takens", "base_counts",
+        "base_counts",
     )
 
     def __init__(self, trace: Trace):
@@ -104,11 +104,6 @@ class _TraceView:
         sequential_full[np.flatnonzero(block_mask)] = flags
         self.load_sequential = sequential_full[is_load]
 
-        # Branch stream for predictor replay.
-        branch_mask = op == OP_BRANCH
-        self.branch_sites = trace.branch_site[branch_mask].tolist()
-        self.branch_takens = trace.taken[branch_mask].tolist()
-
         # Activity counts that depend only on the trace.
         reads = (trace.src1 != 0).astype(np.int64) + (trace.src2 != 0)
         fp_mask = (op == OP_FP) | (op == OP_FP_DIV)
@@ -120,7 +115,7 @@ class _TraceView:
             "fp_div_ops": int((op == OP_FP_DIV).sum()),
             "loads": int(is_load.sum()),
             "stores": int((op == OP_STORE).sum()),
-            "branches": int(branch_mask.sum()),
+            "branches": int((op == OP_BRANCH).sum()),
             "fpr_reads": int(reads[fp_mask].sum()),
             "fpr_writes": int(fp_mask.sum()),
             "gpr_reads": int(reads[~fp_mask].sum()),
@@ -134,7 +129,7 @@ def _trace_view(trace: Trace) -> _TraceView:
     return trace.derived(("batch", "view"), lambda: _TraceView(trace))
 
 
-def _mispredict_stream(trace: Trace, view: _TraceView) -> np.ndarray:
+def _mispredict_stream(trace: Trace) -> np.ndarray:
     """Per-branch mispredict outcomes of the Table 3 predictor.
 
     The scalar pipeline updates the predictor for every branch in program
@@ -145,13 +140,11 @@ def _mispredict_stream(trace: Trace, view: _TraceView) -> np.ndarray:
 
     def build() -> np.ndarray:
         predict_and_update = OneBitBHT().predict_and_update
-        sites = view.branch_sites
-        takens = view.branch_takens
-        for site, taken in zip(sites, takens):
+        stream = branch_stream(trace)
+        for site, taken in stream:
             predict_and_update(site, taken)
         return np.array(
-            [not predict_and_update(s, t) for s, t in zip(sites, takens)],
-            dtype=bool,
+            [not predict_and_update(s, t) for s, t in stream], dtype=bool
         )
 
     return trace.derived(("batch", "mispredict"), build)
@@ -164,37 +157,32 @@ def _stack_levels(
 
     Broadcasting the shared reuse-distance streams against each config's
     effective capacities replicates the scalar threshold cascade exactly:
-    level 0 below the L1 capacity, 1 below the L2 share, else 2.
+    level 0 below the L1 capacity, 1 below the L2 share, else 2.  The
+    int8 level codes come out ``[n, B]`` (one row per access), the
+    timing loop's layout.
     """
     models = [StackDistanceMemory(config) for config in configs]
 
-    def column(attr: str) -> np.ndarray:
-        return np.array(
-            [getattr(m, attr) for m in models], dtype=np.float64
-        )[:, None]
-    data_reuse = view.mem_reuse[None, :]
-    data_levels = np.where(
-        data_reuse < column("dl1_effective"),
-        np.int8(0),
-        np.where(data_reuse < column("l2_data_effective"), np.int8(1), np.int8(2)),
-    )
-    instr_reuse = view.instr_reuse[None, :]
-    instr_levels = np.where(
-        instr_reuse < column("il1_effective"),
-        np.int8(0),
-        np.where(
-            instr_reuse < column("l2_instr_effective"), np.int8(1), np.int8(2)
-        ),
-    )
+    def levels(reuse: np.ndarray, l1: str, l2: str) -> np.ndarray:
+        def row(attr: str) -> np.ndarray:
+            return np.array([getattr(m, attr) for m in models], dtype=np.float64)
+        reuse = reuse[:, None]
+        return np.where(
+            reuse < row(l1),
+            np.int8(0),
+            np.where(reuse < row(l2), np.int8(1), np.int8(2)),
+        )
+    data_levels = levels(view.mem_reuse, "dl1_effective", "l2_data_effective")
+    instr_levels = levels(view.instr_reuse, "il1_effective", "l2_instr_effective")
     batch = len(configs)
-    dl1_misses = (data_levels > 0).sum(axis=1)
-    il1_misses = (instr_levels > 0).sum(axis=1)
-    data_mem = (data_levels == 2).sum(axis=1)
-    instr_mem = (instr_levels == 2).sum(axis=1)
+    dl1_misses = (data_levels > 0).sum(axis=0)
+    il1_misses = (instr_levels > 0).sum(axis=0)
+    data_mem = (data_levels == 2).sum(axis=0)
+    instr_mem = (instr_levels == 2).sum(axis=0)
     counters = {
-        "dl1_accesses": np.full(batch, data_levels.shape[1], dtype=np.int64),
+        "dl1_accesses": np.full(batch, data_levels.shape[0], dtype=np.int64),
         "dl1_misses": dl1_misses,
-        "il1_accesses": np.full(batch, instr_levels.shape[1], dtype=np.int64),
+        "il1_accesses": np.full(batch, instr_levels.shape[0], dtype=np.int64),
         "il1_misses": il1_misses,
         "l2_accesses": dl1_misses + il1_misses,
         "l2_misses": data_mem + instr_mem,
@@ -307,37 +295,46 @@ def run_pipeline_batch(
 
     def int_column(get) -> np.ndarray:
         return np.array([get(config) for config in configs], dtype=np.int64)
-    lat_l1 = int_column(lambda c: c.data_latency("l1"))[:, None]
-    lat_l2 = int_column(lambda c: c.data_latency("l2"))[:, None]
-    lat_mem = int_column(lambda c: c.data_latency("mem"))[:, None]
+    def level_table(*per_level) -> np.ndarray:
+        """A ``[3, B]`` int32 table: one row per service level."""
+        return np.array(
+            [[get(config) for config in configs] for get in per_level],
+            dtype=np.int32,
+        )
+    lanes = np.arange(batch)
 
-    # Per-load latency / memory-miss columns, with next-line prefetch
-    # coverage applied by *latency value* (not level), as the scalar does.
-    load_levels = data_levels[:, view.mem_is_load]
-    load_lat = np.where(
-        load_levels == 0,
-        lat_l1,
-        np.where(load_levels == 1, lat_l2, lat_mem),
+    # Per-load latency / memory-miss rows, gathered straight into the
+    # timing loop's ``[n, B]`` layout, with next-line prefetch coverage
+    # applied by *latency value* (not level), as the scalar does; only
+    # loads that continue a sequential block run can be covered.
+    load_table = level_table(
+        lambda c: c.data_latency("l1"),
+        lambda c: c.data_latency("l2"),
+        lambda c: c.data_latency("mem"),
     )
+    load_levels = data_levels[view.mem_is_load]
+    del data_levels
+    load_lat = load_table[load_levels, lanes]
     load_miss = load_levels == 2
-    prefetch = np.array([c.prefetch for c in configs], dtype=bool)[:, None]
-    covered = prefetch & (load_lat != lat_l1) & view.load_sequential[None, :]
+    del load_levels
+    lat_l1 = load_table[0]
+    sequential = np.flatnonzero(view.load_sequential)
+    prefetch = np.array([c.prefetch for c in configs], dtype=bool)
+    covered = prefetch & (load_lat[sequential] != lat_l1)
     if covered.any():
-        load_lat = np.where(covered, np.broadcast_to(lat_l1, load_lat.shape), load_lat)
-        load_miss &= ~covered
-    prefetch_covered = covered.sum(axis=1)
+        load_lat[sequential] = np.where(covered, lat_l1, load_lat[sequential])
+        load_miss[sequential] &= ~covered
+    prefetch_covered = covered.sum(axis=0)
 
-    pen_l2 = int_column(lambda c: c.fetch_penalty("l2"))[:, None]
-    pen_mem = int_column(lambda c: c.fetch_penalty("mem"))[:, None]
-    fetch_pen = np.ascontiguousarray(
-        np.where(
-            instr_levels == 0, 0, np.where(instr_levels == 1, pen_l2, pen_mem)
-        ).T
+    fetch_table = level_table(
+        lambda c: 0,
+        lambda c: c.fetch_penalty("l2"),
+        lambda c: c.fetch_penalty("mem"),
     )
-    load_lat = np.ascontiguousarray(load_lat.T)
-    load_miss = np.ascontiguousarray(load_miss.T)
+    fetch_pen = fetch_table[instr_levels, lanes]
+    del instr_levels
 
-    stream = _mispredict_stream(trace, view)
+    stream = _mispredict_stream(trace)
     mispredict_rows = stream.tolist()
     mispredicts = int(stream.sum())
 

@@ -6,6 +6,10 @@ and no study varies it, so it is the one predictor the simulator models.
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
+from ..workloads.trace import OP_BRANCH, Trace
+
 #: Table 3's branch history table size.
 BHT_ENTRIES = 16 * 1024
 
@@ -22,3 +26,20 @@ class OneBitBHT:
         correct = self._table[index] == taken
         self._table[index] = taken
         return correct
+
+
+def branch_stream(trace: Trace) -> List[Tuple[int, bool]]:
+    """The trace's ``(site, taken)`` branch stream, in program order.
+
+    Memoized on the trace, so the scalar warming pass and the batch
+    kernel's mispredict replay read one stream that lives and dies with
+    the trace object it was built from.
+    """
+
+    def build() -> List[Tuple[int, bool]]:
+        mask = trace.op == OP_BRANCH
+        return list(
+            zip(trace.branch_site[mask].tolist(), trace.taken[mask].tolist())
+        )
+
+    return trace.derived(("simulator", "branch_stream"), build)

@@ -103,7 +103,6 @@ class StudyContext:
         refresh: bool = False,
         workers: int = 1,
         resilience=None,
-        batch_size: Optional[int] = None,
     ):
         self.scale = scale or get_scale()
         self.simulator = simulator or Simulator()
@@ -114,10 +113,6 @@ class StudyContext:
         #: Optional :class:`repro.harness.ResilienceConfig` applied to the
         #: campaign phase (retry policy, injected faults).
         self.resilience = resilience
-        #: Block size for the batched timing kernel (the campaign and
-        #: :meth:`simulate_many`); ``None`` batches each call whole.
-        #: Tunes speed/memory only — results are bit-identical throughout.
-        self.batch_size = batch_size
         self._refresh = refresh
         self._campaign: Optional[Campaign] = None
         self._models: Optional[Dict[str, Dict[str, FittedModel]]] = None
@@ -143,7 +138,6 @@ class StudyContext:
                 refresh=self._refresh,
                 workers=self.workers,
                 resilience=self.resilience,
-                batch_size=self.batch_size,
             )
         return self._campaign
 
@@ -244,15 +238,6 @@ class StudyContext:
         if key not in self._prediction_tables:
             self._prediction_tables[key] = self._predict_table(
                 benchmark, self.exploration_points()
-            )
-        return self._prediction_tables[key]
-
-    def predict_per_depth(self, benchmark: str) -> PredictionTable:
-        """Predictions over the depth-stratified set (memoized)."""
-        key = (benchmark, "per-depth")
-        if key not in self._prediction_tables:
-            self._prediction_tables[key] = self._predict_table(
-                benchmark, self.per_depth_points()
             )
         return self._prediction_tables[key]
 
@@ -367,8 +352,8 @@ class StudyContext:
         Results are memoized per (benchmark, design) and shared with
         :meth:`simulate`, so treat them as read-only.  The distinct
         misses of a call go to the batched timing kernel in one call —
-        one trace replay per block of configs instead of one per design —
-        and the results, in input order with duplicates repeated, are
+        one trace replay for all of them instead of one per design — and
+        the results, in input order with duplicates repeated, are
         bit-identical to calling :meth:`simulate` per point.  Validation
         phases (frontier, per-depth, cluster heterogeneity) use this.
         """
@@ -384,7 +369,6 @@ class StudyContext:
                 self.exploration_space,
                 list(misses.values()),
                 self.trace(benchmark),
-                batch_size=self.batch_size,
             )
             self._simulations.update(zip(misses, results))
         return [self._simulations[key] for key in keys]

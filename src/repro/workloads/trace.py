@@ -141,6 +141,15 @@ class Trace:
             raise TraceError(
                 f"trace {self.name!r}: non-memory op carries a data reuse distance"
             )
+        # Both timing kernels read the branch stream off these columns, so
+        # "is a branch" must have one answer: the op code.
+        is_branch = self.op == OP_BRANCH
+        if not np.array_equal(self.branch_site >= 0, is_branch):
+            raise TraceError(
+                f"trace {self.name!r}: branch sites must mark exactly the branch ops"
+            )
+        if self.taken[~is_branch].any():
+            raise TraceError(f"trace {self.name!r}: non-branch op marked taken")
         if self.ref_instructions <= 0:
             raise TraceError(f"trace {self.name!r}: ref_instructions must be positive")
 

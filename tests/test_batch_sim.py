@@ -1,15 +1,17 @@
-"""Batched timing kernel: equivalence contract, blocks, and trace LRU.
+"""Batched timing kernel: equivalence contract, one call per batch, trace LRU.
 
 The batch kernel's contract is *exact* equivalence with the scalar
 pipeline — identical cycles, identical ActivityCounts field by field,
 identical watts — not agreement within tolerance.  The property test
 drives randomized configs, trace lengths, benchmarks and prefetch through
 both paths; the window tests pin the kernel's occupancy-window state
-against the scalar resource classes; the campaign tests check the
-contract survives block shapes and a rerun from cached benchmarks.
+against the scalar resource classes; the memory test pins the kernel's
+precompute layout; the campaign tests check the contract survives the
+resilient executor and a rerun from cached benchmarks.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,9 +29,10 @@ from repro.harness.resilience import ChunkFailure, Fault, FaultPlan
 from repro.obs.metrics import isolated_registry
 from repro.simulator import Simulator, config_from_point, run_pipeline_batch
 from repro.simulator import batch as batch_module
+from repro.simulator import simulator as simulator_module
 from repro.simulator.batch import _LockstepWindow, _MaskedWindow
 from repro.simulator.resources import OccupancyWindow, ThroughputLimiter
-from repro.workloads import BENCHMARK_NAMES, get_profile
+from repro.workloads import BENCHMARK_NAMES, generate_trace, get_profile
 from repro.workloads.trace import OP_BRANCH
 
 SPACE = sampling_space()
@@ -178,38 +181,48 @@ class TestBatchAPI:
             ]
             assert_identical(batch, scalar)
 
-    def test_block_split_matches_single_block(self):
+    def test_lanes_are_independent(self):
+        """A config's result does not depend on the block it rides in."""
         simulator = Simulator()
         trace = simulator.trace_for(get_profile("gzip"), 400, seed=2)
         points = sample_uar(SPACE, 8, seed=3)
         whole = simulator.simulate_batch(SPACE, points, trace)
-        for batch_size in (1, 3, 8, 64):
-            split = simulator.simulate_batch(
-                SPACE, points, trace, batch_size=batch_size
-            )
-            assert_identical(split, whole)
+        split = [
+            result
+            for lo, hi in ((0, 1), (1, 4), (4, 8))
+            for result in simulator.simulate_batch(SPACE, points[lo:hi], trace)
+        ]
+        assert_identical(split, whole)
+
+    def test_one_kernel_call_per_batch(self, monkeypatch):
+        calls = []
+
+        def counting(trace, configs):
+            calls.append(len(configs))
+            return run_pipeline_batch(trace, configs)
+
+        monkeypatch.setattr(simulator_module, "run_pipeline_batch", counting)
+        with isolated_registry() as registry:
+            simulator = Simulator()
+            trace = simulator.trace_for(get_profile("mcf"), 300, seed=1)
+            simulator.simulate_batch(SPACE, sample_uar(SPACE, 9, seed=4), trace)
+            assert calls == [9]
+            assert registry.snapshot()["counters"]["simulator.batch.blocks"] == 1
 
     def test_empty_points_returns_empty(self):
         simulator = Simulator()
         trace = simulator.trace_for(get_profile("gzip"), 200, seed=0)
         assert simulator.simulate_batch(SPACE, [], trace) == []
 
-    def test_rejects_bad_batch_size(self):
-        simulator = Simulator()
-        trace = simulator.trace_for(get_profile("gzip"), 200, seed=0)
-        points = sample_uar(SPACE, 2, seed=0)
-        with pytest.raises(ValueError, match="batch_size"):
-            simulator.simulate_batch(SPACE, points, trace, batch_size=0)
-
     def test_batch_metrics_are_reported(self):
         with isolated_registry() as registry:
             simulator = Simulator()
             trace = simulator.trace_for(get_profile("gzip"), 300, seed=6)
             points = sample_uar(SPACE, 5, seed=7)
-            simulator.simulate_batch(SPACE, points, trace, batch_size=2)
+            simulator.simulate_batch(SPACE, points, trace)
             counters = registry.snapshot()["counters"]
             assert counters["simulator.batch.points"] == 5
-            assert counters["simulator.batch.blocks"] == 3
+            assert counters["simulator.batch.blocks"] == 1
             assert counters["simulator.instructions"] == 5 * len(trace)
 
     def test_one_predictor_replay_per_trace(self, monkeypatch):
@@ -237,14 +250,31 @@ class TestBatchAPI:
         assert len(built) == 1
 
 
-class TestTraceCacheLRU:
-    def test_rejects_bad_cache_size(self):
-        with pytest.raises(ValueError, match="trace_cache_size"):
-            Simulator(trace_cache_size=0)
+class TestKernelMemory:
+    def test_load_rows_are_built_in_loop_layout(self):
+        """The per-load latency rows are built once, as int32, in the
+        timing loop's ``[n, B]`` layout, and the level matrices go as soon
+        as their counters are taken: one call's traced peak stays under
+        1.5x a single ``[n_load, B]`` int64 matrix."""
+        trace = generate_trace(get_profile("mcf"), 20_000, seed=7)
+        configs = [
+            config_from_point(SPACE, point)
+            for point in sample_uar(SPACE, 256, seed=3)
+        ]
+        tracemalloc.start()
+        try:
+            run_pipeline_batch(trace, configs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * trace.load_count() * len(configs) * 8
 
-    def test_hit_miss_evict_counters(self):
+
+class TestTraceCacheLRU:
+    def test_hit_miss_evict_counters(self, monkeypatch):
+        monkeypatch.setattr(simulator_module, "TRACE_CACHE_SIZE", 2)
         with isolated_registry() as registry:
-            simulator = Simulator(trace_cache_size=2)
+            simulator = Simulator()
             profile = get_profile("gzip")
             simulator.trace_for(profile, 200, seed=0)   # miss
             simulator.trace_for(profile, 200, seed=0)   # hit
@@ -256,8 +286,9 @@ class TestTraceCacheLRU:
             assert counters["sim.trace_cache.evict"] == 1
             assert len(simulator._trace_cache) == 2
 
-    def test_eviction_order_is_least_recently_used(self):
-        simulator = Simulator(trace_cache_size=2)
+    def test_eviction_order_is_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(simulator_module, "TRACE_CACHE_SIZE", 2)
+        simulator = Simulator()
         profile = get_profile("gzip")
         simulator.trace_for(profile, 200, seed=0)
         simulator.trace_for(profile, 200, seed=1)
@@ -299,8 +330,9 @@ class TestTraceCacheLRU:
             aliased.derived(key, list), cached.derived(key, list)
         )
 
-    def test_evicted_trace_regenerates_identically(self):
-        simulator = Simulator(trace_cache_size=1)
+    def test_evicted_trace_regenerates_identically(self, monkeypatch):
+        monkeypatch.setattr(simulator_module, "TRACE_CACHE_SIZE", 1)
+        simulator = Simulator()
         profile = get_profile("gzip")
         first = simulator.trace_for(profile, 200, seed=0)
         simulator.trace_for(profile, 200, seed=1)   # evicts seed=0
@@ -312,8 +344,8 @@ class TestTraceCacheLRU:
 
 
 class TestCampaignBatchPath:
-    """Campaigns at different block shapes, and a campaign rerun from its
-    cached benchmarks, agree bitwise with the default run.  The independent per-point scalar check of a
+    """A campaign through the resilient executor, and a campaign rerun
+    from its cached benchmarks, agree bitwise with the default run.  The independent per-point scalar check of a
     whole campaign lives in ``tests/test_campaign.py``."""
 
     @pytest.fixture(scope="class")
@@ -347,15 +379,13 @@ class TestCampaignBatchPath:
     def test_chunked_batch_path_matches_scalar_serial(
         self, tiny_scale, serial_campaign
     ):
-        for batch_size in (None, 2):
-            chunked = run_campaign(
-                Simulator(),
-                scale=tiny_scale,
-                benchmarks=["gzip"],
-                resilience=ResilienceConfig(),
-                batch_size=batch_size,
-            )
-            self.assert_campaigns_equal(chunked, serial_campaign)
+        chunked = run_campaign(
+            Simulator(),
+            scale=tiny_scale,
+            benchmarks=["gzip"],
+            resilience=ResilienceConfig(),
+        )
+        self.assert_campaigns_equal(chunked, serial_campaign)
 
     def test_resumed_journaled_run_is_bitwise_identical(
         self, tiny_scale, serial_campaign, tmp_path, monkeypatch

@@ -127,20 +127,6 @@ class TestModelFitting:
                     np.array([r.watts for r in results]),
                 )
 
-    def test_serial_batch_size_does_not_change_results(self, mini_campaign):
-        blocked = run_campaign(
-            Simulator(),
-            scale=mini_campaign.scale,
-            benchmarks=["gzip", "mcf"],
-            batch_size=7,
-        )
-        for bench in ("gzip", "mcf"):
-            for split in ("train", "validation"):
-                want = mini_campaign.dataset(bench, split).metrics
-                got = blocked.dataset(bench, split).metrics
-                assert np.array_equal(got["bips"], want["bips"])
-                assert np.array_equal(got["watts"], want["watts"])
-
     def test_parallel_matches_serial(self, mini_campaign):
         """Workers rebuild deterministic traces: results are bit-identical."""
         parallel = run_campaign(

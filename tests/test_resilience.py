@@ -258,8 +258,8 @@ class TestCampaignResilience:
     def test_one_chunk_per_benchmark(
         self, resilience_scale, clean_campaign, workers
     ):
-        """A chunk is one benchmark's whole point list: one trace and,
-        with ``batch_size=None``, one kernel block per benchmark."""
+        """A chunk is one benchmark's whole point list: one trace and
+        one kernel call per benchmark."""
         campaign = run_campaign(
             Simulator(),
             scale=resilience_scale,

@@ -29,6 +29,7 @@ from repro.harness.sweep import (
     run_sweep,
     strict_pareto_mask,
 )
+from repro.metrics import bips3_per_watt
 
 
 @pytest.fixture(scope="module")
@@ -235,21 +236,23 @@ class TestReducers:
         assert best.indices[0] == 0
 
     def test_grouped_matches_masked_table(self, ctx):
-        table = ctx.predict_per_depth("gzip")
+        points = ctx.per_depth_points()
+        bips, watts = predict_source(ctx.predictor("gzip"), points)
+        efficiency = bips3_per_watt(bips, watts)
         (grouped,) = run_sweep(
-            [ctx.predictor("gzip")], ctx.per_depth_points(),
+            [ctx.predictor("gzip")], points,
             [[GroupedMetricReducer("depth", "efficiency")]], block_size=64,
         ).results[0]
-        depths = np.array([p["depth"] for p in table.points], dtype=float)
+        depths = np.array([p["depth"] for p in points], dtype=float)
         for level in grouped.levels():
             mask = depths == level
             np.testing.assert_allclose(
-                grouped.values[level], table.efficiency[mask], rtol=1e-12
+                grouped.values[level], efficiency[mask], rtol=1e-12
             )
             local = np.flatnonzero(mask)
-            best_local = int(local[table.efficiency[mask].argmax()])
+            best_local = int(local[efficiency[mask].argmax()])
             assert grouped.argmax_indices[level] == best_local
-            assert grouped.argmax_points[level] == table.points[best_local]
+            assert grouped.argmax_points[level] == points[best_local]
 
     def test_collect_matches_table(self, ctx, exploration):
         table = ctx.predict_points("gzip", list(exploration))

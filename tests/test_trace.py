@@ -1,10 +1,12 @@
 """Tests for the Trace container and its validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.workloads import Trace, TraceError, generate_trace, get_profile
-from repro.workloads.trace import NO_DATA, NO_FETCH, OP_INT, OP_LOAD
+from repro.workloads.trace import NO_DATA, NO_FETCH, OP_BRANCH, OP_INT, OP_LOAD
 
 
 def make_trace(**overrides):
@@ -80,6 +82,30 @@ class TestValidation:
     def test_rejects_non_positive_ref_instructions(self):
         with pytest.raises(TraceError, match="ref_instructions"):
             make_trace(ref_instructions=0.0)
+
+    def test_rejects_branch_without_site(self):
+        with pytest.raises(TraceError, match="branch sites"):
+            make_trace(
+                op=np.array([OP_INT, OP_LOAD, OP_BRANCH, OP_INT], dtype=np.uint8)
+            )
+
+    def test_rejects_taken_on_non_branch(self):
+        with pytest.raises(TraceError, match="taken"):
+            make_trace(taken=np.array([False, False, True, False]))
+
+    def test_rejects_non_branch_aliasing_a_branch_site(self):
+        """A non-branch carrying a real branch's site and the opposite
+        outcome: the scalar warming pass and the batch kernel would
+        replay different branch streams from it."""
+        trace = generate_trace(get_profile("gcc"), 2000, seed=0)
+        branches = np.flatnonzero(trace.op == OP_BRANCH)
+        last = np.flatnonzero(trace.op != OP_BRANCH)[-1]
+        site = trace.branch_site.copy()
+        taken = trace.taken.copy()
+        site[last] = site[branches[0]]
+        taken[last] = not taken[branches[0]]
+        with pytest.raises(TraceError, match="branch sites"):
+            dataclasses.replace(trace, branch_site=site, taken=taken)
 
 
 class TestSummaries:
