@@ -49,12 +49,21 @@ def raw_level_tables(space: DesignSpace) -> List[np.ndarray]:
 def index_levels(space: DesignSpace, indices: np.ndarray) -> np.ndarray:
     """``(n, P)`` grid level indices of mixed-radix point indices.
 
-    Column-major, so each parameter's levels are one contiguous column.
+    Column-major, so each parameter's levels are one contiguous column,
+    in the narrowest unsigned integer dtype that holds every level.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    levels = np.empty((indices.size, len(space.names)), dtype=np.int64, order="F")
+    widest = max(parameter.cardinality for parameter in space.parameters)
+    levels = np.empty(
+        (indices.size, len(space.names)),
+        dtype=np.min_scalar_type(widest - 1),
+        order="F",
+    )
+    scratch = np.empty_like(indices)
     for j, (parameter, radix) in enumerate(zip(space.parameters, space.radices)):
-        levels[:, j] = (indices // radix) % parameter.cardinality
+        np.floor_divide(indices, radix, out=scratch)
+        np.remainder(scratch, parameter.cardinality, out=scratch)
+        levels[:, j] = scratch
     return levels
 
 
@@ -108,7 +117,7 @@ class PointSet:
     arrays without building any point.
     """
 
-    __slots__ = ("space", "indices")
+    __slots__ = ("space", "indices", "_levels")
 
     def __init__(self, space: DesignSpace, indices) -> None:
         indices = np.asarray(indices, dtype=np.int64)
@@ -118,6 +127,7 @@ class PointSet:
             raise ParameterError(f"point set indices out of range for |S|={len(space)}")
         self.space = space
         self.indices = indices
+        self._levels = None
 
     @classmethod
     def from_points(
@@ -156,8 +166,16 @@ class PointSet:
         return table[self.levels(name)]
 
     def level_matrix(self) -> np.ndarray:
-        """``(n, P)`` grid level indices (see :func:`index_levels`)."""
-        return index_levels(self.space, self.indices)
+        """``(n, P)`` grid level indices (see :func:`index_levels`).
+
+        Decoded on first call and memoized read-only, so every sweep of
+        this point set slices its blocks from one decode.
+        """
+        if self._levels is None:
+            levels = index_levels(self.space, self.indices)
+            levels.flags.writeable = False
+            self._levels = levels
+        return self._levels
 
     def __repr__(self) -> str:
         return f"PointSet({self.space.name!r}, n={len(self)})"

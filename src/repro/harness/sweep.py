@@ -5,9 +5,9 @@ cheap enough to characterize the *entire* 262,500-point exploration space
 exhaustively.  This module delivers that sweep without ever materializing
 the space: the engine sweeps a :class:`~repro.designspace.PointSet` (an
 index array) in fixed-size blocks for any number of benchmarks' fitted
-bips/watts models at once.  Each block's indices decode into grid level
-indices by mixed radix once; every distinct design layout assembles its
-design matrix once by gathering from per-level tables, and each model
+bips/watts models at once.  The point set's indices decode into grid level
+indices by mixed radix once; every distinct design layout assembles each
+block's design matrix by gathering from per-component tables, and each model
 evaluates that matrix in one batched numpy call; *streaming reducers* fold
 every block into a compact running state — the pareto frontier by delay
 bin, the efficiency argmax/top-k, per-depth efficiency distributions —
@@ -28,6 +28,8 @@ the Study-1 code share one implementation.
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -40,12 +42,8 @@ from typing import (
 import numpy as np
 
 from ..designspace import DesignPoint, DesignSpace, PointSet
-from ..designspace.pointset import (
-    encoded_level_tables,
-    index_levels,
-    raw_level_tables,
-)
-from ..metrics import bips3_per_watt, delay_seconds
+from ..designspace.pointset import encoded_level_tables, raw_level_tables
+from ..metrics import block_metrics
 from ..obs.metrics import get_registry
 from ..obs.tracing import get_tracer
 from ..regression import FittedModel
@@ -160,68 +158,187 @@ def strict_pareto_mask(delay: np.ndarray, power: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _staircase(delay: np.ndarray, power: np.ndarray):
+    """The points where the running power minimum by delay strictly falls.
+
+    Returns (delays ascending, power minima strictly descending): the
+    least power among the points at or below each returned delay.
+    """
+    order = np.argsort(delay, kind="stable")
+    delay = delay[order]
+    least = np.minimum.accumulate(power[order])
+    falls = np.ones(least.size, dtype=bool)
+    falls[1:] = least[1:] < least[:-1]
+    return delay[falls], least[falls]
+
+
 # -- prediction ---------------------------------------------------------------
+
+
+#: Most rows one component's gather table may hold: a term that would
+#: grow a component's level cross product past it starts a group of its
+#: own (see :func:`_term_groups`).
+MAX_COMPONENT_ROWS = 4096
+
+
+#: Read-only run tables of live layouts, keyed by the run's component and
+#: the bytes of its terms' own tables, which fix the run's bytes: bootstrap
+#: refits that bind the same knots for a component build and store that
+#: run once.
+_RUN_TABLES: "weakref.WeakValueDictionary[tuple, np.ndarray]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _level_grid(cardinalities: Sequence[int]) -> np.ndarray:
+    """``(prod, k)`` level indices of a cross product, last parameter fastest."""
+    return np.indices(cardinalities).reshape(len(cardinalities), -1).T
+
+
+def _mixed_radix(
+    levels: np.ndarray, columns: Sequence[int], cardinalities: Sequence[int]
+) -> np.ndarray:
+    """Row codes of ``levels[:, columns]`` in the cross product's order."""
+    if len(columns) == 1:
+        return levels[:, columns[0]]
+    code = levels[:, columns[0]].astype(np.intp)
+    for j, cardinality in zip(columns[1:], cardinalities[1:]):
+        code *= cardinality
+        code += levels[:, j]
+    return code
+
+
+def _term_groups(
+    term_columns: Sequence[Tuple[int, ...]], cardinalities: Sequence[int]
+) -> List[Tuple[Tuple[int, ...], List[int]]]:
+    """Terms joined into components by their shared parameters.
+
+    Returns ``(parameter columns, term positions)`` per group.  A term
+    joins every group it shares a parameter with, unless the joined
+    parameters' cross product would exceed :data:`MAX_COMPONENT_ROWS`
+    rows; then it starts a group of its own.
+    """
+    groups: List[Tuple[set, List[int]]] = []
+    for position, columns in enumerate(term_columns):
+        own = set(columns)
+        shared = [g for g in groups if g[0] & own]
+        joined = own.union(*(g[0] for g in shared))
+        if math.prod(cardinalities[j] for j in joined) > MAX_COMPONENT_ROWS:
+            shared, joined = [], own
+        groups = [g for g in groups if g not in shared]
+        groups.append((joined, sorted(sum((g[1] for g in shared), [position]))))
+    return [(tuple(sorted(columns)), terms) for columns, terms in groups]
+
+
+def _run_table(
+    columns: Tuple[int, ...],
+    sizes: Tuple[int, ...],
+    terms: Sequence[Tuple[Tuple[int, ...], np.ndarray]],
+    cardinalities: Sequence[int],
+) -> Tuple[np.ndarray, tuple]:
+    """One run's read-only table over a component, and its key.
+
+    ``terms`` holds each of the run's terms as (its parameter columns,
+    its own table over their level cross product); the run copies every
+    own table's rows into the component's rows.  A live run with the
+    same key is returned instead of building another.
+    """
+    key = (
+        columns,
+        sizes,
+        tuple((own, table.shape, table.tobytes()) for own, table in terms),
+    )
+    run = _RUN_TABLES.get(key)
+    if run is None:
+        grid = _level_grid(sizes)
+        run = np.hstack([
+            np.take(
+                table,
+                _mixed_radix(
+                    grid,
+                    [columns.index(j) for j in own],
+                    [cardinalities[j] for j in own],
+                ),
+                axis=0,
+            )
+            for own, table in terms
+        ])
+        run.flags.writeable = False
+        _RUN_TABLES[key] = run
+    return run, key
 
 
 class DesignLayout:
     """Gather tables mapping grid level indices to design-matrix columns.
 
-    Every predictor takes a handful of grid levels, so each bound term's
-    design columns — which depend only on the term's one or two
-    predictors — are precomputed on the encoded level values (or the
-    level cross product) once per layout.  Block design matrices then
-    assemble by integer gather instead of re-evaluating spline bases per
-    row.  Results are bitwise identical to row-wise evaluation: the same
-    elementwise operations run on the same encoded values, only once per
-    level instead of once per design.
+    Every parameter takes a handful of grid levels, and each bound term's
+    design columns depend only on its own parameters.  Terms that share
+    parameters form a *component*; the layout evaluates every term once
+    on its parameters' encoded levels and copies those values into one
+    table per component, with a row for each combination of the
+    component's levels.  The terms' columns sit in the tables as
+    *runs*: each run is a stretch of consecutive design-matrix columns
+    from one component.  A block's design matrix then assembles with one
+    integer gather per run, indexed by the block's mixed-radix level
+    code in that component.  Results are bitwise identical to row-wise
+    evaluation: the same elementwise operations run on the same encoded
+    values, only once per level combination instead of once per design.
+    A component over :data:`MAX_COMPONENT_ROWS` rows splits into smaller
+    term groups (see :func:`_term_groups`).
 
-    Layouts compare by value: two layouts are equal when their plans and
-    tables are bitwise equal, so every model with an equal layout can
-    share one design matrix per block (:func:`run_sweep`).
+    Layouts compare by value: two layouts are equal when their groups
+    and their terms' own tables are bitwise equal, so every model with
+    an equal layout can share one design matrix per block
+    (:func:`run_sweep`), and equal runs share one table.
 
-    Every term must depend on one or two parameters of ``space``; a term
-    that does not raises :class:`SweepError` naming it.
+    Every term must depend on parameters of ``space``; a term that does
+    not raises :class:`SweepError` naming it.
     """
 
     def __init__(self, bound_terms: Sequence[BoundTerm], space: DesignSpace):
         names = list(space.names)
+        cardinalities = [p.cardinality for p in space.parameters]
         encoded = encoded_level_tables(space)
-        self._plans: List[tuple] = []
+        term_columns: List[Tuple[int, ...]] = []
         for term in bound_terms:
             try:
                 predictors = term.predictors
             except NotImplementedError:
                 predictors = ()
-            if not (
-                1 <= len(predictors) <= 2 and all(p in names for p in predictors)
-            ):
+            if not predictors or not all(p in names for p in predictors):
                 raise SweepError(
                     f"term {', '.join(term.column_names)} (predictors "
                     f"{predictors}) cannot be gathered over space "
-                    f"{space.name!r}: a term needs one or two of the "
+                    f"{space.name!r}: a term needs one or more of the "
                     f"space's parameters {space.names}"
                 )
-            if len(predictors) == 1:
-                j = names.index(predictors[0])
-                table = term.design_columns({predictors[0]: encoded[j]})
-                self._plans.append(("one", j, table))
-            else:
-                ja = names.index(predictors[0])
-                jb = names.index(predictors[1])
-                va, vb = encoded[ja], encoded[jb]
-                table = term.design_columns(
-                    {
-                        predictors[0]: np.repeat(va, vb.size),
-                        predictors[1]: np.tile(vb, va.size),
-                    }
-                )
-                self._plans.append(("pair", (ja, jb, vb.size), table))
+            term_columns.append(tuple(names.index(p) for p in predictors))
+
+        groups = _term_groups(term_columns, cardinalities)
+        group_of = {p: g for g, (_, terms) in enumerate(groups) for p in terms}
+        #: (parameter columns, their cardinalities) of each group.
+        self._groups: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = [
+            (columns, tuple(cardinalities[j] for j in columns))
+            for columns, _ in groups
+        ]
+        #: (group, table) per run, in design-matrix column order.
+        self._runs: List[Tuple[int, np.ndarray]] = []
+        keys = []
+        terms: List[Tuple[Tuple[int, ...], np.ndarray]] = []
+        for position, (term, own) in enumerate(zip(bound_terms, term_columns)):
+            grid = _level_grid([cardinalities[j] for j in own])
+            terms.append((own, term.design_columns(
+                {names[j]: encoded[j][grid[:, k]] for k, j in enumerate(own)}
+            )))
+            group = group_of[position]
+            if group_of.get(position + 1) != group:
+                run, key = _run_table(*self._groups[group], terms, cardinalities)
+                self._runs.append((group, run))
+                keys.append(key)
+                terms = []
         #: Design-matrix width: the intercept plus every term's columns.
-        self.width = 1 + sum(table.shape[1] for _, _, table in self._plans)
-        self._key = tuple(
-            (kind, key, table.dtype.str, table.shape, table.tobytes())
-            for kind, key, table in self._plans
-        )
+        self.width = 1 + sum(table.shape[1] for _, table in self._runs)
+        self._key = tuple(keys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DesignLayout):
@@ -236,20 +353,22 @@ class DesignLayout:
 
         Fills one C-order ``(n, 1 + sum of term widths)`` matrix, the
         layout :meth:`FittedModel.predict` builds, so a matvec with a
-        model's coefficients rounds exactly as it does there.
+        model's coefficients rounds exactly as it does there.  Levels
+        must lie on the grid, as :func:`index_levels` decodes them: the
+        gathers skip their bounds check.
         """
-        n = levels.shape[0]
-        X = np.empty((n, self.width))
+        codes = [
+            _mixed_radix(levels, columns, sizes)
+            for columns, sizes in self._groups
+        ]
+        X = np.empty((levels.shape[0], self.width))
         X[:, 0] = 1.0
         column = 1
-        for kind, key, table in self._plans:
-            if kind == "one":
-                rows = levels[:, key]
-            else:
-                ja, jb, nb = key
-                rows = levels[:, ja] * nb + levels[:, jb]
+        for group, table in self._runs:
             width = table.shape[1]
-            X[:, column:column + width] = np.take(table, rows, axis=0)
+            X[:, column:column + width] = np.take(
+                table, codes[group], axis=0, mode="clip"
+            )
             column += width
         return X
 
@@ -372,6 +491,9 @@ class SweepReducer:
     def cache_key(self) -> tuple:
         raise NotImplementedError
 
+    def start(self, points: PointSet) -> None:
+        """Prepare to reduce a sweep of ``points``, before its first block."""
+
     def update(self, block: SweepBlock) -> None:
         raise NotImplementedError
 
@@ -407,7 +529,12 @@ class ParetoFrontierReducer(SweepReducer):
     dominated (a strict dominator selects an even better design into an
     earlier bin, which would prune it), so it survives candidate
     filtering; and ties break identically because candidates stay in
-    sweep order.
+    sweep order.  The same argument holds for any candidate set that
+    keeps every design no other design strictly dominates, so before a
+    block's own filter the reducer drops the block's designs that the
+    running candidates already strictly dominate: a lookup in the
+    candidates' staircase (delays ascending, each with the least power
+    at or below it) instead of a sort of the whole block.
     """
 
     def __init__(self, bins: int = 50):
@@ -419,6 +546,8 @@ class ParetoFrontierReducer(SweepReducer):
         self._power: List[np.ndarray] = []
         self._delay_min = np.inf
         self._delay_max = -np.inf
+        self._stair_delay = np.array([], dtype=float)
+        self._stair_power = np.array([], dtype=float)
 
     @property
     def cache_key(self) -> tuple:
@@ -430,10 +559,20 @@ class ParetoFrontierReducer(SweepReducer):
         delay, power = block.delay, block.watts
         self._delay_min = min(self._delay_min, float(delay.min()))
         self._delay_max = max(self._delay_max, float(delay.max()))
+        # Candidates strictly faster than each design, and the least
+        # power among them.
+        faster = np.searchsorted(self._stair_delay, delay, side="left")
+        best = np.append(np.inf, self._stair_power)[faster]
+        survivors = np.flatnonzero(~(best < power))
+        delay, power = delay[survivors], power[survivors]
         keep = strict_pareto_mask(delay, power)
-        self._indices.append(block.indices[keep])
+        self._indices.append(block.indices[survivors[keep]])
         self._delay.append(delay[keep])
         self._power.append(power[keep])
+        self._stair_delay, self._stair_power = _staircase(
+            np.concatenate([self._stair_delay, delay[keep]]),
+            np.concatenate([self._stair_power, power[keep]]),
+        )
 
     def finalize(self, points: PointSet) -> FrontierResult:
         if not self._indices:
@@ -548,17 +687,6 @@ class TopKReducer(SweepReducer):
         )
 
 
-def _compacted(chunks: List[np.ndarray]) -> np.ndarray:
-    """The chunks joined into one array, which then replaces them.
-
-    Finalizing a suite sweep's reducers one after another would
-    otherwise hold every reducer's chunks and every joined copy at once.
-    """
-    whole = np.concatenate(chunks) if chunks else np.array([], dtype=float)
-    chunks[:] = [whole]
-    return whole
-
-
 @dataclass
 class GroupedResult:
     """Finalized per-level reduction of one metric along one parameter."""
@@ -579,22 +707,36 @@ class GroupedMetricReducer(SweepReducer):
 
     Keeps, per parameter level, the metric values in sweep order — the
     exact inputs the depth study's boxplot statistics and exceedance
-    fractions need — plus the running per-level argmax.  Value arrays
-    are floats only, so even the paper-scale stratified sweep stays
-    small; no design points or design matrices are retained.
+    fractions need — plus the running per-level argmax.  Each level's
+    values fill one array sized by :meth:`start` from the point set's
+    level counts, so a sweep leaves no per-block chunks behind; no
+    design points or design matrices are retained.
     """
 
     def __init__(self, parameter: str = "depth", metric: str = "efficiency"):
         self.parameter = parameter
         self.metric = metric
         self.columns = (parameter,)
-        self._values: Dict[float, List[np.ndarray]] = {}
+        self._values: Dict[float, np.ndarray] = {}
+        self._filled: Dict[float, int] = {}
         self._best_value: Dict[float, float] = {}
         self._best_index: Dict[float, int] = {}
 
     @property
     def cache_key(self) -> tuple:
         return ("grouped", self.parameter, self.metric)
+
+    def start(self, points: PointSet) -> None:
+        j = points.space.names.index(self.parameter)
+        levels = points.level_matrix()[:, j]
+        counts = {
+            float(value): np.count_nonzero(levels == level)
+            for level, value in enumerate(points.space.parameters[j].values)
+        }
+        self._values = {
+            value: np.empty(count) for value, count in counts.items() if count
+        }
+        self._filled = dict.fromkeys(self._values, 0)
 
     def update(self, block: SweepBlock) -> None:
         if not len(block):
@@ -605,7 +747,9 @@ class GroupedMetricReducer(SweepReducer):
             level = float(level)
             mask = levels == level
             chunk = values[mask]
-            self._values.setdefault(level, []).append(chunk)
+            filled = self._filled[level]
+            self._values[level][filled:filled + chunk.size] = chunk
+            self._filled[level] = filled + chunk.size
             local_best = int(chunk.argmax())
             best = float(chunk[local_best])
             # Strictly-greater keeps the first occurrence across blocks,
@@ -621,7 +765,7 @@ class GroupedMetricReducer(SweepReducer):
         return GroupedResult(
             parameter=self.parameter,
             metric=self.metric,
-            values={level: _compacted(self._values[level]) for level in levels},
+            values={level: self._values[level] for level in levels},
             argmax_indices={
                 level: self._best_index[level] for level in levels
             },
@@ -655,7 +799,9 @@ class CollectReducer(SweepReducer):
     The escape hatch for analyses that genuinely need every prediction
     (Figure 2's characterization scatter, the suite-average percentile
     cut of Figure 5b): floats only — a paper-scale sweep costs a few MB
-    — while points and design matrices still never accumulate.
+    — while points and design matrices still never accumulate.  Each
+    vector is one array sized by :meth:`start` and filled block by
+    block in place.
     """
 
     def __init__(
@@ -665,34 +811,29 @@ class CollectReducer(SweepReducer):
     ):
         self.metric_names = tuple(metrics)
         self.columns = tuple(columns)
-        self._metrics: Dict[str, List[np.ndarray]] = {
-            name: [] for name in self.metric_names
-        }
-        self._columns: Dict[str, List[np.ndarray]] = {
-            name: [] for name in self.columns
-        }
+        self._metrics: Dict[str, np.ndarray] = {}
+        self._columns: Dict[str, np.ndarray] = {}
 
     @property
     def cache_key(self) -> tuple:
         return ("collect", self.metric_names, self.columns)
 
+    def start(self, points: PointSet) -> None:
+        n = len(points)
+        self._metrics = {name: np.empty(n) for name in self.metric_names}
+        self._columns = {name: np.empty(n) for name in self.columns}
+
     def update(self, block: SweepBlock) -> None:
-        for name in self.metric_names:
-            self._metrics[name].append(block.metric(name))
-        for name in self.columns:
-            self._columns[name].append(block.raw[name])
+        if not len(block):
+            return
+        where = slice(int(block.indices[0]), int(block.indices[-1]) + 1)
+        for name, whole in self._metrics.items():
+            whole[where] = block.metric(name)
+        for name, whole in self._columns.items():
+            whole[where] = block.raw[name]
 
     def finalize(self, points: PointSet) -> CollectedColumns:
-        return CollectedColumns(
-            metrics={
-                name: _compacted(chunks)
-                for name, chunks in self._metrics.items()
-            },
-            columns={
-                name: _compacted(chunks)
-                for name, chunks in self._columns.items()
-            },
-        )
+        return CollectedColumns(metrics=self._metrics, columns=self._columns)
 
 
 # -- the engine ----------------------------------------------------------------
@@ -754,24 +895,30 @@ def _predict_blocks(
 
     Fills one design matrix per distinct layout and evaluates every model
     that uses it before the next fill, so one matrix is alive at a time.
+    Each predicted array is checked once (:func:`block_metrics`).
     """
     predicted: List[Dict[str, np.ndarray]] = [{} for _ in predictors]
     for layout, uses in groups.items():
         X = layout.design(levels)
         for position, metric, cache in uses:
             predicted[position][metric] = cache.evaluate(X)
-    return [
-        SweepBlock(
-            benchmark=predictor.benchmark,
-            indices=indices,
-            bips=out["bips"],
-            watts=out["watts"],
-            delay=delay_seconds(out["bips"], predictor.ref_instructions),
-            efficiency=bips3_per_watt(out["bips"], out["watts"]),
-            raw=raw,
+    blocks = []
+    for predictor, out in zip(predictors, predicted):
+        delay, efficiency = block_metrics(
+            out["bips"], out["watts"], predictor.ref_instructions
         )
-        for predictor, out in zip(predictors, predicted)
-    ]
+        blocks.append(
+            SweepBlock(
+                benchmark=predictor.benchmark,
+                indices=indices,
+                bips=out["bips"],
+                watts=out["watts"],
+                delay=delay,
+                efficiency=efficiency,
+                raw=raw,
+            )
+        )
+    return blocks
 
 
 def run_sweep(
@@ -784,12 +931,14 @@ def run_sweep(
 
     ``reducers`` holds one reducer list per predictor; a single benchmark
     is a one-element sequence of each.  Blocks are evaluated in sweep
-    order.  Each block decodes its level indices and raw columns once,
-    fills one design matrix per distinct :class:`DesignLayout` among the
-    predictors' models, evaluates every model on its layout's matrix,
-    and passes each predictor's own :class:`SweepBlock` to that
-    predictor's reducers; every reducer sees every block exactly once.
-    Reducers index their blocks by position in ``points``.
+    order.  Each block slices its level indices from the point set's
+    memoized :meth:`PointSet.level_matrix`, gathers its raw columns
+    once, fills one design matrix per distinct :class:`DesignLayout`
+    among the predictors' models, evaluates every model on its layout's
+    matrix, and passes each predictor's own :class:`SweepBlock` to that
+    predictor's reducers; every reducer is started once and sees every
+    block exactly once.  Reducers index their blocks by position in
+    ``points``.
     """
     predictors = list(predictors)
     reducers = [list(group) for group in reducers]
@@ -810,6 +959,10 @@ def run_sweep(
     }
     groups = _layout_groups(predictors, space)
     total = len(points)
+    all_levels = points.level_matrix()
+    for group in reducers:
+        for reducer in group:
+            reducer.start(points)
     tracer = get_tracer()
     registry = get_registry()
     mark = registry.snapshot()
@@ -825,7 +978,7 @@ def run_sweep(
             with tracer.span(
                 "sweep.predict_block", start=start, size=stop - start
             ) as predict_span:
-                levels = index_levels(space, points.indices[start:stop])
+                levels = all_levels[start:stop]
                 raw = {
                     name: table[levels[:, j]]
                     for name, (j, table) in columns.items()

@@ -20,11 +20,19 @@ def _check_positive(name: str, value) -> None:
         raise MetricError(f"{name} must be positive")
 
 
+def _delay(bips: np.ndarray, ref_instructions: float) -> np.ndarray:
+    return ref_instructions / (bips * 1e9)
+
+
+def _efficiency(bips: np.ndarray, watts: np.ndarray) -> np.ndarray:
+    return bips**3 / watts
+
+
 def delay_seconds(bips, ref_instructions: float):
     """End-to-end delay of a ``ref_instructions``-long run at ``bips``."""
     _check_positive("bips", bips)
     _check_positive("ref_instructions", ref_instructions)
-    return ref_instructions / (np.asarray(bips, dtype=float) * 1e9)
+    return _delay(np.asarray(bips, dtype=float), ref_instructions)
 
 
 def bips3_per_watt(bips, watts):
@@ -33,4 +41,20 @@ def bips3_per_watt(bips, watts):
     bips = np.asarray(bips, dtype=float)
     if np.any(bips < 0):
         raise MetricError("bips must be non-negative")
-    return bips**3 / np.asarray(watts, dtype=float)
+    return _efficiency(bips, np.asarray(watts, dtype=float))
+
+
+def block_metrics(bips: np.ndarray, watts: np.ndarray, ref_instructions: float):
+    """(delay, bips^3/w) of float arrays, checking each input once.
+
+    Equal to :func:`delay_seconds` and :func:`bips3_per_watt` and raises
+    the same :class:`MetricError` for a non-positive input, but reads
+    each array once instead of once per metric.
+    """
+    if (bips <= 0).any():
+        raise MetricError("bips must be positive")
+    if ref_instructions <= 0:
+        raise MetricError("ref_instructions must be positive")
+    if (watts <= 0).any():
+        raise MetricError("watts must be positive")
+    return _delay(bips, ref_instructions), _efficiency(bips, watts)

@@ -7,7 +7,7 @@ and tracing is a runtime switch (``--trace PATH`` on the CLI, or
 :func:`configure_tracing` from code).
 
 The on-disk format is checksummed JSONL: one JSON object per line,
-``{"sha": sha256(canonical-body)[:16], "body": {...}}``, written with a
+``{"body":{...},"sha":"<sha256(canonical-body)[:16]>"}``, written with a
 single ``O_APPEND`` write per record so concurrent appenders cannot
 interleave partial lines.  A crash leaves at most one truncated tail
 line, which :func:`read_trace` tolerates; a corrupted checksum is
@@ -74,8 +74,11 @@ class TraceError(ValueError):
     """Raised for malformed trace files or invalid trace records."""
 
 
-def _checksum(body: dict) -> str:
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+def _canonical(body: dict) -> str:
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+
+
+def _sha(canonical: str) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:_SHA_LEN]
 
 
@@ -174,7 +177,7 @@ class Span:
 class TraceSink:
     """Append-only checksummed JSONL writer for trace records.
 
-    Each record is one line, ``{"sha": ..., "body": ...}``, written with
+    Each record is one line, ``{"body": ..., "sha": ...}``, written with
     a single ``os.write`` on an ``O_APPEND`` descriptor.  The first line
     is a ``header`` record binding the format version and pid.  Closing
     the sink is idempotent; writes after close are an error.
@@ -197,13 +200,17 @@ class TraceSink:
             })
 
     def write(self, body: dict) -> None:
-        """Append one record (checksum added here)."""
+        """Append one record (checksum added here).
+
+        The body is serialized once, canonically, and the line is the
+        envelope built around that text, so it parses to the same
+        ``{"body": ..., "sha": ...}`` object a full encode would give.
+        """
         if self._fd is None:
             raise TraceError(f"trace sink {self.path} is closed")
-        line = json.dumps(
-            {"sha": _checksum(body), "body": body}, sort_keys=True
-        )
-        os.write(self._fd, (line + "\n").encode("utf-8"))
+        canonical = _canonical(body)
+        line = f'{{"body":{canonical},"sha":"{_sha(canonical)}"}}\n'
+        os.write(self._fd, line.encode("utf-8"))
         if self.fsync:
             os.fsync(self._fd)
 
@@ -456,7 +463,7 @@ def read_trace(path: str, strict: bool = False) -> List[dict]:
             if not isinstance(envelope, dict) or "body" not in envelope:
                 raise TraceError("missing body")
             body = envelope["body"]
-            if envelope.get("sha") != _checksum(body):
+            if envelope.get("sha") != _sha(_canonical(body)):
                 raise TraceError("checksum mismatch")
             validate_record(body)
         except TraceError as exc:

@@ -17,6 +17,7 @@ from repro.designspace import (
     sample_uar_indices,
     sampling_space,
 )
+from repro.designspace.pointset import index_levels
 from repro.designspace.sampling import _uar_indices
 
 
@@ -332,6 +333,20 @@ class TestPointSet:
             assert points.column(parameter.name).tolist() == [
                 float(p[parameter.name]) for p in decoded
             ]
+
+    def test_level_matrix_is_one_read_only_decode(self, point_set):
+        """Memoized: the same read-only array on every call, in the
+        narrowest dtype, equal to decoding the indices afresh."""
+        points, indices = point_set
+        fresh = PointSet(_EXPLORATION, indices)
+        matrix = fresh.level_matrix()
+        assert fresh.level_matrix() is matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1
+        assert matrix.dtype == np.uint8
+        assert matrix.flags.f_contiguous
+        assert np.array_equal(matrix, index_levels(_EXPLORATION, indices))
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ParameterError):

@@ -29,7 +29,8 @@ from repro.harness.sweep import (
     run_sweep,
     strict_pareto_mask,
 )
-from repro.metrics import bips3_per_watt
+from repro.harness import sweep as sweep_module
+from repro.metrics import MetricError, bips3_per_watt
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +159,36 @@ class TestBlockwisePrediction:
             run_sweep([predictor], exploration[:8], [[]], block_size=0)
 
 
+def _assert_kernel_matches_predict(model, space, blocks):
+    """The gather kernel's predictions are bitwise ``model.predict``'s on
+    each ``(start, stop)`` range of the space's point indices."""
+    cache = _LevelDesignCache(model, space)
+    encoder = DesignEncoder(space)
+    for start, stop in blocks:
+        points = [space.point_at(i) for i in range(start, stop)]
+        matrix = np.vstack([encoder.encode_point(p) for p in points])
+        columns = {n: matrix[:, j] for j, n in enumerate(space.names)}
+        expected = model.predict(columns)
+        levels = PointSet(space, np.arange(start, stop)).level_matrix()
+        got = cache.predict(levels)
+        assert got.tobytes() == expected.tobytes(), (start, stop)
+    return cache.layout
+
+
+def _extended_model():
+    """The extended performance spec fitted to a smooth synthetic
+    response over a UAR sample of the extended space."""
+    from repro.designspace import extended_space, sample_uar
+    from repro.regression import extended_performance_spec, fit_ols
+
+    space = extended_space()
+    points = sample_uar(space, 300, seed=4)
+    matrix = DesignEncoder(space).encode(points)
+    data = {n: matrix[:, j] for j, n in enumerate(space.names)}
+    data["bips"] = 1.0 + 0.1 * (matrix ** 2).sum(axis=1) + 0.05 * matrix[:, 0]
+    return space, fit_ols(extended_performance_spec(), data)
+
+
 class TestLevelKernel:
     """The level-table gather kernel against the model's own predict."""
 
@@ -170,18 +201,60 @@ class TestLevelKernel:
     @pytest.mark.parametrize("name", ["gzip", "mcf", "applu"])
     @pytest.mark.parametrize("metric", ["bips", "watts"])
     def test_bitwise_equal_to_fitted_model_predict(self, ctx, name, metric):
+        layout = _assert_kernel_matches_predict(
+            ctx.model(name, metric), ctx.exploration_space, self.BLOCKS
+        )
+        # {depth, il1, dl1, l2} and {width, gpr, br_resv}, in 5 runs.
+        assert sorted(
+            int(np.prod(sizes)) for _, sizes in layout._groups
+        ) == [300, 875]
+        assert len(layout._runs) == 5
+
+    @pytest.mark.parametrize("metric", ["bips", "watts"])
+    def test_sampling_space(self, ctx, metric):
+        """The 375,000-design sampling space: 1,250-row depth component,
+        and the ragged tail of a default-block sweep."""
+        space = ctx.sampling_space
+        _assert_kernel_matches_predict(
+            ctx.model("mcf", metric), space,
+            [(0, 3), (8192, 16_384), (368_640, 375_000)],
+        )
+
+    def test_extended_space_splits_the_oversized_component(self):
+        """Associativity would join d-L1 to the depth component, whose
+        cross product (5,000 rows) is over the cap: the joining term gets
+        a group of its own, and predictions stay bitwise equal."""
+        space, model = _extended_model()
+        layout = _assert_kernel_matches_predict(
+            model, space, [(0, 5), (8192, 16_384), (2_991_000, 3_000_000)]
+        )
+        rows = [int(np.prod(sizes)) for _, sizes in layout._groups]
+        assert max(rows) <= sweep_module.MAX_COMPONENT_ROWS
+        # depth/il1/dl1/l2, width/gpr/br/in_order, assoc, assoc x dl1
+        assert sorted(rows) == [4, 20, 600, 1250]
+
+    def test_component_over_a_lowered_cap(self, ctx, monkeypatch):
+        """With the cap below the depth component's 875 rows, the paper's
+        layout splits it and still equals FittedModel.predict."""
+        monkeypatch.setattr(sweep_module, "MAX_COMPONENT_ROWS", 200)
+        layout = _assert_kernel_matches_predict(
+            ctx.model("gzip", "bips"), ctx.exploration_space, self.BLOCKS
+        )
+        rows = [int(np.prod(sizes)) for _, sizes in layout._groups]
+        assert max(rows) <= 200 and len(rows) > 2
+
+    def test_equal_layouts_share_their_run_tables(self, ctx):
+        """Two builds of one spec's layout compare equal and hold the very
+        same run tables; a different model's layout is unequal."""
         space = ctx.exploration_space
-        model = ctx.model(name, metric)
-        cache = _LevelDesignCache(model, space)
-        encoder = DesignEncoder(space)
-        for start, stop in self.BLOCKS:
-            points = [space.point_at(i) for i in range(start, stop)]
-            matrix = np.vstack([encoder.encode_point(p) for p in points])
-            columns = {n: matrix[:, j] for j, n in enumerate(space.names)}
-            expected = model.predict(columns)
-            levels = PointSet(space, np.arange(start, stop)).level_matrix()
-            got = cache.predict(levels)
-            assert got.tobytes() == expected.tobytes(), (start, stop)
+        terms = ctx.model("gzip", "bips").bound_terms
+        a, b = DesignLayout(terms, space), DesignLayout(terms, space)
+        assert a == b and hash(a) == hash(b)
+        assert all(x is y for (_, x), (_, y) in zip(a._runs, b._runs))
+        dropped = DesignLayout(terms[:-1], space)
+        assert dropped != a
+        # Its first four runs hold the same columns, so the same tables.
+        assert all(x is y for (_, x), (_, y) in zip(a._runs[:4], dropped._runs))
 
     def test_accepts_row_major_levels(self, ctx):
         """The kernel reads any (n, P) level layout, not only column-major."""
@@ -204,6 +277,30 @@ class TestLevelKernel:
         )
         with pytest.raises(SweepError, match="bogus"):
             _LevelDesignCache(broken, ctx.exploration_space)
+
+
+class TestMetricChecks:
+    def test_nonpositive_bips_raises_from_run_sweep(self, ctx, exploration):
+        """A model predicting bips <= 0 for some designs is an error, not
+        a negative delay, checked once per predicted block."""
+        from repro.regression.transforms import IdentityTransform
+
+        predictor = ctx.predictor("gzip")
+        model = predictor.bips_model
+        linear = dataclasses.replace(
+            model,
+            spec=dataclasses.replace(model.spec, transform=IdentityTransform()),
+        )
+        encoded = DesignEncoder(exploration.space).encode(exploration)
+        columns = {n: encoded[:, j] for j, n in enumerate(exploration.space.names)}
+        coefficients = linear.coefficients.copy()
+        coefficients[0] -= np.median(linear.predict(columns))
+        shifted = dataclasses.replace(linear, coefficients=coefficients)
+        predicted = shifted.predict(columns)
+        assert (predicted <= 0).any() and (predicted > 0).any()
+        broken = dataclasses.replace(predictor, bips_model=shifted)
+        with pytest.raises(MetricError, match="bips must be positive"):
+            run_sweep([broken], exploration, [[TopKReducer()]], block_size=64)
 
 
 class TestReducers:
@@ -253,6 +350,36 @@ class TestReducers:
             best_local = int(local[efficiency[mask].argmax()])
             assert grouped.argmax_indices[level] == best_local
             assert grouped.argmax_points[level] == points[best_local]
+
+    def test_suite_grouped_pass_holds_only_its_values(self, ctx):
+        """Nine benchmarks' grouped reducers over 5,000 designs in blocks
+        of 16: traced memory peaks near the finalized values, with no
+        per-block chunks or joined copies (those made it 2.2x)."""
+        import tracemalloc
+
+        points = _strided(ctx.exploration_space, 5000)
+        predictors = [ctx.predictor(b) for b in ctx.benchmarks]
+        for predictor in predictors:  # build the layouts outside the trace
+            predictor._level_caches(points.space)
+        points.level_matrix()
+        tracemalloc.start()
+        try:
+            report = run_sweep(
+                predictors, points,
+                [[GroupedMetricReducer("depth", "efficiency")]
+                 for _ in predictors],
+                block_size=16,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        values = len(predictors) * len(points) * 8
+        assert sum(
+            array.nbytes
+            for (grouped,) in report.results
+            for array in grouped.values.values()
+        ) == values
+        assert peak < 1.5 * values
 
     def test_collect_matches_table(self, ctx, exploration):
         table = ctx.predict_points("gzip", list(exploration))
@@ -400,6 +527,41 @@ class TestSuiteSweep:
         )
         assert fills == [64] * 15 + [40]
 
+    def test_point_set_decodes_once_across_studies(
+        self, test_scale, simulator, monkeypatch
+    ):
+        """T2, X3 and X9 sweep the exploration set in 7 passes (among
+        them the suite's, X9's bootstrap replicates' and the whole-set
+        prediction tables); a fresh context decodes its indices into
+        levels exactly once."""
+        import repro.designspace.pointset as pointset_module
+        import repro.studies.common as common_module
+        import repro.studies.robustness as robustness_module
+        from repro.experiments import run_experiment
+        from repro.studies import StudyContext
+
+        fresh = StudyContext(scale=test_scale, simulator=simulator)
+        exploration = fresh.exploration_points()
+        decoded = []
+        original = pointset_module.index_levels
+        monkeypatch.setattr(
+            pointset_module, "index_levels",
+            lambda space, indices: decoded.append(indices)
+            or original(space, indices),
+        )
+        runs = []
+        run = sweep_module.run_sweep
+        for module in (sweep_module, common_module, robustness_module):
+            monkeypatch.setattr(
+                module, "run_sweep",
+                lambda predictors, points, *args, **kw: runs.append(points)
+                or run(predictors, points, *args, **kw),
+            )
+        for experiment_id in ("T2", "X3", "X9"):
+            run_experiment(experiment_id, ctx=fresh)
+        assert sum(points is exploration for points in runs) == 7
+        assert sum(indices is exploration.indices for indices in decoded) == 1
+
     def test_points_counter_counts_every_predictor(self, ctx):
         predictors = [ctx.predictor(b) for b in ctx.benchmarks]
         points = _strided(ctx.exploration_space, 300)
@@ -507,6 +669,70 @@ class TestTopKPrefilter:
                 assert (
                     reducer._state[name].tobytes() == whole[indices].tobytes()
                 )
+
+
+class TestParetoPrefilter:
+    """Dropping designs the running candidates strictly dominate leaves
+    the frontier of the whole set unchanged."""
+
+    @pytest.mark.parametrize("levels", [4, 50, 100_000])
+    @pytest.mark.parametrize("sizes", [[200, 200, 200], [1, 500, 3, 90], [600]])
+    def test_matches_discretized_frontier(self, levels, sizes):
+        rng = np.random.default_rng(levels + len(sizes))
+        n = sum(sizes)
+        # Coarse values tie on purpose; power falls with delay, noisily.
+        delay = rng.integers(1, levels + 1, n).astype(float)
+        power = np.round(1000.0 / delay + rng.integers(0, levels, n))
+        reducer = ParetoFrontierReducer(bins=20)
+        start = 0
+        for size in sizes:
+            stop = start + size
+            reducer.update(
+                SweepBlock(
+                    benchmark="synthetic",
+                    indices=np.arange(start, stop, dtype=np.int64),
+                    bips=1.0 / delay[start:stop],
+                    watts=power[start:stop],
+                    delay=delay[start:stop],
+                    efficiency=power[start:stop],
+                )
+            )
+            start = stop
+        kept = sum(chunk.size for chunk in reducer._indices)
+        unfiltered = sum(
+            int(strict_pareto_mask(delay[a:a + size], power[a:a + size]).sum())
+            for a, size in zip(np.cumsum([0] + sizes[:-1]), sizes)
+        )
+        assert kept <= unfiltered
+        expected = discretized_frontier(delay, power, bins=20)
+        front = reducer.finalize(PointSet(_toy_space(n), np.arange(n)))
+        assert sorted(front.indices.tolist()) == sorted(expected.tolist())
+
+    def test_drops_what_earlier_blocks_dominate(self):
+        reducer = ParetoFrontierReducer(bins=4)
+        for start, delay, power in [(0, [1.0, 2.0], [5.0, 1.0]),
+                                    (2, [3.0, 0.5, 2.0], [2.0, 9.0, 3.0])]:
+            reducer.update(
+                SweepBlock(
+                    benchmark="synthetic",
+                    indices=np.arange(start, start + len(delay)),
+                    bips=np.ones(len(delay)),
+                    watts=np.array(power),
+                    delay=np.array(delay),
+                    efficiency=np.ones(len(delay)),
+                )
+            )
+        # Nothing in its own block dominates design 2 (delay 3, power 2),
+        # but design 1 (2, 1) does; design 4 (2, 3) ties design 1's delay,
+        # so it is not strictly dominated and stays.
+        assert np.concatenate(reducer._indices).tolist() == [0, 1, 3, 4]
+
+
+def _toy_space(n):
+    """A one-parameter space with at least ``n`` designs."""
+    from repro.designspace import DesignSpace, Parameter
+
+    return DesignSpace([Parameter("x", tuple(range(n)))], name="toy")
 
 
 class TestFrontierMath:
