@@ -5,8 +5,8 @@ for structure, ``Stopwatch`` for raw wall/CPU pairs shipped across process
 boundaries.  A bare ``time.perf_counter()`` call in harness code produces a
 number invisible to ``repro trace summary`` and the merged metrics
 snapshot, so the timing silently falls out of the observability story.
-Scheduling clocks (``time.monotonic`` for deadlines, ``time.sleep`` for
-waits) are not measurements and stay exempt.
+Scheduling clocks (``time.monotonic`` for deadlines and elapsed-time
+checks, ``time.sleep`` for waits) are not measurements and stay exempt.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from ..findings import Finding, Severity
 from ..registry import Rule, register
 
 #: Measurement clocks that bypass the observability layer when called
-#: directly.  ``time.monotonic`` is deliberately absent: resilience uses
-#: it for deadlines, which are scheduling, not measurement.
+#: directly.  ``time.monotonic`` is deliberately absent: a deadline or a
+#: poll interval is scheduling, not measurement.
 _RAW_CLOCKS = {"time.perf_counter", "time.process_time"}
 
 

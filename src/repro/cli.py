@@ -4,13 +4,12 @@
 regenerates one (or ``all``); ``repro info`` prints the environment.
 Scale is chosen with ``--scale`` or the ``REPRO_SCALE`` env var.
 
-``repro run`` and ``repro sweep`` accept ``--workers``, ``--retries``,
-and ``--chunk-timeout`` for the campaign they may build.  The campaign
-runs through the resilient executor (:mod:`repro.harness.resilience`),
-one chunk per benchmark, serially or over a process pool, retrying
-transient worker failures.  Each finished benchmark is cached on disk at
-once, so a rerun of an interrupted invocation simulates only the
-benchmarks still missing.  The sweep itself always runs in-process.
+``repro run`` and ``repro sweep`` accept ``--workers`` for the campaign
+they may build.  The campaign runs through the chunk executor
+(:mod:`repro.harness.resilience`), one chunk per benchmark, serially or
+over a process pool.  Each finished benchmark is cached on disk at once,
+so a rerun of an interrupted invocation simulates only the benchmarks
+still missing.  The sweep itself always runs in-process.
 Expected operational errors (bad artifacts, unknown scales, malformed
 sweeps, failed chunks) print one line to stderr and exit with code 2
 instead of a traceback.
@@ -20,7 +19,7 @@ records a span/event trace readable with ``repro trace summary|tree``;
 ``--metrics`` prints the merged metrics snapshot (driver plus pool
 workers).  ``-v/-vv`` raise logging verbosity on the ``repro.*``
 namespace and ``-q`` silences everything below errors — without these,
-resilience retry/degradation warnings go to stderr at WARNING level.
+the warning that a broken pool degraded to serial goes to stderr.
 """
 
 from __future__ import annotations
@@ -37,9 +36,7 @@ from .harness import (
     PRESETS,
     ArtifactError,
     ChunkFailure,
-    ResilienceConfig,
     ResilienceError,
-    RetryPolicy,
     ScaleError,
     SweepError,
     get_scale,
@@ -50,8 +47,8 @@ def _configure_logging(verbose: int, quiet: bool) -> None:
     """Attach a stderr handler to the ``repro`` logger namespace.
 
     Without this the root logger's last-resort handler drops everything
-    below WARNING and mangles the rest; with it, resilience retry and
-    degradation messages are actually visible.  Idempotent: repeated
+    below WARNING and mangles the rest; with it, the pool degradation
+    message is actually visible.  Idempotent: repeated
     ``main()`` calls (tests) reuse the one handler and just adjust the
     level.
     """
@@ -74,18 +71,6 @@ def _configure_logging(verbose: int, quiet: bool) -> None:
     )
     handler._repro_cli = True
     logger.addHandler(handler)
-
-
-def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared --retries/--chunk-timeout flag group."""
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="max attempts per chunk for transient failures (default 3)",
-    )
-    parser.add_argument(
-        "--chunk-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-chunk wall-time limit; timed-out chunks are retried",
-    )
 
 
 def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
@@ -149,19 +134,6 @@ def _print_metrics(mark: dict, ctx) -> None:
     print(render_metrics(merged))
 
 
-def _resilience_from_args(
-    args: argparse.Namespace,
-) -> Optional[ResilienceConfig]:
-    """A ResilienceConfig when any resilience flag was given, else None."""
-    if args.retries is None and args.chunk_timeout is None:
-        return None
-    policy = RetryPolicy(
-        max_attempts=args.retries if args.retries is not None else 3,
-        chunk_timeout=args.chunk_timeout,
-    )
-    return ResilienceConfig(policy=policy)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -203,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="parallel simulation workers for the campaign phase",
     )
-    _add_resilience_arguments(run_parser)
     _add_observability_arguments(run_parser)
     run_parser.set_defaults(func=_cmd_run)
 
@@ -239,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="exploration",
         help="which design space to sweep (default exploration)",
     )
-    _add_resilience_arguments(sweep_parser)
     _add_observability_arguments(sweep_parser)
     sweep_parser.set_defaults(func=_cmd_sweep)
 
@@ -364,11 +334,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     mark = get_registry().snapshot()
     with _tracing_from_args(args):
-        ctx = shared_context(
-            scale,
-            workers=args.workers,
-            resilience=_resilience_from_args(args),
-        )
+        ctx = shared_context(scale, workers=args.workers)
         for experiment_id in ids:
             started = time.time()
             result = run_experiment(experiment_id, ctx=ctx)
@@ -508,9 +474,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .obs import get_registry
 
     scale = get_scale(args.scale)
-    ctx = shared_context(
-        scale, workers=args.workers, resilience=_resilience_from_args(args)
-    )
+    ctx = shared_context(scale, workers=args.workers)
     benchmarks = args.benchmarks or list(ctx.benchmarks)
     unknown = [b for b in benchmarks if b not in ctx.benchmarks]
     if unknown:
@@ -632,9 +596,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except ChunkFailure as error:
-        # A chunk failed permanently or exhausted its retries; show what
-        # completed (those benchmarks are cached, so a rerun skips them)
-        # and the reason.
+        # A chunk raised or returned a bad payload; show what completed
+        # (those benchmarks are cached, so a rerun skips them) and the
+        # reason.
         if error.report is not None:
             print(f"error: {error.report.summary()}", file=sys.stderr)
         print(f"error: {error}", file=sys.stderr)

@@ -57,20 +57,17 @@ _CONTEXTS: Dict[str, StudyContext] = {}
 def shared_context(
     scale: Optional[ScalePreset] = None,
     workers: int = 1,
-    resilience=None,
 ) -> StudyContext:
     """Process-wide context per scale: one campaign serves every figure.
 
-    ``resilience`` (a :class:`repro.harness.ResilienceConfig`) only
-    takes effect when the context for this scale is first built — the
-    campaign runs once and is shared afterwards.
+    ``workers`` only takes effect when the context for this scale is
+    first built — the campaign runs once and is shared afterwards.
     """
     scale = scale or get_scale()
     if scale.name not in _CONTEXTS:
         _CONTEXTS[scale.name] = StudyContext(
             scale=scale,
             workers=workers,
-            resilience=resilience,
         )
     return _CONTEXTS[scale.name]
 

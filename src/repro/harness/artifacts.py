@@ -42,7 +42,6 @@ from .campaign import (
     _new_campaign,
     _simulate_benchmarks,
 )
-from .resilience import ResilienceConfig
 from .scale import ScalePreset
 
 logger = logging.getLogger(__name__)
@@ -224,7 +223,6 @@ def cached_campaign(
     benchmarks: Optional[Sequence[str]] = None,
     refresh: bool = False,
     workers: int = 1,
-    resilience: Optional[ResilienceConfig] = None,
 ) -> Campaign:
     """Load each benchmark's cached artifact; simulate and cache the rest.
 
@@ -249,7 +247,6 @@ def cached_campaign(
         campaign,
         missing,
         workers,
-        resilience,
         on_benchmark=functools.partial(save_campaign, campaign),
     )
     return campaign

@@ -10,10 +10,10 @@ benchmark's trace in one kernel call.  Every run goes through
 :func:`repro.harness.resilience.run_chunks`, one chunk per benchmark:
 in-process on the caller's simulator with ``workers == 1``, over a
 process pool otherwise (each worker rebuilds its deterministic trace, so
-results are bit-identical to an in-process run).  Chunks are retried on
-transient failures, and a pool run degrades to in-process execution
-when the pool breaks repeatedly.  :func:`repro.harness.artifacts.cached_campaign`
-persists each benchmark's result as its chunk completes.
+results are bit-identical to an in-process run).  A chunk that fails
+aborts the run; a pool run whose worker is killed finishes in-process.
+:func:`repro.harness.artifacts.cached_campaign` persists each
+benchmark's result as its chunk completes, so a rerun resumes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .dataset import Dataset
 from .resilience import (
     ChunkTask,
     CorruptResultError,
-    ResilienceConfig,
     RunReport,
     run_chunks,
 )
@@ -49,7 +48,7 @@ class Campaign:
     validation_points: List[DesignPoint]
     train: Dict[str, Dataset] = field(default_factory=dict)
     validation: Dict[str, Dataset] = field(default_factory=dict)
-    #: Execution accounting (chunks, retries, degradation, metrics) of
+    #: Execution accounting (chunks, degradation, metrics) of
     #: the benchmarks simulated by the run that built this campaign.
     #: Benchmarks loaded from disk are not in it: when every one was,
     #: it reports zero chunks and no metrics.
@@ -183,7 +182,6 @@ def _simulate_benchmarks(
     campaign: Campaign,
     names: Sequence[str],
     workers: int,
-    resilience: Optional[ResilienceConfig],
     on_benchmark: Optional[Callable[[str], None]] = None,
 ) -> None:
     """Simulate ``names`` over the campaign's points and assemble them.
@@ -201,7 +199,6 @@ def _simulate_benchmarks(
     these chunks.
     """
     scale, space = campaign.scale, campaign.space
-    resilience = resilience or ResilienceConfig()
     points = campaign.train_points + campaign.validation_points
     in_process = None if workers > 1 else simulator
     tasks = [
@@ -238,8 +235,6 @@ def _simulate_benchmarks(
         _, campaign.run_report = run_chunks(
             tasks,
             workers=workers,
-            policy=resilience.policy,
-            faults=resilience.faults,
             validate=_validate_campaign_payload,
             on_chunk=completed,
         )
@@ -251,7 +246,6 @@ def run_campaign(
     space: Optional[DesignSpace] = None,
     benchmarks: Optional[Sequence[str]] = None,
     workers: int = 1,
-    resilience: Optional[ResilienceConfig] = None,
 ) -> Campaign:
     """Sample, simulate, and assemble datasets.
 
@@ -264,15 +258,12 @@ def run_campaign(
     Execution goes through :func:`repro.harness.resilience.run_chunks`,
     one chunk per benchmark: in-process on ``simulator`` when
     ``workers == 1``, over a process pool otherwise, with results
-    identical either way.  ``resilience`` sets the retry policy and any
-    injected faults; the finished campaign carries a ``run_report``.
+    identical either way; the finished campaign carries a ``run_report``.
     Each benchmark's trace is replayed once through the batched timing
     kernel, over its train and validation points together.
     """
     campaign = _new_campaign(scale, space, benchmarks)
-    _simulate_benchmarks(
-        simulator, campaign, campaign.benchmarks, workers, resilience
-    )
+    _simulate_benchmarks(simulator, campaign, campaign.benchmarks, workers)
     return campaign
 
 

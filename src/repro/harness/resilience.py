@@ -1,75 +1,44 @@
-"""Fault-tolerant chunk execution: retries, degradation, faults.
+"""Chunk execution for the simulation campaign: in-process or over a pool.
 
 The expensive phase of the reproduction — simulating sampled designs
-(:func:`~repro.harness.campaign.run_campaign`) — runs as a list of
-independent *chunks*, one per benchmark, in-process or fanned out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  This module makes
-that fan-out robust:
-
-- **RetryPolicy** — bounded attempts per chunk and a per-attempt
-  timeout.  Failures are classified transient (broken pool, timeout,
-  :class:`TransientWorkerError`) or permanent (deterministic
-  exceptions); only transient failures are retried, and a retried
-  chunk goes straight back on the queue.
-- **Graceful degradation** — when the worker pool breaks repeatedly,
-  the remaining chunks run serially in-process instead of aborting.
-- **Fault injection** — a :class:`FaultPlan` deterministically fails
-  chunk N on attempt K with an exception, a worker kill, a hang, or a
-  corrupted payload, threaded through the worker entrypoint so every
-  recovery path above is testable without real crashes.
-
-Chunks must be independent; results are always delivered in task
-order, so callers observe output identical to a serial, fault-free run.
-Durability belongs to the caller: ``on_chunk`` fires as each chunk
-completes, and the campaign persists that benchmark's artifact there
-(:mod:`repro.harness.artifacts`), so an interrupted run loses only the
-chunks still in flight.
+(:func:`~repro.harness.campaign.run_campaign`) — runs as independent
+*chunks*, one per benchmark, in-process or over a
+:class:`~concurrent.futures.ProcessPoolExecutor`.  Results are delivered
+in task order, identical to a serial run.  :func:`run_chunks` follows the
+failure model of ``docs/RESILIENCE.md``: a chunk that raises or fails
+validation aborts the run (the simulation is deterministic, so a retry
+would fail the same way), a pool broken by a killed worker finishes
+in-process, and any exception terminates the pool.  Durability belongs
+to the caller: ``on_chunk`` fires as each chunk completes, and the
+campaign persists that benchmark's artifact there
+(:mod:`repro.harness.artifacts`), so a rerun simulates only what is
+missing.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as FuturesTimeout
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import isolated_registry, merge_snapshots
 from ..obs.tracing import Stopwatch, get_tracer
 
 logger = logging.getLogger(__name__)
 
-#: Fault kinds a :class:`FaultPlan` may inject (see :class:`Fault`); each
-#: fires inside the worker entrypoint, :func:`_run_chunk`.
-FAULT_KINDS = ("transient", "permanent", "kill", "hang", "corrupt")
-
 
 class ResilienceError(RuntimeError):
-    """Raised for unusable resilience configurations."""
+    """Raised for unusable chunk task lists."""
 
 
-class TransientWorkerError(RuntimeError):
-    """A worker failure that is known to be safe to retry."""
-
-
-class CorruptResultError(TransientWorkerError):
+class CorruptResultError(ResilienceError):
     """A chunk returned a payload that failed validation."""
 
 
 class ChunkFailure(ResilienceError):
-    """A chunk failed permanently or exhausted its retry budget.
+    """A chunk raised or returned a payload that failed validation.
 
     Carries the :class:`RunReport` accumulated so far as ``report`` so
     callers (and the CLI) can name the failing chunk and show what did
@@ -80,59 +49,6 @@ class ChunkFailure(ResilienceError):
     def __init__(self, message: str, report: Optional["RunReport"] = None):
         super().__init__(message)
         self.report = report
-
-
-# -- fault injection -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Fault:
-    """Deterministically fail one chunk on selected attempts.
-
-    ``kind`` is one of :data:`FAULT_KINDS`: ``transient``/``permanent``
-    raise in the worker, ``kill`` terminates the worker process (breaking
-    the pool), ``hang`` blocks until the driver's chunk timeout fires,
-    and ``corrupt`` truncates the returned payload.  ``attempts`` lists
-    the 1-based attempt numbers that fire; an empty tuple fires on every
-    attempt.
-    """
-
-    chunk: int
-    kind: str
-    attempts: Tuple[int, ...] = (1,)
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ResilienceError(
-                f"unknown fault kind {self.kind!r}; choices are {FAULT_KINDS}"
-            )
-        object.__setattr__(self, "attempts", tuple(self.attempts))
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """A deterministic schedule of injected faults, keyed by chunk/attempt."""
-
-    faults: Tuple[Fault, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "faults", tuple(self.faults))
-
-    def fault_for(self, chunk: int, attempt: int) -> Optional[str]:
-        """The fault kind to inject for this chunk attempt, or None."""
-        for fault in self.faults:
-            if fault.chunk == chunk and (
-                not fault.attempts or attempt in fault.attempts
-            ):
-                return fault.kind
-        return None
-
-
-def _corrupt_payload(payload):
-    """Worker-side ``corrupt`` fault: damage the payload detectably."""
-    if isinstance(payload, list) and payload:
-        return payload[:-1]
-    return None
 
 
 @dataclass
@@ -152,91 +68,25 @@ class _ChunkEnvelope:
     cpu_s: float = 0.0
 
 
-def _run_chunk(fn: Callable, args: tuple, fault_kind: Optional[str]):
-    """Worker entrypoint: apply any injected fault, then run the chunk.
+def _run_chunk(fn: Callable, args: tuple) -> _ChunkEnvelope:
+    """Worker entrypoint: run one chunk in an isolated metrics registry.
 
-    This is the single choke point every chunk of every resilient run
-    passes through, in-process or in a pool worker — which is what makes
-    :class:`FaultPlan` able to exercise each recovery path for real.
-    Successful chunks return a :class:`_ChunkEnvelope` wrapping the
-    payload with the chunk's metrics snapshot and timings.
+    Every chunk passes through here, in-process or in a pool worker, and
+    comes back as a :class:`_ChunkEnvelope` wrapping the payload with the
+    chunk's metrics snapshot and timings.
     """
-    if fault_kind == "transient":
-        raise TransientWorkerError("injected transient fault")
-    if fault_kind == "permanent":
-        raise RuntimeError("injected permanent fault")
-    if fault_kind == "kill":
-        os._exit(13)
-    if fault_kind == "hang":
-        while True:  # until the driver's chunk timeout terminates us
-            time.sleep(0.05)
     with isolated_registry() as registry:
         with Stopwatch() as watch:
             result = fn(*args)
         snapshot = registry.snapshot()
-    if fault_kind == "corrupt":
-        result = _corrupt_payload(result)
-    return _ChunkEnvelope(
-        payload=result,
-        metrics=snapshot,
-        wall_s=watch.wall_s,
-        cpu_s=watch.cpu_s,
-    )
-
-
-# -- retry policy --------------------------------------------------------------
-
-#: Exception types that are retried; everything else is permanent.
-_TRANSIENT_TYPES: Tuple[type, ...] = (
-    BrokenProcessPool,
-    FuturesTimeout,
-    TimeoutError,
-    TransientWorkerError,
-)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How failures are classified, retried, timed out, and degraded.
-
-    A chunk gets at most ``max_attempts`` attempts; a transient failure
-    retries at once, with no delay.  ``chunk_timeout`` bounds a single
-    attempt's wall time on the parallel path (a timed-out worker is
-    terminated with the pool and the chunk retried).  After
-    ``max_pool_restarts`` pool rebuilds, execution degrades to
-    in-process serial for the remainder.
-    """
-
-    max_attempts: int = 3
-    chunk_timeout: Optional[float] = None
-    max_pool_restarts: int = 2
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ResilienceError("max_attempts must be positive")
-        if self.chunk_timeout is not None and self.chunk_timeout <= 0:
-            raise ResilienceError("chunk_timeout must be positive or None")
-        if self.max_pool_restarts < 0:
-            raise ResilienceError("max_pool_restarts must be >= 0")
-
-    def classify(self, error: BaseException) -> str:
-        """``"transient"`` (retry) or ``"permanent"`` (abort)."""
-        return (
-            "transient" if isinstance(error, _TRANSIENT_TYPES) else "permanent"
-        )
+    return _ChunkEnvelope(result, snapshot, watch.wall_s, watch.cpu_s)
 
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Bundle threading the resilient executor through a campaign.
+    """Unread: ``benchmarks/e2e/workload.py:107`` builds one until ROADMAP item 8."""
 
-    ``faults`` is the deterministic fault-injection schedule (tests and
-    smoke runs only).
-    """
-
-    policy: RetryPolicy = field(default_factory=RetryPolicy)
-    resume: bool = False  #: unread; benchmarks/e2e/workload.py still passes it
-    faults: Optional[FaultPlan] = None
+    resume: bool = False
 
 
 # -- tasks and reports ---------------------------------------------------------
@@ -246,10 +96,9 @@ class ResilienceConfig:
 class ChunkTask:
     """One unit of the fan-out: a picklable function call plus labels.
 
-    ``size`` counts work units (e.g. design points) for progress
-    accounting and payload validation; ``meta`` is an opaque caller
-    label (the campaign uses ``(benchmark,)``) handed back through
-    ``on_chunk`` callbacks.
+    ``size`` counts work units (e.g. design points) for payload
+    validation; ``meta`` is an opaque caller label (the campaign uses
+    ``(benchmark,)``) handed back through ``on_chunk`` callbacks.
     """
 
     index: int
@@ -266,29 +115,28 @@ class ChunkRecord:
     index: int
     meta: tuple = ()
     status: str = "pending"  #: pending | completed | failed
-    attempts: int = 0
-    errors: Tuple[str, ...] = ()
 
 
 @dataclass
 class RunReport:
-    """Structured outcome of one resilient run.
+    """Structured outcome of one run of :func:`run_chunks`.
 
-    ``completed`` counts chunks that finished; ``retried`` counts chunks
-    that needed more than one attempt; ``failure`` names the aborting
-    chunk when the run raised :class:`ChunkFailure`.
+    ``completed`` counts chunks that finished; ``degraded`` says the
+    pool broke and the unfinished chunks ran in-process; ``failure``
+    names the aborting chunk when the run raised :class:`ChunkFailure`.
 
     ``metrics`` is the merged :mod:`repro.obs` snapshot of every
     completed chunk's contribution — shipped back from pool workers in
-    result envelopes — with no double counting (failed attempts'
-    metrics are discarded).  ``events`` lists the structured occurrences
-    (``resilience.retry``, ``.pool_restart``, ``.degraded``,
-    ``.chunk_failed``) that also land in the trace when tracing is
-    active.
+    result envelopes — with no double counting: a rejected payload's
+    metrics are discarded.  ``events`` lists the structured occurrences
+    (``resilience.degraded``, ``.chunk_failed``) that also land in the
+    trace when tracing is active.
     """
 
     total_chunks: int
     completed: int = 0
+    #: ``retried`` and ``pool_restarts`` are always 0; ``benchmarks/e2e/
+    #: workload.py:260-261`` reads them until ROADMAP item 8 drops both.
     retried: int = 0
     pool_restarts: int = 0
     degraded: bool = False
@@ -301,10 +149,6 @@ class RunReport:
     def summary(self) -> str:
         """One-line human-readable account of the run."""
         parts = [f"chunks {self.completed}/{self.total_chunks}"]
-        if self.retried:
-            parts.append(f"{self.retried} retried")
-        if self.pool_restarts:
-            parts.append(f"{self.pool_restarts} pool restart(s)")
         if self.degraded:
             parts.append("degraded to serial")
         if self.failure:
@@ -313,21 +157,15 @@ class RunReport:
         return "; ".join(parts)
 
 
-# -- the resilient executor ----------------------------------------------------
+# -- the executor --------------------------------------------------------------
 
 
-def _shutdown_pool(executor: Optional[ProcessPoolExecutor], terminate: bool):
-    """Shut a pool down; ``terminate`` also kills worker processes.
+def _terminate_pool(executor: ProcessPoolExecutor) -> None:
+    """Shut a pool down and kill its worker processes.
 
-    Termination is how hung (or abandoned) workers are reaped after a
-    chunk timeout or an abort — ``shutdown`` alone would wait on them
-    forever.
+    ``shutdown`` alone would wait for the chunks in flight; after an
+    abort or an interrupt nothing may outlive the driver.
     """
-    if executor is None:
-        return
-    if not terminate:
-        executor.shutdown(wait=True)
-        return
     processes = list((getattr(executor, "_processes", None) or {}).values())
     executor.shutdown(wait=False, cancel_futures=True)
     for process in processes:
@@ -337,14 +175,12 @@ def _shutdown_pool(executor: Optional[ProcessPoolExecutor], terminate: bool):
 
 
 class _ChunkRunner:
-    """One resilient run: scheduling loop, retry state, report assembly."""
+    """One run: the serial and pool loops and report assembly."""
 
     def __init__(
         self,
         tasks: Sequence[ChunkTask],
         workers: int,
-        policy: RetryPolicy,
-        faults: Optional[FaultPlan],
         validate: Optional[Callable],
         on_chunk: Optional[Callable],
     ):
@@ -353,8 +189,6 @@ class _ChunkRunner:
             raise ResilienceError("chunk task indexes must be unique")
         self.tasks = list(tasks)
         self.workers = max(1, workers)
-        self.policy = policy
-        self.faults = faults
         self.validate = validate
         self.on_chunk = on_chunk
         self.records = {
@@ -367,243 +201,88 @@ class _ChunkRunner:
         )
         self.results: Dict[int, object] = {}
 
-    # -- outcome bookkeeping ----------------------------------------------
-
-    def _fault_for(self, task, attempt, in_process):
-        if self.faults is None:
-            return None
-        kind = self.faults.fault_for(task.index, attempt)
-        if kind in ("kill", "hang") and in_process:
-            # Cannot kill or hang the driver itself; surface the fault
-            # as a retryable worker error instead.
-            return "transient"
-        return kind
-
-    def _meta_tag(self, task: ChunkTask) -> str:
-        return f" {task.meta}" if task.meta else ""
-
     def _event(self, name: str, **attrs) -> None:
         """Record a structured occurrence in the report and the trace."""
         self.report.events.append({"name": name, "attrs": attrs})
         get_tracer().event(name, **attrs)
 
-    def _complete(
-        self, task: ChunkTask, attempt: int, envelope: _ChunkEnvelope
-    ) -> None:
+    def _abort(self, task: ChunkTask, error: Exception) -> None:
+        self.records[task.index].status = "failed"
+        tag = f" {task.meta}" if task.meta else ""
+        reason = f"{type(error).__name__}: {error}"
+        message = f"chunk {task.index}{tag} failed: {reason}"
+        self.report.failure = message
+        self._event("resilience.chunk_failed", chunk=task.index, reason=reason)
+        raise ChunkFailure(message, self.report) from error
+
+    def _deliver(self, task: ChunkTask, envelope: _ChunkEnvelope) -> None:
+        """Validate one chunk's payload, then account and hand it on."""
         payload = envelope.payload
+        if self.validate is not None:
+            try:
+                self.validate(task, payload)
+            except Exception as error:
+                self._abort(task, error)
         record = self.records[task.index]
         record.status = "completed"
-        record.attempts = attempt
-        if attempt > 1:
-            self.report.retried += 1
         self.report.completed += 1
-        if envelope.metrics is not None:
-            # Merge only after validation passed: a corrupt or retried
-            # attempt's metrics never reach the report.
-            self.report.metrics = merge_snapshots(
-                self.report.metrics, envelope.metrics
-            )
+        # Merged only after validation passed: a rejected payload's
+        # metrics never reach the report.
+        self.report.metrics = merge_snapshots(
+            self.report.metrics, envelope.metrics
+        )
         get_tracer().record_span(
             "resilience.chunk",
             envelope.wall_s,
             envelope.cpu_s,
             chunk=task.index,
-            attempts=attempt,
             meta=[str(m) for m in task.meta],
         )
         self.results[task.index] = payload
         if self.on_chunk is not None:
             self.on_chunk(task, record, payload)
 
-    def _record_failure(self, task, attempt, error) -> None:
-        """Account one failed attempt; raises when the chunk is lost."""
-        record = self.records[task.index]
-        record.attempts = attempt
-        record.errors += (
-            f"attempt {attempt}: {type(error).__name__}: {error}",
-        )
-        if self.policy.classify(error) == "permanent":
-            self._abort(task, record, f"permanent failure: {error}")
-        if attempt >= self.policy.max_attempts:
-            self._abort(
-                task,
-                record,
-                f"exhausted {self.policy.max_attempts} attempts: {error}",
-            )
-        self._event(
-            "resilience.retry",
-            chunk=task.index,
-            attempt=attempt,
-            error=f"{type(error).__name__}: {error}",
-        )
-        logger.info(
-            "retrying chunk %d%s after attempt %d: %s",
-            task.index,
-            self._meta_tag(task),
-            attempt,
-            error,
-        )
+    def _run_serial(self, tasks: Sequence[ChunkTask]) -> None:
+        for task in tasks:
+            try:
+                envelope = _run_chunk(task.fn, task.args)
+            except Exception as error:
+                self._abort(task, error)
+            self._deliver(task, envelope)
 
-    def _abort(self, task, record, reason) -> None:
-        record.status = "failed"
-        message = f"chunk {task.index}{self._meta_tag(task)} failed: {reason}"
-        self.report.failure = message
-        self._event(
-            "resilience.chunk_failed", chunk=task.index, reason=reason
-        )
-        raise ChunkFailure(message, self.report)
-
-    def _check(self, task: ChunkTask, payload) -> None:
-        if self.validate is not None:
-            self.validate(task, payload)
-
-    # -- serial execution --------------------------------------------------
-
-    def _run_serial(self, items: Sequence[Tuple[ChunkTask, int]]) -> None:
-        """Run ``(task, attempts_already_charged)`` pairs in-process."""
-        for task, attempts_done in sorted(items, key=lambda i: i[0].index):
-            attempt = attempts_done
-            while True:
-                attempt += 1
-                fault = self._fault_for(task, attempt, in_process=True)
-                try:
-                    envelope = _run_chunk(task.fn, task.args, fault)
-                    self._check(task, envelope.payload)
-                except ChunkFailure:
-                    raise
-                except Exception as error:
-                    self._record_failure(task, attempt, error)
-                    continue
-                self._complete(task, attempt, envelope)
-                break
-
-    # -- parallel execution ------------------------------------------------
-
-    def _retry(self, queue, task, attempt, error) -> None:
-        """Charge a failed attempt; put the chunk back on the queue."""
-        self._record_failure(task, attempt, error)
-        queue.append((task, attempt))
-
-    def _restart_pool(self, executor, inflight, queue):
-        """Kill a broken/hung pool; requeue in-flight chunks uncharged.
-
-        Returns a fresh pool, or None once the restart budget is spent —
-        the caller then degrades to serial execution.
-        """
-        for task, attempt, _ in inflight.values():
-            queue.append((task, attempt - 1))
-        inflight.clear()
-        _shutdown_pool(executor, terminate=True)
-        self.report.pool_restarts += 1
-        self._event(
-            "resilience.pool_restart",
-            count=self.report.pool_restarts,
-            budget=self.policy.max_pool_restarts,
-        )
-        if self.report.pool_restarts > self.policy.max_pool_restarts:
-            return None
-        logger.info(
-            "restarting worker pool (%d/%d)",
-            self.report.pool_restarts,
-            self.policy.max_pool_restarts,
-        )
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    def _run_parallel(self, pending: Sequence[Tuple[ChunkTask, int]]) -> None:
-        queue: Deque[Tuple[ChunkTask, int]] = deque(pending)
-        inflight: Dict[object, Tuple[ChunkTask, int, Optional[float]]] = {}
-        executor: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
-            max_workers=self.workers
-        )
-        aborted = True
+    def _run_parallel(self) -> None:
+        executor = ProcessPoolExecutor(max_workers=self.workers)
+        broken = False
         try:
-            while queue or inflight:
-                now = time.monotonic()
-                pool_failed = False
-                while queue and len(inflight) < self.workers:
-                    task, attempts_done = queue.popleft()
-                    attempt = attempts_done + 1
-                    fault = self._fault_for(task, attempt, in_process=False)
-                    try:
-                        future = executor.submit(
-                            _run_chunk, task.fn, task.args, fault
-                        )
-                    except BrokenProcessPool:
-                        queue.appendleft((task, attempts_done))
-                        pool_failed = True
-                        break
-                    deadline = (
-                        now + self.policy.chunk_timeout
-                        if self.policy.chunk_timeout is not None
-                        else None
-                    )
-                    inflight[future] = (task, attempt, deadline)
-
-                if not pool_failed and inflight:
-                    deadlines = [
-                        deadline
-                        for _, _, deadline in inflight.values()
-                        if deadline is not None
-                    ]
-                    timeout = (
-                        max(0.0, min(deadlines) - time.monotonic())
-                        if deadlines
-                        else None
-                    )
-                    done, _ = wait(
-                        set(inflight),
-                        timeout=timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in done:
-                        task, attempt, _ = inflight.pop(future)
-                        try:
-                            envelope = future.result()
-                            self._check(task, envelope.payload)
-                        except Exception as error:
-                            if isinstance(error, BrokenProcessPool):
-                                pool_failed = True
-                            self._retry(queue, task, attempt, error)
-                        else:
-                            self._complete(task, attempt, envelope)
-                    now = time.monotonic()
-                    for future, (task, attempt, deadline) in list(
-                        inflight.items()
-                    ):
-                        if deadline is not None and now >= deadline:
-                            del inflight[future]
-                            timeout_error = FuturesTimeout(
-                                f"chunk {task.index} exceeded chunk_timeout="
-                                f"{self.policy.chunk_timeout}s"
-                            )
-                            self._retry(queue, task, attempt, timeout_error)
-                            pool_failed = True
-
-                if pool_failed:
-                    executor = self._restart_pool(executor, inflight, queue)
-                    if executor is None:
-                        self.report.degraded = True
-                        remaining = list(queue)
-                        self._event(
-                            "resilience.degraded",
-                            pool_restarts=self.report.pool_restarts,
-                            remaining_chunks=len(remaining),
-                        )
-                        logger.warning(
-                            "worker pool broke %d times; running remaining "
-                            "%d chunk(s) serially in-process",
-                            self.report.pool_restarts,
-                            len(remaining),
-                        )
-                        self._run_serial(remaining)
-                        break
-            aborted = False
-        except ChunkFailure:
+            futures = {
+                executor.submit(_run_chunk, task.fn, task.args): task
+                for task in self.tasks
+            }
+            for future in as_completed(futures):
+                task = futures[future]
+                try:
+                    envelope = future.result()
+                except BrokenProcessPool:
+                    broken = True
+                    break
+                except Exception as error:
+                    self._abort(task, error)
+                self._deliver(task, envelope)
+        except BaseException:
+            _terminate_pool(executor)
             raise
-        finally:
-            _shutdown_pool(executor, terminate=aborted)
-
-    # -- entry point -------------------------------------------------------
+        if not broken:
+            executor.shutdown(wait=True)
+            return
+        # A worker died (OOM kill, signal): finish in-process instead.
+        _terminate_pool(executor)
+        remaining = [t for t in self.tasks if t.index not in self.results]
+        self.report.degraded = True
+        self._event("resilience.degraded", remaining_chunks=len(remaining))
+        logger.warning(
+            "worker pool broke; running %d chunk(s) in-process", len(remaining)
+        )
+        self._run_serial(remaining)
 
     def run(self) -> Tuple[List[object], RunReport]:
         watch = Stopwatch().start()
@@ -613,16 +292,13 @@ class _ChunkRunner:
             workers=self.workers,
         ) as root:
             try:
-                pending = [(task, 0) for task in self.tasks]
-                if self.workers > 1 and pending:
-                    self._run_parallel(pending)
+                if self.workers > 1 and self.tasks:
+                    self._run_parallel()
                 else:
-                    self._run_serial(pending)
+                    self._run_serial(self.tasks)
             finally:
                 self.report.elapsed_seconds = watch.stop().wall_s
                 root.set_attr("completed", self.report.completed)
-                root.set_attr("retried", self.report.retried)
-                root.set_attr("pool_restarts", self.report.pool_restarts)
                 root.set_attr("degraded", self.report.degraded)
         return [self.results[task.index] for task in self.tasks], self.report
 
@@ -630,44 +306,29 @@ class _ChunkRunner:
 def run_chunks(
     tasks: Sequence[ChunkTask],
     workers: int = 1,
-    policy: Optional[RetryPolicy] = None,
-    faults: Optional[FaultPlan] = None,
     validate: Optional[Callable] = None,
     on_chunk: Optional[Callable] = None,
 ) -> Tuple[List[object], RunReport]:
-    """Execute independent chunk tasks with retries and degradation.
+    """Execute independent chunk tasks, in-process or over a pool.
 
     Returns ``(results, report)`` where ``results`` lists each task's
     payload in task order.  Semantics:
 
-    - ``workers > 1`` fans chunks over a process pool (at most
-      ``workers`` in flight); ``workers == 1`` runs in-process.  Either
-      way results are identical to a fault-free serial run.
-    - Failures are classified by ``policy``: transient ones retry up to
-      ``policy.max_attempts`` attempts, permanent ones
-      abort immediately.  Aborts raise :class:`ChunkFailure` carrying
-      the report.
-    - A broken pool is rebuilt up to ``policy.max_pool_restarts`` times,
-      then execution degrades to in-process serial for the remainder.
-    - ``validate(task, payload)`` runs on every fresh payload; raise
-      :class:`CorruptResultError` to classify a bad payload as a
-      retryable failure.
-    - ``on_chunk(task, record, payload)`` fires as chunks complete (in
-      completion order, not task order), only after ``validate``
-      passed; it is where a caller persists each chunk's result.
-    - Each chunk runs inside an isolated :mod:`repro.obs` metrics
-      registry; the snapshots ship back with the payloads and merge into
-      ``report.metrics`` with no double counting.  Retries, pool
-      restarts, and degradation land in ``report.events`` and — when
-      tracing is configured — in the trace.
-    """
-    runner = _ChunkRunner(
-        tasks=tasks,
-        workers=workers,
-        policy=policy or RetryPolicy(),
-        faults=faults,
-        validate=validate,
-        on_chunk=on_chunk,
-    )
-    return runner.run()
+    - ``workers > 1`` fans chunks over a process pool of ``workers``
+      processes; ``workers == 1`` runs in-process.
+    - A chunk that raises, or whose payload ``validate(task, payload)``
+      rejects, aborts the run with :class:`ChunkFailure`.
+    - A broken pool (a worker killed by the OS) is not rebuilt: every
+      unfinished chunk runs in-process and ``report.degraded`` is set.
+    - Any exception, ``KeyboardInterrupt`` included, terminates the pool
+      before it propagates.
+    - ``on_chunk(task, record, payload)`` fires in completion order, only
+      after ``validate`` passed; a caller persists each result there.
+    - Each chunk's :mod:`repro.obs` metrics merge into ``report.metrics``
+      once; degradation and failures land in ``report.events`` and, when
+      tracing is configured, in the trace.
 
+    ``benchmarks/e2e/trace_layers.py:51,238`` read this function's name
+    and the ``resilience.chunk`` spans; renaming either breaks its layers.
+    """
+    return _ChunkRunner(tasks, workers, validate, on_chunk).run()

@@ -11,7 +11,7 @@ itself unconditionally.  Two pillars:
   when a sink is configured (``--trace PATH`` / ``configure_tracing``);
 - **metrics** (:mod:`repro.obs.metrics`) — a process-wide registry of
   counters, gauges, and fixed-bucket histograms whose snapshots merge
-  across the resilience process pool.
+  across the resilience process pool, once per completed chunk.
 
 ``repro trace summary|tree|validate`` reads the recorded traces; see
 ``docs/OBSERVABILITY.md`` for the file format and naming conventions.

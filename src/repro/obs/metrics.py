@@ -356,8 +356,8 @@ def isolated_registry() -> Iterator[MetricsRegistry]:
     and nowhere else; the previous registry is restored afterwards even
     on error.  The resilience chunk executor wraps each chunk in this so
     a chunk's metrics exist in exactly one place — its result envelope —
-    whether it ran in a pool worker or in-process, and a failed attempt's
-    metrics are simply dropped with the discarded registry.
+    whether it ran in a pool worker or in-process, and a chunk that
+    raises drops its metrics with the discarded registry.
     """
     global _REGISTRY
     previous = _REGISTRY

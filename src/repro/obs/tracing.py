@@ -22,7 +22,7 @@ Record bodies come in three kinds (see ``docs/OBSERVABILITY.md``):
 - ``span`` — a completed timed region: name, id, parent id, start
   offset ``t0`` (seconds since the tracer's epoch), ``wall_s``,
   ``cpu_s``, ``status`` (``ok``/``error``), free-form ``attrs``;
-- ``event`` — a point-in-time occurrence (a retry, a degradation)
+- ``event`` — a point-in-time occurrence (a degradation, a failure)
   with the enclosing span as parent.
 
 Span ids are ``s1``, ``s2``, ... per process; parentage comes from a

@@ -93,7 +93,11 @@ class PredictionTable:
 
 
 class StudyContext:
-    """One campaign + one model fit, shared by all studies."""
+    """One campaign + one model fit, shared by all studies.
+
+    ``resilience`` is accepted and ignored: ``benchmarks/e2e/workload.py:107``
+    passes it until ROADMAP item 8's benchmark change drops the argument.
+    """
 
     def __init__(
         self,
@@ -110,9 +114,6 @@ class StudyContext:
         self.sampling_space: DesignSpace = sampling_space()
         self.exploration_space: DesignSpace = exploration_space()
         self.workers = workers
-        #: Optional :class:`repro.harness.ResilienceConfig` applied to the
-        #: campaign phase (retry policy, injected faults).
-        self.resilience = resilience
         self._refresh = refresh
         self._campaign: Optional[Campaign] = None
         self._models: Optional[Dict[str, Dict[str, FittedModel]]] = None
@@ -137,7 +138,6 @@ class StudyContext:
                 benchmarks=self.benchmarks,
                 refresh=self._refresh,
                 workers=self.workers,
-                resilience=self.resilience,
             )
         return self._campaign
 

@@ -8,9 +8,6 @@ import pytest
 from repro.harness import (
     ArtifactError,
     ChunkFailure,
-    Fault,
-    FaultPlan,
-    ResilienceConfig,
     cached_campaign,
     get_scale,
     load_campaign,
@@ -23,6 +20,7 @@ from repro.harness.artifacts import (
     _campaign_key,
     cache_dir,
 )
+from repro.harness import campaign as campaign_module
 from repro.harness.campaign import _new_campaign
 from repro.designspace import exploration_space, sampling_space
 from repro.simulator import Simulator
@@ -250,22 +248,25 @@ class TestCachedCampaign:
         load_campaign(_empty_like(campaign), "mcf")
 
 
-    def test_failed_run_keeps_finished_benchmarks(self, tiny_scale):
+    def test_failed_run_keeps_finished_benchmarks(self, tiny_scale, monkeypatch):
         """Each benchmark's file is written as its chunk completes, so a
-        run that fails later has already persisted the earlier ones."""
+        run that fails later has already persisted the earlier ones; a
+        payload that fails validation writes no file."""
         scale = tiny_scale.with_overrides(name="abort-test", n_train=6)
         benchmarks = ["gzip", "mcf", "mesa"]
-        faults = FaultPlan([Fault(chunk=1, kind="permanent")])
-        with pytest.raises(ChunkFailure):
-            cached_campaign(
-                Simulator(),
-                scale=scale,
-                benchmarks=benchmarks,
-                resilience=ResilienceConfig(faults=faults),
-            )
+        real = campaign_module._simulate_chunk
+
+        def truncated_on_mcf(simulator, space, benchmark, *args):
+            pairs = real(simulator, space, benchmark, *args)
+            return pairs[:-1] if benchmark == "mcf" else pairs
+
+        monkeypatch.setattr(campaign_module, "_simulate_chunk", truncated_on_mcf)
+        with pytest.raises(ChunkFailure, match="CorruptResultError"):
+            cached_campaign(Simulator(), scale=scale, benchmarks=benchmarks)
         written = _new_campaign(scale, sampling_space(), benchmarks)
         assert _artifact_path(written, "gzip").exists()
         assert not _artifact_path(written, "mcf").exists()
+        assert not _artifact_path(written, "mesa").exists()
 
 
 class TestMalformedPayloads:

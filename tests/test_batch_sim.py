@@ -19,13 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.designspace import extended_space, sample_uar, sampling_space
-from repro.harness import (
-    ResilienceConfig,
-    cached_campaign,
-    get_scale,
-    run_campaign,
-)
-from repro.harness.resilience import ChunkFailure, Fault, FaultPlan
+from repro.harness import campaign as campaign_module
+from repro.harness import cached_campaign, get_scale, run_campaign
+from repro.harness.resilience import ChunkFailure
 from repro.obs.metrics import isolated_registry
 from repro.simulator import Simulator, config_from_point, run_pipeline_batch
 from repro.simulator import batch as batch_module
@@ -383,7 +379,6 @@ class TestCampaignBatchPath:
             Simulator(),
             scale=tiny_scale,
             benchmarks=["gzip"],
-            resilience=ResilienceConfig(),
         )
         self.assert_campaigns_equal(chunked, serial_campaign)
 
@@ -393,14 +388,19 @@ class TestCampaignBatchPath:
         """Each finished benchmark is persisted as its chunk completes: a
         rerun after a failure simulates only the rest, bitwise equal."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        faults = FaultPlan([Fault(chunk=2, kind="permanent")])
-        with pytest.raises(ChunkFailure):
-            cached_campaign(
-                Simulator(),
-                scale=tiny_scale,
-                benchmarks=self.BENCHMARKS,
-                resilience=ResilienceConfig(faults=faults),
-            )
+        real = campaign_module._simulate_chunk
+
+        def failing_third(simulator, space, benchmark, *args):
+            if benchmark == self.BENCHMARKS[2]:
+                raise RuntimeError(f"bug simulating {benchmark}")
+            return real(simulator, space, benchmark, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(campaign_module, "_simulate_chunk", failing_third)
+            with pytest.raises(ChunkFailure):
+                cached_campaign(
+                    Simulator(), scale=tiny_scale, benchmarks=self.BENCHMARKS
+                )
         assert len(list(tmp_path.glob("campaign-*.json"))) == 2
         resumed = cached_campaign(
             Simulator(), scale=tiny_scale, benchmarks=self.BENCHMARKS

@@ -61,46 +61,23 @@ class TestRun:
         assert "T1" in out and "T3" in out
 
 
-class TestResilienceFlags:
-    def test_run_parser_accepts_resilience_flags(self):
-        args = build_parser().parse_args(
-            ["run", "T1", "--retries", "5", "--chunk-timeout", "2.5"]
-        )
-        assert args.retries == 5
-        assert args.chunk_timeout == 2.5
-
-    def test_sweep_parser_accepts_resilience_flags(self):
-        args = build_parser().parse_args(["sweep", "--retries", "2"])
-        assert args.retries == 2 and args.chunk_timeout is None
-
-    def test_no_flags_means_no_config(self):
-        from repro.cli import _resilience_from_args
-
-        args = build_parser().parse_args(["run", "T1"])
-        assert _resilience_from_args(args) is None
-
-    def test_flags_build_policy(self):
-        from repro.cli import _resilience_from_args
-
-        args = build_parser().parse_args(
-            ["run", "T1", "--retries", "7", "--chunk-timeout", "1.5"]
-        )
-        config = _resilience_from_args(args)
-        assert config.policy.max_attempts == 7
-        assert config.policy.chunk_timeout == 1.5
-
-    def test_removed_executor_options_rejected(self, capsys):
-        # One executor: no backend switch and no worker-management command.
-        parser = build_parser()
-        for argv in (
-            ["run", "F1", "--backend", "pool"],
-            ["sweep", "--run-dir", "coord"],
-            ["workers", "status"],
-        ):
-            with pytest.raises(SystemExit) as excinfo:
-                parser.parse_args(argv)
-            assert excinfo.value.code == 2
-        capsys.readouterr()
+def test_removed_executor_options_rejected(capsys):
+    # One executor and one recovery path: no backend switch, no
+    # worker-management command, no retry budget and no chunk timeout.
+    parser = build_parser()
+    for argv in (
+        ["run", "F1", "--backend", "pool"],
+        ["sweep", "--run-dir", "coord"],
+        ["workers", "status"],
+        ["run", "F1", "--retries", "2"],
+        ["run", "F1", "--chunk-timeout", "120"],
+        ["sweep", "--retries", "2"],
+        ["sweep", "--chunk-timeout", "120"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(argv)
+        assert excinfo.value.code == 2
+    capsys.readouterr()
 
 
 class TestObservabilityFlags:

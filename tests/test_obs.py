@@ -2,16 +2,17 @@
 
 The observability layer's contracts: spans round-trip through the
 checksummed JSONL sink, the metrics registry snapshots/deltas/merges
-without double counting (including across the resilience executor's
-retries), and the renderers stay dependency-free.
+without double counting (a chunk's metrics reach the resilience
+executor's report once, and only if its payload is accepted), and the
+renderers stay dependency-free.
 """
 
 import pytest
 
 from repro.harness.resilience import (
+    ChunkFailure,
     ChunkTask,
-    Fault,
-    FaultPlan,
+    CorruptResultError,
     run_chunks,
 )
 from repro.obs import (
@@ -437,19 +438,19 @@ class TestResilienceMetrics:
         _, parallel = run_chunks(tasks, workers=2)
         assert parallel.metrics["counters"] == serial.metrics["counters"]
 
-    def test_retried_attempt_metrics_counted_once(self):
+    def test_rejected_payload_metrics_never_reach_report(self):
         tasks = _counting_tasks(n_chunks=4, chunk_len=3)
-        faults = FaultPlan([Fault(chunk=2, kind="corrupt", attempts=(1,))])
 
         def validate(task, payload):
-            from repro.harness.resilience import CorruptResultError
-
-            if len(payload) != task.size:
+            if task.index == 2:
                 raise CorruptResultError("truncated")
 
-        _, report = run_chunks(tasks, faults=faults, validate=validate)
-        assert report.retried == 1
-        assert report.metrics["counters"]["test.units"] == 12
+        with pytest.raises(ChunkFailure) as excinfo:
+            run_chunks(tasks, validate=validate)
+        # chunks 0 and 1 were accepted; chunk 2 counted its units in its
+        # own registry, which is dropped with the rejected payload
+        assert excinfo.value.report.metrics["counters"]["test.units"] == 6
+        assert "test.units" not in get_registry().snapshot()["counters"]
 
     def test_sweep_report_carries_metrics(self, ctx):
         from repro.harness.sweep import ParetoFrontierReducer, run_sweep

@@ -1,24 +1,28 @@
-"""Tests for the fault-tolerant execution layer.
+"""Tests for the chunk executor and the campaign's recovery paths.
 
-Every recovery path — retry, timeout, pool restart, serial degradation,
-rerun after a kill — is exercised through the deterministic
-fault-injection hook, never with real crashes or sleeps in test code.
+Faults are injected from the test side: module-level chunk functions
+that raise, return a truncated payload, or kill the pool worker they
+run in, and campaign tests that replace ``campaign._simulate_chunk`` on
+the in-process path.  The guarantees checked: results in task order and
+identical to a serial run, a failing or rejected chunk aborts with
+:class:`ChunkFailure` naming it, a killed worker degrades to serial with
+identical results, an interrupt leaves no worker behind, and a rerun of
+an interrupted campaign simulates only what is missing.
 """
+
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
 
+from repro.harness import campaign as campaign_module
 from repro.harness import cached_campaign, get_scale, run_campaign
 from repro.harness.resilience import (
     ChunkFailure,
     ChunkTask,
     CorruptResultError,
-    Fault,
-    FaultPlan,
-    ResilienceConfig,
-    ResilienceError,
-    RetryPolicy,
-    TransientWorkerError,
     run_chunks,
 )
 from repro.simulator import Simulator
@@ -29,66 +33,50 @@ def _double_chunk(values):
     return [v * 2 for v in values]
 
 
-def _tasks(n_chunks=4, chunk_len=3):
-    return [
-        ChunkTask(
-            index=i,
-            fn=_double_chunk,
-            args=([i * 10 + j for j in range(chunk_len)],),
-            size=chunk_len,
-            meta=("chunk", i),
+def _raising_chunk(values):
+    """A chunk with a deterministic bug."""
+    raise RuntimeError("bug in chunk")
+
+
+def _truncating_chunk(values):
+    """A chunk whose payload is one result short."""
+    return _double_chunk(values)[:-1]
+
+
+def _killing_chunk(values, driver_pid):
+    """Kill the pool worker it runs in; succeed in the driver process."""
+    if os.getpid() != driver_pid:
+        os._exit(13)
+    return _double_chunk(values)
+
+
+def _sleeping_chunk(values):
+    """Occupy a worker long enough that only termination ends it."""
+    time.sleep(30)
+    return _double_chunk(values)
+
+
+def _tasks(n_chunks=4, chunk_len=3, faulty=None):
+    """Doubling tasks, with ``faulty`` mapping an index to another fn."""
+    faulty = faulty or {}
+    tasks = []
+    for i in range(n_chunks):
+        values = [i * 10 + j for j in range(chunk_len)]
+        fn = faulty.get(i, _double_chunk)
+        args = (values, os.getpid()) if fn is _killing_chunk else (values,)
+        tasks.append(
+            ChunkTask(index=i, fn=fn, args=args, size=chunk_len, meta=("chunk", i))
         )
-        for i in range(n_chunks)
-    ]
+    return tasks
 
 
 def _expected(tasks):
-    return [_double_chunk(*task.args) for task in tasks]
+    return [_double_chunk(task.args[0]) for task in tasks]
 
 
 def _validate_length(task, payload):
     if not isinstance(payload, list) or len(payload) != task.size:
         raise CorruptResultError(f"chunk {task.index} payload truncated")
-
-
-class TestRetryPolicy:
-    def test_classification(self):
-        from concurrent.futures import TimeoutError as FuturesTimeout
-        from concurrent.futures.process import BrokenProcessPool
-
-        policy = RetryPolicy()
-        assert policy.classify(BrokenProcessPool("dead")) == "transient"
-        assert policy.classify(FuturesTimeout("slow")) == "transient"
-        assert policy.classify(TimeoutError("slow")) == "transient"
-        assert policy.classify(TransientWorkerError("flaky")) == "transient"
-        assert policy.classify(RuntimeError("bug")) == "permanent"
-        assert policy.classify(ValueError("bad input")) == "permanent"
-
-    def test_rejects_bad_configuration(self):
-        with pytest.raises(ResilienceError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ResilienceError):
-            RetryPolicy(chunk_timeout=0.0)
-        with pytest.raises(ResilienceError):
-            RetryPolicy(max_pool_restarts=-1)
-
-
-class TestFaultPlan:
-    def test_fires_on_listed_attempts_only(self):
-        plan = FaultPlan([Fault(chunk=2, kind="transient", attempts=(1, 3))])
-        assert plan.fault_for(2, 1) == "transient"
-        assert plan.fault_for(2, 2) is None
-        assert plan.fault_for(2, 3) == "transient"
-        assert plan.fault_for(1, 1) is None
-
-    def test_empty_attempts_fires_always(self):
-        plan = FaultPlan([Fault(chunk=0, kind="permanent", attempts=())])
-        for attempt in (1, 2, 5):
-            assert plan.fault_for(0, attempt) == "permanent"
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ResilienceError):
-            Fault(chunk=0, kind="meltdown")
 
 
 class TestRunChunksSerial:
@@ -97,121 +85,41 @@ class TestRunChunksSerial:
         results, report = run_chunks(tasks)
         assert results == _expected(tasks)
         assert report.completed == report.total_chunks == len(tasks)
-        assert report.retried == 0 and report.failure is None
-
-    def test_transient_fault_retries(self):
-        tasks = _tasks()
-        faults = FaultPlan([Fault(chunk=1, kind="transient", attempts=(1,))])
-        results, report = run_chunks(tasks, faults=faults)
-        assert results == _expected(tasks)
-        assert report.retried == 1
-        assert report.chunks[1].attempts == 2
-        assert "TransientWorkerError" in report.chunks[1].errors[0]
+        assert report.failure is None and not report.degraded
 
     def test_permanent_fault_aborts_with_named_chunk(self):
-        faults = FaultPlan([Fault(chunk=2, kind="permanent")])
         with pytest.raises(ChunkFailure) as excinfo:
-            run_chunks(_tasks(), faults=faults)
+            run_chunks(_tasks(faulty={2: _raising_chunk}))
         assert "chunk 2" in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
         report = excinfo.value.report
         assert report.failure is not None and "chunk 2" in report.failure
         assert report.chunks[2].status == "failed"
         # chunks before the failure completed and are accounted
         assert report.completed == 2
+        failed = [e for e in report.events if e["name"] == "resilience.chunk_failed"]
+        assert [e["attrs"]["chunk"] for e in failed] == [2]
 
-    def test_exhausted_retries_abort(self):
-        faults = FaultPlan([Fault(chunk=0, kind="transient", attempts=())])
-        policy = RetryPolicy(max_attempts=2)
-        with pytest.raises(ChunkFailure, match="exhausted 2 attempts"):
-            run_chunks(_tasks(), policy=policy, faults=faults)
-
-    def test_kill_and_hang_map_to_transient_in_process(self):
-        # in-process execution cannot kill or hang the driver; both kinds
-        # surface as retryable worker errors instead
-        faults = FaultPlan(
-            [
-                Fault(chunk=0, kind="kill", attempts=(1,)),
-                Fault(chunk=1, kind="hang", attempts=(1,)),
-            ]
-        )
-        tasks = _tasks()
-        results, report = run_chunks(tasks, faults=faults)
-        assert results == _expected(tasks)
-        assert report.retried == 2
-
-    def test_corrupt_payload_caught_by_validator_and_retried(self):
-        faults = FaultPlan([Fault(chunk=3, kind="corrupt", attempts=(1,))])
-        tasks = _tasks()
-        results, report = run_chunks(
-            tasks, faults=faults, validate=_validate_length
-        )
-        assert results == _expected(tasks)
-        assert report.retried == 1
-        assert "CorruptResultError" in report.chunks[3].errors[0]
-        retries = [
-            e for e in report.events if e["name"] == "resilience.retry"
-        ]
-        assert len(retries) == 1
-        assert retries[0]["attrs"]["chunk"] == 3
+    def test_corrupt_payload_caught_by_validator_aborts(self):
+        delivered = []
+        with pytest.raises(ChunkFailure, match="CorruptResultError") as excinfo:
+            run_chunks(
+                _tasks(faulty={3: _truncating_chunk}),
+                validate=_validate_length,
+                on_chunk=lambda task, record, payload: delivered.append(task.index),
+            )
+        # the rejected payload never reaches on_chunk
+        assert delivered == [0, 1, 2]
+        assert excinfo.value.report.chunks[3].status == "failed"
 
     def test_corrupt_payload_without_validator_passes_through(self):
         # the validator is the contract: without one, corruption is silent
-        faults = FaultPlan([Fault(chunk=0, kind="corrupt", attempts=(1,))])
-        tasks = _tasks(n_chunks=1)
-        results, _ = run_chunks(tasks, faults=faults)
+        tasks = _tasks(n_chunks=1, faulty={0: _truncating_chunk})
+        results, _ = run_chunks(tasks)
         assert len(results[0]) == tasks[0].size - 1
 
 
 class TestRunChunksParallel:
-    def test_matches_serial_under_transient_faults(self):
-        tasks = _tasks(n_chunks=6)
-        faults = FaultPlan(
-            [
-                Fault(chunk=0, kind="transient", attempts=(1,)),
-                Fault(chunk=4, kind="transient", attempts=(1,)),
-            ]
-        )
-        results, report = run_chunks(tasks, workers=2, faults=faults)
-        assert results == _expected(tasks)
-        assert report.retried == 2
-
-    def test_killed_worker_restarts_pool(self):
-        tasks = _tasks(n_chunks=5)
-        faults = FaultPlan([Fault(chunk=1, kind="kill", attempts=(1,))])
-        results, report = run_chunks(tasks, workers=2, faults=faults)
-        assert results == _expected(tasks)
-        assert report.pool_restarts >= 1
-        restarts = [
-            e for e in report.events if e["name"] == "resilience.pool_restart"
-        ]
-        assert len(restarts) == report.pool_restarts
-
-    def test_repeated_pool_breakage_degrades_to_serial(self):
-        tasks = _tasks(n_chunks=4)
-        faults = FaultPlan([Fault(chunk=2, kind="kill", attempts=(1,))])
-        policy = RetryPolicy(max_pool_restarts=0)
-        results, report = run_chunks(
-            tasks, workers=2, policy=policy, faults=faults
-        )
-        assert results == _expected(tasks)
-        assert report.degraded
-        degraded = [
-            e for e in report.events if e["name"] == "resilience.degraded"
-        ]
-        assert len(degraded) == 1
-        assert degraded[0]["attrs"]["remaining_chunks"] >= 1
-
-    def test_hang_hits_chunk_timeout_and_retries(self):
-        tasks = _tasks(n_chunks=3)
-        faults = FaultPlan([Fault(chunk=0, kind="hang", attempts=(1,))])
-        policy = RetryPolicy(chunk_timeout=0.5)
-        results, report = run_chunks(
-            tasks, workers=2, policy=policy, faults=faults
-        )
-        assert results == _expected(tasks)
-        assert report.chunks[0].attempts == 2
-        assert any("chunk_timeout" in e for e in report.chunks[0].errors)
-
     def test_out_of_order_completion_returns_in_task_order(self):
         seen = []
         tasks = _tasks(n_chunks=8, chunk_len=2)
@@ -223,6 +131,40 @@ class TestRunChunksParallel:
         assert results == _expected(tasks)
         assert sorted(seen) == list(range(8))
 
+    def test_permanent_fault_aborts_on_the_pool(self):
+        with pytest.raises(ChunkFailure, match="chunk 1"):
+            run_chunks(_tasks(faulty={1: _raising_chunk}), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_repeated_pool_breakage_degrades_to_serial(self):
+        # Both chunks kill every worker they run in; the pool is not
+        # rebuilt, so they (and anything else unfinished) run in-process.
+        tasks = _tasks(n_chunks=4, faulty={1: _killing_chunk, 2: _killing_chunk})
+        results, report = run_chunks(tasks, workers=2)
+        assert results == _expected(tasks)
+        assert report.degraded
+        assert report.completed == report.total_chunks == 4
+        assert "degraded to serial" in report.summary()
+        degraded = [e for e in report.events if e["name"] == "resilience.degraded"]
+        assert len(degraded) == 1
+        assert degraded[0]["attrs"]["remaining_chunks"] >= 2
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_from_on_chunk_terminates_pool(self):
+        # Chunk 0 finishes while chunk 1 still occupies a worker; an
+        # interrupt raised then must propagate and kill that worker
+        # rather than wait for it.
+        tasks = _tasks(n_chunks=3, faulty={1: _sleeping_chunk, 2: _sleeping_chunk})
+
+        def interrupt(task, record, payload):
+            raise KeyboardInterrupt
+
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_chunks(tasks, workers=2, on_chunk=interrupt)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - started < 15.0
+
 
 @pytest.fixture(scope="module")
 def resilience_scale():
@@ -231,8 +173,8 @@ def resilience_scale():
     )
 
 
-#: A campaign is one chunk per benchmark, so the fault-injection campaigns
-#: below run three to give every injected fault a real chunk to land on.
+#: A campaign is one chunk per benchmark; three give a failure after
+#: two finished benchmarks a chunk to land on.
 CAMPAIGN_BENCHMARKS = ["gzip", "mcf", "mesa"]
 
 
@@ -241,6 +183,18 @@ def clean_campaign(resilience_scale):
     return run_campaign(
         Simulator(), scale=resilience_scale, benchmarks=CAMPAIGN_BENCHMARKS
     )
+
+
+def _failing_on(benchmark, error):
+    """A ``_simulate_chunk`` stand-in that raises ``error`` on ``benchmark``."""
+    real = campaign_module._simulate_chunk
+
+    def chunk(simulator, space, name, *args):
+        if name == benchmark:
+            raise error
+        return real(simulator, space, name, *args)
+
+    return chunk
 
 
 def _assert_campaigns_bitwise_equal(campaign, other):
@@ -265,7 +219,6 @@ class TestCampaignResilience:
             scale=resilience_scale,
             benchmarks=CAMPAIGN_BENCHMARKS,
             workers=workers,
-            resilience=ResilienceConfig(),
         )
         report = campaign.run_report
         k = len(CAMPAIGN_BENCHMARKS)
@@ -275,36 +228,19 @@ class TestCampaignResilience:
         assert counters["simulator.batch.blocks"] == k
         _assert_campaigns_bitwise_equal(campaign, clean_campaign)
 
-    def test_fault_injected_parallel_matches_serial(
-        self, resilience_scale, clean_campaign
+    def test_permanent_failure_names_chunk_in_report(
+        self, resilience_scale, monkeypatch
     ):
-        """Worker exceptions on the first attempt of two chunks must not
-        perturb the assembled datasets (acceptance criterion)."""
-        faults = FaultPlan(
-            [
-                Fault(chunk=0, kind="transient", attempts=(1,)),
-                Fault(chunk=2, kind="transient", attempts=(1,)),
-            ]
+        monkeypatch.setattr(
+            campaign_module,
+            "_simulate_chunk",
+            _failing_on("mesa", RuntimeError("bug simulating mesa")),
         )
-        campaign = run_campaign(
-            Simulator(),
-            scale=resilience_scale,
-            benchmarks=CAMPAIGN_BENCHMARKS,
-            workers=2,
-            resilience=ResilienceConfig(faults=faults),
-        )
-        _assert_campaigns_bitwise_equal(campaign, clean_campaign)
-        assert campaign.run_report.retried == 2
-        assert campaign.run_report.failure is None
-
-    def test_permanent_failure_names_chunk_in_report(self, resilience_scale):
-        faults = FaultPlan([Fault(chunk=2, kind="permanent")])
         with pytest.raises(ChunkFailure) as excinfo:
             run_campaign(
                 Simulator(),
                 scale=resilience_scale,
                 benchmarks=CAMPAIGN_BENCHMARKS,
-                resilience=ResilienceConfig(faults=faults),
             )
         assert "chunk 2" in excinfo.value.report.failure
         assert "mesa" in excinfo.value.report.failure
@@ -312,27 +248,25 @@ class TestCampaignResilience:
     def test_kill_then_resume_bitwise_identical(
         self, resilience_scale, clean_campaign, tmp_path, monkeypatch
     ):
-        """The acceptance scenario: a chunk killed mid-run aborts the
-        campaign, and rerunning it loads the benchmarks that finished
-        and completes with results bitwise-identical to an uninterrupted
-        serial run."""
+        """A run interrupted after two benchmarks has cached them, and
+        rerunning it simulates only the third, bitwise-identical to an
+        uninterrupted serial run."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        # Two attempts: a chunk in flight when the pool dies still
-        # finishes in-process after the run degrades to serial.
-        kill = ResilienceConfig(
-            policy=RetryPolicy(max_attempts=2, max_pool_restarts=0),
-            faults=FaultPlan([Fault(chunk=2, kind="kill", attempts=())]),
-        )
-        with pytest.raises(ChunkFailure):
-            cached_campaign(
-                Simulator(),
-                scale=resilience_scale,
-                benchmarks=CAMPAIGN_BENCHMARKS,
-                workers=2,
-                resilience=kill,
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                campaign_module,
+                "_simulate_chunk",
+                _failing_on("mesa", KeyboardInterrupt()),
             )
+            with pytest.raises(KeyboardInterrupt):
+                cached_campaign(
+                    Simulator(),
+                    scale=resilience_scale,
+                    benchmarks=CAMPAIGN_BENCHMARKS,
+                )
         for bench in CAMPAIGN_BENCHMARKS[:2]:
             assert list(tmp_path.glob(f"campaign-*-{bench}-*.json"))
+        assert not list(tmp_path.glob("campaign-*-mesa-*.json"))
 
         resumed = cached_campaign(
             Simulator(),
@@ -342,3 +276,4 @@ class TestCampaignResilience:
         )
         _assert_campaigns_bitwise_equal(resumed, clean_campaign)
         assert resumed.run_report.total_chunks == 1
+        assert resumed.run_report.chunks[0].meta == ("mesa",)
