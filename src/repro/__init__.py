@@ -12,7 +12,8 @@ Studies with Microarchitectural Regression Models" (HPCA 2007):
 - :mod:`repro.metrics` — delay, watts, bips^3/w
 - :mod:`repro.studies` — the pareto, pipeline-depth and heterogeneity studies
 - :mod:`repro.harness` — campaigns, caching, scale presets, rendering
-- :mod:`repro.analysis` — repo-specific static analysis (``repro analyze``)
+- :mod:`repro.analysis` — repo-specific static analysis (``repro analyze``);
+  not imported by ``import repro``, import it by name
 
 Quick start::
 
@@ -26,8 +27,9 @@ Quick start::
 
 __version__ = "1.0.0"
 
+# ``analysis`` is left out: no model code uses it, and ``repro analyze``
+# imports it when it runs.
 from . import (  # noqa: F401
-    analysis,
     cluster,
     designspace,
     harness,

@@ -89,7 +89,12 @@ def point_levels(space: DesignSpace, points: Sequence[DesignPoint]) -> np.ndarra
     width = len(space.names)
     if not points:
         return np.empty((0, width), dtype=np.int64)
-    if any(tuple(point.names) != space.names for point in points):
+    # One C-level pass: points of the space share its names tuple, so
+    # ``count`` matches them by identity.  Only otherwise compare by value.
+    names = [point.names for point in points]
+    if names.count(space.names) != len(names) and any(
+        tuple(point_names) != space.names for point_names in names
+    ):
         _raise_first_off_grid(space, points)
     try:
         raw = np.array([point.values for point in points], dtype=float)
@@ -99,7 +104,7 @@ def point_levels(space: DesignSpace, points: Sequence[DesignPoint]) -> np.ndarra
     levels = np.empty((len(points), width), dtype=np.int64, order="F")
     for j, table in enumerate(raw_level_tables(space)):
         positions = np.minimum(np.searchsorted(table, raw[:, j]), table.size - 1)
-        if not np.array_equal(table[positions], raw[:, j]):
+        if (table[positions] != raw[:, j]).any():
             _raise_first_off_grid(space, points)
         levels[:, j] = positions
     return levels

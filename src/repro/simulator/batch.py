@@ -26,6 +26,14 @@ than approximate:
   memoized via :meth:`~repro.workloads.trace.Trace.derived`) before the
   timing loop runs.
 
+The first property also fixes, before the loop, *which* ring slot every
+instruction reads and writes in every occupancy window: acquisition ``k``
+of a window is the same instruction in every lane.  So the loop does no
+bookkeeping of its own.  It walks per-instruction lists of ring slots,
+dependency slots and outcome rows, and spends its time on the O(B)
+vector operations; a row that is the same in every lane (no lane misses
+to memory, no lane pays a fetch penalty) is not touched at all.
+
 The equivalence contract is *hard*: for every config in the block,
 :func:`run_pipeline_batch` returns bit-identical cycles and
 :class:`~repro.simulator.results.ActivityCounts` to the scalar
@@ -34,6 +42,7 @@ The equivalence contract is *hard*: for every config in the block,
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +54,7 @@ from ..workloads.trace import (
     OP_INT,
     OP_INT_MUL,
     OP_LOAD,
+    OP_NAMES,
     OP_STORE,
     Trace,
 )
@@ -58,16 +68,17 @@ from .results import ActivityCounts
 class _TraceView:
     """Config-independent precomputation, built once per trace.
 
-    Everything here depends only on the trace columns: python-scalar
-    copies of the hot columns, the program-order reuse-distance streams
-    consumed by the stack-distance model, per-load next-line-sequential
-    flags, and the activity counts that are identical for every config.
+    Everything here depends only on the trace columns: the op list and
+    each instruction's completion-ring slots, the program-order
+    reuse-distance streams consumed by the stack-distance model, per-load
+    next-line-sequential flags, and the activity counts that are
+    identical for every config.
     """
 
     __slots__ = (
-        "n", "ops", "src1", "src2", "max_dep", "fetch_flags",
-        "instr_reuse", "mem_reuse", "mem_is_load", "load_sequential",
-        "base_counts",
+        "n", "ops", "ring", "slot", "dep1", "dep2", "fetch_positions",
+        "load_positions", "branch_positions", "instr_reuse", "mem_reuse",
+        "mem_is_load", "load_sequential", "base_counts",
     )
 
     def __init__(self, trace: Trace):
@@ -75,13 +86,24 @@ class _TraceView:
         n = len(trace)
         self.n = n
         self.ops = op.tolist()
-        self.src1 = trace.src1.tolist()
-        self.src2 = trace.src2.tolist()
-        self.max_dep = int(max(trace.src1.max(), trace.src2.max()))
+
+        # Completion times live in a ring deep enough for the longest
+        # dependence: instruction i stores into slot i % ring and reads
+        # its producers from (i - distance) % ring.  ``dep1`` is the
+        # first producer slot (-1: none), ``dep2`` a second, distinct one.
+        ring = int(max(trace.src1.max(), trace.src2.max())) + 1
+        index = np.arange(n)
+        self.ring = ring
+        self.slot = (index % ring).tolist()
+        first = np.where(trace.src1 > 0, (index - trace.src1) % ring, -1)
+        second = np.where(trace.src2 > 0, (index - trace.src2) % ring, -1)
+        second[second == first] = -1
+        self.dep1 = np.where(first < 0, second, first).tolist()
+        self.dep2 = np.where(first < 0, -1, second).tolist()
 
         # Fetch-event stream (new instruction blocks, in program order).
         fetch_mask = trace.instr_reuse >= 0
-        self.fetch_flags = fetch_mask.tolist()
+        self.fetch_positions = np.flatnonzero(fetch_mask)
         self.instr_reuse = trace.instr_reuse[fetch_mask].astype(np.int64)
 
         # Data-access stream: the scalar pipeline calls ``data_access``
@@ -91,6 +113,8 @@ class _TraceView:
         self.mem_reuse = trace.data_reuse[is_mem_op].astype(np.int64)
         is_load = op == OP_LOAD
         self.mem_is_load = op[is_mem_op] == OP_LOAD
+        self.load_positions = np.flatnonzero(is_load)
+        self.branch_positions = np.flatnonzero(op == OP_BRANCH)
 
         # Next-line prefetch flags, exactly as the scalar path derives
         # them: over the concrete block stream (``mem_block >= 0``), then
@@ -191,86 +215,137 @@ def _stack_levels(
     return data_levels, instr_levels, counters
 
 
-class _LockstepWindow:
-    """:class:`~repro.simulator.resources.OccupancyWindow` over a block.
+def _config_columns(configs: Sequence[MachineConfig]) -> np.ndarray:
+    """Every per-config quantity the kernel reads, one int64 row each.
 
-    Every config in the block acquires at the same instructions (the
-    instruction stream is common), so one python-int acquisition count
-    ``k`` addresses all of them: acquisition ``k`` stores its release
-    times as row ``k % R`` of one shared ``[R, B]`` ring, ``R`` the
-    largest capacity.  Config ``b``'s next occupant waits for the release
+    Built in one pass over the configs; the rows unpack in the order
+    :func:`run_pipeline_batch` names them.
+    """
+    rows = []
+    for c in configs:
+        lat = c.op_latency
+        # Each level's latency is the sum of the arrays it passes through
+        # (``MachineConfig.data_latency`` / ``fetch_penalty``); the three
+        # array latencies are computed once.
+        dl1, l2, mem = c.dl1_latency, c.l2_latency, c.memory_latency
+        rows.append((
+            c.frontend_stages, c.width, c.dispatch_rate, c.rob_size,
+            c.gpr_rename, c.fpr_rename, c.fx_resv, c.fp_resv, c.br_resv,
+            c.ls_queue, c.store_queue, c.functional_units, c.mshr_count,
+            lat(OP_INT), lat(OP_INT_MUL), lat(OP_FP), lat(OP_FP_DIV),
+            lat(OP_STORE), lat(OP_BRANCH), dl1,
+            dl1, dl1 + l2, dl1 + l2 + mem,  # data_latency("l1" | "l2" | "mem")
+            0, l2, l2 + mem,  # fetch_penalty("l1" | "l2" | "mem")
+            c.in_order, c.prefetch,
+        ))
+    return np.array(rows, dtype=np.int64).T.copy()
+
+
+class _Ring:
+    """:class:`~repro.simulator.resources.OccupancyWindow` of every lane.
+
+    Every lane acquires at the same instructions (the instruction stream
+    is common), so acquisition ``k`` of every lane stores its release
+    times in row ``k % R`` of the ring's ``[R, B]`` block, ``R`` the
+    largest capacity.  Lane ``b``'s next occupant waits for the release
     recorded ``capacity[b]`` acquisitions earlier, in row
     ``(k - capacity[b]) % R``; ``R >= capacity[b]`` keeps that row
-    unwritten since, and before ``capacity[b]`` acquisitions it is still
-    the initial zero.  A gather table precomputes, per ``k % R``, the flat
-    indices of those rows, so :meth:`next_free` is one gather.
+    unwritten since, and before ``capacity[b]`` acquisitions it still
+    holds its initial value.
+
+    The block is rows ``offset:offset + R`` of a ``[rows, B]`` state
+    buffer shared by every ring of a call.  ``slots[k % R]`` is
+    acquisition ``k``'s pair ``(key, row)``: ``row`` receives the
+    release, and the next-free times are ``flat[key]``, a gather from the
+    buffer's flat view.  Where every lane has capacity ``R`` that row is
+    the one just due, so the key is ``None`` and the row itself is read —
+    the ROB, at its fixed ``ROB_SIZE``, always is such a ring.
     """
 
-    __slots__ = ("_rows", "_flat", "_gather", "_size", "_row", "_one")
+    __slots__ = ("slots",)
 
-    def __init__(self, capacities: np.ndarray):
+    def __init__(self, state: np.ndarray, offset: int, capacities: np.ndarray):
         size = int(capacities.max())
         batch = capacities.size
-        ring = np.zeros((size, batch), dtype=np.int64)
-        self._rows = list(ring)
-        self._flat = ring.reshape(-1)
-        gather = (np.arange(size)[:, None] - capacities) % size * batch
-        self._gather = list(gather + np.arange(batch))
-        self._size = size
-        self._row = 0
-        # An array operand: numpy adds a python-int scalar more slowly.
-        self._one = np.ones(batch, dtype=np.int64)
+        start = offset * batch
+        rows = list(state[offset:offset + size])
+        if (capacities == size).all():
+            keys = [None] * size
+        else:
+            gather = (np.arange(size)[:, None] - capacities) % size * batch
+            keys = list(gather + (start + np.arange(batch)))
+        self.slots = list(zip(keys, rows))
 
-    def next_free(self) -> np.ndarray:
-        return self._flat[self._gather[self._row]]
+    def cycle(self, count: int) -> list:
+        """The slots of acquisitions ``0 .. count - 1``, in order."""
+        return list(itertools.islice(itertools.cycle(self.slots), count))
 
-    def acquire(self, release_time: np.ndarray) -> None:
-        row = self._row
-        self._rows[row][...] = release_time
-        row += 1
-        self._row = 0 if row == self._size else row
 
-    def next_slot(self, earliest: np.ndarray) -> np.ndarray:
-        """:class:`~repro.simulator.resources.ThroughputLimiter` step.
+def _lockstep_rings(
+    capacities: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, List[_Ring]]:
+    """One zeroed state buffer and a :class:`_Ring` per capacity column.
 
-        The occupant holds its slot for one cycle, so the release
-        ``time + 1`` is written straight into the ring row.
-        """
-        row = self._row
-        time = np.maximum(earliest, self._flat[self._gather[row]])
-        np.add(time, self._one, self._rows[row])
-        row += 1
-        self._row = 0 if row == self._size else row
-        return time
+    Returns the buffer's flat view, which the rings' keys index, and the
+    rings in the order of ``capacities``.
+    """
+    sizes = [int(column.max()) for column in capacities]
+    state = np.zeros((sum(sizes), capacities[0].size), dtype=np.int64)
+    offsets = itertools.accumulate([0] + sizes[:-1])
+    rings = [
+        _Ring(state, offset, column)
+        for offset, column in zip(offsets, capacities)
+    ]
+    return state.reshape(-1), rings
+
+
+def _acquisitions(ops: List[int], rings_by_op: Dict[int, _Ring]) -> list:
+    """Per instruction, the slot it acquires in its op class's ring.
+
+    ``(None, None)`` where the op class acquires no ring of this role.  Op
+    classes that share a ring share its acquisition count.
+    """
+    cursors = {
+        id(ring): itertools.cycle(ring.slots) for ring in rings_by_op.values()
+    }
+    none = itertools.repeat((None, None))
+    by_op = [
+        cursors[id(rings_by_op[op])] if op in rings_by_op else none
+        for op in range(len(OP_NAMES))
+    ]
+    return [next(by_op[op]) for op in ops]
 
 
 class _MaskedWindow:
     """Occupancy window whose acquisitions only some configs make.
 
     Serves the MSHRs: a load takes one only in the configs where it
-    misses to memory, so each config keeps its own ring row and head.
+    misses to memory, so each config keeps its own ring and head.  Lane
+    ``b``'s ring is ``releases[b * R : b * R + capacity[b]]`` of one flat
+    buffer, and ``position[b]`` is the flat index of its head.
     """
 
-    __slots__ = ("_capacity", "_releases", "_head", "_rows")
+    __slots__ = ("_releases", "_position", "_capacity", "_end")
 
     def __init__(self, capacities: np.ndarray):
+        size = int(capacities.max())
+        start = np.arange(capacities.size) * size
+        self._releases = np.zeros(capacities.size * size, dtype=np.int64)
+        self._position = start
         self._capacity = capacities
-        self._releases = np.zeros(
-            (capacities.size, int(capacities.max())), dtype=np.int64
-        )
-        self._head = np.zeros(capacities.size, dtype=np.int64)
-        self._rows = np.arange(capacities.size)
+        self._end = start + capacities
 
     def next_free(self) -> np.ndarray:
-        return self._releases[self._rows, self._head]
+        return self._releases[self._position]
 
     def acquire_where(self, mask: np.ndarray, release_time: np.ndarray) -> None:
-        rows = self._rows[mask]
-        head = self._head[rows]
-        self._releases[rows, head] = release_time[mask]
-        head += 1
-        np.remainder(head, self._capacity[rows], out=head)
-        self._head[rows] = head
+        position = self._position
+        releases = self._releases
+        releases[position] = np.where(mask, release_time, releases[position])
+        position += mask
+        np.subtract(
+            position, self._capacity, out=position, where=position == self._end
+        )
 
 
 def run_pipeline_batch(
@@ -289,193 +364,203 @@ def run_pipeline_batch(
         return []
     view = _trace_view(trace)
     batch = len(configs)
+    n = view.n
+    lanes = np.arange(batch)
+    (
+        frontend, width, dispatch_rate, rob_size, gpr_rename, fpr_rename,
+        fx_resv, fp_resv, br_resv, ls_queue, store_queue, units, mshr_count,
+        lat_int, lat_mul, lat_fp, lat_div, lat_store, lat_branch, dl1_latency,
+        lat_l1, lat_l2, lat_mem, pen_l1, pen_l2, pen_mem, in_order, prefetch,
+    ) = _config_columns(configs)
+    in_order = in_order.astype(bool)
+    prefetch = prefetch.astype(bool)
+    any_in_order = bool(in_order.any())
 
     # ---- per-block precompute (timing-independent) -----------------------
     data_levels, instr_levels, mem_counters = _stack_levels(view, configs)
-
-    def int_column(get) -> np.ndarray:
-        return np.array([get(config) for config in configs], dtype=np.int64)
-    def level_table(*per_level) -> np.ndarray:
-        """A ``[3, B]`` int32 table: one row per service level."""
-        return np.array(
-            [[get(config) for config in configs] for get in per_level],
-            dtype=np.int32,
-        )
-    lanes = np.arange(batch)
 
     # Per-load latency / memory-miss rows, gathered straight into the
     # timing loop's ``[n, B]`` layout, with next-line prefetch coverage
     # applied by *latency value* (not level), as the scalar does; only
     # loads that continue a sequential block run can be covered.
-    load_table = level_table(
-        lambda c: c.data_latency("l1"),
-        lambda c: c.data_latency("l2"),
-        lambda c: c.data_latency("mem"),
-    )
+    load_table = np.array([lat_l1, lat_l2, lat_mem], dtype=np.int32)
     load_levels = data_levels[view.mem_is_load]
     del data_levels
     load_lat = load_table[load_levels, lanes]
     load_miss = load_levels == 2
     del load_levels
-    lat_l1 = load_table[0]
     sequential = np.flatnonzero(view.load_sequential)
-    prefetch = np.array([c.prefetch for c in configs], dtype=bool)
-    covered = prefetch & (load_lat[sequential] != lat_l1)
+    covered = prefetch & (load_lat[sequential] != load_table[0])
     if covered.any():
-        load_lat[sequential] = np.where(covered, lat_l1, load_lat[sequential])
+        load_lat[sequential] = np.where(
+            covered, load_table[0], load_lat[sequential]
+        )
         load_miss[sequential] &= ~covered
     prefetch_covered = covered.sum(axis=0)
 
-    fetch_table = level_table(
-        lambda c: 0,
-        lambda c: c.fetch_penalty("l2"),
-        lambda c: c.fetch_penalty("mem"),
-    )
-    fetch_pen = fetch_table[instr_levels, lanes]
-    del instr_levels
+    # Per-instruction latency rows, and the memory-miss row of each load
+    # that misses to memory in some lane (``None`` elsewhere: no MSHR).
+    class_latency = {
+        OP_INT: lat_int, OP_INT_MUL: lat_mul, OP_FP: lat_fp,
+        OP_FP_DIV: lat_div, OP_STORE: lat_store, OP_BRANCH: lat_branch,
+    }
+    latency = [class_latency.get(op) for op in view.ops]
+    misses = [None] * n
+    any_miss = load_miss.any(axis=1).tolist()
+    for j, i in enumerate(view.load_positions.tolist()):
+        latency[i] = load_lat[j]
+        if any_miss[j]:
+            misses[i] = load_miss[j]
 
+    # Fetch-penalty rows, only for fetch events some lane pays for.
+    fetch_pen = np.array([pen_l1, pen_l2, pen_mem])[instr_levels, lanes]
+    del instr_levels
+    charged = fetch_pen.any(axis=1)
+    penalties = [None] * n
+    for i, row in zip(view.fetch_positions[charged].tolist(), fetch_pen[charged]):
+        penalties[i] = row
+    del fetch_pen
+
+    mispredicted = np.zeros(n, dtype=bool)
     stream = _mispredict_stream(trace)
-    mispredict_rows = stream.tolist()
+    mispredicted[view.branch_positions] = stream
     mispredicts = int(stream.sum())
 
-    # ---- per-config scalars and resource state ---------------------------
-    frontend = int_column(lambda c: c.frontend_stages)
-    lat_int = int_column(lambda c: c.op_latency(OP_INT))
-    lat_mul = int_column(lambda c: c.op_latency(OP_INT_MUL))
-    lat_fp = int_column(lambda c: c.op_latency(OP_FP))
-    lat_div = int_column(lambda c: c.op_latency(OP_FP_DIV))
-    lat_store = int_column(lambda c: c.op_latency(OP_STORE))
-    lat_branch = int_column(lambda c: c.op_latency(OP_BRANCH))
-    dl1_latency = int_column(lambda c: c.dl1_latency)
-    in_order = np.array([c.in_order for c in configs], dtype=bool)
-    any_in_order = bool(in_order.any())
-
-    fetch_limiter = _LockstepWindow(int_column(lambda c: c.width))
-    dispatch_limiter = _LockstepWindow(int_column(lambda c: c.dispatch_rate))
-    retire_limiter = _LockstepWindow(int_column(lambda c: c.width))
-    rob = _LockstepWindow(int_column(lambda c: c.rob_size))
-    gpr = _LockstepWindow(int_column(lambda c: c.gpr_rename))
-    fpr = _LockstepWindow(int_column(lambda c: c.fpr_rename))
-    fx_rs = _LockstepWindow(int_column(lambda c: c.fx_resv))
-    fp_rs = _LockstepWindow(int_column(lambda c: c.fp_resv))
-    br_rs = _LockstepWindow(int_column(lambda c: c.br_resv))
-    load_queue = _LockstepWindow(int_column(lambda c: c.ls_queue))
-    store_q = _LockstepWindow(int_column(lambda c: c.store_queue))
-    units = int_column(lambda c: c.functional_units)
-    fxu = _LockstepWindow(units)
-    fpu = _LockstepWindow(units)
-    lsu = _LockstepWindow(units)
-    bru = _LockstepWindow(units)
-    mshrs = _MaskedWindow(int_column(lambda c: c.mshr_count))
+    # ---- resource state: one lockstep ring per window ---------------------
+    flat, (
+        fetch, dispatch, retire, rob, gpr, fpr, fx_rs, fp_rs, br_rs,
+        load_queue, store_q, fxu, fpu, lsu, bru,
+    ) = _lockstep_rings((
+        width, dispatch_rate, width, rob_size, gpr_rename, fpr_rename,
+        fx_resv, fp_resv, br_resv, ls_queue, store_queue,
+        units, units, units, units,
+    ))
+    mshrs = _MaskedWindow(mshr_count)
+    # Fetch times are carried plus the front-end depth (dispatch's
+    # earliest cycle), so the fetch ring starts at ``frontend``.
+    for _, row in fetch.slots:
+        row[...] = frontend
+    fetch_available = frontend.copy()
 
     ops = view.ops
-    src1 = view.src1
-    src2 = view.src2
-    fetch_flags = view.fetch_flags
-    n = view.n
-    ring = view.max_dep + 1
-    # Completion times by instruction, ``ring`` deep: each entry is the
-    # ``comp`` array itself, which nothing mutates after it is stored.
+    steps = zip(
+        ops, view.slot, view.dep1, view.dep2, latency, misses, penalties,
+        mispredicted.tolist(),
+        fetch.cycle(n), dispatch.cycle(n), retire.cycle(n), rob.cycle(n),
+        _acquisitions(ops, {
+            OP_INT: fx_rs, OP_INT_MUL: fx_rs, OP_FP: fp_rs, OP_FP_DIV: fp_rs,
+            OP_LOAD: load_queue, OP_STORE: load_queue, OP_BRANCH: br_rs,
+        }),
+        _acquisitions(ops, {
+            OP_INT: fxu, OP_INT_MUL: fxu, OP_FP: fpu, OP_FP_DIV: fpu,
+            OP_LOAD: lsu, OP_STORE: lsu, OP_BRANCH: bru,
+        }),
+        _acquisitions(ops, {
+            OP_INT: gpr, OP_INT_MUL: gpr, OP_LOAD: gpr, OP_FP: fpr,
+            OP_FP_DIV: fpr,
+        }),
+        _acquisitions(ops, {OP_STORE: store_q}),
+    )
+
+    # Completion times by ring slot: each entry is the ``comp`` array
+    # itself, which nothing mutates after it is stored.
     zeros = np.zeros(batch, dtype=np.int64)
-    completion = [zeros] * ring
-    fetch_available = zeros.copy()
+    completion = [zeros] * view.ring
     last_dispatch = zeros
     last_issue = zeros
     last_retire = zeros
     # An array operand: numpy adds a python-int scalar more slowly.
     one = np.ones(batch, dtype=np.int64)
     maximum = np.maximum
-
-    load_index = 0
-    fetch_index = 0
-    branch_index = 0
+    add = np.add
 
     # ---- the timing loop: one pass, O(B) vector work per instruction -----
-    for i in range(n):
-        op = ops[i]
-
-        # fetch
-        if fetch_flags[i]:
-            fetch_available = fetch_available + fetch_pen[fetch_index]
-            fetch_index += 1
-        fetch_time = fetch_limiter.next_slot(fetch_available)
+    # A window's next-free times are ``row if key is None else flat[key]``:
+    # the slot's own row when every lane has the ring's capacity, else a
+    # gather.  ``add`` takes its output positionally (a keyword parses
+    # more slowly); ``maximum`` only accepts it as a keyword.
+    for (
+        op, slot, dep1, dep2, lat, miss, penalty, mispredict,
+        (fetch_key, fetch_row), (disp_key, disp_row),
+        (retire_key, retire_row), (rob_key, rob_row),
+        (rs_key, rs_row), (fu_key, fu_row), (reg_key, reg_row),
+        (store_key, store_row),
+    ) in steps:
+        # fetch, in cycles plus the front-end depth
+        if penalty is not None:
+            fetch_available = fetch_available + penalty
+        disp = maximum(
+            fetch_available,
+            fetch_row if fetch_key is None else flat[fetch_key],
+        )
+        add(disp, one, fetch_row)
 
         # dispatch
-        disp = fetch_time + frontend
         maximum(disp, last_dispatch, out=disp)
-        maximum(disp, rob.next_free(), out=disp)
-        miss = None
-        if op == OP_INT:
-            rs_window, fu, reg, latency = fx_rs, fxu, gpr, lat_int
-        elif op == OP_LOAD:
-            rs_window, fu, reg = load_queue, lsu, gpr
-            latency = load_lat[load_index]
-            miss = load_miss[load_index]
-            load_index += 1
-        elif op == OP_BRANCH:
-            rs_window, fu, reg, latency = br_rs, bru, None, lat_branch
-        elif op == OP_STORE:
-            rs_window, fu, reg, latency = load_queue, lsu, None, lat_store
-            maximum(disp, store_q.next_free(), out=disp)
-        elif op == OP_FP:
-            rs_window, fu, reg, latency = fp_rs, fpu, fpr, lat_fp
-        elif op == OP_INT_MUL:
-            rs_window, fu, reg, latency = fx_rs, fxu, gpr, lat_mul
-        else:  # OP_FP_DIV
-            rs_window, fu, reg, latency = fp_rs, fpu, fpr, lat_div
-        maximum(disp, rs_window.next_free(), out=disp)
-        if reg is not None:
-            maximum(disp, reg.next_free(), out=disp)
-        disp = dispatch_limiter.next_slot(disp)
+        maximum(disp, rob_row if rob_key is None else flat[rob_key], out=disp)
+        maximum(disp, rs_row if rs_key is None else flat[rs_key], out=disp)
+        if reg_row is not None:
+            maximum(
+                disp, reg_row if reg_key is None else flat[reg_key], out=disp
+            )
+        if store_row is not None:
+            maximum(
+                disp, store_row if store_key is None else flat[store_key],
+                out=disp,
+            )
+        maximum(
+            disp, disp_row if disp_key is None else flat[disp_key], out=disp
+        )
+        add(disp, one, disp_row)
         last_dispatch = disp
 
-        # issue
-        ready = disp + one
-        distance = src1[i]
-        if distance:
-            maximum(ready, completion[(i - distance) % ring], out=ready)
-        distance = src2[i]
-        if distance:
-            maximum(ready, completion[(i - distance) % ring], out=ready)
+        # issue: the dispatch ring row already holds ``disp + 1``
+        ready = disp_row
+        if dep1 >= 0:
+            ready = maximum(ready, completion[dep1])
+            if dep2 >= 0:
+                maximum(ready, completion[dep2], out=ready)
         if any_in_order:
             ready = np.where(in_order, maximum(ready, last_issue), ready)
-        issue = maximum(ready, fu.next_free())
-        if miss is not None and miss.any():
-            issue = np.where(miss, maximum(issue, mshrs.next_free()), issue)
-            comp = issue + latency
+        issue = maximum(ready, fu_row if fu_key is None else flat[fu_key])
+        if miss is not None:
+            maximum(issue, mshrs.next_free(), out=issue, where=miss)
+            comp = issue + lat
             mshrs.acquire_where(miss, comp)
         else:
-            comp = issue + latency
-        issue_next = issue + one
-        if op == OP_FP_DIV or op == OP_INT_MUL:
-            fu.acquire(comp)
-        else:
-            fu.acquire(issue_next)
+            comp = issue + lat
         last_issue = issue
-        completion[i % ring] = comp
+        completion[slot] = comp
 
-        if op == OP_BRANCH:
-            if mispredict_rows[branch_index]:
-                maximum(fetch_available, comp + one, out=fetch_available)
-            branch_index += 1
-
-        # retire
-        retire = comp + one
-        maximum(retire, last_retire, out=retire)
-        retire = retire_limiter.next_slot(retire)
-        last_retire = retire
-
-        # release resources
-        rob.acquire(retire)
-        if reg is not None:
-            reg.acquire(retire)
-        if op == OP_LOAD:
-            rs_window.acquire(comp)
-        elif op == OP_STORE:
-            rs_window.acquire(comp)
-            store_q.acquire(retire + dl1_latency)
+        # Divides and multiplies hold their unit until completion, loads
+        # and stores their queue entry; everything else for one cycle.
+        if op == OP_FP_DIV or op == OP_INT_MUL:
+            fu_row[...] = comp
+            add(issue, one, rs_row)
         else:
-            rs_window.acquire(issue_next)
+            add(issue, one, fu_row)
+            rs_row[...] = comp if op == OP_LOAD or op == OP_STORE else fu_row
+
+        # retire, computed straight into the instruction's ROB entry
+        retire_time = comp + one
+        if mispredict:
+            maximum(
+                fetch_available, retire_time + frontend, out=fetch_available
+            )
+        maximum(retire_time, last_retire, out=retire_time)
+        maximum(
+            retire_time,
+            retire_row if retire_key is None else flat[retire_key],
+            out=rob_row,
+        )
+        add(rob_row, one, retire_row)
+        last_retire = rob_row
+
+        # release the rename register and the store-queue entry
+        if reg_row is not None:
+            reg_row[...] = rob_row
+        if store_row is not None:
+            add(rob_row, dl1_latency, store_row)
 
     # ---- assemble per-config outcomes ------------------------------------
     base = view.base_counts

@@ -7,7 +7,11 @@ honest as it grows.
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -80,3 +84,22 @@ def test_public_classes_have_documented_public_methods():
 
 def test_version_exported():
     assert repro.__version__
+
+
+def test_import_repro_leaves_the_analyzer_unloaded():
+    """``import repro`` and a study context load no part of the static
+    analyzer: it serves ``repro analyze`` only, which imports it itself."""
+    src = Path(repro.__file__).resolve().parent.parent
+    code = (
+        "import sys, repro\n"
+        "from repro.harness import get_scale\n"
+        "from repro.studies import StudyContext\n"
+        "StudyContext(scale=get_scale('ci'))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -5,9 +5,11 @@ pipeline — identical cycles, identical ActivityCounts field by field,
 identical watts — not agreement within tolerance.  The property test
 drives randomized configs, trace lengths, benchmarks and prefetch through
 both paths; the window tests pin the kernel's occupancy-window state
-against the scalar resource classes; the memory test pins the kernel's
-precompute layout; the campaign tests check the contract survives the
-resilient executor and a rerun from cached benchmarks.
+against the scalar resource classes; the loop-shortcut cases build blocks
+where each of the loop's skips and row reads applies; the memory test
+pins the kernel's precompute layout; the campaign tests check the
+contract survives the resilient executor and a rerun from cached
+benchmarks.  The ``slow`` test repeats the contract at paper length.
 """
 
 import dataclasses
@@ -26,10 +28,14 @@ from repro.obs.metrics import isolated_registry
 from repro.simulator import Simulator, config_from_point, run_pipeline_batch
 from repro.simulator import batch as batch_module
 from repro.simulator import simulator as simulator_module
-from repro.simulator.batch import _LockstepWindow, _MaskedWindow
+from repro.simulator.batch import (
+    _MaskedWindow,
+    _acquisitions,
+    _lockstep_rings,
+)
 from repro.simulator.resources import OccupancyWindow, ThroughputLimiter
 from repro.workloads import BENCHMARK_NAMES, generate_trace, get_profile
-from repro.workloads.trace import OP_BRANCH
+from repro.workloads.trace import OP_BRANCH, OP_INT, OP_INT_MUL
 
 SPACE = sampling_space()
 # Adds in-order issue and dl1 associativity, both of which reach the
@@ -105,8 +111,13 @@ def _window_steps():
     return capacities.flatmap(with_steps)
 
 
+def _next_free(flat, key, row):
+    """A ring slot's next-free times, read as the timing loop reads them."""
+    return row if key is None else flat[key]
+
+
 class TestLockstepWindow:
-    """The kernel's shared-ring window against one scalar window per config."""
+    """The kernel's lockstep rings against one scalar window per config."""
 
     @settings(deadline=None, max_examples=60)
     @given(case=_window_steps())
@@ -116,15 +127,19 @@ class TestLockstepWindow:
     @example(case=([3, 8, 1, 5], [[i, 2 * i, 3 * i, i + 7] for i in range(30)]))
     def test_next_free_matches_occupancy_windows(self, case):
         capacities, steps = case
-        window = _LockstepWindow(np.array(capacities, dtype=np.int64))
+        flat, (ring,) = _lockstep_rings([np.array(capacities, dtype=np.int64)])
         scalar = [OccupancyWindow(c) for c in capacities]
-        for releases in steps:
+        slots = ring.cycle(len(steps) + 1)
+        for (key, row), releases in zip(slots, steps):
             want = [w.next_free() for w in scalar]
-            assert window.next_free().tolist() == want
-            window.acquire(np.array(releases, dtype=np.int64))
+            assert _next_free(flat, key, row).tolist() == want
+            row[...] = releases
             for w, release in zip(scalar, releases):
                 w.acquire(release)
-        assert window.next_free().tolist() == [w.next_free() for w in scalar]
+        key, row = slots[-1]
+        assert _next_free(flat, key, row).tolist() == [
+            w.next_free() for w in scalar
+        ]
 
     @settings(deadline=None, max_examples=60)
     @given(case=_window_steps())
@@ -132,12 +147,72 @@ class TestLockstepWindow:
     @example(case=([2, 5, 1], [[i % 3, 0, i] for i in range(20)]))
     def test_next_slot_matches_throughput_limiters(self, case):
         rates, steps = case
-        limiter = _LockstepWindow(np.array(rates, dtype=np.int64))
+        flat, (ring,) = _lockstep_rings([np.array(rates, dtype=np.int64)])
         scalar = [ThroughputLimiter(r) for r in rates]
-        for earliest in steps:
-            got = limiter.next_slot(np.array(earliest, dtype=np.int64))
+        for (key, row), earliest in zip(ring.cycle(len(steps)), steps):
+            time = np.maximum(earliest, _next_free(flat, key, row))
+            row[...] = time + 1
             want = [l.next_slot(e) for l, e in zip(scalar, earliest)]
-            assert got.tolist() == want
+            assert time.tolist() == want
+
+    def test_uniform_ring_reads_its_own_row(self):
+        """Every lane at the ring's capacity: the slot's row is read, no
+        gather; a varying ring gathers."""
+        _, (uniform, varying) = _lockstep_rings(
+            [np.array([3, 3]), np.array([3, 1])]
+        )
+        assert all(key is None for key, _ in uniform.slots)
+        assert all(key is not None for key, _ in varying.slots)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        data=st.data(),
+        lanes=st.integers(min_value=1, max_value=4),
+        windows=st.integers(min_value=2, max_value=4),
+    )
+    def test_rings_sharing_one_buffer_stay_independent(
+        self, data, lanes, windows
+    ):
+        """Rings of one call share a state buffer: uniform and varying
+        rings side by side, acquired in an interleaved order, each match
+        their own scalar windows."""
+        capacity = st.integers(min_value=1, max_value=6)
+        columns = [
+            np.array(
+                data.draw(st.lists(capacity, min_size=lanes, max_size=lanes)),
+                dtype=np.int64,
+            )
+            for _ in range(windows)
+        ]
+        flat, rings = _lockstep_rings(columns)
+        scalar = [[OccupancyWindow(int(c)) for c in col] for col in columns]
+        order = data.draw(
+            st.lists(st.integers(0, windows - 1), max_size=40)
+        )
+        counts = [0] * windows
+        for step, w in enumerate(order):
+            slots = rings[w].slots
+            key, row = slots[counts[w] % len(slots)]
+            counts[w] += 1
+            assert _next_free(flat, key, row).tolist() == [
+                s.next_free() for s in scalar[w]
+            ]
+            releases = [step * 10 + lane for lane in range(lanes)]
+            row[...] = releases
+            for s, release in zip(scalar[w], releases):
+                s.acquire(release)
+
+    def test_acquisitions_share_a_ring_across_op_classes(self):
+        """Op classes that share a window share its acquisition count;
+        an op class without one gets the empty slot."""
+        _, (shared, other) = _lockstep_rings([np.array([3]), np.array([2])])
+        ops = [OP_INT, OP_INT_MUL, OP_BRANCH, OP_INT, OP_INT_MUL]
+        slots = _acquisitions(ops, {OP_INT: shared, OP_INT_MUL: shared})
+        assert slots[2] == (None, None)
+        rows = [row for _, row in shared.slots]
+        got = [slot[1] for i, slot in enumerate(slots) if i != 2]
+        assert [g is r for g, r in zip(got, rows + rows[:1])] == [True] * 4
+        assert _acquisitions(ops, {OP_BRANCH: other})[2] == other.slots[0]
 
     @settings(deadline=None, max_examples=60)
     @given(case=_window_steps(), data=st.data())
@@ -163,6 +238,123 @@ class TestLockstepWindow:
                 if taken:
                     w.acquire(release)
         assert window.next_free().tolist() == [w.next_free() for w in scalar]
+
+
+def assert_kernel_matches_scalar(trace, configs):
+    """``run_pipeline_batch`` on ``configs`` against the warmed scalar
+    simulation of each config, field by field."""
+    simulator = Simulator()
+    outcomes = run_pipeline_batch(trace, configs)
+    assert len(outcomes) == len(configs)
+    for config, outcome in zip(configs, outcomes):
+        want = simulator.simulate(trace, config)
+        assert outcome.cycles == want.cycles
+        assert outcome.counts.as_dict() == want.counts.as_dict()
+    return outcomes
+
+
+def _service_levels(trace, configs):
+    """Per-load and per-fetch-event service levels, ``[n, B]`` (2 = memory)."""
+    view = batch_module._trace_view(trace)
+    data_levels, instr_levels, _ = batch_module._stack_levels(view, configs)
+    return data_levels[view.mem_is_load], instr_levels
+
+
+class TestLoopShortcuts:
+    """The timing loop skips rows that are the same in every lane (no
+    memory miss, no fetch penalty) and reads a ring's own row when its
+    capacity is the same in every lane.  Each case below asserts its
+    precondition on the block, then batch against scalar."""
+
+    @staticmethod
+    def configs(space, count, seed, **values):
+        return [
+            config_from_point(space, point.replace(**values) if values else point)
+            for point in sample_uar(space, count, seed=seed)
+        ]
+
+    def test_no_lane_misses_to_memory(self):
+        trace = generate_trace(get_profile("gzip"), 1500, seed=1)
+        configs = self.configs(SPACE, 6, seed=21, l2_mb=4.0, dl1_kb=128)
+        load_levels, _ = _service_levels(trace, configs)
+        assert not (load_levels == 2).any()
+        assert_kernel_matches_scalar(trace, configs)
+
+    def test_misses_in_some_lanes_only(self):
+        """Loads miss to memory in some lanes and not others, with MSHR
+        pools small enough (1, 2 or 4 entries) to bound issue."""
+        trace = generate_trace(get_profile("mcf"), 1500, seed=1)
+        points = sample_uar(SPACE, 8, seed=22)
+        configs = [
+            config_from_point(SPACE, point, mshr_count=(1, 2, 4)[k % 3])
+            for k, point in enumerate(points)
+        ]
+        misses = _service_levels(trace, configs)[0] == 2
+        lanes_missing = misses.sum(axis=1)
+        assert (lanes_missing == 0).any()
+        assert ((lanes_missing > 0) & (lanes_missing < len(configs))).any()
+        outcomes = assert_kernel_matches_scalar(trace, configs)
+        unbounded = run_pipeline_batch(
+            trace, [dataclasses.replace(c, mshr_count=64) for c in configs]
+        )
+        assert [o.cycles for o in outcomes] != [o.cycles for o in unbounded]
+
+    def test_fetch_events_without_penalty_in_any_lane(self):
+        trace = generate_trace(get_profile("gcc"), 1500, seed=1)
+        configs = self.configs(SPACE, 6, seed=23)
+        charged = (_service_levels(trace, configs)[1] > 0).any(axis=1)
+        assert charged.any() and not charged.all()
+        assert_kernel_matches_scalar(trace, configs)
+
+    def test_uniform_window_next_to_varying_ones(self):
+        """Only the width varies: fetch/retire/dispatch bandwidth, the
+        queues and the unit pools differ per lane, while the rename
+        registers, reservation stations and ROB are the same."""
+        trace = generate_trace(get_profile("mesa"), 1500, seed=1)
+        base = sample_uar(SPACE, 1, seed=24)[0]
+        configs = [
+            config_from_point(SPACE, base.replace(width=width))
+            for width in (2, 4, 8, 4)
+        ]
+        assert len({c.width for c in configs}) == 3
+        for attr in ("gpr_rename", "fpr_rename", "fx_resv", "br_resv", "rob_size"):
+            assert len({getattr(c, attr) for c in configs}) == 1
+        assert_kernel_matches_scalar(trace, configs)
+
+    def test_in_order_and_prefetch_lanes_mixed(self):
+        space = SPACES["extended"]
+        trace = generate_trace(get_profile("applu"), 1500, seed=1)
+        points = sample_uar(space, 8, seed=25)
+        configs = [
+            config_from_point(
+                space,
+                point.replace(in_order=k % 2),
+                prefetch=k % 4 >= 2,
+            )
+            for k, point in enumerate(points)
+        ]
+        assert {c.in_order for c in configs} == {False, True}
+        assert {c.prefetch for c in configs} == {False, True}
+        outcomes = assert_kernel_matches_scalar(trace, configs)
+        assert any(o.counts.prefetch_covered for o in outcomes)
+
+
+@pytest.mark.slow
+def test_batch_matches_scalar_at_paper_length():
+    """Batch ≡ scalar on paper-length traces: 3 designs on each of the
+    nine benchmarks at the paper preset's trace length (about 30 s;
+    deselected from tier-1, run with ``-m slow``)."""
+    scale = get_scale("paper")
+    simulator = Simulator()
+    points = sample_uar(SPACE, 3, seed=scale.seed)
+    for benchmark in BENCHMARK_NAMES:
+        trace = simulator.trace_for(
+            get_profile(benchmark), scale.trace_length, seed=scale.seed
+        )
+        assert len(trace) == 100_000
+        batch = simulator.simulate_batch(SPACE, points, trace)
+        scalar = [simulator.simulate_point(SPACE, p, trace) for p in points]
+        assert_identical(batch, scalar)
 
 
 class TestBatchAPI:

@@ -172,3 +172,22 @@ class TestVectorizedEncode:
         foreign = DesignPoint(("depth", "width", "l3"), (12, 2, 0.25))
         with pytest.raises(ParameterError, match="do not match"):
             DesignEncoder(space).encode([space.point_at(0), foreign])
+
+    def test_names_checked_by_value_not_identity(self, space):
+        """The names check runs once per distinct names object: an equal
+        copy of the space's names passes, and a foreign names object
+        behind many shared ones is still caught, with the per-point
+        error."""
+        encoder = DesignEncoder(space)
+        shared = [space.point_at(i) for i in range(5)]
+        copied = DesignPoint(list(space.names), shared[1].values)
+        assert copied.names is not space.names
+        assert encoder.encode(shared + [copied]).tobytes() == (
+            encoder.encode(shared + [shared[1]]).tobytes()
+        )
+        foreign = DesignPoint(("depth", "width", "l3"), (12, 2, 0.25))
+        with pytest.raises(ParameterError) as expected:
+            encoder.encode_point(foreign)
+        with pytest.raises(ParameterError) as got:
+            encoder.encode(shared + [foreign] + shared)
+        assert str(got.value) == str(expected.value)
