@@ -1,21 +1,24 @@
-"""Batched timing kernel throughput: simulate_batch vs the scalar loop.
+"""Batched timing kernel throughput: one block call vs a one-design loop.
 
-Times the same block of design points two ways for every benchmark:
+Times the same block of designs two ways for every benchmark, both
+through :meth:`Simulator.simulate`:
 
-- **scalar** — the seed protocol: one :meth:`Simulator.simulate_point`
-  call per design, each replaying the trace through the per-instruction
+- **scalar** — the seed protocol: one ``simulate(trace, [config])`` call
+  per design, each replaying the trace through the per-instruction
   python pipeline;
-- **batch** — :meth:`Simulator.simulate_batch`, replaying the trace once
-  with pipeline state carried as numpy arrays over the config axis.
+- **batch** — one ``simulate(trace, configs)`` call over the block of
+  64, which replays the trace once with pipeline state carried as numpy
+  arrays over the config axis.
 
 Asserts the hard equivalence contract (identical cycles, ActivityCounts
 and watts per design) and a 3x speedup floor at a batch of 64, then
 writes ``BENCH_batchsim.json`` with per-benchmark timings, simulations
 per second, and the speedup ratios.
 
-It also records, per benchmark, the kernel's fixed cost: the B=1 ratio,
-``simulate_batch`` on one design over ``simulate_point`` on the same
-design.  That ratio is recorded only; nothing asserts it.
+It also records, per benchmark, the batch kernel's fixed cost: the B=1
+ratio, :func:`~repro.simulator.batch.run_pipeline_batch` on one design
+over ``simulate(trace, [config])`` on the same design.  That ratio is
+recorded only; nothing asserts it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.designspace import sample_uar, sampling_space
-from repro.simulator import Simulator
+from repro.simulator import Simulator, config_from_point, run_pipeline_batch
 from repro.workloads import BENCHMARK_NAMES, get_profile
 
 REPEATS = 3
@@ -36,14 +39,16 @@ SPEEDUP_FLOOR = 3.0
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_batchsim.json"
 
 
-def _scalar_pass(simulator, space, points, trace):
+def _scalar_pass(simulator, configs, trace):
     return [
-        simulator.simulate_point(space, point, trace) for point in points
+        result
+        for config in configs
+        for result in simulator.simulate(trace, [config])
     ]
 
 
-def _batch_pass(simulator, space, points, trace):
-    return simulator.simulate_batch(space, points, trace)
+def _batch_pass(simulator, configs, trace):
+    return simulator.simulate(trace, configs)
 
 
 def _timed(fn, *args):
@@ -61,7 +66,10 @@ def _timed(fn, *args):
 def test_batch_kernel_throughput(bench_scale):
     space = sampling_space()
     simulator = Simulator()
-    points = sample_uar(space, BATCH, seed=bench_scale.seed + 11)
+    configs = [
+        config_from_point(space, point)
+        for point in sample_uar(space, BATCH, seed=bench_scale.seed + 11)
+    ]
 
     record = {
         "scale": bench_scale.name,
@@ -80,29 +88,30 @@ def test_batch_kernel_throughput(bench_scale):
         )
         # Prime trace-derived state (access streams, predictor replays,
         # branch-warming streams) so both passes time steady-state work.
-        _scalar_pass(simulator, space, points[:1], trace)
-        _batch_pass(simulator, space, points[:1], trace)
+        _scalar_pass(simulator, configs[:1], trace)
+        run_pipeline_batch(trace, configs[:1])
 
         scalar_results, scalar_elapsed = _timed(
-            _scalar_pass, simulator, space, points, trace
+            _scalar_pass, simulator, configs, trace
         )
         batch_results, batch_elapsed = _timed(
-            _batch_pass, simulator, space, points, trace
+            _batch_pass, simulator, configs, trace
         )
         single_batch, b1_batch_elapsed = _timed(
-            _batch_pass, simulator, space, points[:1], trace
+            run_pipeline_batch, trace, configs[:1]
         )
         single_scalar, b1_scalar_elapsed = _timed(
-            _scalar_pass, simulator, space, points[:1], trace
+            _scalar_pass, simulator, configs[:1], trace
         )
 
         # The hard equivalence contract, per design: exact, no tolerances.
+        for got, want in zip(batch_results, scalar_results):
+            assert float(got.watts) == float(want.watts)
         for got, want in zip(
             batch_results + single_batch, scalar_results + single_scalar
         ):
             assert got.cycles == want.cycles
             assert got.counts.as_dict() == want.counts.as_dict()
-            assert float(got.watts) == float(want.watts)
 
         scalar_sps = BATCH / scalar_elapsed if scalar_elapsed > 0 else float("inf")
         batch_sps = BATCH / batch_elapsed if batch_elapsed > 0 else float("inf")

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.designspace import DesignEncoder, PointSet
 from repro.harness.sweep import (
+    CollectReducer,
     ParetoFrontierReducer,
     TopKReducer,
     discretized_frontier,
@@ -146,6 +147,18 @@ def test_sweep_engine_throughput(ctx, bench_scale):
     assert record["mean_speedup"] >= SPEEDUP_FLOOR
 
 
+def _collect(predictor, points, block_size):
+    """Full (bips, watts) vectors of one sweep at ``block_size``."""
+    report = run_sweep(
+        [predictor],
+        points,
+        [[CollectReducer(metrics=("bips", "watts"))]],
+        block_size=block_size,
+    )
+    collected = report.results[0][0]
+    return collected.metric("bips"), collected.metric("watts")
+
+
 def test_index_set_matches_point_list(ctx):
     """An index subset predicts identically to the same designs as points.
 
@@ -155,8 +168,6 @@ def test_index_set_matches_point_list(ctx):
     predictions must agree bitwise, so paper-scale sweeps (which never
     materialize points) are interchangeable with list-backed sweeps.
     """
-    from repro.harness.sweep import predict_source
-
     space = ctx.exploration_space
     benchmark = ctx.benchmarks[0]
     indices = np.arange(0, len(space), max(1, len(space) // 512), dtype=np.int64)
@@ -164,7 +175,7 @@ def test_index_set_matches_point_list(ctx):
     by_list = PointSet.from_points(space, list(by_index))
 
     predictor = ctx.predictor(benchmark)
-    bips_a, watts_a = predict_source(predictor, by_index, block_size=97)
-    bips_b, watts_b = predict_source(predictor, by_list, block_size=97)
+    bips_a, watts_a = _collect(predictor, by_index, block_size=97)
+    bips_b, watts_b = _collect(predictor, by_list, block_size=97)
     assert np.array_equal(bips_a, bips_b)
     assert np.array_equal(watts_a, watts_b)

@@ -13,7 +13,7 @@ Run:  python examples/custom_workload.py
 from repro.designspace import DesignEncoder, exploration_space, sample_uar, sampling_space
 from repro.harness import render_table
 from repro.regression import fit_ols, performance_spec, power_spec
-from repro.simulator import Simulator
+from repro.simulator import Simulator, config_from_point
 from repro.workloads import WorkloadProfile, get_profile
 
 STREAMDB = WorkloadProfile(
@@ -45,7 +45,9 @@ STREAMDB = WorkloadProfile(
 
 def fit_models_for(profile, simulator, space, points, trace_length=2000, seed=21):
     trace = simulator.trace_for(profile, trace_length, seed=seed)
-    results = [simulator.simulate_point(space, p, trace) for p in points]
+    results = simulator.simulate(
+        trace, [config_from_point(space, p) for p in points]
+    )
     encoder = DesignEncoder(space)
     matrix = encoder.encode(points)
     data = {name: matrix[:, j] for j, name in enumerate(encoder.feature_names)}

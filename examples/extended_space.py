@@ -20,7 +20,7 @@ from repro.regression import (
     extended_power_spec,
     fit_ols,
 )
-from repro.simulator import Simulator
+from repro.simulator import Simulator, config_from_point
 from repro.workloads import get_profile
 
 
@@ -31,13 +31,14 @@ def main() -> None:
 
     simulator = Simulator()
     points = sample_uar(space, 180, seed=31)
+    configs = [config_from_point(space, p) for p in points]
     encoder = DesignEncoder(space)
     matrix = encoder.encode(points)
 
     models = {}
     for bench in ("gzip", "mesa"):
         trace = simulator.trace_for(get_profile(bench), 2500, seed=31)
-        results = [simulator.simulate_point(space, p, trace) for p in points]
+        results = simulator.simulate(trace, configs)
         data = {n: matrix[:, j] for j, n in enumerate(encoder.feature_names)}
         data["bips"] = np.array([r.bips for r in results])
         data["watts"] = np.array([r.watts for r in results])

@@ -1,12 +1,15 @@
 """Performance rules (PERF).
 
-The batched timing kernel (:func:`repro.simulator.batch.run_pipeline_batch`,
-surfaced as ``Simulator.simulate_batch``) replays a trace once for a whole
-block of configs, so a per-point ``simulate_point``/``simulate`` loop in
-harness or study code pays the per-instruction python overhead once per
-design instead of once per block — typically a 3-6x slowdown at realistic
-block sizes.  An intentional scalar path is carried in the analysis
-baseline with a reason.
+``Simulator.simulate`` and ``StudyContext.simulate`` take a block of
+configs; a block of more than two replays the trace once through the
+batched timing kernel (:func:`repro.simulator.batch.run_pipeline_batch`).
+Handing them one config at a time from a loop — ``simulate(…, [config])``
+— keeps every design on its own trace replay, which pays the
+per-instruction python overhead once per design instead of once per
+block: typically a 3-6x slowdown at realistic block sizes.  A loop that
+simulates a whole block per iteration (one per benchmark, say) is fine.
+An intentional one-design loop is carried in the analysis baseline with
+a reason.
 """
 
 from __future__ import annotations
@@ -17,11 +20,6 @@ from typing import Iterator, List
 from ..context import ModuleContext
 from ..findings import Finding, Severity
 from ..registry import Rule, register
-
-#: Scalar per-point simulation entry points.  ``Simulator.simulate_batch``
-#: and ``StudyContext.simulate_many`` are the batched replacements and
-#: never flagged.
-_SCALAR_SIMULATE = {"simulate", "simulate_point"}
 
 #: AST nodes whose lexical body repeats per element.
 _LOOP_NODES = (
@@ -35,8 +33,23 @@ _LOOP_NODES = (
 )
 
 
+def _is_one_design_simulate(node: ast.AST) -> bool:
+    """A ``….simulate(…, [x])`` call: a one-element list display as a block."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "simulate"
+        and any(
+            isinstance(arg, ast.List)
+            and len(arg.elts) == 1
+            and not isinstance(arg.elts[0], ast.Starred)
+            for arg in node.args
+        )
+    )
+
+
 class _LoopedCallScanner(ast.NodeVisitor):
-    """Collect scalar-simulate calls lexically nested inside a loop."""
+    """Collect one-design simulate calls lexically nested inside a loop."""
 
     def __init__(self) -> None:
         self._depth = 0
@@ -46,12 +59,7 @@ class _LoopedCallScanner(ast.NodeVisitor):
         looping = isinstance(node, _LOOP_NODES)
         if looping:
             self._depth += 1
-        if (
-            self._depth
-            and isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _SCALAR_SIMULATE
-        ):
+        if self._depth and _is_one_design_simulate(node):
             self.hits.append(node)
         self.generic_visit(node)
         if looping:
@@ -60,21 +68,21 @@ class _LoopedCallScanner(ast.NodeVisitor):
 
 @register
 class ScalarSimulateInLoop(Rule):
-    """PERF001: per-point simulation loop where the batch kernel applies."""
+    """PERF001: one-design simulation loop where a block would do."""
 
     id = "PERF001"
     name = "scalar-simulate-in-loop"
     severity = Severity.WARNING
     exempt_tests = True
     description = (
-        "Per-point simulate()/simulate_point() call inside a loop in"
-        " harness or study code — Simulator.simulate_batch replays the"
-        " trace once per block of configs with bit-identical results;"
-        " baseline an intentional scalar path with a reason."
+        "simulate(…, [one_config]) call inside a loop in harness or study"
+        " code — pass the whole block in one simulate() call, which"
+        " replays the trace once per block with bit-identical results;"
+        " baseline an intentional one-design loop with a reason."
     )
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
-        """Flag loop-nested scalar simulate calls in harness/studies."""
+        """Flag loop-nested one-design simulate calls in harness/studies."""
         if ctx.package not in ("harness", "studies"):
             return
         scanner = _LoopedCallScanner()
@@ -83,9 +91,8 @@ class ScalarSimulateInLoop(Rule):
             yield self.finding(
                 ctx,
                 node.lineno,
-                f"per-point {node.func.attr}() inside a loop; batch the"
-                " block through Simulator.simulate_batch (or"
-                " StudyContext.simulate_many) — results are bit-identical"
-                " and the trace is replayed once per block",
+                "one-design simulate() inside a loop; pass the block to one"
+                " simulate() call — results are bit-identical and the trace"
+                " is replayed once per block",
                 col=node.col_offset,
             )

@@ -194,10 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel simulation workers for the campaign phase",
     )
     sweep_parser.add_argument(
-        "--block-size", type=int, default=None,
-        help="design points predicted per block (default 8192)",
-    )
-    sweep_parser.add_argument(
         "--bins", type=int, default=50,
         help="delay bins for the pareto frontier (default 50)",
     )
@@ -493,9 +489,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         points = PointSet(space, np.arange(len(space)))
     else:
         points = ctx.exploration_points()
-    kwargs = {}
-    if args.block_size is not None:
-        kwargs["block_size"] = args.block_size
     print(
         f"sweeping {len(points):,} {args.space} designs per benchmark "
         f"[scale={scale.name}, workers={args.workers}]"
@@ -512,7 +505,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 ]
                 for _ in benchmarks
             ],
-            **kwargs,
         )
     for benchmark, (front, best) in zip(benchmarks, report.results):
         print(f"=== {benchmark} ===")

@@ -36,7 +36,7 @@ from .regression import (
     power_spec,
     validate_model,
 )
-from .simulator import baseline_config
+from .simulator import baseline_config, config_from_point
 from .studies import StudyContext, depth, heterogeneity, pareto, search
 from .workloads import REPRESENTATIVE
 
@@ -514,7 +514,7 @@ def run_x4(ctx: StudyContext) -> ExperimentResult:
     from .power import invariance_study, split_power
 
     config = baseline_config()
-    result = ctx.simulate("gzip", ctx.baseline)
+    (result,) = ctx.simulate("gzip", [ctx.baseline])
     parts = split_power(config, result)
     study = invariance_study(config, result)
     rows = [
@@ -566,10 +566,10 @@ def run_x5(ctx: StudyContext) -> ExperimentResult:
     data_out = {}
     for label, draw in samplers.items():
         points = draw()
+        configs = [config_from_point(space, point) for point in points]
         medians = []
         for benchmark in benchmarks:
-            trace = ctx.trace(benchmark)
-            results = ctx.simulator.simulate_batch(space, points, trace)
+            results = ctx.simulate(benchmark, configs)
             dataset = Dataset.from_results(benchmark, space, points, results)
             model = fit_ols(performance_spec(), dataset.columns())
             validation = ctx.campaign.dataset(benchmark, "validation").columns()
@@ -644,13 +644,13 @@ def run_x7(ctx: StudyContext) -> ExperimentResult:
     space = extended_space()
     scale = ctx.scale
     points = sample_uar(space, scale.n_train, seed=scale.seed + 13)
+    configs = [config_from_point(space, point) for point in points]
     encoder = DesignEncoder(space)
     matrix = encoder.encode(points)
     rows = []
     data_out = {}
     for benchmark in ("gzip", "mesa"):
-        trace = ctx.trace(benchmark)
-        results = ctx.simulator.simulate_batch(space, points, trace)
+        results = ctx.simulate(benchmark, configs)
         data = {n: matrix[:, j] for j, n in enumerate(encoder.feature_names)}
         data["bips"] = np.array([r.bips for r in results])
         holdout = max(10, len(points) // 5)
@@ -690,9 +690,7 @@ def run_x8(ctx: StudyContext) -> ExperimentResult:
     config_off = baseline_config()
     config_on = baseline_config().with_overrides(prefetch=True)
     for benchmark in ctx.benchmarks:
-        trace = ctx.trace(benchmark)
-        off = ctx.simulator.simulate(trace, config_off)
-        on = ctx.simulator.simulate(trace, config_on)
+        off, on = ctx.simulate(benchmark, [config_off, config_on])
         speedup = on.bips / off.bips
         efficiency_gain = on.bips3_per_watt / off.bips3_per_watt
         coverage = (
@@ -832,7 +830,6 @@ def run_x12(ctx: StudyContext) -> ExperimentResult:
     from .baselines import interval_model_for
     from .designspace import DesignEncoder
     from .regression import prediction_errors, spearman
-    from .simulator import config_from_point
 
     scale = ctx.scale
     space = ctx.exploration_space
@@ -843,9 +840,7 @@ def run_x12(ctx: StudyContext) -> ExperimentResult:
         trace = ctx.trace(benchmark)
         interval = interval_model_for(trace)
         points = ctx.exploration_points()[:n_eval]
-        actual = np.array(
-            [r.bips for r in ctx.simulate_many(benchmark, points)]
-        )
+        actual = np.array([r.bips for r in ctx.simulate(benchmark, points)])
         mech = np.array(
             [interval.predict_bips(config_from_point(space, p)) for p in points]
         )

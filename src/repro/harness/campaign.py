@@ -26,7 +26,7 @@ import numpy as np
 from ..designspace import DesignPoint, DesignSpace, sample_uar, sampling_space
 from ..obs.tracing import get_tracer
 from ..regression import FittedModel, fit_models, performance_spec, power_spec
-from ..simulator import Simulator
+from ..simulator import Simulator, config_from_point
 from ..workloads import BENCHMARK_NAMES, get_profile
 from .dataset import Dataset
 from .resilience import (
@@ -78,14 +78,16 @@ def _simulate_chunk(
 ) -> List[Tuple[float, float]]:
     """Simulate ``points`` on one benchmark's trace; returns (bips, watts).
 
-    The one way a campaign simulates: one batched timing kernel call
-    over every point.  In-process chunks pass the caller's
+    The one way a campaign simulates: every point's config in one
+    :meth:`Simulator.simulate` call.  In-process chunks pass the caller's
     ``simulator``; pool workers pass None and build a fresh one, whose
     deterministic trace gives outputs identical to an in-process run.
     """
     simulator = simulator or Simulator()
     trace = simulator.trace_for(get_profile(benchmark), trace_length, seed=seed)
-    results = simulator.simulate_batch(space, points, trace)
+    results = simulator.simulate(
+        trace, [config_from_point(space, point) for point in points]
+    )
     return [(r.bips, float(r.watts)) for r in results]
 
 

@@ -161,17 +161,23 @@ class RunReport:
 
 
 def _terminate_pool(executor: ProcessPoolExecutor) -> None:
-    """Shut a pool down and kill its worker processes.
+    """Shut a pool down, kill its worker processes and reap them all.
 
     ``shutdown`` alone would wait for the chunks in flight; after an
-    abort or an interrupt nothing may outlive the driver.
+    abort or an interrupt nothing may outlive the driver.  SIGKILL cannot
+    be ignored, so every join returns.  The executor's manager thread
+    also joins the workers it sees die; joining it first means no worker
+    is left half-reaped by that thread when this returns.
     """
     processes = list((getattr(executor, "_processes", None) or {}).values())
+    manager = getattr(executor, "_executor_manager_thread", None)
     executor.shutdown(wait=False, cancel_futures=True)
     for process in processes:
-        process.terminate()
+        process.kill()
+    if manager is not None:
+        manager.join()
     for process in processes:
-        process.join(5.0)
+        process.join()
 
 
 class _ChunkRunner:

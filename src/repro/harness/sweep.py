@@ -1019,16 +1019,11 @@ def run_sweep(
 
 
 def predict_source(
-    predictor: BlockPredictor,
-    points: PointSet,
-    block_size: int = DEFAULT_BLOCK_SIZE,
+    predictor: BlockPredictor, points: PointSet
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Full (bips, watts) vectors for a point set, computed blockwise."""
     report = run_sweep(
-        [predictor],
-        points,
-        [[CollectReducer(metrics=("bips", "watts"))]],
-        block_size=block_size,
+        [predictor], points, [[CollectReducer(metrics=("bips", "watts"))]]
     )
     collected = report.results[0][0]
     return collected.metric("bips"), collected.metric("watts")

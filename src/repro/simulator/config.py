@@ -228,13 +228,12 @@ class MachineConfig:
         }
 
 
-def config_from_point(
-    space: DesignSpace, point: DesignPoint, **overrides
-) -> MachineConfig:
+def config_from_point(space: DesignSpace, point: DesignPoint) -> MachineConfig:
     """Resolve a design point of ``space`` into a machine configuration.
 
     Extension parameters (``dl1_assoc``, ``in_order``) are honoured when the
-    space defines them; additional keyword overrides win over both.
+    space defines them; :meth:`MachineConfig.with_overrides` sets any other
+    field.
     """
     settings = space.machine_settings(point)
     kwargs = {
@@ -257,9 +256,6 @@ def config_from_point(
         kwargs["dl1_assoc"] = int(settings["dl1_assoc"])
     if "in_order" in settings:
         kwargs["in_order"] = bool(settings["in_order"])
-    if "prefetch" in settings:
-        kwargs["prefetch"] = bool(settings["prefetch"])
-    kwargs.update(overrides)
     return MachineConfig(**kwargs)
 
 

@@ -22,18 +22,18 @@ each block's decode and design matrix.  Each benchmark's
 sweep predictor (:meth:`StudyContext.predictor`) is built once per
 context, so its models' level tables are too.
 
-Ground-truth simulations (:meth:`StudyContext.simulate`,
-:meth:`StudyContext.simulate_many`) are memoized per (benchmark, design):
-a design that one study validates is never simulated again by another,
-and only the misses of a call reach the timing kernel.  The memoized
-:class:`SimulationResult` objects are shared between callers, so treat
-them as read-only.
+Ground-truth simulations (:meth:`StudyContext.simulate`) are memoized
+per (benchmark, :class:`~repro.simulator.MachineConfig`): a design that
+one study validates is never simulated again by another, whichever
+space named it, and only the misses of a call reach the simulator.  The
+memoized :class:`SimulationResult` objects are shared between callers,
+so treat them as read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,7 +51,12 @@ from ..harness.scale import ScalePreset
 from ..harness.sweep import BlockPredictor, SweepReducer, predict_source, run_sweep
 from ..metrics import bips3_per_watt, delay_seconds
 from ..regression import FittedModel
-from ..simulator import Simulator, baseline_point
+from ..simulator import (
+    MachineConfig,
+    Simulator,
+    baseline_point,
+    config_from_point,
+)
 from ..simulator.results import SimulationResult
 from ..workloads import BENCHMARK_NAMES, Trace, get_profile
 
@@ -329,46 +334,36 @@ class StudyContext:
             get_profile(benchmark), self.scale.trace_length, seed=self.scale.seed
         )
 
-    def simulate(self, benchmark: str, point: DesignPoint) -> SimulationResult:
-        """Ground-truth simulation of one design on one benchmark.
-
-        Memoized per (benchmark, design) and shared with
-        :meth:`simulate_many`; the returned result is shared between
-        callers, so treat it as read-only.  A miss runs the scalar
-        kernel — one design is cheaper there than in the batch kernel.
-        """
-        key = (benchmark, tuple(point.values))
-        if key not in self._simulations:
-            self._simulations[key] = self.simulator.simulate_point(
-                self.exploration_space, point, self.trace(benchmark)
-            )
-        return self._simulations[key]
-
-    def simulate_many(
-        self, benchmark: str, points: Sequence[DesignPoint]
+    def simulate(
+        self,
+        benchmark: str,
+        designs: Sequence[Union[DesignPoint, MachineConfig]],
     ) -> List[SimulationResult]:
-        """Ground-truth simulation of many designs on one benchmark.
+        """Ground-truth simulation of designs on one benchmark's trace.
 
-        Results are memoized per (benchmark, design) and shared with
-        :meth:`simulate`, so treat them as read-only.  The distinct
-        misses of a call go to the batched timing kernel in one call —
-        one trace replay for all of them instead of one per design — and
-        the results, in input order with duplicates repeated, are
-        bit-identical to calling :meth:`simulate` per point.  Validation
-        phases (frontier, per-depth, cluster heterogeneity) use this.
+        A design is a :class:`MachineConfig` or a point of the
+        exploration space, which resolves to its config.  Results are
+        memoized per (benchmark, config), so a point and its config share
+        one entry, and are shared between callers: treat them as
+        read-only.  The distinct misses of a call reach the simulator in
+        one call, which picks the kernel by block size; results come back
+        in input order with duplicates repeated.
         """
-        points = list(points)
-        keys = [(benchmark, tuple(point.values)) for point in points]
-        misses = {
-            key: point
-            for key, point in zip(keys, points)
-            if key not in self._simulations
-        }
+        keys = [
+            (
+                benchmark,
+                design
+                if isinstance(design, MachineConfig)
+                else config_from_point(self.exploration_space, design),
+            )
+            for design in designs
+        ]
+        misses = list(
+            dict.fromkeys(key for key in keys if key not in self._simulations)
+        )
         if misses:
-            results = self.simulator.simulate_batch(
-                self.exploration_space,
-                list(misses.values()),
-                self.trace(benchmark),
+            results = self.simulator.simulate(
+                self.trace(benchmark), [config for _, config in misses]
             )
             self._simulations.update(zip(misses, results))
         return [self._simulations[key] for key in keys]

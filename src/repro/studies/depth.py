@@ -291,7 +291,7 @@ def validate_depth_study(
         # The original line and the bound architectures share one kernel
         # call per benchmark.
         bound_points = [analysis.bound_points[d] for d in depths]
-        results = ctx.simulate_many(benchmark, original.points + bound_points)
+        results = ctx.simulate(benchmark, original.points + bound_points)
         original_results = results[: len(original.points)]
         bound_results = results[len(original.points):]
         sim_eff_orig = np.array(

@@ -166,7 +166,7 @@ def k_sweep(
     # one simulation per (benchmark, K).
     def evaluate(name: str, points: List[DesignPoint]) -> Dict[tuple, float]:
         if simulate:
-            results = ctx.simulate_many(name, points)
+            results = ctx.simulate(name, points)
             values = [float(r.bips3_per_watt) for r in results]
         else:
             values = [float(v) for v in ctx.predict_points(name, points).efficiency]

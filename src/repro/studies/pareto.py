@@ -178,7 +178,7 @@ def efficiency_optimum(
         predicted_efficiency=float(best.efficiency[0]),
     )
     if validate:
-        result = ctx.simulate(benchmark, point)
+        (result,) = ctx.simulate(benchmark, [point])
         row.simulated_bips = result.bips
         row.simulated_watts = float(result.watts)
         row.simulated_delay = result.delay_seconds
@@ -243,7 +243,7 @@ def validate_frontier(
     points = [front.points[i] for i in picks]
     model_delay = front.delay[picks]
     model_power = front.power[picks]
-    results = ctx.simulate_many(benchmark, points)
+    results = ctx.simulate(benchmark, points)
     simulated_delay = np.array([r.delay_seconds for r in results])
     simulated_power = np.array([r.watts for r in results])
 

@@ -1,17 +1,17 @@
-"""Per-point simulation loops the batch kernel should replace."""
+"""One-design simulation loops a single block call should replace."""
 
 
-def collect(simulator, space, points, trace):
+def collect(simulator, configs, trace):
     results = []
-    for point in points:
-        results.append(simulator.simulate_point(space, point, trace))
+    for config in configs:
+        results.extend(simulator.simulate(trace, [config]))
     return results
 
 
-def collect_comp(simulator, space, points, trace):
-    return [simulator.simulate_point(space, p, trace) for p in points]
+def collect_comp(simulator, configs, trace):
+    return [simulator.simulate(trace, [c])[0] for c in configs]
 
 
 def drain(ctx, benchmark, queue):
     while queue:
-        ctx.simulate(benchmark, queue.pop())
+        ctx.simulate(benchmark, [queue.pop()])

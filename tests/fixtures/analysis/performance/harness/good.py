@@ -1,13 +1,17 @@
-"""Batched and single-shot simulation uses that must stay silent."""
+"""Block and single-shot simulation uses that must stay silent."""
 
 
-def batched(simulator, space, points, trace):
-    return simulator.simulate_batch(space, points, trace)
+def batched(simulator, configs, trace):
+    return simulator.simulate(trace, configs)
 
 
 def batched_per_benchmark(ctx, benchmarks, points):
-    return {b: ctx.simulate_many(b, points) for b in benchmarks}
+    return {b: ctx.simulate(b, points) for b in benchmarks}
 
 
-def single(simulator, space, point, trace):
-    return simulator.simulate_point(space, point, trace)
+def single(simulator, config, trace):
+    return simulator.simulate(trace, [config])
+
+
+def pair_per_benchmark(ctx, benchmarks, off, on):
+    return [ctx.simulate(b, [off, on]) for b in benchmarks]

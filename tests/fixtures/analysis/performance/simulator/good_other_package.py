@@ -1,5 +1,5 @@
-"""Scalar loops outside harness/studies are not PERF001's business."""
+"""One-design loops outside harness/studies are not PERF001's business."""
 
 
-def reference_loop(simulator, space, points, trace):
-    return [simulator.simulate_point(space, p, trace) for p in points]
+def reference_loop(simulator, configs, trace):
+    return [simulator.simulate(trace, [c]) for c in configs]

@@ -1,5 +1,5 @@
-"""Study-layer per-point validation loop."""
+"""Study-layer one-design validation loop."""
 
 
 def validate(ctx, benchmark, points):
-    return [ctx.simulate(benchmark, p) for p in points]
+    return [ctx.simulate(benchmark, [p])[0] for p in points]

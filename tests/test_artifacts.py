@@ -163,9 +163,6 @@ class TestCachedCampaign:
             def simulate(self, *args, **kwargs):
                 raise AssertionError("cache miss: simulation re-ran")
 
-            def simulate_batch(self, *args, **kwargs):
-                raise AssertionError("cache miss: simulation re-ran")
-
         second = cached_campaign(
             ExplodingSimulator(), scale=scale, benchmarks=["gzip"]
         )

@@ -2,14 +2,18 @@
 
 The batch kernel's contract is *exact* equivalence with the scalar
 pipeline — identical cycles, identical ActivityCounts field by field,
-identical watts — not agreement within tolerance.  The property test
-drives randomized configs, trace lengths, benchmarks and prefetch through
-both paths; the window tests pin the kernel's occupancy-window state
-against the scalar resource classes; the loop-shortcut cases build blocks
-where each of the loop's skips and row reads applies; the memory test
-pins the kernel's precompute layout; the campaign tests check the
-contract survives the resilient executor and a rerun from cached
-benchmarks.  The ``slow`` test repeats the contract at paper length.
+identical watts — not agreement within tolerance.  ``Simulator.simulate``
+picks the kernel by block size, so the tests force each kernel through
+it (:func:`simulate_on`) or call ``run_pipeline_batch`` and
+``run_pipeline`` directly, and hold whatever ``SCALAR_BLOCK_MAX`` is.
+The property test drives randomized configs, trace lengths, benchmarks
+and prefetch through both kernels; the window tests pin the kernel's
+occupancy-window state against the scalar resource classes; the
+loop-shortcut cases build blocks where each of the loop's skips and row
+reads applies; the memory test pins the kernel's precompute layout; the
+campaign tests check the contract survives the resilient executor and a
+rerun from cached benchmarks.  The ``slow`` test repeats the contract at
+paper length.
 """
 
 import dataclasses
@@ -25,7 +29,13 @@ from repro.harness import campaign as campaign_module
 from repro.harness import cached_campaign, get_scale, run_campaign
 from repro.harness.resilience import ChunkFailure
 from repro.obs.metrics import isolated_registry
-from repro.simulator import Simulator, config_from_point, run_pipeline_batch
+from repro.simulator import (
+    OneBitBHT,
+    Simulator,
+    config_from_point,
+    run_pipeline,
+    run_pipeline_batch,
+)
 from repro.simulator import batch as batch_module
 from repro.simulator import simulator as simulator_module
 from repro.simulator.batch import (
@@ -53,6 +63,20 @@ def assert_identical(batch_results, scalar_results):
         assert got.benchmark == want.benchmark
 
 
+def simulate_on(kernel, trace, configs, simulator=None):
+    """``Simulator.simulate`` with its kernel forced: ``"scalar"`` runs
+    each config on the scalar pipeline, ``"batch"`` the whole block in
+    one batched kernel call."""
+    limit = len(configs) if kernel == "scalar" else 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator_module, "SCALAR_BLOCK_MAX", limit)
+        return (simulator or Simulator()).simulate(trace, configs)
+
+
+def configs_of(space, points):
+    return [config_from_point(space, point) for point in points]
+
+
 class TestEquivalenceProperty:
     @settings(deadline=None, max_examples=16)
     @given(
@@ -77,15 +101,14 @@ class TestEquivalenceProperty:
         trace = simulator.trace_for(
             get_profile(benchmark), trace_length, seed=seed % 3
         )
-        points = sample_uar(space, n_points, seed=seed)
-        batch = simulator.simulate_batch(
-            space, points, trace, prefetch=prefetch
-        )
-        scalar = [
-            simulator.simulate_point(space, point, trace, prefetch=prefetch)
-            for point in points
+        configs = [
+            config.with_overrides(prefetch=prefetch)
+            for config in configs_of(space, sample_uar(space, n_points, seed=seed))
         ]
-        assert_identical(batch, scalar)
+        assert_identical(
+            simulate_on("batch", trace, configs, simulator),
+            simulate_on("scalar", trace, configs, simulator),
+        )
 
 
 def _window_steps():
@@ -240,14 +263,20 @@ class TestLockstepWindow:
         assert window.next_free().tolist() == [w.next_free() for w in scalar]
 
 
+def scalar_outcome(trace, config):
+    """``run_pipeline`` on one config after the simulator's warming."""
+    predictor = OneBitBHT()
+    simulator_module._warm_predictor(trace, predictor)
+    return run_pipeline(trace, config, predictor=predictor)
+
+
 def assert_kernel_matches_scalar(trace, configs):
-    """``run_pipeline_batch`` on ``configs`` against the warmed scalar
-    simulation of each config, field by field."""
-    simulator = Simulator()
+    """``run_pipeline_batch`` on ``configs`` against ``run_pipeline`` on
+    each config, field by field."""
     outcomes = run_pipeline_batch(trace, configs)
     assert len(outcomes) == len(configs)
     for config, outcome in zip(configs, outcomes):
-        want = simulator.simulate(trace, config)
+        want = scalar_outcome(trace, config)
         assert outcome.cycles == want.cycles
         assert outcome.counts.as_dict() == want.counts.as_dict()
     return outcomes
@@ -286,8 +315,8 @@ class TestLoopShortcuts:
         trace = generate_trace(get_profile("mcf"), 1500, seed=1)
         points = sample_uar(SPACE, 8, seed=22)
         configs = [
-            config_from_point(SPACE, point, mshr_count=(1, 2, 4)[k % 3])
-            for k, point in enumerate(points)
+            config.with_overrides(mshr_count=(1, 2, 4)[k % 3])
+            for k, config in enumerate(configs_of(SPACE, points))
         ]
         misses = _service_levels(trace, configs)[0] == 2
         lanes_missing = misses.sum(axis=1)
@@ -326,10 +355,8 @@ class TestLoopShortcuts:
         trace = generate_trace(get_profile("applu"), 1500, seed=1)
         points = sample_uar(space, 8, seed=25)
         configs = [
-            config_from_point(
-                space,
-                point.replace(in_order=k % 2),
-                prefetch=k % 4 >= 2,
+            config_from_point(space, point.replace(in_order=k % 2)).with_overrides(
+                prefetch=k % 4 >= 2
             )
             for k, point in enumerate(points)
         ]
@@ -346,39 +373,82 @@ def test_batch_matches_scalar_at_paper_length():
     deselected from tier-1, run with ``-m slow``)."""
     scale = get_scale("paper")
     simulator = Simulator()
-    points = sample_uar(SPACE, 3, seed=scale.seed)
+    configs = configs_of(SPACE, sample_uar(SPACE, 3, seed=scale.seed))
     for benchmark in BENCHMARK_NAMES:
         trace = simulator.trace_for(
             get_profile(benchmark), scale.trace_length, seed=scale.seed
         )
         assert len(trace) == 100_000
-        batch = simulator.simulate_batch(SPACE, points, trace)
-        scalar = [simulator.simulate_point(SPACE, p, trace) for p in points]
-        assert_identical(batch, scalar)
+        assert_identical(
+            simulate_on("batch", trace, configs, simulator),
+            simulate_on("scalar", trace, configs, simulator),
+        )
 
 
 class TestBatchAPI:
     def test_every_benchmark_matches_scalar(self):
         simulator = Simulator()
-        points = sample_uar(SPACE, 4, seed=13)
+        configs = configs_of(SPACE, sample_uar(SPACE, 4, seed=13))
         for benchmark in BENCHMARK_NAMES:
             trace = simulator.trace_for(get_profile(benchmark), 400, seed=1)
-            batch = simulator.simulate_batch(SPACE, points, trace)
-            scalar = [
-                simulator.simulate_point(SPACE, p, trace) for p in points
-            ]
-            assert_identical(batch, scalar)
+            assert_identical(
+                simulate_on("batch", trace, configs, simulator),
+                simulate_on("scalar", trace, configs, simulator),
+            )
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    def test_simulate_matches_scalar_at_every_block_size(self, block):
+        """Whichever kernel the block size picks, ``simulate`` returns the
+        per-config scalar results bitwise."""
+        simulator = Simulator()
+        trace = simulator.trace_for(get_profile("mcf"), 300, seed=3)
+        configs = configs_of(SPACE, sample_uar(SPACE, block, seed=block))
+        want = [
+            result
+            for config in configs
+            for result in simulate_on("scalar", trace, [config], simulator)
+        ]
+        got = simulator.simulate(trace, configs)
+        assert_identical(got, want)
+        for result, reference in zip(got, want):
+            assert result.power_breakdown == reference.power_breakdown
+
+    def test_block_size_picks_the_kernel(self, monkeypatch):
+        """Up to ``SCALAR_BLOCK_MAX`` configs run one by one on the scalar
+        pipeline; one more takes a single batched kernel call."""
+        calls = []
+
+        def counting(trace, configs):
+            calls.append(len(configs))
+            return run_pipeline_batch(trace, configs)
+
+        monkeypatch.setattr(simulator_module, "run_pipeline_batch", counting)
+        small = simulator_module.SCALAR_BLOCK_MAX
+        simulator = Simulator()
+        trace = simulator.trace_for(get_profile("gzip"), 300, seed=5)
+        configs = configs_of(SPACE, sample_uar(SPACE, small + 1, seed=6))
+        with isolated_registry() as registry:
+            simulator.simulate(trace, configs[:small])
+            scalar = registry.snapshot()["counters"]
+        assert calls == []
+        assert scalar["simulator.simulations"] == small
+        with isolated_registry() as registry:
+            simulator.simulate(trace, configs)
+            batched = registry.snapshot()["counters"]
+        assert calls == [small + 1]
+        assert "simulator.simulations" not in batched
+        assert batched["simulator.batch.points"] == small + 1
 
     def test_lanes_are_independent(self):
         """A config's result does not depend on the block it rides in."""
         simulator = Simulator()
         trace = simulator.trace_for(get_profile("gzip"), 400, seed=2)
-        points = sample_uar(SPACE, 8, seed=3)
-        whole = simulator.simulate_batch(SPACE, points, trace)
+        configs = configs_of(SPACE, sample_uar(SPACE, 8, seed=3))
+        whole = simulator.simulate(trace, configs)
         split = [
             result
             for lo, hi in ((0, 1), (1, 4), (4, 8))
-            for result in simulator.simulate_batch(SPACE, points[lo:hi], trace)
+            for result in simulator.simulate(trace, configs[lo:hi])
         ]
         assert_identical(split, whole)
 
@@ -393,25 +463,28 @@ class TestBatchAPI:
         with isolated_registry() as registry:
             simulator = Simulator()
             trace = simulator.trace_for(get_profile("mcf"), 300, seed=1)
-            simulator.simulate_batch(SPACE, sample_uar(SPACE, 9, seed=4), trace)
+            configs = configs_of(SPACE, sample_uar(SPACE, 9, seed=4))
+            simulator.simulate(trace, configs)
             assert calls == [9]
             assert registry.snapshot()["counters"]["simulator.batch.blocks"] == 1
 
     def test_empty_points_returns_empty(self):
         simulator = Simulator()
         trace = simulator.trace_for(get_profile("gzip"), 200, seed=0)
-        assert simulator.simulate_batch(SPACE, [], trace) == []
+        assert simulator.simulate(trace, []) == []
 
     def test_batch_metrics_are_reported(self):
         with isolated_registry() as registry:
             simulator = Simulator()
             trace = simulator.trace_for(get_profile("gzip"), 300, seed=6)
-            points = sample_uar(SPACE, 5, seed=7)
-            simulator.simulate_batch(SPACE, points, trace)
+            block = simulator_module.SCALAR_BLOCK_MAX + 3
+            configs = configs_of(SPACE, sample_uar(SPACE, block, seed=7))
+            results = simulator.simulate(trace, configs)
             counters = registry.snapshot()["counters"]
-            assert counters["simulator.batch.points"] == 5
+            assert counters["simulator.batch.points"] == block
             assert counters["simulator.batch.blocks"] == 1
-            assert counters["simulator.instructions"] == 5 * len(trace)
+            assert counters["simulator.instructions"] == block * len(trace)
+            assert counters["simulator.cycles"] == sum(r.cycles for r in results)
 
     def test_one_predictor_replay_per_trace(self, monkeypatch):
         """Every config shares the Table 3 predictor, so the branch
@@ -492,10 +565,10 @@ class TestTraceCacheLRU:
         come from its own columns."""
         simulator = Simulator()
         profile = get_profile("gzip")
-        point = sample_uar(SPACE, 1, seed=8)[0]
+        config = config_from_point(SPACE, sample_uar(SPACE, 1, seed=8)[0])
         cached = simulator.trace_for(profile, 200, seed=0)
-        before = simulator.simulate_point(SPACE, point, cached)
-        simulator.simulate_batch(SPACE, [point], cached)
+        (before,) = simulate_on("scalar", cached, [config], simulator)
+        simulate_on("batch", cached, [config], simulator)
         # every branch on one static site: a different branch stream
         aliased = dataclasses.replace(
             cached,
@@ -505,11 +578,11 @@ class TestTraceCacheLRU:
             cached.name, len(cached), cached.metadata["seed"]
         )
         assert not np.array_equal(aliased.branch_site, cached.branch_site)
-        got = simulator.simulate_point(SPACE, point, aliased)
-        want = Simulator().simulate_point(SPACE, point, aliased)
-        assert_identical([got], [want])
+        (got,) = simulate_on("scalar", aliased, [config], simulator)
+        want = simulate_on("scalar", aliased, [config])
+        assert_identical([got], want)
         assert got.counts.mispredicts != before.counts.mispredicts
-        assert_identical(simulator.simulate_batch(SPACE, [point], aliased), [want])
+        assert_identical(simulate_on("batch", aliased, [config], simulator), want)
         # each trace object memoizes the streams of its own columns
         key = ("simulator", "branch_stream")
         assert aliased.derived(key, list) != cached.derived(key, list)

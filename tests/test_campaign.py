@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.harness import fit_campaign_models, get_scale, run_campaign
-from repro.simulator import Simulator
+from repro.simulator import Simulator, config_from_point
 from repro.workloads import get_profile
 
 
@@ -105,8 +105,8 @@ class TestModelFitting:
             assert models[bench]["watts"].r_squared > 0.9
 
     def test_serial_matches_scalar_per_point_loop(self, mini_campaign):
-        """The batch-kernel campaign equals an independent per-point
-        scalar simulation of the same designs, bit for bit."""
+        """The batch-kernel campaign equals an independent one-design
+        simulation of each of the same designs, bit for bit."""
         simulator = Simulator()
         scale = mini_campaign.scale
         for bench in ("gzip", "mcf"):
@@ -116,8 +116,11 @@ class TestModelFitting:
             for split in ("train", "validation"):
                 dataset = mini_campaign.dataset(bench, split)
                 results = [
-                    simulator.simulate_point(mini_campaign.space, point, trace)
+                    result
                     for point in dataset.points
+                    for result in simulator.simulate(
+                        trace, [config_from_point(mini_campaign.space, point)]
+                    )
                 ]
                 assert np.array_equal(
                     dataset.metrics["bips"], np.array([r.bips for r in results])

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from repro.simulator import Simulator
+from repro.simulator import Simulator, config_from_point
 from repro.simulator.results import ActivityCounts
 from repro.studies.common import PredictionTable, StudyContext
 from repro.workloads import get_profile
@@ -87,47 +87,45 @@ class TestStudyContext:
         assert ctx.model("gzip", "watts").spec.response == "watts"
 
     def test_simulate_uses_scale_trace_length(self, ctx):
-        result = ctx.simulate("gzip", ctx.baseline)
+        (result,) = ctx.simulate("gzip", [ctx.baseline])
         assert result.instructions == ctx.scale.trace_length
 
 
 class TestSimulatorFacadeMore:
-    def test_simulate_many(self, ctx):
+    def test_simulate_block(self, ctx):
         from repro.workloads import generate_trace, get_profile
 
         trace = generate_trace(get_profile("gzip"), 800, seed=2)
-        points = ctx.exploration_points()[:3]
-        results = ctx.simulator.simulate_batch(
-            ctx.exploration_space, points, trace
-        )
+        configs = [
+            config_from_point(ctx.exploration_space, point)
+            for point in ctx.exploration_points()[:3]
+        ]
+        results = ctx.simulator.simulate(trace, configs)
         assert len(results) == 3
         assert all(r.bips > 0 for r in results)
 
 
 class TestGroundTruthMemo:
-    """``simulate``/``simulate_many`` share one (benchmark, design) memo."""
+    """``StudyContext.simulate`` memoizes per (benchmark, MachineConfig)."""
 
     @pytest.fixture
     def fresh(self, test_scale):
-        """A context with an empty memo that counts simulated designs."""
+        """A context with an empty memo that records each simulator call."""
         context = StudyContext(scale=test_scale, simulator=Simulator())
-        context.batch_calls = []
-        context.scalar_calls = []
-        simulate_batch = context.simulator.simulate_batch
-        simulate_point = context.simulator.simulate_point
+        context.calls = []
+        simulate = context.simulator.simulate
 
-        def counting_batch(space, points, trace, **kwargs):
-            points = list(points)
-            context.batch_calls.append(points)
-            return simulate_batch(space, points, trace, **kwargs)
+        def counting(trace, configs):
+            configs = list(configs)
+            context.calls.append(configs)
+            return simulate(trace, configs)
 
-        def counting_point(space, point, trace, **kwargs):
-            context.scalar_calls.append(point)
-            return simulate_point(space, point, trace, **kwargs)
-
-        context.simulator.simulate_batch = counting_batch
-        context.simulator.simulate_point = counting_point
+        context.simulator.simulate = counting
         return context
+
+    @staticmethod
+    def config(context, point):
+        return config_from_point(context.exploration_space, point)
 
     @staticmethod
     def assert_same(result, reference):
@@ -141,52 +139,64 @@ class TestGroundTruthMemo:
 
     def test_mixed_hits_and_misses_in_input_order(self, fresh):
         a, b, c = (fresh.exploration_points()[i] for i in (0, 1, 2))
-        fresh.simulate("gzip", b)
+        fresh.simulate("gzip", [b])
         points = [a, b, c, a]
-        results = fresh.simulate_many("gzip", points)
-        assert fresh.batch_calls == [[a, c]]
+        results = fresh.simulate("gzip", points)
+        assert fresh.calls == [
+            [self.config(fresh, b)],
+            [self.config(fresh, a), self.config(fresh, c)],
+        ]
         reference = Simulator()
         trace = reference.trace_for(
             get_profile("gzip"), fresh.scale.trace_length, seed=fresh.scale.seed
         )
         assert len(results) == len(points)
         for point, result in zip(points, results):
-            self.assert_same(
-                result,
-                reference.simulate_point(fresh.exploration_space, point, trace),
-            )
+            (want,) = reference.simulate(trace, [self.config(fresh, point)])
+            self.assert_same(result, want)
 
     def test_duplicate_within_a_call_is_simulated_once(self, fresh):
         point = fresh.exploration_points()[3]
-        first, second = fresh.simulate_many("mcf", [point, point])
-        assert fresh.batch_calls == [[point]]
+        first, second = fresh.simulate("mcf", [point, point])
+        assert fresh.calls == [[self.config(fresh, point)]]
         assert first is second
 
-    def test_simulate_hit_serves_simulate_many(self, fresh):
+    def test_point_request_serves_config_request(self, fresh):
         point = fresh.exploration_points()[4]
-        single = fresh.simulate("gzip", point)
-        assert fresh.simulate_many("gzip", [point]) == [single]
-        assert fresh.batch_calls == []
-        assert fresh.scalar_calls == [point]
+        (by_point,) = fresh.simulate("gzip", [point])
+        (by_config,) = fresh.simulate("gzip", [self.config(fresh, point)])
+        assert by_config is by_point
+        assert len(fresh.calls) == 1
 
-    def test_simulate_many_hit_serves_simulate(self, fresh):
+    def test_config_request_serves_point_request(self, fresh):
         point = fresh.exploration_points()[5]
-        (batched,) = fresh.simulate_many("gzip", [point])
-        assert fresh.simulate("gzip", point) is batched
-        assert fresh.scalar_calls == []
-        assert len(fresh.batch_calls) == 1
+        (by_config,) = fresh.simulate("gzip", [self.config(fresh, point)])
+        (by_point,) = fresh.simulate("gzip", [point])
+        assert by_point is by_config
+        assert len(fresh.calls) == 1
 
     def test_repeated_call_makes_no_kernel_call(self, fresh):
         points = list(fresh.exploration_points()[:3])
-        first = fresh.simulate_many("gzip", points)
-        second = fresh.simulate_many("gzip", points)
+        first = fresh.simulate("gzip", points)
+        second = fresh.simulate("gzip", points)
         assert [r is s for r, s in zip(first, second)] == [True] * 3
-        assert len(fresh.batch_calls) == 1
-        assert fresh.scalar_calls == []
+        assert len(fresh.calls) == 1
 
     def test_memo_is_per_benchmark(self, fresh):
         point = fresh.exploration_points()[6]
-        gzip = fresh.simulate("gzip", point)
-        mcf = fresh.simulate("mcf", point)
-        assert fresh.scalar_calls == [point, point]
+        (gzip,) = fresh.simulate("gzip", [point])
+        (mcf,) = fresh.simulate("mcf", [point])
+        assert len(fresh.calls) == 2
         assert mcf.benchmark == "mcf" and gzip.benchmark == "gzip"
+
+    def test_rerun_of_configs_outside_the_exploration_space_hits(self, fresh):
+        """X5 (sampling space), X7 (extended space) and X8 (prefetch
+        configs) share the memo: a second run makes no simulator call."""
+        from repro.experiments import run_experiment
+
+        for experiment_id in ("X5", "X7", "X8"):
+            first = run_experiment(experiment_id, ctx=fresh)
+            fresh.calls.clear()
+            second = run_experiment(experiment_id, ctx=fresh)
+            assert fresh.calls == [], experiment_id
+            assert second.text == first.text

@@ -112,7 +112,9 @@ class TestFromPoint:
 
     def test_overrides_win(self):
         space = exploration_space()
-        config = config_from_point(space, baseline_point(space), in_order=True)
+        config = config_from_point(space, baseline_point(space)).with_overrides(
+            in_order=True
+        )
         assert config.in_order is True
 
     def test_extended_space_parameters_honoured(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.designspace import exploration_space, sample_uar
 from repro.harness import Dataset, DatasetError
-from repro.simulator import Simulator
+from repro.simulator import Simulator, config_from_point
 from repro.workloads import generate_trace, get_profile
 
 
@@ -19,7 +19,9 @@ def small_dataset(space):
     simulator = Simulator()
     trace = generate_trace(get_profile("gzip"), 1000, seed=1)
     points = sample_uar(space, 6, seed=4)
-    results = [simulator.simulate_point(space, p, trace) for p in points]
+    results = simulator.simulate(
+        trace, [config_from_point(space, p) for p in points]
+    )
     return Dataset.from_results("gzip", space, points, results)
 
 
@@ -45,7 +47,9 @@ class TestConstruction:
     def test_requires_power(self, space):
         simulator = Simulator()
         trace = generate_trace(get_profile("gzip"), 500, seed=1)
-        result = simulator.simulate_point(space, space.point_at(0), trace)
+        (result,) = simulator.simulate(
+            trace, [config_from_point(space, space.point_at(0))]
+        )
         result.watts = None
         with pytest.raises(DatasetError, match="PowerModel"):
             Dataset.from_results("gzip", space, [space.point_at(0)], [result])

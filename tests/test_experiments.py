@@ -84,13 +84,13 @@ class TestContent:
         calls = []
         simulate = ctx.simulate
 
-        def counting(benchmark, point):
-            calls.append((benchmark, point))
-            return simulate(benchmark, point)
+        def counting(benchmark, designs):
+            calls.append((benchmark, list(designs)))
+            return simulate(benchmark, designs)
 
         monkeypatch.setattr(ctx, "simulate", counting)
         run_experiment("X4", ctx=ctx)
-        assert calls == [("gzip", ctx.baseline)]
+        assert calls == [("gzip", [ctx.baseline])]
 
     def test_x5_covers_three_samplers(self, ctx):
         result = run_experiment("X5", ctx=ctx)

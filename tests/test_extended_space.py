@@ -15,7 +15,7 @@ from repro.regression import (
     fit_ols,
     prediction_errors,
 )
-from repro.simulator import Simulator
+from repro.simulator import Simulator, config_from_point
 from repro.workloads import generate_trace, get_profile
 
 
@@ -26,7 +26,9 @@ def extended_dataset():
     simulator = Simulator()
     trace = generate_trace(get_profile("gzip"), 1200, seed=9)
     points = sample_uar(space, 90, seed=9)
-    results = [simulator.simulate_point(space, p, trace) for p in points]
+    results = simulator.simulate(
+        trace, [config_from_point(space, p) for p in points]
+    )
     encoder = DesignEncoder(space)
     matrix = encoder.encode(points)
     data = {n: matrix[:, j] for j, n in enumerate(encoder.feature_names)}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.regression import error_table, validate_model
-from repro.simulator import Simulator, baseline_config
+from repro.simulator import Simulator, baseline_config, config_from_point
 from repro.studies import heterogeneity, pareto
 from repro.workloads import generate_trace, get_profile
 
@@ -71,7 +71,7 @@ class TestMemoryModelAgreement:
         L2-resident, so the steady-state model sends almost no traffic to
         memory."""
         trace = generate_trace(get_profile("gzip"), 4000, seed=7)
-        result = Simulator().simulate(trace, baseline_config())
+        (result,) = Simulator().simulate(trace, [baseline_config()])
         assert result.counts.memory_accesses / len(trace) < 0.01
 
 
@@ -82,8 +82,9 @@ class TestDeterminism:
         assert table_a.bips[0] == table_b.bips[0]
 
     def test_simulation_reproducible(self, ctx):
-        a = ctx.simulate("gzip", ctx.baseline)
-        b = ctx.simulate("gzip", ctx.baseline)
+        (a,) = ctx.simulate("gzip", [ctx.baseline])
+        config = config_from_point(ctx.exploration_space, ctx.baseline)
+        (b,) = Simulator().simulate(ctx.trace("gzip"), [config])
         assert a.cycles == b.cycles
         assert a.watts == pytest.approx(b.watts)
 
@@ -91,8 +92,8 @@ class TestDeterminism:
 class TestExtensionParameters:
     def test_in_order_machines_simulate(self):
         trace = generate_trace(get_profile("gzip"), 1200, seed=3)
-        ooo = Simulator().simulate(trace, baseline_config())
-        ino = Simulator().simulate(
-            trace, baseline_config().with_overrides(in_order=True)
+        ooo, ino = Simulator().simulate(
+            trace,
+            [baseline_config(), baseline_config().with_overrides(in_order=True)],
         )
         assert ino.bips < ooo.bips

@@ -71,7 +71,7 @@ class TestPrediction:
         model, trace = gzip_model
         config = baseline_config()
         predicted = model.predict_bips(config)
-        actual = Simulator().simulate(trace, config).bips
+        (actual,) = [r.bips for r in Simulator().simulate(trace, [config])]
         assert predicted == pytest.approx(actual, rel=0.35)
 
     def test_rank_correlation_with_simulator(self, gzip_model):
@@ -83,10 +83,10 @@ class TestPrediction:
         model, trace = gzip_model
         space = exploration_space()
         simulator = Simulator()
-        points = sample_uar(space, 20, seed=5)
-        predicted, actual = [], []
-        for point in points:
-            config = config_from_point(space, point)
-            predicted.append(model.predict_bips(config))
-            actual.append(simulator.simulate(trace, config).bips)
+        configs = [
+            config_from_point(space, point)
+            for point in sample_uar(space, 20, seed=5)
+        ]
+        predicted = [model.predict_bips(config) for config in configs]
+        actual = [r.bips for r in simulator.simulate(trace, configs)]
         assert spearman(np.array(predicted), np.array(actual)) > 0.6

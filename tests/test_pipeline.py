@@ -249,7 +249,7 @@ class TestMemoryInjection:
 
 class TestSimulatorFacade:
     def test_result_fields(self, gzip_trace):
-        result = Simulator().simulate(gzip_trace, baseline_config())
+        (result,) = Simulator().simulate(gzip_trace, [baseline_config()])
         assert result.benchmark == "gzip"
         assert result.instructions == len(gzip_trace)
         assert result.watts is not None and result.watts > 0

@@ -12,7 +12,8 @@ from repro.workloads import generate_trace, get_profile
 @pytest.fixture(scope="module")
 def baseline_result():
     trace = generate_trace(get_profile("gzip"), 1500, seed=2)
-    return Simulator().simulate(trace, baseline_config())
+    (result,) = Simulator().simulate(trace, [baseline_config()])
+    return result
 
 
 class TestCacti:
@@ -157,22 +158,21 @@ class TestPowerModel:
     def test_power_range_across_space_extremes(self):
         trace = generate_trace(get_profile("mesa"), 1500, seed=2)
         simulator = Simulator()
-        big = simulator.simulate(
+        big, small = simulator.simulate(
             trace,
-            baseline_config().with_overrides(
-                depth_fo4=12.0, width=8, functional_units=4,
-                gpr_phys=130, fpr_phys=112, spr_phys=96,
-                ls_queue=45, store_queue=42,
-                il1_kb=256.0, dl1_kb=128.0, l2_mb=4.0,
-            ),
-        )
-        small = simulator.simulate(
-            trace,
-            baseline_config().with_overrides(
-                depth_fo4=30.0, width=2, functional_units=1,
-                gpr_phys=40, fpr_phys=40, spr_phys=42,
-                ls_queue=15, store_queue=14,
-                il1_kb=16.0, dl1_kb=8.0, l2_mb=0.25,
-            ),
+            [
+                baseline_config().with_overrides(
+                    depth_fo4=12.0, width=8, functional_units=4,
+                    gpr_phys=130, fpr_phys=112, spr_phys=96,
+                    ls_queue=45, store_queue=42,
+                    il1_kb=256.0, dl1_kb=128.0, l2_mb=4.0,
+                ),
+                baseline_config().with_overrides(
+                    depth_fo4=30.0, width=2, functional_units=1,
+                    gpr_phys=40, fpr_phys=40, spr_phys=42,
+                    ls_queue=15, store_queue=14,
+                    il1_kb=16.0, dl1_kb=8.0, l2_mb=0.25,
+                ),
+            ],
         )
         assert big.watts > 4 * small.watts  # the paper's wide dynamic range

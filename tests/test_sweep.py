@@ -38,6 +38,18 @@ def predictor(ctx):
     return ctx.predictor("gzip")
 
 
+def collect(predictor, points, block_size):
+    """Full (bips, watts) vectors of one sweep at ``block_size``."""
+    report = run_sweep(
+        [predictor],
+        points,
+        [[CollectReducer(metrics=("bips", "watts"))]],
+        block_size=block_size,
+    )
+    collected = report.results[0][0]
+    return collected.metric("bips"), collected.metric("watts")
+
+
 @pytest.fixture(scope="module")
 def exploration(ctx):
     return ctx.exploration_points()
@@ -113,8 +125,8 @@ class TestSources:
             space, [space.point_at(int(i)) for i in indices]
         )
         assert np.array_equal(by_list.indices, indices)
-        bips_a, watts_a = predict_source(predictor, by_index, block_size=64)
-        bips_b, watts_b = predict_source(predictor, by_list, block_size=64)
+        bips_a, watts_a = collect(predictor, by_index, block_size=64)
+        bips_b, watts_b = collect(predictor, by_list, block_size=64)
         assert bips_a.tobytes() == bips_b.tobytes()
         assert watts_a.tobytes() == watts_b.tobytes()
 
@@ -124,7 +136,7 @@ class TestBlockwisePrediction:
         """Blockwise == whole-table: same values, bit for bit, when the
         block decomposition matches (one monolithic block)."""
         table = ctx.predict_points("gzip", list(exploration))
-        bips, watts = predict_source(
+        bips, watts = collect(
             ctx.predictor("gzip"), exploration, block_size=len(exploration)
         )
         assert np.array_equal(bips, table.bips)
@@ -784,8 +796,7 @@ class TestStudyContextIntegration:
         monkeypatch.setattr(
             simulator_module, "generate_trace", spying_generate_trace
         )
-        points = list(fresh.exploration_points()[:4])
-        for point in points:
-            fresh.simulate("gzip", point)
-        fresh.simulate_many("gzip", list(fresh.exploration_points()[4:8]))
+        for point in fresh.exploration_points()[:4]:
+            fresh.simulate("gzip", [point])
+        fresh.simulate("gzip", list(fresh.exploration_points()[4:8]))
         assert len(calls) == 1

@@ -16,7 +16,8 @@ from repro.workloads import generate_trace, get_profile
 @pytest.fixture(scope="module")
 def result():
     trace = generate_trace(get_profile("gzip"), 1500, seed=2)
-    return Simulator().simulate(trace, baseline_config())
+    (result,) = Simulator().simulate(trace, [baseline_config()])
+    return result
 
 
 class TestSplitPower:
