@@ -24,7 +24,7 @@ def trace():
 def test_simulation_throughput(benchmark, trace):
     """Cycle-level simulation: the expensive path regression replaces."""
     simulator = Simulator()
-    result = benchmark(simulator.simulate, trace, baseline_config())
+    [result] = benchmark(simulator.simulate, trace, [baseline_config()])
     assert result.bips > 0
 
 

@@ -1,14 +1,15 @@
 """Benchmark fixtures.
 
-Each ``bench_*.py`` regenerates one paper artifact (see DESIGN.md's
-experiment index) and reports its wall time via pytest-benchmark.  The
-expensive shared phase — the simulation campaign and model fit — is built
-once per session through the shared study context and cached on disk, so
-individual benches time the *study* work, not the substrate.
+The ``bench_*.py`` files time the substrate and gate its fast paths:
+component throughput, the sweep engine, the batch kernel and tracing
+overhead.  Paper artifacts are regenerated, with their seconds, by
+``repro run <id>``; ``tests/golden/test.json`` pins all of them.  The
+shared phase — the simulation campaign and model fit — is built once per
+session through the shared study context and cached on disk, so benches
+that need a fitted model do not time it.
 
 Scale: ``REPRO_SCALE`` (ci/default/paper); benches default to ``ci`` so the
-whole suite runs in seconds.  Run with ``REPRO_SCALE=default`` for the
-EXPERIMENTS.md numbers.
+whole suite runs in seconds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 
 import pytest
 
-from repro.experiments import run_experiment, shared_context
+from repro.experiments import shared_context
 from repro.harness import get_scale
 
 
@@ -29,25 +30,6 @@ def bench_scale():
 @pytest.fixture(scope="session")
 def ctx(bench_scale):
     context = shared_context(bench_scale)
-    # Force the campaign + model fit ahead of timing any experiment.
+    # Force the campaign + model fit ahead of any timed bench.
     context.models
     return context
-
-
-@pytest.fixture
-def run_paper_experiment(benchmark, ctx):
-    """Benchmark one experiment once and emit its rendered output."""
-
-    def run(experiment_id: str):
-        result = benchmark.pedantic(
-            run_experiment,
-            args=(experiment_id,),
-            kwargs={"ctx": ctx},
-            rounds=1,
-            iterations=1,
-        )
-        print()
-        print(result.text)
-        return result
-
-    return run

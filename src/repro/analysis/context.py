@@ -4,16 +4,19 @@ A :class:`ModuleContext` wraps one parsed source file: its AST, source
 lines, best-effort dotted module name, the ``repro`` package it belongs to
 (for layering checks) and an import-alias table that lets rules resolve
 ``np.random.seed`` back to ``numpy.random.seed`` regardless of how numpy
-was imported.  A :class:`ProjectContext` is the collection of module
-contexts handed to whole-program rules (the cross-layer contract checks).
+was imported.  The tree is walked once, into :attr:`ModuleContext.nodes`,
+which the alias table and every module rule read instead of re-walking.
+A :class:`ProjectContext` is the collection of module contexts handed to
+whole-program rules (the cross-layer contract checks).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: Packages of ``repro`` ordered into layers; a module may only import
 #: packages of strictly lower rank (``cli``/``experiments``/``__main__``
@@ -72,7 +75,7 @@ def _relative_base(module: str, is_package: bool, level: int) -> Optional[str]:
 
 
 def _collect_aliases(
-    tree: ast.AST, module: str = "", is_package: bool = False
+    nodes: Iterable[ast.AST], module: str = "", is_package: bool = False
 ) -> Dict[str, str]:
     """Map local names to the dotted import target they refer to.
 
@@ -82,10 +85,11 @@ def _collect_aliases(
     targets — ``from ..obs.metrics import x`` inside ``repro.harness.y``
     yields ``{"x": "repro.obs.metrics.x"}`` — which is what lets the
     dataflow call graph follow intra-repo calls.  Star imports bind no
-    usable local name and are skipped.
+    usable local name and are skipped.  ``nodes`` is a walked tree
+    (:attr:`ModuleContext.nodes`, or ``ast.walk(tree)``).
     """
     aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -123,6 +127,18 @@ class ModuleContext:
     tree: ast.Module
     is_test: bool
     aliases: Dict[str, str] = field(default_factory=dict)
+    #: Every node of ``tree`` in ``ast.walk`` order, listed once.
+    nodes: List[ast.AST] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.nodes = list(ast.walk(self.tree))
+
+    @cached_property
+    def scopes(self):
+        """The module's :class:`~.scopes.ScopeIndex`, built on first use."""
+        from .scopes import ScopeIndex
+
+        return ScopeIndex(self.tree)
 
     def source_line(self, lineno: int) -> str:
         """Stripped source text of 1-based ``lineno`` (baseline fingerprint)."""
@@ -214,9 +230,9 @@ def build_module_context(
         lines=source.splitlines(),
         tree=tree,
         is_test=is_test_path(relpath),
-        aliases=_collect_aliases(
-            tree, module=module, is_package=Path(relpath).stem == "__init__"
-        ),
+    )
+    ctx.aliases = _collect_aliases(
+        ctx.nodes, module=module, is_package=Path(relpath).stem == "__init__"
     )
     return ctx, None
 
@@ -226,7 +242,7 @@ class ProjectContext:
     """All module contexts of one analysis run.
 
     ``summaries`` optionally carries precomputed per-module dataflow
-    summaries (the runner supplies them, cache- and worker-sourced);
+    summaries (the runner supplies them, computed or read from the cache);
     :meth:`dataflow` builds them on demand otherwise, so project rules can
     always ask for the interprocedural index.
     """

@@ -5,17 +5,21 @@ Each analyzed source file gets one JSON entry under the cache directory
 version, the file's repo-relative path, the selected module-rule ids,
 and the file's content bytes.  Any of those changing — an edit, a rule
 added or removed, a schema bump — changes the key, so stale entries are
-simply never looked up again (``prune`` removes them opportunistically).
+simply never looked up again.  Nothing removes them: entries only
+accumulate, and ``rm -rf .repro_cache/analysis`` clears them.
 
 Entries store both the module's dataflow summary and the module-scoped
-findings, so a warm run skips parsing entirely for unchanged files.
-Loads are tolerant: a corrupt or unreadable entry behaves like a miss.
-Writes go through a temp file + ``os.replace`` so parallel workers never
-observe a half-written entry.
+findings, so a warm run skips the module rules and summarization for
+unchanged files.  Loads are tolerant: a corrupt or unreadable entry
+behaves like a miss.  Writes go through a temp file + ``os.replace`` so
+a concurrent run never observes a half-written entry, and IO failures
+are swallowed: the cache degrades to a no-op rather than failing the
+analysis.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -46,11 +50,6 @@ class SummaryCache:
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
-        self.hits = 0
-        self.misses = 0
-        #: Write/unlink failures — the cache degrades to a no-op rather
-        #: than failing the analysis, but the count stays observable.
-        self.io_errors = 0
 
     def _entry_path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -67,9 +66,7 @@ class SummaryCache:
                 Finding.from_dict(f) for f in payload.get("findings", [])
             ]
         except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
             return None
-        self.hits += 1
         return summary, findings
 
     def store(
@@ -93,27 +90,8 @@ class SummaryCache:
                     json.dump(payload, handle)
                 os.replace(tmp, self._entry_path(key))
             except BaseException:
-                try:
+                with contextlib.suppress(OSError):
                     os.unlink(tmp)
-                except OSError:
-                    self.io_errors += 1
                 raise
         except OSError:
-            self.io_errors += 1
-
-    def prune(self, live_keys: Sequence[str]) -> int:
-        """Drop entries not in ``live_keys``; returns how many went."""
-        live = {f"{key}.json" for key in live_keys}
-        removed = 0
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return 0
-        for name in names:
-            if name.endswith(".json") and name not in live:
-                try:
-                    os.unlink(self.directory / name)
-                    removed += 1
-                except OSError:
-                    self.io_errors += 1
-        return removed
+            return  # an unwritable cache leaves the run uncached

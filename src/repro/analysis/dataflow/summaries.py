@@ -6,8 +6,8 @@ module-level mutable state, per-function global writes, parameter
 mutations, RNG construction/escape events, and every call site with its
 best-effort resolved target.  Summaries are plain data (``to_dict`` /
 ``from_dict`` round-trip through JSON), which is what makes the on-disk
-summary cache and the parallel module phase possible: a worker process
-or a warm cache entry ships the summary, never the tree.
+summary cache possible: a warm cache entry holds the summary, never the
+tree.
 
 Resolution here is *name-level and conservative*: a call is resolved
 when its target chain starts at a module-level def, an import alias
@@ -20,6 +20,7 @@ raw dotted text — the graph layer and the rules treat them as opaque.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -396,6 +397,9 @@ class _FunctionWalker:
         self.class_name = class_name
         self.mod = module_summary
         self.local_defs = local_defs
+        #: The body in document order, nested defs skipped; every pass
+        #: below reads this one list.
+        self.shallow = list(_walk_shallow(node))
         self.params = _param_names(node.args)
         self.none_defaults = _none_default_params(node.args)
         self.globals_declared: set = set()
@@ -442,7 +446,7 @@ class _FunctionWalker:
 
     def collect_locals(self) -> None:
         """Pre-pass: parameter/assignment names and ``global`` decls."""
-        for child in _walk_shallow(self.node):
+        for child in self.shallow:
             if isinstance(child, ast.Global):
                 self.globals_declared.update(child.names)
             elif isinstance(child, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
@@ -484,11 +488,10 @@ class _FunctionWalker:
         ``Return`` node is the *parent* of the call expression, so a
         single document-order pass would see it too early).
         """
-        shallow = list(_walk_shallow(self.node))
-        for child in shallow:
+        for child in self.shallow:
             if isinstance(child, ast.Call):
                 self._handle_call(child)
-        for child in shallow:
+        for child in self.shallow:
             if isinstance(child, ast.Assign):
                 for target in child.targets:
                     self._handle_write(target, child.value, child.lineno,
@@ -501,7 +504,7 @@ class _FunctionWalker:
                                    kind="augment")
             elif isinstance(child, ast.Return) and child.value is not None:
                 self._handle_return(child.value)
-        for child in shallow:
+        for child in self.shallow:
             # A local bound to an RNG generator and passed into a call
             # escapes as an argument (needs rng_names from pass two).
             if isinstance(child, ast.Call):
@@ -668,7 +671,7 @@ class _FunctionWalker:
             if name:
                 decorators.append(name)
         # RNG names assigned to a ``global``-declared name escape globally.
-        for child in _walk_shallow(self.node):
+        for child in self.shallow:
             if isinstance(child, ast.Assign):
                 for target in child.targets:
                     if (
@@ -750,11 +753,7 @@ def _summarize_functions(
 ) -> List[FunctionSummary]:
     """Summaries for a def and (recursively) its named nested defs."""
     qualname = f"{prefix}.{node.name}"
-    nested = [
-        child for child in ast.walk(node)
-        if isinstance(child, _FUNC_NODES) and child is not node
-        and _is_direct_nested(node, child)
-    ]
+    nested = _direct_nested_defs(node)
     local_defs = {child.name: f"{qualname}.{child.name}" for child in nested}
     walker = _FunctionWalker(
         ctx, node, qualname, class_name, module_summary, local_defs
@@ -770,18 +769,21 @@ def _summarize_functions(
     return summaries
 
 
-def _is_direct_nested(parent: ast.AST, child: ast.AST) -> bool:
-    """Whether ``child`` is nested in ``parent`` with no def in between."""
-    for intermediate in ast.walk(parent):
-        if intermediate is parent or not isinstance(
-            intermediate, _FUNC_NODES + (ast.ClassDef,)
-        ):
-            continue
-        if intermediate is child:
-            continue
-        if any(node is child for node in ast.walk(intermediate)):
-            return False
-    return True
+def _direct_nested_defs(parent: ast.AST) -> List[ast.AST]:
+    """Defs nested in ``parent`` with no def or class in between.
+
+    A breadth-first walk that stops at defs and classes, so the defs come
+    out in ``ast.walk`` order.
+    """
+    nested: List[ast.AST] = []
+    queue = deque(ast.iter_child_nodes(parent))
+    while queue:
+        child = queue.popleft()
+        if isinstance(child, _FUNC_NODES):
+            nested.append(child)
+        elif not isinstance(child, ast.ClassDef):
+            queue.extend(ast.iter_child_nodes(child))
+    return nested
 
 
 def summarize_module(ctx: ModuleContext) -> ModuleSummary:

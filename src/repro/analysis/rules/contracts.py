@@ -52,7 +52,7 @@ def defined_parameters(project: ProjectContext) -> Dict[str, _Site]:
     """Primary + derived parameter names defined in ``designspace``."""
     defined: Dict[str, _Site] = {}
     for ctx in project.iter_package("designspace"):
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not (isinstance(node, ast.Call) and _call_name(node) == "Parameter"):
                 continue
             for keyword in node.keywords:
@@ -80,7 +80,7 @@ def consumed_settings(config: ModuleContext) -> List[_Site]:
     def is_settings(node: ast.expr) -> bool:
         return isinstance(node, ast.Name) and node.id == "settings"
 
-    for node in ast.walk(config.tree):
+    for node in config.nodes:
         if isinstance(node, ast.Subscript) and is_settings(node.value):
             index = node.slice
             if isinstance(index, ast.Constant) and isinstance(index.value, str):
@@ -113,7 +113,7 @@ def predictor_references(project: ProjectContext) -> List[_Site]:
     references: List[_Site] = []
     for package in ("regression", "studies"):
         for ctx in project.iter_package(package):
-            for node in ast.walk(ctx.tree):
+            for node in ctx.nodes:
                 if not (
                     isinstance(node, ast.Call)
                     and _call_name(node) in _TERM_CALLS

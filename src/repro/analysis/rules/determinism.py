@@ -70,7 +70,7 @@ class GlobalRandomState(Rule):
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Flag calls resolving to global-state RNG functions."""
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = ctx.resolve(node.func)
@@ -100,7 +100,7 @@ class UnseededGenerator(Rule):
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Flag seedless ``default_rng()`` / ``RandomState()`` / ``Random()``."""
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = ctx.resolve(node.func)

@@ -42,7 +42,7 @@ class BareExcept(Rule):
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Flag handlers with no exception type."""
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield self.finding(
                     ctx,
@@ -66,7 +66,7 @@ class SilentExcept(Rule):
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Flag handlers whose body is only ``pass`` or ``...``."""
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if len(node.body) != 1:
@@ -101,7 +101,7 @@ class MutableDefault(Rule):
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Flag list/dict/set defaults on function signatures."""
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             defaults = list(node.args.defaults) + [

@@ -16,7 +16,6 @@ from typing import Iterator, List, Optional
 from ..context import ModuleContext, root_names
 from ..findings import Finding, Severity
 from ..registry import Rule, register
-from ..scopes import ScopeIndex
 
 #: log/sqrt style calls with restricted domains (log1p and hypot excluded
 #: on purpose: they are usually chosen *for* their safety).
@@ -83,7 +82,7 @@ class FloatEquality(Rule):
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Flag ``==``/``!=`` comparisons with float-valued operands."""
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left] + list(node.comparators)
@@ -116,8 +115,8 @@ class UnguardedDivision(Rule):
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Flag ``x / len(y)`` style divisions lacking a visible guard."""
-        index = ScopeIndex(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        index = ctx.scopes
+        for node in ctx.nodes:
             if not (isinstance(node, ast.BinOp) and isinstance(node.op, _DIV_OPS)):
                 continue
             scope = index.scope_of(node)
@@ -161,8 +160,8 @@ class UnguardedDomainCall(Rule):
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Flag domain-restricted calls with unvetted arguments."""
-        index = ScopeIndex(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        index = ctx.scopes
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = ctx.resolve(node.func)

@@ -42,7 +42,7 @@ class RawClockInHarness(Rule):
         """Flag raw measurement-clock calls in ``repro.harness`` modules."""
         if ctx.package != "harness":
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = ctx.resolve(node.func)

@@ -4,20 +4,16 @@
 pytest gate and CI.  It parses every ``.py`` file under the given paths,
 runs module-scoped rules per file and project-scoped rules once over the
 whole tree, then filters the findings through the baseline.
+:func:`dataflow_index` (``repro analyze --graph``) runs the same module
+phase and keeps only the summaries.
 
-Two scaling features sit behind the same entry point:
-
-- **Summary cache** (``cache_dir``): per-file module findings and the
-  dataflow summary are stored keyed by a sha256 over the file's content,
-  its relpath, the module-rule set, and the summary schema version.  On
-  a warm cache, unchanged files skip module-rule execution and
-  summarization entirely (the driver still parses, because
-  project-scoped rules walk the trees).
-- **Parallel module phase** (``jobs``): cache-miss files are farmed to a
-  ``ProcessPoolExecutor``; workers re-parse, run the module rules,
-  summarize, populate the cache, and ship plain dicts back.  Findings
-  are bit-identical to a serial run — the phase is embarrassingly
-  parallel and the project phase always runs in the driver.
+The module phase walks each tree once (:attr:`ModuleContext.nodes`) and
+runs in-process.  With ``cache_dir`` set it reads and writes the summary
+cache: per-file module findings and the dataflow summary, keyed by a
+sha256 over the file's content, its relpath, the module-rule set and the
+summary schema version.  On a warm cache, unchanged files skip the
+module rules and summarization (the driver still parses, because
+project-scoped rules walk the trees).
 """
 
 from __future__ import annotations
@@ -141,31 +137,54 @@ def _module_findings(ctx: ModuleContext, rules: Sequence[Rule]) -> List[Finding]
     return found
 
 
-def _module_phase_worker(payload: Tuple[str, str, Tuple[str, ...], Optional[str]]):
-    """Process-pool worker: module rules + summary for one file.
+@dataclass
+class _ModulePhase:
+    """Parsed contexts, their summaries and module-scoped findings."""
 
-    Re-parses the file (ASTs don't pickle), runs the module-scoped rules,
-    summarizes, writes the cache entry, and returns plain dicts.  Returns
-    ``None`` when the file fails to parse — the driver already recorded
-    the authoritative PARSE finding from its own parse.
+    contexts: List[ModuleContext] = field(default_factory=list)
+    summaries: List[ModuleSummary] = field(default_factory=list)
+    #: Module-rule findings plus one PARSE finding per unparsable file.
+    findings: List[Finding] = field(default_factory=list)
+    cache_hits: int = 0
+
+
+def _module_phase(
+    files: Sequence[Path],
+    root: Path,
+    module_rules: Sequence[Rule],
+    cache_dir: Optional[Path],
+) -> _ModulePhase:
+    """Parse each file, then run the module rules and summarize it.
+
+    A file whose entry is in the summary cache takes its findings and
+    summary from there; a miss is computed and stored.
     """
-    path_str, root_str, rule_ids, cache_dir = payload
-    ctx, error = build_module_context(Path(path_str), Path(root_str))
-    if ctx is None:
-        return path_str, None
-    rules = [
-        rule for rule in select_rules(rule_ids) if rule.scope == "module"
-    ]
-    findings = _module_findings(ctx, rules)
-    summary = summarize_module(ctx)
-    if cache_dir is not None:
-        cache = SummaryCache(Path(cache_dir))
-        key = cache_key(ctx.relpath, ctx.source.encode("utf-8"), rule_ids)
-        cache.store(key, summary, findings)
-    return path_str, {
-        "findings": [f.to_dict() for f in findings],
-        "summary": summary.to_dict(),
-    }
+    cache = SummaryCache(Path(cache_dir)) if cache_dir is not None else None
+    rule_ids = tuple(sorted(rule.id for rule in module_rules))
+    phase = _ModulePhase()
+    for path in files:
+        ctx, error = build_module_context(path, root)
+        if ctx is None:
+            phase.findings.append(
+                _parse_failure(path, root, error or "unreadable")
+            )
+            continue
+        phase.contexts.append(ctx)
+        entry = None
+        if cache is not None:
+            key = cache_key(ctx.relpath, ctx.source.encode("utf-8"), rule_ids)
+            entry = cache.load(key)
+        if entry is not None:
+            summary, findings = entry
+            phase.cache_hits += 1
+        else:
+            findings = _module_findings(ctx, module_rules)
+            summary = summarize_module(ctx)
+            if cache is not None:
+                cache.store(key, summary, findings)
+        phase.summaries.append(summary)
+        phase.findings.extend(findings)
+    return phase
 
 
 def analyze_paths(
@@ -173,95 +192,27 @@ def analyze_paths(
     root: Optional[Path] = None,
     rules: Optional[Sequence[str]] = None,
     baseline: Optional[Baseline] = None,
-    jobs: int = 1,
     cache_dir: Optional[Path] = None,
 ) -> AnalysisReport:
     """Run the selected rules over ``paths`` and apply ``baseline``.
 
-    ``jobs`` parallelizes the module-rule+summary phase; ``cache_dir``
-    enables the content-addressed summary cache (opt-in: library callers
-    and fixture-rooted test runs should not sprout cache directories).
+    ``cache_dir`` enables the content-addressed summary cache (opt-in:
+    library callers and fixture-rooted test runs should not sprout cache
+    directories).
     """
     root = Path(root) if root is not None else Path.cwd()
     selected: List[Rule] = select_rules(rules)
-    module_rules = [rule for rule in selected if rule.scope == "module"]
-    module_rule_ids = tuple(sorted(rule.id for rule in module_rules))
     files = collect_files(paths)
+    phase = _module_phase(
+        files,
+        root,
+        [rule for rule in selected if rule.scope == "module"],
+        cache_dir,
+    )
 
-    cache = SummaryCache(Path(cache_dir)) if cache_dir is not None else None
-
-    contexts: List[ModuleContext] = []
-    raw_findings: List[Finding] = []
-    for path in files:
-        ctx, error = build_module_context(path, root)
-        if ctx is None:
-            raw_findings.append(_parse_failure(path, root, error or "unreadable"))
-            continue
-        contexts.append(ctx)
-
-    # Module phase: cache lookups first, then compute misses (parallel
-    # when jobs > 1).  Summaries are collected for the project phase.
-    summaries: Dict[str, ModuleSummary] = {}
-    misses: List[ModuleContext] = []
-    cache_hits = 0
-    for ctx in contexts:
-        if cache is not None:
-            key = cache_key(
-                ctx.relpath, ctx.source.encode("utf-8"), module_rule_ids
-            )
-            entry = cache.load(key)
-            if entry is not None:
-                summary, findings = entry
-                summaries[ctx.relpath] = summary
-                raw_findings.extend(findings)
-                cache_hits += 1
-                continue
-        misses.append(ctx)
-
-    if misses and jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [
-            (
-                str(ctx.path),
-                str(root),
-                module_rule_ids,
-                str(cache.directory) if cache is not None else None,
-            )
-            for ctx in misses
-        ]
-        by_path = {str(ctx.path): ctx for ctx in misses}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for path_str, result in pool.map(_module_phase_worker, payloads):
-                ctx = by_path[path_str]
-                if result is None:
-                    # Worker could not parse what the driver could — fall
-                    # back to computing in-process.
-                    raw_findings.extend(_module_findings(ctx, module_rules))
-                    summaries[ctx.relpath] = summarize_module(ctx)
-                    continue
-                raw_findings.extend(
-                    Finding.from_dict(f) for f in result["findings"]
-                )
-                summaries[ctx.relpath] = ModuleSummary.from_dict(
-                    result["summary"]
-                )
-    else:
-        for ctx in misses:
-            findings = _module_findings(ctx, module_rules)
-            summary = summarize_module(ctx)
-            raw_findings.extend(findings)
-            summaries[ctx.relpath] = summary
-            if cache is not None:
-                key = cache_key(
-                    ctx.relpath, ctx.source.encode("utf-8"), module_rule_ids
-                )
-                cache.store(key, summary, findings)
-
+    raw_findings = phase.findings
     project = ProjectContext(
-        root=root,
-        modules=contexts,
-        summaries=[summaries[ctx.relpath] for ctx in contexts],
+        root=root, modules=phase.contexts, summaries=phase.summaries
     )
     for rule in selected:
         if rule.scope == "project":
@@ -279,7 +230,7 @@ def analyze_paths(
         findings=active,
         suppressed=suppressed,
         stale_baseline=stale,
-        cache_hits=cache_hits,
+        cache_hits=phase.cache_hits,
     )
 
 
@@ -290,26 +241,10 @@ def dataflow_index(
 ) -> DataflowIndex:
     """Build just the interprocedural index (``repro analyze --graph``).
 
-    Shares the summary cache with :func:`analyze_paths` when the cached
-    entry's rule set matches the full module-rule set (the CLI default).
+    Runs :func:`analyze_paths`'s module phase with every module rule, so
+    it shares the CLI's summary-cache entries.
     """
     root = Path(root) if root is not None else Path.cwd()
-    module_rule_ids = tuple(
-        sorted(rule.id for rule in select_rules(None) if rule.scope == "module")
-    )
-    cache = SummaryCache(Path(cache_dir)) if cache_dir is not None else None
-    summaries: List[ModuleSummary] = []
-    for path in collect_files(paths):
-        ctx, _error = build_module_context(path, root)
-        if ctx is None:
-            continue
-        if cache is not None:
-            key = cache_key(
-                ctx.relpath, ctx.source.encode("utf-8"), module_rule_ids
-            )
-            entry = cache.load(key)
-            if entry is not None:
-                summaries.append(entry[0])
-                continue
-        summaries.append(summarize_module(ctx))
-    return build_index(summaries)
+    module_rules = [rule for rule in select_rules(None) if rule.scope == "module"]
+    phase = _module_phase(collect_files(paths), root, module_rules, cache_dir)
+    return build_index(phase.summaries)

@@ -273,14 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered rules and exit",
     )
     analyze_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="parallel workers for the parse+module-rule phase (default 1)",
-    )
-    analyze_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the per-file summary cache (.repro_cache/analysis/)",
-    )
-    analyze_parser.add_argument(
         "--graph", action="store_true",
         help="dump the import/call graph (entrypoints, RNG factories) as "
         "JSON and exit",
@@ -396,11 +388,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
 
-    cache_dir = None if args.no_cache else CACHE_SUBDIR
-
     if args.graph:
         try:
-            index = dataflow_index(paths, cache_dir=cache_dir)
+            index = dataflow_index(paths, cache_dir=CACHE_SUBDIR)
         except UsageError as error:
             print(error, file=sys.stderr)
             return 2
@@ -428,8 +418,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             paths,
             rules=selected,
             baseline=baseline,
-            jobs=max(1, args.jobs),
-            cache_dir=cache_dir,
+            cache_dir=CACHE_SUBDIR,
         )
     except UsageError as error:
         print(error, file=sys.stderr)

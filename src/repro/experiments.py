@@ -2,8 +2,8 @@
 
 Each runner regenerates the data behind one artifact of the paper's
 evaluation (see DESIGN.md's experiment index) and renders it as text.
-The registry powers both the CLI (``repro run F5a``) and the benchmark
-harness (``benchmarks/bench_*.py``).
+The registry powers the CLI (``repro run F5a``, which prints each
+experiment's seconds) and the golden digests (``tests/golden/``).
 
 Experiment ids: T1-T4 (tables), F1-F9b (figures), X1-X12 (extensions).
 """

@@ -3,7 +3,7 @@
 Covers the per-function summaries, call-graph resolution (including
 re-exports through package ``__init__`` alias maps), pool-entrypoint
 detection, reachability, the RNG-factory fixpoint, the content-keyed
-summary cache, and parallel-vs-serial equivalence of the runner.
+summary cache, and the runner's single walk per module.
 """
 
 import ast
@@ -14,7 +14,6 @@ import pytest
 
 from repro.analysis import (
     Baseline,
-    SummaryCache,
     UsageError,
     analyze_paths,
     build_index,
@@ -24,6 +23,7 @@ from repro.analysis import (
 )
 from repro.analysis.context import build_module_context
 from repro.analysis.dataflow import ModuleSummary, cache_key
+from repro.analysis.scopes import ScopeIndex
 
 FIXTURES = Path(__file__).parent / "fixtures" / "analysis"
 
@@ -326,39 +326,31 @@ class TestSummaryCache:
         assert warm.findings == []
         assert len(warm.suppressed) == 1
 
-    def test_prune_drops_dead_entries(self, tmp_path):
-        cache = SummaryCache(tmp_path / "cache")
-        (tmp_path / "cache").mkdir()
-        (tmp_path / "cache" / "dead.json").write_text("{}")
-        (tmp_path / "cache" / "live.json").write_text("{}")
-        assert cache.prune(["live"]) == 1
-        assert (tmp_path / "cache" / "live.json").exists()
 
+class TestSinglePass:
+    def test_each_module_tree_is_walked_once(self, monkeypatch):
+        walked = []
+        scope_builds = []
+        walk = ast.walk
+        build_scopes = ScopeIndex.__init__
 
-class TestParallelRunner:
-    def test_jobs_matches_serial_findings(self):
-        for subdir in ("concurrency", "rng_escape", "purity"):
-            root = FIXTURES / subdir
-            serial = analyze_paths([root], root=root)
-            parallel = analyze_paths([root], root=root, jobs=2)
-            assert [f.to_dict() for f in parallel.findings] == [
-                f.to_dict() for f in serial.findings
-            ], subdir
+        def counting_walk(node):
+            if isinstance(node, ast.Module):
+                walked.append(node)
+            return walk(node)
 
-    def test_jobs_with_cache_populates_it(self, tmp_path):
-        root = _tree(tmp_path, {
-            "src/a.py": '"""Doc."""\n\nVALUE = 1\n',
-            "src/b.py": '"""Doc."""\n\nOTHER = 2\n',
-        })
-        cache_dir = tmp_path / "cache"
-        cold = analyze_paths(
-            [root / "src"], root=root, jobs=2, cache_dir=cache_dir
-        )
-        assert cold.cache_hits == 0
-        warm = analyze_paths(
-            [root / "src"], root=root, jobs=2, cache_dir=cache_dir
-        )
-        assert warm.cache_hits == 2
+        def counting_build(self, tree):
+            scope_builds.append(tree)
+            build_scopes(self, tree)
+
+        monkeypatch.setattr(ast, "walk", counting_walk)
+        monkeypatch.setattr(ScopeIndex, "__init__", counting_build)
+        report = analyze_paths([FIXTURES], root=FIXTURES)
+        files = len(collect_files([FIXTURES]))
+        assert report.files_analyzed == files
+        assert not [f for f in report.findings if f.rule == "PARSE"]
+        assert len(walked) == files
+        assert len(scope_builds) == files
 
 
 class TestCollectFilesUsage:

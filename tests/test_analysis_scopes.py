@@ -28,9 +28,14 @@ def _ctx(tmp_path, relparts, source):
     return ctx
 
 
+def _nodes(source):
+    """A parsed source's nodes, as ``_collect_aliases`` reads them."""
+    return ast.walk(ast.parse(source))
+
+
 class TestAliasMaps:
     def test_plain_and_renamed_imports(self):
-        aliases = _collect_aliases(ast.parse(
+        aliases = _collect_aliases(_nodes(
             "import numpy\n"
             "import numpy as np\n"
             "import os.path\n"
@@ -44,7 +49,7 @@ class TestAliasMaps:
         assert aliases["ET"] == "xml.etree.ElementTree"
 
     def test_from_imports_and_renames(self):
-        aliases = _collect_aliases(ast.parse(
+        aliases = _collect_aliases(_nodes(
             "from numpy import random as rnd\n"
             "from os.path import join\n"
         ))
@@ -52,13 +57,13 @@ class TestAliasMaps:
         assert aliases["join"] == "os.path.join"
 
     def test_star_imports_bind_nothing(self):
-        aliases = _collect_aliases(ast.parse("from numpy import *\n"))
+        aliases = _collect_aliases(_nodes("from numpy import *\n"))
         assert aliases == {}
 
     def test_relative_import_in_plain_module(self):
         # repro.harness.widget doing ``from ..obs.metrics import x``.
         aliases = _collect_aliases(
-            ast.parse("from ..obs.metrics import isolated_registry\n"),
+            _nodes("from ..obs.metrics import isolated_registry\n"),
             module="repro.harness.widget",
             is_package=False,
         )
@@ -69,7 +74,7 @@ class TestAliasMaps:
     def test_relative_import_in_package_init(self):
         # A package __init__ anchors level 1 at the package itself.
         aliases = _collect_aliases(
-            ast.parse("from .metrics import counter\n"),
+            _nodes("from .metrics import counter\n"),
             module="repro.obs",
             is_package=True,
         )
@@ -77,7 +82,7 @@ class TestAliasMaps:
 
     def test_relative_import_climbing_past_top_is_dropped(self):
         aliases = _collect_aliases(
-            ast.parse("from ...nowhere import thing\n"),
+            _nodes("from ...nowhere import thing\n"),
             module="repro.obs",
             is_package=False,
         )
@@ -85,7 +90,7 @@ class TestAliasMaps:
 
     def test_single_dot_sibling_import(self):
         aliases = _collect_aliases(
-            ast.parse("from . import metrics\n"),
+            _nodes("from . import metrics\n"),
             module="repro.obs.tracing",
             is_package=False,
         )
@@ -105,7 +110,7 @@ class TestAliasMaps:
         ctx = ModuleContext(
             path=Path("m.py"), relpath="m.py", module="m", package="",
             source="", lines=[], tree=tree, is_test=False,
-            aliases=_collect_aliases(tree),
+            aliases=_collect_aliases(ast.walk(tree)),
         )
         call = tree.body[1].value
         assert ctx.resolve(call.func) == "numpy.random.seed"

@@ -80,6 +80,20 @@ def test_removed_executor_options_rejected(capsys):
     capsys.readouterr()
 
 
+def test_removed_analyzer_options_rejected(capsys):
+    # The analyzer has one in-process pass and always uses its summary
+    # cache: no worker count and no cache switch.
+    parser = build_parser()
+    for argv in (
+        ["analyze", "src", "--jobs", "2"],
+        ["analyze", "src", "--no-cache"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(argv)
+        assert excinfo.value.code == 2
+    capsys.readouterr()
+
+
 class TestObservabilityFlags:
     def test_run_and_sweep_parsers_accept_trace_and_metrics(self):
         args = build_parser().parse_args(
@@ -294,16 +308,6 @@ class TestAnalyze:
         notes.write_text("# notes\n")
         assert main(["analyze", str(notes)]) == 2
         assert "not a Python file" in capsys.readouterr().err
-
-    def test_analyze_jobs_matches_serial(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        self._write_bad_file(tmp_path)
-        assert main(["analyze", str(tmp_path), "--no-cache"]) == 1
-        serial_out = capsys.readouterr().out
-        assert main(
-            ["analyze", str(tmp_path), "--no-cache", "--jobs", "2"]
-        ) == 1
-        assert capsys.readouterr().out == serial_out
 
     def test_analyze_cache_round_trip(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -8,25 +8,27 @@ string in ``analysis-baseline.json``.
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import Baseline, analyze_paths, render_text
 
 REPO = Path(__file__).resolve().parents[1]
 BASELINE = REPO / "analysis-baseline.json"
 
 
-def _run():
+@pytest.fixture(scope="module")
+def report():
+    """One analysis of ``src/`` against the baseline, shared by the gates."""
     return analyze_paths(
         [REPO / "src"], root=REPO, baseline=Baseline.load(BASELINE)
     )
 
 
-def test_src_tree_has_no_findings():
-    report = _run()
+def test_src_tree_has_no_findings(report):
     assert report.findings == [], "\n" + render_text(report)
 
 
-def test_baseline_has_no_stale_entries():
-    report = _run()
+def test_baseline_has_no_stale_entries(report):
     stale = [f"{e.rule} {e.path}" for e in report.stale_baseline]
     assert stale == [], f"stale baseline entries: {stale}"
 
