@@ -1,18 +1,17 @@
 """Observability overhead: instrumented vs uninstrumented sweep throughput.
 
 Times the same full-exploration-space sweep (262,500 designs at ci scale)
-three ways:
+two ways:
 
 - **off** — no trace sink configured: spans still measure but nothing is
   written, and the metrics registry counts as always;
 - **trace** — a :class:`~repro.obs.tracing.TraceSink` attached via
-  ``configure_tracing`` (fsync off, the default), so every block span is
-  checksummed and appended to JSONL;
-- **trace+fsync** — the worst case: one ``fsync`` per record.
+  ``configure_tracing``, so every block span is checksummed and appended
+  to JSONL.
 
-Asserts the default-configuration overhead stays under the 10% acceptance
-ceiling and writes ``BENCH_obs.json`` with points/sec per mode, the
-overhead ratios, and the trace size per span.
+Asserts the tracing overhead stays under the 10% acceptance ceiling and
+writes ``BENCH_obs.json`` with points/sec per mode, the overhead ratio,
+and the trace size per span.
 """
 
 from __future__ import annotations
@@ -44,11 +43,11 @@ def _sweep_once(predictor, points):
     )
 
 
-def _best_of(predictor, points, trace_path=None, fsync=False):
+def _best_of(predictor, points, trace_path=None):
     best = None
     for i in range(REPEATS):
         if trace_path is not None:
-            configure_tracing(f"{trace_path}.{i}", fsync=fsync)
+            configure_tracing(f"{trace_path}.{i}")
         started = time.perf_counter()
         _sweep_once(predictor, points)
         elapsed = time.perf_counter() - started
@@ -68,9 +67,6 @@ def test_observability_overhead(ctx, bench_scale, tmp_path):
 
     off = _best_of(predictor, points)
     traced = _best_of(predictor, points, trace_path=tmp_path / "t")
-    synced = _best_of(
-        predictor, points, trace_path=tmp_path / "s", fsync=True
-    )
 
     trace_file = f"{tmp_path / 't'}.0"
     records = read_trace(trace_file, strict=True)
@@ -84,11 +80,9 @@ def test_observability_overhead(ctx, bench_scale, tmp_path):
         "overhead_ceiling": OVERHEAD_CEILING,
         "off_seconds": off,
         "trace_seconds": traced,
-        "trace_fsync_seconds": synced,
         "off_points_per_second": n / off,
         "trace_points_per_second": n / traced,
         "trace_overhead": traced / off,
-        "trace_fsync_overhead": synced / off,
         "spans_per_sweep": len(spans),
         "trace_bytes_per_span": trace_bytes / max(1, len(records)),
     }
@@ -98,7 +92,6 @@ def test_observability_overhead(ctx, bench_scale, tmp_path):
         f"   off: {n / off:>12,.0f} pts/s"
         f"   traced: {n / traced:>12,.0f} pts/s"
         f"   overhead {traced / off - 1:+.1%}"
-        f"   (fsync {synced / off - 1:+.1%})"
     )
     print(
         f"{len(spans)} spans/sweep, "

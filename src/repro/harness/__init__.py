@@ -13,7 +13,6 @@ from .campaign import Campaign, fit_campaign_models, run_campaign
 from .dataset import Dataset, DatasetError
 from .resilience import (
     ChunkFailure,
-    ChunkRecord,
     ChunkTask,
     CorruptResultError,
     ResilienceConfig,
@@ -63,7 +62,6 @@ __all__ = [
     "ResilienceError",
     "RunReport",
     "ChunkTask",
-    "ChunkRecord",
     "ChunkFailure",
     "CorruptResultError",
     "run_chunks",

@@ -221,7 +221,7 @@ def _simulate_benchmarks(
         for index, benchmark in enumerate(names)
     ]
 
-    def completed(task: ChunkTask, record, pairs) -> None:
+    def completed(task: ChunkTask, pairs) -> None:
         (benchmark,) = task.meta
         _assemble(campaign, benchmark, pairs)
         if on_benchmark is not None:

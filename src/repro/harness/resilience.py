@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import isolated_registry, merge_snapshots
@@ -109,15 +109,6 @@ class ChunkTask:
 
 
 @dataclass
-class ChunkRecord:
-    """Per-chunk outcome accounting inside a :class:`RunReport`."""
-
-    index: int
-    meta: tuple = ()
-    status: str = "pending"  #: pending | completed | failed
-
-
-@dataclass
 class RunReport:
     """Structured outcome of one run of :func:`run_chunks`.
 
@@ -128,9 +119,8 @@ class RunReport:
     ``metrics`` is the merged :mod:`repro.obs` snapshot of every
     completed chunk's contribution — shipped back from pool workers in
     result envelopes — with no double counting: a rejected payload's
-    metrics are discarded.  ``events`` lists the structured occurrences
-    (``resilience.degraded``, ``.chunk_failed``) that also land in the
-    trace when tracing is active.
+    metrics are discarded.  Degradation and failures are trace events
+    (``resilience.degraded``, ``resilience.chunk_failed``).
     """
 
     total_chunks: int
@@ -142,9 +132,7 @@ class RunReport:
     degraded: bool = False
     elapsed_seconds: float = 0.0
     failure: Optional[str] = None
-    chunks: List[ChunkRecord] = field(default_factory=list)
     metrics: Optional[dict] = None
-    events: List[dict] = field(default_factory=list)
 
     def summary(self) -> str:
         """One-line human-readable account of the run."""
@@ -197,28 +185,17 @@ class _ChunkRunner:
         self.workers = max(1, workers)
         self.validate = validate
         self.on_chunk = on_chunk
-        self.records = {
-            task.index: ChunkRecord(index=task.index, meta=task.meta)
-            for task in self.tasks
-        }
-        self.report = RunReport(
-            total_chunks=len(self.tasks),
-            chunks=[self.records[task.index] for task in self.tasks],
-        )
+        self.report = RunReport(total_chunks=len(self.tasks))
         self.results: Dict[int, object] = {}
 
-    def _event(self, name: str, **attrs) -> None:
-        """Record a structured occurrence in the report and the trace."""
-        self.report.events.append({"name": name, "attrs": attrs})
-        get_tracer().event(name, **attrs)
-
     def _abort(self, task: ChunkTask, error: Exception) -> None:
-        self.records[task.index].status = "failed"
         tag = f" {task.meta}" if task.meta else ""
         reason = f"{type(error).__name__}: {error}"
         message = f"chunk {task.index}{tag} failed: {reason}"
         self.report.failure = message
-        self._event("resilience.chunk_failed", chunk=task.index, reason=reason)
+        get_tracer().event(
+            "resilience.chunk_failed", chunk=task.index, reason=reason
+        )
         raise ChunkFailure(message, self.report) from error
 
     def _deliver(self, task: ChunkTask, envelope: _ChunkEnvelope) -> None:
@@ -229,8 +206,6 @@ class _ChunkRunner:
                 self.validate(task, payload)
             except Exception as error:
                 self._abort(task, error)
-        record = self.records[task.index]
-        record.status = "completed"
         self.report.completed += 1
         # Merged only after validation passed: a rejected payload's
         # metrics never reach the report.
@@ -246,7 +221,7 @@ class _ChunkRunner:
         )
         self.results[task.index] = payload
         if self.on_chunk is not None:
-            self.on_chunk(task, record, payload)
+            self.on_chunk(task, payload)
 
     def _run_serial(self, tasks: Sequence[ChunkTask]) -> None:
         for task in tasks:
@@ -284,7 +259,7 @@ class _ChunkRunner:
         _terminate_pool(executor)
         remaining = [t for t in self.tasks if t.index not in self.results]
         self.report.degraded = True
-        self._event("resilience.degraded", remaining_chunks=len(remaining))
+        get_tracer().event("resilience.degraded", remaining_chunks=len(remaining))
         logger.warning(
             "worker pool broke; running %d chunk(s) in-process", len(remaining)
         )
@@ -328,11 +303,11 @@ def run_chunks(
       unfinished chunk runs in-process and ``report.degraded`` is set.
     - Any exception, ``KeyboardInterrupt`` included, terminates the pool
       before it propagates.
-    - ``on_chunk(task, record, payload)`` fires in completion order, only
-      after ``validate`` passed; a caller persists each result there.
+    - ``on_chunk(task, payload)`` fires in completion order, only after
+      ``validate`` passed; a caller persists each result there.
     - Each chunk's :mod:`repro.obs` metrics merge into ``report.metrics``
-      once; degradation and failures land in ``report.events`` and, when
-      tracing is configured, in the trace.
+      once; degradation and failures are events in the trace, when
+      tracing is configured.
 
     ``benchmarks/e2e/trace_layers.py:51,238`` read this function's name
     and the ``resilience.chunk`` spans; renaming either breaks its layers.

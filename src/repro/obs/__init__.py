@@ -6,22 +6,19 @@ no third-party dependencies, so any layer (simulator hot loops,
 sweep block folds, the resilience chunk executor) can instrument
 itself unconditionally.  Two pillars:
 
-- **tracing** (:mod:`repro.obs.tracing`) — nested spans with wall/CPU
-  timings written as checksummed JSONL; always measures, emits only
-  when a sink is configured (``--trace PATH`` / ``configure_tracing``);
+- **tracing** (:mod:`repro.obs.tracing`) — nested spans, opened with
+  ``get_tracer().span(name)``, with wall/CPU timings written as
+  checksummed JSONL; always measures, emits only when a sink is
+  configured (``--trace PATH`` / ``configure_tracing``);
 - **metrics** (:mod:`repro.obs.metrics`) — a process-wide registry of
-  counters, gauges, and fixed-bucket histograms whose snapshots merge
-  across the resilience process pool, once per completed chunk.
+  counters and sum/count timers whose snapshots merge across the
+  resilience process pool, once per completed chunk.
 
 ``repro trace summary|tree|validate`` reads the recorded traces; see
 ``docs/OBSERVABILITY.md`` for the file format and naming conventions.
 """
 
 from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
     MetricsError,
     MetricsRegistry,
     get_registry,
@@ -46,19 +43,12 @@ from .tracing import (
     build_span_tree,
     configure_tracing,
     disable_tracing,
-    event,
     get_tracer,
     read_trace,
-    span,
-    traced,
     validate_record,
 )
 
 __all__ = [
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsError",
     "MetricsRegistry",
     "Span",
@@ -71,7 +61,6 @@ __all__ = [
     "build_span_tree",
     "configure_tracing",
     "disable_tracing",
-    "event",
     "get_registry",
     "get_tracer",
     "isolated_registry",
@@ -81,8 +70,6 @@ __all__ = [
     "render_summary",
     "render_tree",
     "reset_registry",
-    "span",
     "summarize_spans",
-    "traced",
     "validate_record",
 ]

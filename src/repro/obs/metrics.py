@@ -1,37 +1,35 @@
-"""Process-wide metrics: counters, gauges, fixed-bucket histograms.
+"""Process-wide metrics: counters and sum/count timers.
 
-The registry is the *cheap* pillar of :mod:`repro.obs`: instruments are
-plain python objects behind one dict lookup, so per-block and even
-per-simulation hot paths can count work units and observe durations
-without measurable overhead.  Everything snapshots to a JSON-safe dict,
-and snapshots compose:
+The registry is the *cheap* pillar of :mod:`repro.obs`: recording is one
+dict update, so per-block and even per-simulation hot paths can count
+work units and time themselves without measurable overhead.  Two kinds
+of metric exist:
+
+- a **counter** (:meth:`MetricsRegistry.increment`) adds non-negative
+  amounts — simulations, design points, cache hits;
+- a **timer** (:meth:`MetricsRegistry.observe`) keeps the ``sum`` and
+  ``count`` of its observed durations, in seconds.
+
+Everything snapshots to a JSON-safe dict, and snapshots compose:
 
 - :meth:`MetricsRegistry.snapshot` captures the current state;
 - :meth:`MetricsRegistry.delta` subtracts an earlier snapshot, giving
-  the metrics attributable to one chunk of work — this is how worker
-  processes ship per-chunk metrics back through
-  :mod:`repro.harness.resilience` without global coordination;
+  the metrics attributable to one run of work;
 - :func:`merge_snapshots` folds any number of snapshots (driver plus
-  and every chunk's worker) into one, with well-defined
-  semantics: counters and histogram buckets add, gauges take the
-  maximum (merge order must not matter).
+  every chunk's worker) into one: counters, timer sums and timer counts
+  add, so merge order does not matter.
 
-Naming convention: ``layer.noun[.unit]`` with dots between components —
-``sweep.points``, ``simulator.simulate.seconds`` — and optional labels
-for low-cardinality dimensions (``benchmark=gzip``).  Durations are
-always seconds.
+A snapshot is ``{"counters": {name: float}, "histograms": {name:
+{"sum": float, "count": int}}}``.  Names follow ``layer.noun[.unit]`` —
+``sweep.points``, ``simulator.simulate.seconds``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 __all__ = [
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsError",
     "MetricsRegistry",
     "get_registry",
@@ -40,296 +38,94 @@ __all__ = [
     "reset_registry",
 ]
 
-#: Default histogram bucket upper bounds (seconds): spans microbenchmark
-#: blocks (~ms) through full campaigns (~minutes).
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0, 300.0,
-)
-
-#: Current snapshot schema version.
-SNAPSHOT_VERSION = 1
-
 
 class MetricsError(ValueError):
-    """Raised for malformed metric names, buckets, or snapshots."""
-
-
-def _key(name: str, labels: Dict[str, object]) -> str:
-    """Serialized instrument key: ``name`` or ``name{k=v,k2=v2}``.
-
-    Labels are sorted so the key is independent of call-site order; the
-    serialized form doubles as the snapshot key, which keeps snapshots
-    JSON-safe and mergeable by plain string equality.
-    """
-    if not name:
-        raise MetricsError("metric name must be non-empty")
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-    return f"{name}{{{inner}}}"
-
-
-class Counter:
-    """A monotonically increasing count of events or work units."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        """Increase the counter; negative amounts are rejected."""
-        if amount < 0:
-            raise MetricsError("counters only increase; use a gauge")
-        self.value += amount
-
-
-class Gauge:
-    """A point-in-time value (queue depth, worker count, block size)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Record the current level."""
-        self.value = float(value)
-
-
-class Histogram:
-    """Fixed-bucket distribution with sum and count.
-
-    ``buckets`` are the inclusive upper bounds of each bucket; one
-    overflow bucket catches everything larger.  Bucket counts are stored
-    per bucket (not cumulative), so merging two histograms is elementwise
-    addition.  A value equal to a bound lands in that bound's bucket
-    (``le`` semantics, as in OpenMetrics).
-    """
-
-    __slots__ = ("buckets", "counts", "sum", "count")
-
-    def __init__(self, buckets: Iterable[float] = DEFAULT_BUCKETS) -> None:
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds:
-            raise MetricsError("histogram needs at least one bucket bound")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise MetricsError(
-                f"bucket bounds must strictly increase, got {bounds}"
-            )
-        self.buckets = bounds
-        self.counts = [0] * (len(bounds) + 1)  # + overflow
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        """Add one observation (binary search over the bucket bounds)."""
-        value = float(value)
-        lo, hi = 0, len(self.buckets)
-        while lo < hi:  # first bound >= value
-            mid = (lo + hi) // 2
-            if self.buckets[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.counts[lo] += 1
-        self.sum += value
-        self.count += 1
-
-    @property
-    def mean(self) -> float:
-        """Mean of all observations (0.0 when empty)."""
-        return self.sum / self.count if self.count else 0.0
+    """Raised for a negative increment or a name used as both kinds."""
 
 
 class MetricsRegistry:
-    """One process's instruments, keyed by name (plus optional labels).
+    """One process's counters and timers, keyed by name.
 
-    Accessors are get-or-create; re-requesting a name with a different
-    instrument kind (or different histogram buckets) is an error, which
-    keeps the namespace coherent across independently instrumented
-    layers.
+    A name is a counter or a timer for the registry's lifetime; using it
+    as the other kind is an error, which keeps the namespace coherent
+    across independently instrumented layers.
     """
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
+        self._counters: Dict[str, float] = {}
+        self._timers: Dict[str, List[float]] = {}  # name -> [sum, count]
 
-    # -- instruments -------------------------------------------------------
+    def increment(self, name: str, amount: float = 1.0) -> None:
+        """Add ``amount`` to counter ``name``; negative amounts are rejected."""
+        if amount < 0:
+            raise MetricsError(f"counter {name!r} only increases, got {amount}")
+        if name in self._timers:
+            raise MetricsError(f"metric {name!r} is a timer, not a counter")
+        self._counters[name] = self._counters.get(name, 0.0) + amount
 
-    def counter(self, name: str, **labels) -> Counter:
-        """Get or create a counter."""
-        key = _key(name, labels)
-        self._check_kind(key, self._counters, "counter")
-        counter = self._counters.get(key)
-        if counter is None:
-            counter = self._counters[key] = Counter()
-        return counter
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        """Get or create a gauge."""
-        key = _key(name, labels)
-        self._check_kind(key, self._gauges, "gauge")
-        gauge = self._gauges.get(key)
-        if gauge is None:
-            gauge = self._gauges[key] = Gauge()
-        return gauge
-
-    def histogram(
-        self, name: str, buckets: Optional[Iterable[float]] = None, **labels
-    ) -> Histogram:
-        """Get or create a fixed-bucket histogram."""
-        key = _key(name, labels)
-        self._check_kind(key, self._histograms, "histogram")
-        histogram = self._histograms.get(key)
-        if histogram is None:
-            histogram = self._histograms[key] = Histogram(
-                buckets if buckets is not None else DEFAULT_BUCKETS
-            )
-        elif buckets is not None and tuple(
-            float(b) for b in buckets
-        ) != histogram.buckets:
-            raise MetricsError(
-                f"histogram {key!r} already registered with buckets "
-                f"{histogram.buckets}"
-            )
-        return histogram
-
-    def _check_kind(self, key: str, own: Dict, kind: str) -> None:
-        for other_kind, table in (
-            ("counter", self._counters),
-            ("gauge", self._gauges),
-            ("histogram", self._histograms),
-        ):
-            if table is not own and key in table:
-                raise MetricsError(
-                    f"metric {key!r} is already a {other_kind}, not a {kind}"
-                )
-
-    # -- convenience -------------------------------------------------------
-
-    def increment(self, name: str, amount: float = 1.0, **labels) -> None:
-        """``counter(name).add(amount)`` in one call."""
-        self.counter(name, **labels).add(amount)
-
-    def observe(self, name: str, value: float, **labels) -> None:
-        """``histogram(name).observe(value)`` in one call."""
-        self.histogram(name, **labels).observe(value)
-
-    def set_gauge(self, name: str, value: float, **labels) -> None:
-        """``gauge(name).set(value)`` in one call."""
-        self.gauge(name, **labels).set(value)
-
-    # -- snapshots ---------------------------------------------------------
+    def observe(self, name: str, seconds: float) -> None:
+        """Add one duration to timer ``name``."""
+        if name in self._counters:
+            raise MetricsError(f"metric {name!r} is a counter, not a timer")
+        timer = self._timers.get(name)
+        if timer is None:
+            timer = self._timers[name] = [0.0, 0]
+        timer[0] += float(seconds)
+        timer[1] += 1
 
     def snapshot(self) -> dict:
-        """JSON-safe copy of every instrument's current state."""
+        """JSON-safe copy of every metric's current state."""
         return {
-            "version": SNAPSHOT_VERSION,
-            "counters": {
-                key: counter.value for key, counter in self._counters.items()
-            },
-            "gauges": {
-                key: gauge.value for key, gauge in self._gauges.items()
-            },
+            "counters": dict(self._counters),
             "histograms": {
-                key: {
-                    "buckets": list(histogram.buckets),
-                    "counts": list(histogram.counts),
-                    "sum": histogram.sum,
-                    "count": histogram.count,
-                }
-                for key, histogram in self._histograms.items()
+                name: {"sum": total, "count": count}
+                for name, (total, count) in self._timers.items()
             },
         }
 
     def delta(self, since: dict) -> dict:
         """The metrics accrued after ``since`` (an earlier snapshot).
 
-        Counters and histogram bucket counts subtract; gauges report
-        their current value (a level has no meaningful difference).
-        This is what one chunk of work contributed, regardless of what
-        ran before it in the same process.
+        Counters and timers subtract; a metric that did not move is left
+        out.  This is what one run of work contributed, regardless of
+        what ran before it in the same process.
         """
         now = self.snapshot()
         counters = {}
-        for key, value in now["counters"].items():
-            grown = value - since.get("counters", {}).get(key, 0.0)
+        for name, value in now["counters"].items():
+            grown = value - since["counters"].get(name, 0.0)
             if grown:
-                counters[key] = grown
+                counters[name] = grown
         histograms = {}
-        for key, hist in now["histograms"].items():
-            base = since.get("histograms", {}).get(key)
-            if base is None:
-                if hist["count"]:
-                    histograms[key] = hist
-                continue
-            if list(base["buckets"]) != hist["buckets"]:
-                raise MetricsError(
-                    f"histogram {key!r} changed buckets between snapshots"
-                )
-            counts = [
-                c - b for c, b in zip(hist["counts"], base["counts"])
-            ]
-            count = hist["count"] - base["count"]
+        for name, timer in now["histograms"].items():
+            base = since["histograms"].get(name, {"sum": 0.0, "count": 0})
+            count = timer["count"] - base["count"]
             if count:
-                histograms[key] = {
-                    "buckets": hist["buckets"],
-                    "counts": counts,
-                    "sum": hist["sum"] - base["sum"],
+                histograms[name] = {
+                    "sum": timer["sum"] - base["sum"],
                     "count": count,
                 }
-        return {
-            "version": SNAPSHOT_VERSION,
-            "counters": counters,
-            "gauges": dict(now["gauges"]),
-            "histograms": histograms,
-        }
+        return {"counters": counters, "histograms": histograms}
 
 
 def merge_snapshots(*snapshots: Optional[dict]) -> dict:
-    """Fold snapshots into one; None entries are skipped.
+    """Fold snapshots into one; None and empty entries are skipped.
 
-    Counters and histogram bucket counts/sums add; gauges take the
-    maximum so the merge is independent of worker completion order.
-    Histograms with mismatched buckets raise :class:`MetricsError`.
+    Counters, timer sums and timer counts add, so the result does not
+    depend on the order workers completed in.
     """
     counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
     histograms: Dict[str, dict] = {}
     for snapshot in snapshots:
         if not snapshot:
             continue
-        for key, value in snapshot.get("counters", {}).items():
-            counters[key] = counters.get(key, 0.0) + value
-        for key, value in snapshot.get("gauges", {}).items():
-            gauges[key] = max(gauges.get(key, float("-inf")), value)
-        for key, hist in snapshot.get("histograms", {}).items():
-            merged = histograms.get(key)
-            if merged is None:
-                histograms[key] = {
-                    "buckets": list(hist["buckets"]),
-                    "counts": list(hist["counts"]),
-                    "sum": hist["sum"],
-                    "count": hist["count"],
-                }
-                continue
-            if merged["buckets"] != list(hist["buckets"]):
-                raise MetricsError(
-                    f"cannot merge histogram {key!r}: bucket bounds differ"
-                )
-            merged["counts"] = [
-                a + b for a, b in zip(merged["counts"], hist["counts"])
-            ]
-            merged["sum"] += hist["sum"]
-            merged["count"] += hist["count"]
-    return {
-        "version": SNAPSHOT_VERSION,
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": histograms,
-    }
+        for name, value in snapshot["counters"].items():
+            counters[name] = counters.get(name, 0.0) + value
+        for name, timer in snapshot["histograms"].items():
+            merged = histograms.setdefault(name, {"sum": 0.0, "count": 0})
+            merged["sum"] += timer["sum"]
+            merged["count"] += timer["count"]
+    return {"counters": counters, "histograms": histograms}
 
 
 #: The process-wide registry instrumented code records into.

@@ -187,10 +187,6 @@ def render_metrics(snapshot: Optional[dict]) -> str:
             [key, f"{value:g}"] for key, value in sorted(counters.items())
         ]
         lines.append(_render_rows(["counter", "value"], rows))
-    gauges = snapshot.get("gauges", {})
-    if gauges:
-        rows = [[key, f"{value:g}"] for key, value in sorted(gauges.items())]
-        lines.append(_render_rows(["gauge", "value"], rows))
     histograms = snapshot.get("histograms", {})
     if histograms:
         rows = []

@@ -11,10 +11,9 @@ The on-disk format is checksummed JSONL: one JSON object per line,
 single ``O_APPEND`` write per record so concurrent appenders cannot
 interleave partial lines.  A crash leaves at most one truncated tail
 line, which :func:`read_trace` tolerates; a corrupted checksum is
-skipped with a warning rather than failing the load.  fsync is opt-in
-(``TraceSink(path, fsync=True)``): traces are diagnostics, not recovery
-state, and fsync-per-span would dominate the hot paths the trace is
-measuring.
+skipped with a warning rather than failing the load.  Records are not
+fsynced one by one — traces are diagnostics, not recovery state — and
+the sink fsyncs once when it closes.
 
 Record bodies come in three kinds (see ``docs/OBSERVABILITY.md``):
 
@@ -34,7 +33,6 @@ with :class:`Stopwatch` and the driver replays it via
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import io
 import json
@@ -42,7 +40,7 @@ import logging
 import os
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = [
     "Span",
@@ -54,11 +52,8 @@ __all__ = [
     "build_span_tree",
     "configure_tracing",
     "disable_tracing",
-    "event",
     "get_tracer",
     "read_trace",
-    "span",
-    "traced",
     "validate_record",
 ]
 
@@ -183,9 +178,8 @@ class TraceSink:
     the sink is idempotent; writes after close are an error.
     """
 
-    def __init__(self, path: str, fsync: bool = False) -> None:
+    def __init__(self, path: str) -> None:
         self.path = str(path)
-        self.fsync = fsync
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -211,8 +205,6 @@ class TraceSink:
         canonical = _canonical(body)
         line = f'{{"body":{canonical},"sha":"{_sha(canonical)}"}}\n'
         os.write(self._fd, line.encode("utf-8"))
-        if self.fsync:
-            os.fsync(self._fd)
 
     def close(self) -> None:
         """Flush and release the descriptor (safe to call twice)."""
@@ -241,11 +233,6 @@ class Tracer:
         self._stack: List[Span] = []
         self._next_id = 0
         self._epoch = time.perf_counter()
-
-    @property
-    def active(self) -> bool:
-        """True when a sink is attached (records are being written)."""
-        return self._sink is not None
 
     @property
     def current_span_id(self) -> Optional[str]:
@@ -340,49 +327,15 @@ def get_tracer() -> Tracer:
     return _TRACER
 
 
-def configure_tracing(path: str, fsync: bool = False) -> Tracer:
+def configure_tracing(path: str) -> Tracer:
     """Attach a JSONL sink at ``path`` to the process-wide tracer."""
-    _TRACER.set_sink(TraceSink(path, fsync=fsync))
+    _TRACER.set_sink(TraceSink(path))
     return _TRACER
 
 
 def disable_tracing() -> None:
     """Detach and close the process-wide tracer's sink, if any."""
     _TRACER.set_sink(None)
-
-
-@contextmanager
-def span(name: str, **attrs) -> Iterator[Span]:
-    """Module-level shorthand for ``get_tracer().span(...)``."""
-    with _TRACER.span(name, **attrs) as record:
-        yield record
-
-
-def event(name: str, **attrs) -> None:
-    """Module-level shorthand for ``get_tracer().event(...)``."""
-    _TRACER.event(name, **attrs)
-
-
-def traced(
-    name: Optional[str] = None, **attrs
-) -> Callable[[Callable], Callable]:
-    """Decorator wrapping every call of a function in a span.
-
-    ``@traced()`` uses the function's qualified name; ``@traced("x")``
-    overrides it.  Extra keyword arguments become span attributes.
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        span_name = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            with _TRACER.span(span_name, **attrs):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
 
 
 # -- reading ---------------------------------------------------------------

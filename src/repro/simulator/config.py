@@ -126,10 +126,6 @@ class MachineConfig:
         return frequency.frequency_ghz(self.depth_fo4)
 
     @property
-    def cycle_time_ns(self) -> float:
-        return frequency.cycle_time_ps(self.depth_fo4) / 1000.0
-
-    @property
     def frontend_stages(self) -> int:
         return frequency.frontend_stages(self.depth_fo4)
 
@@ -155,12 +151,6 @@ class MachineConfig:
     def op_latency(self, op: int) -> int:
         """Execution latency in cycles for a non-memory op class."""
         return frequency.latency_cycles(OP_LOGIC_FO4[op], self.depth_fo4)
-
-    @property
-    def il1_latency(self) -> int:
-        return frequency.ns_to_cycles(
-            cacti.access_time_ns(self.il1_kb, self.il1_assoc), self.depth_fo4
-        )
 
     @property
     def dl1_latency(self) -> int:

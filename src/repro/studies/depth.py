@@ -87,10 +87,6 @@ class EnhancedAnalysis:
     exceed_baseline_fraction: Dict[float, float]
     original: OriginalAnalysis
 
-    @property
-    def bound_optimal_depth(self) -> float:
-        return max(self.bound_efficiency, key=self.bound_efficiency.get)
-
     def bound_relative_to_best_bound(self) -> Dict[float, float]:
         """The numbers above Figure 5a's boxplots."""
         best = max(self.bound_efficiency.values())

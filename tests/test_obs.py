@@ -16,8 +16,6 @@ from repro.harness.resilience import (
     run_chunks,
 )
 from repro.obs import (
-    DEFAULT_BUCKETS,
-    Histogram,
     MetricsError,
     MetricsRegistry,
     Stopwatch,
@@ -37,7 +35,6 @@ from repro.obs import (
     render_tree,
     reset_registry,
     summarize_spans,
-    traced,
     validate_record,
 )
 
@@ -60,94 +57,85 @@ class TestMetrics:
         registry = MetricsRegistry()
         registry.increment("work.units", 3)
         registry.increment("work.units")
-        assert registry.counter("work.units").value == 4
+        assert registry.snapshot()["counters"] == {"work.units": 4}
         with pytest.raises(MetricsError):
             registry.increment("work.units", -1)
 
-    def test_labels_serialize_sorted_into_the_key(self):
+    def test_timer_keeps_sum_and_count(self):
         registry = MetricsRegistry()
-        registry.increment("points", 2, split="train", benchmark="gzip")
-        snap = registry.snapshot()
-        assert snap["counters"] == {"points{benchmark=gzip,split=train}": 2}
+        registry.observe("op.seconds", 1.0)
+        registry.observe("op.seconds", 2.5)
+        timer = registry.snapshot()["histograms"]["op.seconds"]
+        assert timer == {"sum": pytest.approx(3.5), "count": 2}
 
     def test_kind_conflict_is_an_error(self):
         registry = MetricsRegistry()
-        registry.counter("x")
+        registry.increment("x")
         with pytest.raises(MetricsError):
-            registry.gauge("x")
+            registry.observe("x", 0.1)
+        registry.observe("y", 0.1)
         with pytest.raises(MetricsError):
-            registry.histogram("x")
-
-    def test_histogram_le_bucket_semantics_and_overflow(self):
-        hist = Histogram(buckets=(1.0, 2.0))
-        hist.observe(1.0)  # equal to a bound -> that bound's bucket
-        hist.observe(1.5)
-        hist.observe(2.0)
-        hist.observe(99.0)  # overflow
-        assert hist.counts == [1, 2, 1]
-        assert hist.count == 4
-        assert hist.sum == pytest.approx(103.5)
-        assert hist.mean == pytest.approx(103.5 / 4)
-
-    def test_histogram_rejects_non_increasing_bounds(self):
-        with pytest.raises(MetricsError):
-            Histogram(buckets=(1.0, 1.0))
-        with pytest.raises(MetricsError):
-            Histogram(buckets=())
-
-    def test_histogram_bucket_mismatch_on_reuse(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", buckets=(1.0, 2.0))
-        with pytest.raises(MetricsError):
-            registry.histogram("h", buckets=(1.0, 3.0))
+            registry.increment("y")
 
     def test_delta_subtracts_counters_and_histograms(self):
         registry = MetricsRegistry()
         registry.increment("a", 5)
+        registry.increment("still", 1)
         registry.observe("h", 0.5)
+        registry.observe("idle", 0.5)
         mark = registry.snapshot()
         registry.increment("a", 2)
         registry.increment("b")
         registry.observe("h", 0.7)
-        registry.set_gauge("level", 4)
         delta = registry.delta(mark)
         assert delta["counters"] == {"a": 2, "b": 1}
+        assert list(delta["histograms"]) == ["h"]
         assert delta["histograms"]["h"]["count"] == 1
         assert delta["histograms"]["h"]["sum"] == pytest.approx(0.7)
-        assert delta["gauges"] == {"level": 4}
 
-    def test_merge_adds_counters_and_maxes_gauges(self):
+    def test_merge_adds_counters_and_timers(self):
         one = MetricsRegistry()
         one.increment("n", 2)
-        one.set_gauge("depth", 3)
         one.observe("h", 0.2)
         two = MetricsRegistry()
         two.increment("n", 5)
-        two.set_gauge("depth", 1)
         two.observe("h", 0.4)
-        merged = merge_snapshots(one.snapshot(), None, two.snapshot(), {})
+        first = one.snapshot()
+        merged = merge_snapshots(first, None, two.snapshot(), {})
         assert merged["counters"] == {"n": 7}
-        assert merged["gauges"] == {"depth": 3}
         assert merged["histograms"]["h"]["count"] == 2
         assert merged["histograms"]["h"]["sum"] == pytest.approx(0.6)
+        assert first == one.snapshot()  # the inputs are not merged into
 
     def test_merge_order_does_not_matter(self):
         one = MetricsRegistry()
         one.increment("n", 2)
-        one.set_gauge("g", 9)
+        one.observe("h", 0.25)
         two = MetricsRegistry()
         two.increment("n", 3)
-        two.set_gauge("g", 1)
+        two.increment("m")
+        two.observe("h", 0.5)
         a, b = one.snapshot(), two.snapshot()
         assert merge_snapshots(a, b) == merge_snapshots(b, a)
 
-    def test_merge_rejects_mismatched_buckets(self):
-        one = MetricsRegistry()
-        one.histogram("h", buckets=(1.0,)).observe(0.5)
-        two = MetricsRegistry()
-        two.histogram("h", buckets=(2.0,)).observe(0.5)
-        with pytest.raises(MetricsError):
-            merge_snapshots(one.snapshot(), two.snapshot())
+    def test_snapshot_shape_read_by_the_e2e_benchmark(self):
+        """``benchmarks/e2e/workload.py`` reads ``counters[name]`` as a
+        number and ``histograms[name]`` as exactly ``sum`` and ``count``,
+        from a merge of chunk snapshots taken in isolated registries."""
+        snapshots = []
+        for seconds in (0.25, 0.5):
+            with isolated_registry() as registry:
+                get_registry().increment("simulator.batch.points", 3)
+                get_registry().observe("simulator.simulate_batch.seconds", seconds)
+                snapshots.append(registry.snapshot())
+        merged = merge_snapshots(*snapshots)
+        assert set(merged) == {"counters", "histograms"}
+        points = merged["counters"]["simulator.batch.points"]
+        assert isinstance(points, float) and points == 6.0
+        timer = merged["histograms"]["simulator.simulate_batch.seconds"]
+        assert set(timer) == {"sum", "count"}
+        assert timer["sum"] == pytest.approx(0.75) and timer["count"] == 2
+        assert get_registry().snapshot() == {"counters": {}, "histograms": {}}
 
     def test_isolated_registry_swaps_and_restores(self):
         get_registry().increment("outer")
@@ -156,9 +144,6 @@ class TestMetrics:
             assert get_registry() is inner
             assert inner.snapshot()["counters"] == {"inner": 1}
         assert get_registry().snapshot()["counters"] == {"outer": 1}
-
-    def test_default_buckets_strictly_increase(self):
-        assert list(DEFAULT_BUCKETS) == sorted(set(DEFAULT_BUCKETS))
 
 
 # -- tracing -----------------------------------------------------------------
@@ -199,7 +184,6 @@ class TestTracing:
         with tracer.span("unsunk") as span:
             pass
         assert span.wall_s >= 0
-        assert not tracer.active
 
     def test_record_span_replays_worker_timings(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -215,16 +199,15 @@ class TestTracing:
         assert worker["parent"] == by_name["driver"]["id"]
         assert worker["attrs"] == {"chunk": 3}
 
-    def test_traced_decorator_and_module_configure(self, tmp_path):
+    def test_configure_and_disable_tracing_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        configure_tracing(path)
-
-        @traced(name="op.compute", tagged=True)
-        def compute(x):
-            return x * 2
-
-        assert compute(21) == 42
+        tracer = configure_tracing(path)
+        assert tracer is get_tracer()
+        with get_tracer().span("op.compute", tagged=True):
+            pass
         disable_tracing()
+        with get_tracer().span("op.unsunk"):
+            pass
         (record,) = read_trace(path, strict=True)
         assert record["name"] == "op.compute"
         assert record["attrs"] == {"tagged": True}
