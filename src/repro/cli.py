@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     tree_parser.set_defaults(func=_cmd_trace_tree)
     validate_parser = trace_sub.add_parser(
         "validate",
-        help="check every line against the span/event schema and checksums",
+        help="check every line's schema and checksum, and that no id repeats",
     )
     validate_parser.add_argument("path", help="trace JSONL file")
     validate_parser.set_defaults(func=_cmd_trace_validate)
@@ -539,7 +539,7 @@ def _cmd_trace_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_validate(args: argparse.Namespace) -> int:
-    """Strictly validate every trace line (schema + checksums)."""
+    """Strictly validate every trace line (schema, checksums, unique ids)."""
     from .obs import TraceError, read_trace
 
     try:

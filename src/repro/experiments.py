@@ -36,7 +36,7 @@ from .regression import (
     power_spec,
     validate_model,
 )
-from .simulator import baseline_config, config_from_point
+from .simulator import baseline_config, config_columns, configs_from_points
 from .studies import StudyContext, depth, heterogeneity, pareto, search
 from .workloads import REPRESENTATIVE
 
@@ -566,10 +566,12 @@ def run_x5(ctx: StudyContext) -> ExperimentResult:
     data_out = {}
     for label, draw in samplers.items():
         points = draw()
-        configs = [config_from_point(space, point) for point in points]
+        configs = config_columns(configs_from_points(space, points))
         medians = []
         for benchmark in benchmarks:
-            results = ctx.simulate(benchmark, configs)
+            # Straight to the simulator: no other experiment reads these
+            # training sets, so they stay out of the context's memo.
+            results = ctx.simulator.simulate(ctx.trace(benchmark), configs)
             dataset = Dataset.from_results(benchmark, space, points, results)
             model = fit_ols(performance_spec(), dataset.columns())
             validation = ctx.campaign.dataset(benchmark, "validation").columns()
@@ -644,13 +646,14 @@ def run_x7(ctx: StudyContext) -> ExperimentResult:
     space = extended_space()
     scale = ctx.scale
     points = sample_uar(space, scale.n_train, seed=scale.seed + 13)
-    configs = [config_from_point(space, point) for point in points]
+    configs = config_columns(configs_from_points(space, points))
     encoder = DesignEncoder(space)
     matrix = encoder.encode(points)
     rows = []
     data_out = {}
     for benchmark in ("gzip", "mesa"):
-        results = ctx.simulate(benchmark, configs)
+        # Not memoized: no other experiment reads this training set.
+        results = ctx.simulator.simulate(ctx.trace(benchmark), configs)
         data = {n: matrix[:, j] for j, n in enumerate(encoder.feature_names)}
         data["bips"] = np.array([r.bips for r in results])
         holdout = max(10, len(points) // 5)
@@ -842,7 +845,10 @@ def run_x12(ctx: StudyContext) -> ExperimentResult:
         points = ctx.exploration_points()[:n_eval]
         actual = np.array([r.bips for r in ctx.simulate(benchmark, points)])
         mech = np.array(
-            [interval.predict_bips(config_from_point(space, p)) for p in points]
+            [
+                interval.predict_bips(config)
+                for config in configs_from_points(space, points)
+            ]
         )
         encoder = DesignEncoder(space)
         matrix = encoder.encode(points)

@@ -26,7 +26,12 @@ import numpy as np
 from ..designspace import DesignPoint, DesignSpace, sample_uar, sampling_space
 from ..obs.tracing import get_tracer
 from ..regression import FittedModel, fit_models, performance_spec, power_spec
-from ..simulator import Simulator, config_from_point
+from ..simulator import (
+    ConfigColumns,
+    Simulator,
+    config_columns,
+    configs_from_points,
+)
 from ..workloads import BENCHMARK_NAMES, get_profile
 from .dataset import Dataset
 from .resilience import (
@@ -70,24 +75,21 @@ class Campaign:
 
 def _simulate_chunk(
     simulator: Optional[Simulator],
-    space: DesignSpace,
     benchmark: str,
     trace_length: int,
     seed: int,
-    points: List[DesignPoint],
+    configs: ConfigColumns,
 ) -> List[Tuple[float, float]]:
-    """Simulate ``points`` on one benchmark's trace; returns (bips, watts).
+    """Simulate ``configs`` on one benchmark's trace; returns (bips, watts).
 
-    The one way a campaign simulates: every point's config in one
+    The one way a campaign simulates: the campaign's resolved block in one
     :meth:`Simulator.simulate` call.  In-process chunks pass the caller's
     ``simulator``; pool workers pass None and build a fresh one, whose
     deterministic trace gives outputs identical to an in-process run.
     """
     simulator = simulator or Simulator()
     trace = simulator.trace_for(get_profile(benchmark), trace_length, seed=seed)
-    results = simulator.simulate(
-        trace, [config_from_point(space, point) for point in points]
-    )
+    results = simulator.simulate(trace, configs)
     return [(r.bips, float(r.watts)) for r in results]
 
 
@@ -200,21 +202,16 @@ def _simulate_benchmarks(
     assembled into the campaign; ``campaign.run_report`` covers exactly
     these chunks.
     """
-    scale, space = campaign.scale, campaign.space
+    scale = campaign.scale
     points = campaign.train_points + campaign.validation_points
+    # Every benchmark simulates the same designs: resolve them once.
+    configs = config_columns(configs_from_points(campaign.space, points))
     in_process = None if workers > 1 else simulator
     tasks = [
         ChunkTask(
             index=index,
             fn=_simulate_chunk,
-            args=(
-                in_process,
-                space,
-                benchmark,
-                scale.trace_length,
-                scale.seed,
-                points,
-            ),
+            args=(in_process, benchmark, scale.trace_length, scale.seed, configs),
             size=len(points),
             meta=(benchmark,),
         )

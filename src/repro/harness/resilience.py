@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import isolated_registry, merge_snapshots
-from ..obs.tracing import Stopwatch, get_tracer
+from ..obs.tracing import Stopwatch, disable_tracing, get_tracer
 
 logger = logging.getLogger(__name__)
 
@@ -232,7 +232,11 @@ class _ChunkRunner:
             self._deliver(task, envelope)
 
     def _run_parallel(self) -> None:
-        executor = ProcessPoolExecutor(max_workers=self.workers)
+        # Workers start without the driver's trace sink: the file has one
+        # writer, and a chunk's metrics travel back in its envelope.
+        executor = ProcessPoolExecutor(
+            max_workers=self.workers, initializer=disable_tracing
+        )
         broken = False
         try:
             futures = {

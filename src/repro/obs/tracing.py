@@ -390,10 +390,13 @@ def read_trace(path: str, strict: bool = False) -> List[dict]:
 
     A truncated final line (crash mid-write) is tolerated silently; a
     line with a bad checksum or schema is skipped with a warning, or
-    raises :class:`TraceError` when ``strict`` is set.  The header
-    record is validated but not returned.
+    raises :class:`TraceError` when ``strict`` is set.  ``strict`` also
+    rejects a record whose id an earlier record already took: a file
+    has one writer numbering its records.  The header record is
+    validated but not returned.
     """
     records: List[dict] = []
+    ids = set()
     with io.open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().split("\n")
     if lines and lines[-1] == "":
@@ -431,6 +434,12 @@ def read_trace(path: str, strict: bool = False) -> List[dict]:
                     raise TraceError(message)
                 logger.warning("%s", message)
             continue
+        if strict:
+            if body["id"] in ids:
+                raise TraceError(
+                    f"{path}:{index + 1}: duplicate record id {body['id']!r}"
+                )
+            ids.add(body["id"])
         records.append(body)
     return records
 

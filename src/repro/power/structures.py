@@ -1,10 +1,22 @@
 """Per-structure power models.
 
-Each function returns watts for one microarchitectural structure given the
-machine configuration and the simulation's activity counts.  Dynamic power
-is ``energy/event x events/second``; nanojoules times gigahertz conveniently
-yields watts.  Structures with significant standby components (clock tree,
-arrays) carry explicit idle/leakage terms.
+Each function returns watts for one microarchitectural structure given a
+block of machine configurations and the block's activity counts, one
+value per design.  ``config`` is a resolved block
+(:class:`~repro.simulator.config.ConfigColumns`) and ``counts`` holds one
+int64 column per :class:`~repro.simulator.results.ActivityCounts` field
+the models read (:data:`ACTIVITY_FIELDS`); a single design is a block of
+one.  Dynamic power is ``energy/event x events/second``; nanojoules times
+gigahertz conveniently yields watts.  Structures with significant standby
+components (clock tree, arrays) carry explicit idle/leakage terms.
+
+Every factor that depends on the configuration alone (width scaling,
+latch counts, square roots, array energies and leakage) comes from its
+scalar function, evaluated once per distinct value in the block
+(:meth:`~repro.simulator.config.ConfigColumns.per_distinct`).  The terms
+that involve activity use only ``+ - * /`` on float64 columns, in the
+order written here, so every design's watts are bitwise what the same
+arithmetic gives on python floats, whatever block it rides in.
 
 Constants are calibrated so the POWER4-like baseline of Table 3 lands in
 the tens of watts and the 12 FO4 / 8-wide corner of the space reaches the
@@ -16,11 +28,22 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from . import cacti, scaling
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with simulator.config
-    from ..simulator.config import MachineConfig
-    from ..simulator.results import ActivityCounts
+    from types import SimpleNamespace
+
+    from ..simulator.config import ConfigColumns, MachineConfig
+
+#: The activity counts the structure models read.
+ACTIVITY_FIELDS = (
+    "instructions", "cycles", "mispredicts", "branches",
+    "int_ops", "int_mul_ops", "fp_ops", "fp_div_ops", "loads", "stores",
+    "gpr_reads", "gpr_writes", "fpr_reads", "fpr_writes",
+    "il1_accesses", "dl1_accesses", "l2_accesses", "memory_accesses",
+)
 
 # -- energy constants (nanojoules per event at the reference width) --------
 
@@ -58,18 +81,32 @@ REGISTER_LEAKAGE_W = 0.004
 QUEUE_LEAKAGE_W = 0.006
 
 
-def _per_second(events: int, counts: ActivityCounts, f_ghz: float) -> float:
-    """Events per nanosecond (== events/cycle * GHz)."""
-    return counts.activity(events) * f_ghz
+def _per_second(
+    events: np.ndarray, counts: SimpleNamespace, f_ghz: np.ndarray
+) -> np.ndarray:
+    """Events per nanosecond (== events/cycle * GHz); 0 where no cycle ran."""
+    cycles = counts.cycles
+    activity = np.divide(
+        events, cycles, out=np.zeros(cycles.shape), where=cycles != 0
+    )
+    return activity * f_ghz
 
 
-def clock_power(config: MachineConfig) -> float:
+def _width_scale(config: ConfigColumns, exponent: float) -> np.ndarray:
+    return config.per_distinct(
+        lambda c: scaling.width_scale(c.width, exponent), "width"
+    )
+
+
+def clock_power(config: ConfigColumns) -> np.ndarray:
     """Clock tree + pipeline latch power; the depth-sensitive term."""
-    latches = scaling.latch_count(config.depth_fo4, config.width)
+    latches = config.per_distinct(
+        lambda c: scaling.latch_count(c.depth_fo4, c.width), "depth_fo4", "width"
+    )
     return CLOCK_W_PER_LATCH_GHZ * latches * config.frequency_ghz
 
 
-def frontend_power(config: MachineConfig, counts: ActivityCounts) -> float:
+def frontend_power(config: ConfigColumns, counts: SimpleNamespace) -> np.ndarray:
     """Fetch/decode/rename energy; mildly superlinear in width.
 
     Includes wrong-path waste: each mispredict flushes a front end holding
@@ -78,7 +115,7 @@ def frontend_power(config: MachineConfig, counts: ActivityCounts) -> float:
     width, as in PowerTimer's speculative-work accounting.
     """
     f = config.frequency_ghz
-    scale = scaling.width_scale(config.width, scaling.FRONTEND_EXPONENT)
+    scale = _width_scale(config, scaling.FRONTEND_EXPONENT)
     wasted = counts.mispredicts * config.frontend_stages * config.width * 0.5
     events = counts.instructions + wasted
     decode = ENERGY_NJ["decode"] * _per_second(events, counts, f)
@@ -87,12 +124,14 @@ def frontend_power(config: MachineConfig, counts: ActivityCounts) -> float:
     return (decode + rename) * scale + predictor
 
 
-def regfile_power(config: MachineConfig, counts: ActivityCounts) -> float:
+def regfile_power(config: ConfigColumns, counts: SimpleNamespace) -> np.ndarray:
     """Multi-ported register files; the strongest width-superlinear term."""
     f = config.frequency_ghz
-    scale = scaling.width_scale(config.width, scaling.PORTED_EXPONENT)
-    e_gpr = ENERGY_NJ["regfile_access"] * config.gpr_phys**0.5 * scale
-    e_fpr = ENERGY_NJ["regfile_access"] * config.fpr_phys**0.5 * scale
+    scale = _width_scale(config, scaling.PORTED_EXPONENT)
+    gpr_root = config.per_distinct(lambda c: c.gpr_phys**0.5, "gpr_phys")
+    fpr_root = config.per_distinct(lambda c: c.fpr_phys**0.5, "fpr_phys")
+    e_gpr = ENERGY_NJ["regfile_access"] * gpr_root * scale
+    e_fpr = ENERGY_NJ["regfile_access"] * fpr_root * scale
     gpr_events = counts.gpr_reads + counts.gpr_writes
     fpr_events = counts.fpr_reads + counts.fpr_writes
     dynamic = e_gpr * _per_second(gpr_events, counts, f)
@@ -103,10 +142,10 @@ def regfile_power(config: MachineConfig, counts: ActivityCounts) -> float:
     return dynamic + leakage
 
 
-def issue_queue_power(config: MachineConfig, counts: ActivityCounts) -> float:
+def issue_queue_power(config: ConfigColumns, counts: SimpleNamespace) -> np.ndarray:
     """Reservation-station wakeup/select; broadcast cost grows with width."""
     f = config.frequency_ghz
-    scale = scaling.width_scale(config.width, scaling.BROADCAST_EXPONENT)
+    scale = _width_scale(config, scaling.BROADCAST_EXPONENT)
     e = ENERGY_NJ["issue_wakeup"] * scale
     int_events = counts.int_ops + counts.int_mul_ops
     fp_events = counts.fp_ops + counts.fp_div_ops
@@ -117,7 +156,7 @@ def issue_queue_power(config: MachineConfig, counts: ActivityCounts) -> float:
     return dynamic + leakage
 
 
-def lsq_power(config: MachineConfig, counts: ActivityCounts) -> float:
+def lsq_power(config: ConfigColumns, counts: SimpleNamespace) -> np.ndarray:
     """Load/store queue CAM search per memory operation."""
     f = config.frequency_ghz
     events = counts.loads + counts.stores
@@ -126,10 +165,10 @@ def lsq_power(config: MachineConfig, counts: ActivityCounts) -> float:
     return dynamic + leakage
 
 
-def fu_power(config: MachineConfig, counts: ActivityCounts) -> float:
+def fu_power(config: ConfigColumns, counts: SimpleNamespace) -> np.ndarray:
     """Functional units: near-linear in width thanks to clustering."""
     f = config.frequency_ghz
-    scale = scaling.width_scale(config.width, scaling.CLUSTERED_EXPONENT)
+    scale = _width_scale(config, scaling.CLUSTERED_EXPONENT)
     dynamic = (
         ENERGY_NJ["int_op"] * _per_second(counts.int_ops, counts, f)
         + ENERGY_NJ["int_mul_op"] * _per_second(counts.int_mul_ops, counts, f)
@@ -144,36 +183,47 @@ def fu_power(config: MachineConfig, counts: ActivityCounts) -> float:
 
 
 def _array_power(
-    size_kb: float, assoc: int, accesses: int, counts: ActivityCounts, f_ghz: float
-) -> float:
+    energy: np.ndarray,
+    leakage: np.ndarray,
+    accesses: np.ndarray,
+    counts: SimpleNamespace,
+    f_ghz: np.ndarray,
+) -> np.ndarray:
     """Dynamic + idle + leakage power of one cache array."""
-    energy = cacti.access_energy_nj(size_kb, assoc)
     dynamic = energy * _per_second(accesses, counts, f_ghz)
     idle = ARRAY_IDLE_FRACTION * energy * f_ghz  # gated clock floor
-    return dynamic + idle + cacti.leakage_w(size_kb)
+    return dynamic + idle + leakage
 
 
-def cache_power(config: MachineConfig, counts: ActivityCounts) -> float:
+def _array(size_kb: float, assoc: int) -> tuple:
+    """(access energy, leakage) of one cache array."""
+    return cacti.access_energy_nj(size_kb, assoc), cacti.leakage_w(size_kb)
+
+
+def cache_power(config: ConfigColumns, counts: SimpleNamespace) -> np.ndarray:
     """All three cache arrays plus the memory interface."""
     f = config.frequency_ghz
-    total = _array_power(
-        config.il1_kb, config.il1_assoc, counts.il1_accesses, counts, f
+    il1 = config.per_distinct(
+        lambda c: _array(c.il1_kb, c.il1_assoc), "il1_kb", "il1_assoc"
     )
-    total += _array_power(
-        config.dl1_kb, config.dl1_assoc, counts.dl1_accesses, counts, f
+    dl1 = config.per_distinct(
+        lambda c: _array(c.dl1_kb, c.dl1_assoc), "dl1_kb", "dl1_assoc"
     )
-    total += _array_power(
-        config.l2_mb * 1024.0, config.l2_assoc, counts.l2_accesses, counts, f
+    l2 = config.per_distinct(
+        lambda c: _array(c.l2_mb * 1024.0, c.l2_assoc), "l2_mb", "l2_assoc"
     )
+    total = _array_power(*il1, counts.il1_accesses, counts, f)
+    total += _array_power(*dl1, counts.dl1_accesses, counts, f)
+    total += _array_power(*l2, counts.l2_accesses, counts, f)
     total += cacti.MEMORY_ACCESS_ENERGY_NJ * _per_second(
         counts.memory_accesses, counts, f
     )
     return total
 
 
-def base_leakage(config: MachineConfig) -> float:
+def base_leakage(config: ConfigColumns) -> np.ndarray:
     """Fixed platform leakage."""
-    return BASE_LEAKAGE_W
+    return np.full(len(config), BASE_LEAKAGE_W)
 
 
 def static_power(config: MachineConfig) -> dict:

@@ -37,6 +37,32 @@ HARRELL_QUANTILES = {
 }
 
 
+def sorted_quantiles(ordered: np.ndarray, quantiles: Sequence[float]) -> np.ndarray:
+    """``np.quantile(x, quantiles)`` of ``ordered``, ``x`` sorted ascending.
+
+    numpy's default ``linear`` rule, step for step, so every value is
+    bitwise ``np.quantile``'s: the virtual index ``(n - 1) q`` splits into
+    a lower index ``i`` and a fraction ``g``; with ``a, b = x[i], x[i + 1]``
+    the quantile is ``a + (b - a) g``, or ``b - (b - a) (1 - g)`` when
+    ``g >= 0.5``.  An index at or past the last sample takes the last
+    value, with numpy's index ``-1`` for it (which sets ``g``, and so the
+    sign of a zero).  Callers sort once and take every quantile they need.
+    A sample holding both 0.0 and -0.0 may differ in the sign of a zero
+    quantile: numpy's partial sort orders equal values its own way.
+    """
+    last = ordered.size - 1
+    virtual = last * np.asarray(quantiles, dtype=float)
+    lower = np.floor(virtual)
+    upper = lower + 1
+    past_end = virtual >= last
+    lower[past_end] = upper[past_end] = -1
+    gamma = virtual - lower
+    below = ordered[lower.astype(np.intp)]
+    above = ordered[upper.astype(np.intp)]
+    diff = above - below
+    return np.where(gamma >= 0.5, above - diff * (1 - gamma), below + diff * gamma)
+
+
 def quantile_knots(x: np.ndarray, n_knots: int) -> np.ndarray:
     """Knot positions at Harrell's default quantiles of ``x``.
 
@@ -53,7 +79,7 @@ def quantile_knots(x: np.ndarray, n_knots: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise SplineError("cannot place knots on an empty sample")
-    knots = np.unique(np.quantile(x, HARRELL_QUANTILES[n_knots]))
+    knots = np.unique(sorted_quantiles(np.sort(x), HARRELL_QUANTILES[n_knots]))
     if knots.size >= 3:
         return knots
     unique_values = np.unique(x)

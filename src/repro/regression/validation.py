@@ -14,6 +14,7 @@ from typing import Dict, Mapping, Sequence
 import numpy as np
 
 from .fit import FittedModel
+from .splines import sorted_quantiles
 
 
 class ValidationError(ValueError):
@@ -58,10 +59,10 @@ def boxplot_stats(values: Sequence[float]) -> BoxplotStats:
     Whiskers extend to the most extreme data point within 1.5 IQR of the
     nearer quartile; points beyond are outliers.
     """
-    array = np.asarray(values, dtype=float)
+    array = np.sort(np.asarray(values, dtype=float))
     if array.size == 0:
         raise ValidationError("cannot summarize an empty sample")
-    q1, median, q3 = np.percentile(array, (25, 50, 75))
+    q1, median, q3 = sorted_quantiles(array, (0.25, 0.5, 0.75))
     iqr = q3 - q1
     low_bound = q1 - 1.5 * iqr
     high_bound = q3 + 1.5 * iqr
@@ -69,7 +70,7 @@ def boxplot_stats(values: Sequence[float]) -> BoxplotStats:
     whisker_low = float(inside.min()) if inside.size else float(median)
     whisker_high = float(inside.max()) if inside.size else float(median)
     outliers = tuple(
-        float(v) for v in np.sort(array[(array < low_bound) | (array > high_bound)])
+        float(v) for v in array[(array < low_bound) | (array > high_bound)]
     )
     return BoxplotStats(
         median=float(median),

@@ -12,12 +12,15 @@ from .config import (
     ARCHITECTED_FPR,
     ARCHITECTED_GPR,
     BASELINE_SETTINGS,
+    ConfigColumns,
     ConfigError,
     MachineConfig,
     ROB_SIZE,
     baseline_config,
     baseline_point,
+    config_columns,
     config_from_point,
+    configs_from_points,
 )
 from .batch import run_pipeline_batch
 from .memory import StackDistanceMemory, associativity_factor
@@ -32,6 +35,9 @@ __all__ = [
     "MachineConfig",
     "ConfigError",
     "config_from_point",
+    "configs_from_points",
+    "config_columns",
+    "ConfigColumns",
     "baseline_config",
     "baseline_point",
     "BASELINE_SETTINGS",

@@ -43,7 +43,7 @@ The equivalence contract is *hard*: for every config in the block,
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,8 +59,7 @@ from ..workloads.trace import (
     Trace,
 )
 from .branch import OneBitBHT, branch_stream
-from .config import MachineConfig
-from .memory import StackDistanceMemory
+from .config import ConfigColumns, MachineConfig, config_columns
 from .pipeline import PipelineOutcome
 from .results import ActivityCounts
 
@@ -175,30 +174,31 @@ def _mispredict_stream(trace: Trace) -> np.ndarray:
 
 
 def _stack_levels(
-    view: _TraceView, configs: Sequence[MachineConfig]
+    view: _TraceView, configs: Union[Sequence[MachineConfig], ConfigColumns]
 ) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
     """Service levels + hierarchy counters under the stack-distance model.
 
     Broadcasting the shared reuse-distance streams against each config's
-    effective capacities replicates the scalar threshold cascade exactly:
-    level 0 below the L1 capacity, 1 below the L2 share, else 2.  The
-    int8 level codes come out ``[n, B]`` (one row per access), the
-    timing loop's layout.
+    effective capacities (the columns
+    :class:`~repro.simulator.memory.StackDistanceMemory` would hold)
+    replicates the scalar threshold cascade exactly: level 0 below the L1
+    capacity, 1 below the L2 share, else 2.  The int8 level codes come
+    out ``[n, B]`` (one row per access), the timing loop's layout.
     """
-    models = [StackDistanceMemory(config) for config in configs]
+    columns = config_columns(configs)
 
-    def levels(reuse: np.ndarray, l1: str, l2: str) -> np.ndarray:
-        def row(attr: str) -> np.ndarray:
-            return np.array([getattr(m, attr) for m in models], dtype=np.float64)
+    def levels(reuse: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
         reuse = reuse[:, None]
         return np.where(
-            reuse < row(l1),
-            np.int8(0),
-            np.where(reuse < row(l2), np.int8(1), np.int8(2)),
+            reuse < l1, np.int8(0), np.where(reuse < l2, np.int8(1), np.int8(2))
         )
-    data_levels = levels(view.mem_reuse, "dl1_effective", "l2_data_effective")
-    instr_levels = levels(view.instr_reuse, "il1_effective", "l2_instr_effective")
-    batch = len(configs)
+    data_levels = levels(
+        view.mem_reuse, columns.dl1_effective, columns.l2_data_effective
+    )
+    instr_levels = levels(
+        view.instr_reuse, columns.il1_effective, columns.l2_instr_effective
+    )
+    batch = len(columns)
     dl1_misses = (data_levels > 0).sum(axis=0)
     il1_misses = (instr_levels > 0).sum(axis=0)
     data_mem = (data_levels == 2).sum(axis=0)
@@ -215,30 +215,27 @@ def _stack_levels(
     return data_levels, instr_levels, counters
 
 
-def _config_columns(configs: Sequence[MachineConfig]) -> np.ndarray:
-    """Every per-config quantity the kernel reads, one int64 row each.
+def _config_columns(columns: ConfigColumns) -> Tuple[np.ndarray, ...]:
+    """Every per-config column the kernel reads, as int64.
 
-    Built in one pass over the configs; the rows unpack in the order
-    :func:`run_pipeline_batch` names them.
+    In the order :func:`run_pipeline_batch` unpacks them.  Each level's
+    latency is the sum of the arrays it passes through
+    (``MachineConfig.data_latency`` / ``fetch_penalty``).
     """
-    rows = []
-    for c in configs:
-        lat = c.op_latency
-        # Each level's latency is the sum of the arrays it passes through
-        # (``MachineConfig.data_latency`` / ``fetch_penalty``); the three
-        # array latencies are computed once.
-        dl1, l2, mem = c.dl1_latency, c.l2_latency, c.memory_latency
-        rows.append((
-            c.frontend_stages, c.width, c.dispatch_rate, c.rob_size,
-            c.gpr_rename, c.fpr_rename, c.fx_resv, c.fp_resv, c.br_resv,
-            c.ls_queue, c.store_queue, c.functional_units, c.mshr_count,
-            lat(OP_INT), lat(OP_INT_MUL), lat(OP_FP), lat(OP_FP_DIV),
-            lat(OP_STORE), lat(OP_BRANCH), dl1,
-            dl1, dl1 + l2, dl1 + l2 + mem,  # data_latency("l1" | "l2" | "mem")
-            0, l2, l2 + mem,  # fetch_penalty("l1" | "l2" | "mem")
-            c.in_order, c.prefetch,
-        ))
-    return np.array(rows, dtype=np.int64).T.copy()
+    c = columns
+    lat = c.op_latency
+    dl1, l2, mem = c.dl1_latency, c.l2_latency, c.memory_latency
+    rows = (
+        c.frontend_stages, c.width, c.dispatch_rate, c.rob_size,
+        c.gpr_rename, c.fpr_rename, c.fx_resv, c.fp_resv, c.br_resv,
+        c.ls_queue, c.store_queue, c.functional_units, c.mshr_count,
+        lat[OP_INT], lat[OP_INT_MUL], lat[OP_FP], lat[OP_FP_DIV],
+        lat[OP_STORE], lat[OP_BRANCH], dl1,
+        dl1, dl1 + l2, dl1 + l2 + mem,  # data_latency("l1" | "l2" | "mem")
+        np.zeros_like(l2), l2, l2 + mem,  # fetch_penalty("l1" | "l2" | "mem")
+        c.in_order, c.prefetch,
+    )
+    return tuple(np.asarray(row, dtype=np.int64) for row in rows)
 
 
 class _Ring:
@@ -349,7 +346,7 @@ class _MaskedWindow:
 
 
 def run_pipeline_batch(
-    trace: Trace, configs: Sequence[MachineConfig]
+    trace: Trace, configs: Union[Sequence[MachineConfig], ConfigColumns]
 ) -> List[PipelineOutcome]:
     """Schedule ``trace`` on every config at once; one outcome per config.
 
@@ -357,13 +354,15 @@ def run_pipeline_batch(
     :func:`~repro.simulator.pipeline.run_pipeline` per config with the
     stack-distance memory model and a predictor warmed as
     :class:`~repro.simulator.simulator.Simulator` warms it — the hard
-    equivalence contract of the batch kernel.
+    equivalence contract of the batch kernel.  ``configs`` may come
+    already resolved by :func:`~repro.simulator.config.config_columns`
+    (the simulator's power model reads the same columns).
     """
-    configs = list(configs)
-    if not configs:
+    if not len(configs):
         return []
+    columns = config_columns(configs)
     view = _trace_view(trace)
-    batch = len(configs)
+    batch = len(columns)
     n = view.n
     lanes = np.arange(batch)
     (
@@ -371,13 +370,13 @@ def run_pipeline_batch(
         fx_resv, fp_resv, br_resv, ls_queue, store_queue, units, mshr_count,
         lat_int, lat_mul, lat_fp, lat_div, lat_store, lat_branch, dl1_latency,
         lat_l1, lat_l2, lat_mem, pen_l1, pen_l2, pen_mem, in_order, prefetch,
-    ) = _config_columns(configs)
+    ) = _config_columns(columns)
     in_order = in_order.astype(bool)
     prefetch = prefetch.astype(bool)
     any_in_order = bool(in_order.any())
 
     # ---- per-block precompute (timing-independent) -----------------------
-    data_levels, instr_levels, mem_counters = _stack_levels(view, configs)
+    data_levels, instr_levels, mem_counters = _stack_levels(view, columns)
 
     # Per-load latency / memory-miss rows, gathered straight into the
     # timing loop's ``[n, B]`` layout, with next-line prefetch coverage
@@ -563,33 +562,14 @@ def run_pipeline_batch(
             add(rob_row, dl1_latency, store_row)
 
     # ---- assemble per-config outcomes ------------------------------------
-    base = view.base_counts
-    outcomes: List[PipelineOutcome] = []
-    for b in range(batch):
-        cycles = int(last_retire[b])
-        counts = ActivityCounts(
-            instructions=base["instructions"],
-            cycles=cycles,
-            int_ops=base["int_ops"],
-            int_mul_ops=base["int_mul_ops"],
-            fp_ops=base["fp_ops"],
-            fp_div_ops=base["fp_div_ops"],
-            loads=base["loads"],
-            stores=base["stores"],
-            branches=base["branches"],
-            mispredicts=mispredicts,
-            gpr_reads=base["gpr_reads"],
-            gpr_writes=base["gpr_writes"],
-            fpr_reads=base["fpr_reads"],
-            fpr_writes=base["fpr_writes"],
-            prefetch_covered=int(prefetch_covered[b]),
-            il1_accesses=int(mem_counters["il1_accesses"][b]),
-            il1_misses=int(mem_counters["il1_misses"][b]),
-            dl1_accesses=int(mem_counters["dl1_accesses"][b]),
-            dl1_misses=int(mem_counters["dl1_misses"][b]),
-            l2_accesses=int(mem_counters["l2_accesses"][b]),
-            l2_misses=int(mem_counters["l2_misses"][b]),
-            memory_accesses=int(mem_counters["memory_accesses"][b]),
+    shared = dict(view.base_counts, mispredicts=mispredicts)
+    varying = dict(
+        cycles=last_retire, prefetch_covered=prefetch_covered, **mem_counters
+    )
+    names = tuple(varying)
+    return [
+        PipelineOutcome(
+            cycles=row[0], counts=ActivityCounts(**shared, **dict(zip(names, row)))
         )
-        outcomes.append(PipelineOutcome(cycles=cycles, counts=counts))
-    return outcomes
+        for row in zip(*(column.tolist() for column in varying.values()))
+    ]

@@ -12,10 +12,14 @@ grid (:func:`baseline_point`) for the constrained pipeline-depth study.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..designspace import DesignPoint, DesignSpace
+from ..designspace.parameters import Number
 from ..power import cacti
 from ..workloads.trace import (
     OP_BRANCH,
@@ -27,6 +31,7 @@ from ..workloads.trace import (
     OP_STORE,
 )
 from . import frequency
+from .memory import l1_capacity, l2_capacities
 
 
 class ConfigError(ValueError):
@@ -218,15 +223,13 @@ class MachineConfig:
         }
 
 
-def config_from_point(space: DesignSpace, point: DesignPoint) -> MachineConfig:
-    """Resolve a design point of ``space`` into a machine configuration.
+def _machine_fields(settings: Dict[str, Number]) -> Dict[str, object]:
+    """:class:`MachineConfig` fields from a point's machine settings.
 
-    Extension parameters (``dl1_assoc``, ``in_order``) are honoured when the
-    space defines them; :meth:`MachineConfig.with_overrides` sets any other
-    field.
+    Extension parameters (``dl1_assoc``, ``in_order``) are honoured when
+    the space defines them.
     """
-    settings = space.machine_settings(point)
-    kwargs = {
+    fields_of = {
         "depth_fo4": float(settings["depth"]),
         "width": int(settings["width"]),
         "ls_queue": int(settings["ls_queue"]),
@@ -243,10 +246,156 @@ def config_from_point(space: DesignSpace, point: DesignPoint) -> MachineConfig:
         "l2_mb": float(settings["l2_mb"]),
     }
     if "dl1_assoc" in settings:
-        kwargs["dl1_assoc"] = int(settings["dl1_assoc"])
+        fields_of["dl1_assoc"] = int(settings["dl1_assoc"])
     if "in_order" in settings:
-        kwargs["in_order"] = bool(settings["in_order"])
-    return MachineConfig(**kwargs)
+        fields_of["in_order"] = bool(settings["in_order"])
+    return fields_of
+
+
+def configs_from_points(
+    space: DesignSpace, points: Sequence[DesignPoint]
+) -> List[MachineConfig]:
+    """Resolve design points of ``space`` into machine configurations.
+
+    Each parameter level's settings are looked up once per call and
+    merged per point.  :meth:`MachineConfig.with_overrides` sets any
+    field no parameter does.  A point with other parameter names or an
+    off-grid value raises what :meth:`DesignSpace.machine_settings`
+    raises for it.
+    """
+    parameters = space.parameters
+    # Per parameter: value -> the settings that level implies.
+    levels: List[Dict] = [{} for _ in parameters]
+    configs = []
+    for point in points:
+        if point.names != space.names:
+            space.machine_settings(point)  # raises for foreign parameters
+        settings: Dict[str, Number] = {}
+        for parameter, resolved, value in zip(parameters, levels, point.values):
+            level = resolved.get(value)
+            if level is None:
+                level = resolved[value] = parameter.settings_at(value)
+            settings.update(level)
+        configs.append(MachineConfig(**_machine_fields(settings)))
+    return configs
+
+
+def config_from_point(space: DesignSpace, point: DesignPoint) -> MachineConfig:
+    """Resolve one design point of ``space`` (see :func:`configs_from_points`)."""
+    (config,) = configs_from_points(space, [point])
+    return config
+
+
+#: Every :class:`MachineConfig` field, in declaration order.
+_FIELDS = tuple(f.name for f in fields(MachineConfig))
+
+#: Op classes with a fixed logic depth that the timing kernel times by
+#: latency (a load's latency is its memory level's).
+_TIMED_OPS = (OP_INT, OP_INT_MUL, OP_FP, OP_FP_DIV, OP_STORE, OP_BRANCH)
+
+
+class ConfigColumns:
+    """A block of configs resolved once: one numpy column per quantity.
+
+    Built by :func:`config_columns`; iterating it yields its configs.
+    Every :class:`MachineConfig` field is a column under its own name, and
+    so is every derived quantity the timing kernel and the power model
+    read: ``frequency_ghz``, the stage counts, ``dispatch_rate``, the
+    rename counts, the six non-memory op latencies (``op_latency[op]``),
+    the three array latencies and the memory model's effective
+    capacities.
+
+    A derived quantity comes from the config's own property or the
+    scalar function it calls, evaluated once per distinct value of the
+    fields it depends on (:meth:`per_distinct`) and gathered into the
+    column, so each entry is bitwise what the scalar path computes.
+    """
+
+    def __init__(self, configs: Sequence[MachineConfig]):
+        self.configs = tuple(configs)
+        if not self.configs:
+            raise ConfigError("a block needs at least one config")
+        columns = zip(*map(attrgetter(*_FIELDS), self.configs))
+        for name, column in zip(_FIELDS, columns):
+            setattr(self, name, np.array(column))
+        # (configs with distinct values of some fields, each config's slot)
+        self._groups: Dict[Tuple[str, ...], Tuple[list, np.ndarray]] = {}
+
+        # Everything that depends on the depth alone, in one pass.
+        by_depth = self.per_distinct(
+            lambda c: (
+                c.frontend_stages, c.total_stages, c.memory_latency,
+                *(c.op_latency(op) for op in _TIMED_OPS),
+            ),
+            "depth_fo4",
+        ).astype(np.int64)
+        self.frequency_ghz = self.per_distinct(
+            attrgetter("frequency_ghz"), "depth_fo4"
+        )
+        self.frontend_stages, self.total_stages, self.memory_latency = by_depth[:3]
+        self.op_latency: Dict[int, np.ndarray] = dict(zip(_TIMED_OPS, by_depth[3:]))
+        self.dispatch_rate = self.per_distinct(
+            attrgetter("dispatch_rate"), "width"
+        )
+        self.gpr_rename = self.per_distinct(attrgetter("gpr_rename"), "gpr_phys")
+        self.fpr_rename = self.per_distinct(attrgetter("fpr_rename"), "fpr_phys")
+        self.dl1_latency = self.per_distinct(
+            attrgetter("dl1_latency"), "dl1_kb", "dl1_assoc", "depth_fo4"
+        )
+        self.l2_latency = self.per_distinct(
+            attrgetter("l2_latency"), "l2_mb", "l2_assoc", "depth_fo4"
+        )
+        self.il1_effective = self.per_distinct(
+            lambda c: l1_capacity(c.il1_kb, c.il1_assoc), "il1_kb", "il1_assoc"
+        )
+        self.dl1_effective = self.per_distinct(
+            lambda c: l1_capacity(c.dl1_kb, c.dl1_assoc), "dl1_kb", "dl1_assoc"
+        )
+        self.l2_data_effective, self.l2_instr_effective = self.per_distinct(
+            lambda c: l2_capacities(c.l2_mb, c.l2_assoc), "l2_mb", "l2_assoc"
+        )
+
+    def __len__(self) -> int:
+        return len(self.configs)
+
+    def __iter__(self) -> Iterator[MachineConfig]:
+        return iter(self.configs)
+
+    def per_distinct(
+        self, quantity: Callable[[MachineConfig], object], *names: str
+    ) -> np.ndarray:
+        """``quantity(config)`` of every config, as a column.
+
+        ``quantity`` reads only the fields ``names``, so it is evaluated
+        once per distinct combination of their values, on one config that
+        has it, and gathered.  A quantity that returns a tuple gives one
+        row per element (``result[k]`` is the column of element ``k``).
+        """
+        group = self._groups.get(names)
+        if group is None:
+            keys = tuple(zip(*(getattr(self, name).tolist() for name in names)))
+            # One config per distinct key, in order of first appearance.
+            first = dict(zip(keys, self.configs))
+            slot = dict(zip(first, range(len(first))))
+            inverse = np.fromiter(map(slot.__getitem__, keys), np.intp, len(keys))
+            group = self._groups[names] = (list(first.values()), inverse)
+        representatives, inverse = group
+        table = np.array([quantity(config) for config in representatives])
+        # Rows contiguous: the timing loop reads them once per instruction.
+        return np.ascontiguousarray(table[inverse].T)
+
+
+def config_columns(
+    configs: Union[Sequence[MachineConfig], ConfigColumns]
+) -> ConfigColumns:
+    """Resolve a block of configs once into per-quantity columns.
+
+    A block that is already resolved is returned as it is, so a caller
+    that resolves a block once can hand it to every consumer.
+    """
+    if isinstance(configs, ConfigColumns):
+        return configs
+    return ConfigColumns(configs)
 
 
 #: Table 3 baseline expressed as raw settings (19 FO4, 4-wide POWER4-like).

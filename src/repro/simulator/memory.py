@@ -17,9 +17,10 @@ services each access ("l1" / "l2" / "mem") and counts the traffic.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import TYPE_CHECKING, Dict, Tuple
 
-from .config import MachineConfig
+if TYPE_CHECKING:  # config imports this module for the block resolver
+    from .config import MachineConfig
 
 #: Fraction of the unified L2 effectively available to the data stream.
 L2_DATA_SHARE = 0.85
@@ -44,20 +45,27 @@ def associativity_factor(assoc: int) -> float:
     return 1.0 - 2.0 ** (-assoc)
 
 
+def l1_capacity(size_kb: float, assoc: int) -> float:
+    """Effective capacity in blocks of an L1 array."""
+    return size_kb * BLOCKS_PER_KB * associativity_factor(assoc)
+
+
+def l2_capacities(size_mb: float, assoc: int) -> Tuple[float, float]:
+    """Effective L2 capacity in blocks seen by the (data, code) streams."""
+    blocks = size_mb * 1024.0 * BLOCKS_PER_KB
+    factor = associativity_factor(assoc)
+    return blocks * factor * L2_DATA_SHARE, blocks * factor * L2_INSTR_SHARE
+
+
 class StackDistanceMemory:
     """Reuse-distance memory model (steady-state behaviour)."""
 
     def __init__(self, config: MachineConfig):
-        self.dl1_effective = (
-            config.dl1_kb * BLOCKS_PER_KB * associativity_factor(config.dl1_assoc)
+        self.dl1_effective = l1_capacity(config.dl1_kb, config.dl1_assoc)
+        self.il1_effective = l1_capacity(config.il1_kb, config.il1_assoc)
+        self.l2_data_effective, self.l2_instr_effective = l2_capacities(
+            config.l2_mb, config.l2_assoc
         )
-        self.il1_effective = (
-            config.il1_kb * BLOCKS_PER_KB * associativity_factor(config.il1_assoc)
-        )
-        l2_blocks = config.l2_mb * 1024.0 * BLOCKS_PER_KB
-        l2_factor = associativity_factor(config.l2_assoc)
-        self.l2_data_effective = l2_blocks * l2_factor * L2_DATA_SHARE
-        self.l2_instr_effective = l2_blocks * l2_factor * L2_INSTR_SHARE
         self._counts = _new_counts()
 
     def data_access(self, block: int, reuse: int) -> str:

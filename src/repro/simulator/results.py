@@ -2,8 +2,8 @@
 
 :class:`ActivityCounts` aggregates the event counts the power model
 consumes (PowerTimer derives power from resource utilization statistics);
-:class:`SimulationResult` bundles them with timing, the configuration
-summary and — once the power model has run — the watts breakdown.
+:class:`SimulationResult` bundles them with timing and — once the power
+model has run — the watts breakdown.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class ActivityCounts:
     l2_misses: int = 0
     memory_accesses: int = 0
 
-    def activity(self, events: int) -> float:
-        """Events per cycle, the utilization measure for clock gating."""
-        return events / self.cycles if self.cycles else 0.0
-
     @property
     def mispredict_rate(self) -> float:
         return self.mispredicts / self.branches if self.branches else 0.0
@@ -76,7 +72,6 @@ class SimulationResult:
     instructions: int
     frequency_ghz: float
     counts: ActivityCounts
-    config_summary: Dict[str, float] = field(default_factory=dict)
     ref_instructions: float = 1e9
     watts: Optional[float] = None
     power_breakdown: Dict[str, float] = field(default_factory=dict)
@@ -119,7 +114,11 @@ class SimulationResult:
         return self.bips**3 / self.watts
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly flattening (artifact persistence)."""
+        """JSON-friendly flattening of the result.
+
+        Campaign artifacts do not use it: they store only each design's
+        (bips, watts) columns.
+        """
         payload: Dict[str, object] = {
             "benchmark": self.benchmark,
             "cycles": self.cycles,
@@ -129,7 +128,6 @@ class SimulationResult:
             "bips": self.bips,
             "watts": self.watts,
             "counts": self.counts.as_dict(),
-            "config": dict(self.config_summary),
             "power_breakdown": dict(self.power_breakdown),
         }
         return payload

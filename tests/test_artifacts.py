@@ -253,8 +253,8 @@ class TestCachedCampaign:
         benchmarks = ["gzip", "mcf", "mesa"]
         real = campaign_module._simulate_chunk
 
-        def truncated_on_mcf(simulator, space, benchmark, *args):
-            pairs = real(simulator, space, benchmark, *args)
+        def truncated_on_mcf(simulator, benchmark, *args):
+            pairs = real(simulator, benchmark, *args)
             return pairs[:-1] if benchmark == "mcf" else pairs
 
         monkeypatch.setattr(campaign_module, "_simulate_chunk", truncated_on_mcf)

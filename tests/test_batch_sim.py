@@ -655,10 +655,10 @@ class TestCampaignBatchPath:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         real = campaign_module._simulate_chunk
 
-        def failing_third(simulator, space, benchmark, *args):
+        def failing_third(simulator, benchmark, *args):
             if benchmark == self.BENCHMARKS[2]:
                 raise RuntimeError(f"bug simulating {benchmark}")
-            return real(simulator, space, benchmark, *args)
+            return real(simulator, benchmark, *args)
 
         with monkeypatch.context() as patch:
             patch.setattr(campaign_module, "_simulate_chunk", failing_third)

@@ -182,6 +182,21 @@ class TestObservabilityFlags:
         assert "checksum" in capsys.readouterr().err
 
 
+    def test_trace_validate_rejects_duplicate_ids(self, tmp_path, capsys):
+        """Two tracers appending to one file each number their spans from
+        ``s1``: the file checks out line by line, but its ids collide."""
+        from repro.obs import TraceSink, Tracer
+
+        path = tmp_path / "t.jsonl"
+        for writer in ("driver", "worker"):
+            tracer = Tracer(TraceSink(path))
+            with tracer.span(writer):
+                pass
+            tracer.set_sink(None)
+        assert main(["trace", "validate", str(path)]) == 2
+        assert "duplicate record id 's1'" in capsys.readouterr().err
+
+
 class TestErrorHygiene:
     """Expected operational errors print one line and exit 2."""
 

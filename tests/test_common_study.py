@@ -190,13 +190,18 @@ class TestGroundTruthMemo:
         assert mcf.benchmark == "mcf" and gzip.benchmark == "gzip"
 
     def test_rerun_of_configs_outside_the_exploration_space_hits(self, fresh):
-        """X5 (sampling space), X7 (extended space) and X8 (prefetch
-        configs) share the memo: a second run makes no simulator call."""
+        """X8's prefetch configs share the memo: a second run makes no
+        simulator call.  X5 (sampling space) and X7 (extended space) keep
+        their training sets out of the memo, since no other experiment
+        reads them: each run simulates them again, to the same text."""
         from repro.experiments import run_experiment
 
         for experiment_id in ("X5", "X7", "X8"):
             first = run_experiment(experiment_id, ctx=fresh)
             fresh.calls.clear()
             second = run_experiment(experiment_id, ctx=fresh)
-            assert fresh.calls == [], experiment_id
+            if experiment_id == "X8":
+                assert fresh.calls == [], experiment_id
+            else:
+                assert fresh.calls, experiment_id
             assert second.text == first.text

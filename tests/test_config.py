@@ -9,7 +9,9 @@ from repro.simulator import (
     MachineConfig,
     baseline_config,
     baseline_point,
+    config_columns,
     config_from_point,
+    configs_from_points,
 )
 from repro.workloads.trace import OP_FP, OP_FP_DIV, OP_INT
 
@@ -97,6 +99,33 @@ class TestLatencies:
         assert large.dl1_latency >= small.dl1_latency
 
 
+class TestConfigColumns:
+    def test_columns_are_the_scalar_properties(self):
+        """Each derived column is its config's property, bitwise."""
+        from repro.designspace import sample_uar
+
+        space = extended_space()
+        configs = configs_from_points(space, sample_uar(space, 30, seed=8))
+        columns = config_columns(configs)
+        assert config_columns(columns) is columns
+        assert list(columns) == configs
+        for b, config in enumerate(configs):
+            assert columns.width[b] == config.width
+            assert columns.frequency_ghz[b] == config.frequency_ghz
+            for name in (
+                "frontend_stages", "total_stages", "dispatch_rate",
+                "gpr_rename", "fpr_rename", "dl1_latency", "l2_latency",
+                "memory_latency",
+            ):
+                assert getattr(columns, name)[b] == getattr(config, name), name
+            for op, column in columns.op_latency.items():
+                assert column[b] == config.op_latency(op)
+
+    def test_empty_block_is_rejected(self):
+        with pytest.raises(ConfigError):
+            config_columns([])
+
+
 class TestFromPoint:
     def test_resolves_derived_settings(self):
         space = exploration_space()
@@ -126,6 +155,39 @@ class TestFromPoint:
         config = config_from_point(space, point)
         assert config.dl1_assoc == 8
         assert config.in_order is True
+
+    def test_block_resolution_matches_one_point_at_a_time(self):
+        """Resolving a block converts each level's settings once; every
+        config still equals (and hashes like) the point's own config."""
+        from repro.designspace import sample_uar
+
+        space = extended_space()
+        points = sample_uar(space, 40, seed=3)
+        block = configs_from_points(space, points)
+        for config, point in zip(block, points):
+            single = config_from_point(space, point)
+            assert config == single and hash(config) == hash(single)
+            assert type(config.depth_fo4) is float
+            assert type(config.width) is int
+            assert type(config.in_order) is bool
+
+    def test_block_resolution_rejects_what_one_point_rejects(self):
+        from repro.designspace import ParameterError
+
+        space = exploration_space()
+        good = baseline_point(space)
+        off_grid = good.replace(width=5)
+        with pytest.raises(ParameterError) as single:
+            space.machine_settings(off_grid)
+        with pytest.raises(ParameterError) as block:
+            configs_from_points(space, [good, off_grid])
+        assert str(block.value) == str(single.value)
+        foreign = extended_space().point(
+            depth=12, width=2, gpr_phys=40, br_resv=6,
+            il1_kb=16, dl1_kb=8, l2_mb=0.25, dl1_assoc=8, in_order=1,
+        )
+        with pytest.raises(ParameterError, match="do not match space"):
+            configs_from_points(space, [foreign])
 
     def test_describe_keys(self):
         summary = baseline_config().describe()

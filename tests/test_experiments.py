@@ -98,6 +98,15 @@ class TestContent:
         for medians in result.data.values():
             assert all(0 < m < 50 for m in medians.values())
 
+    @pytest.mark.parametrize("experiment_id", ["X5", "X7"])
+    def test_training_sets_stay_out_of_the_memo(self, ctx, experiment_id):
+        """X5's and X7's training sets are read by no other experiment, so
+        they go straight to the simulator; their text is pinned by the
+        golden digests."""
+        before = len(ctx._simulations)
+        run_experiment(experiment_id, ctx=ctx)
+        assert len(ctx._simulations) == before
+
     def test_x6_regression_faster_than_ann(self, ctx):
         result = run_experiment("X6", ctx=ctx)
         for row in result.data.values():

@@ -3,10 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.power import PowerModel, cacti, scaling, structures
+from repro.power import PowerModel, cacti, scaling
 from repro.power.cacti import CactiError
 from repro.simulator import Simulator, baseline_config
 from repro.workloads import generate_trace, get_profile
+
+
+def component(name, config, counts):
+    """Watts of one structure for one design: a block of one."""
+    return PowerModel().breakdown(config, counts).components[name]
 
 
 @pytest.fixture(scope="module")
@@ -78,28 +83,39 @@ class TestStructurePowers:
         total = sum(breakdown.fraction(name) for name in breakdown.components)
         assert total == pytest.approx(1.0)
 
-    def test_clock_power_depth_sensitivity(self):
-        deep = structures.clock_power(baseline_config().with_overrides(depth_fo4=12.0))
-        shallow = structures.clock_power(
-            baseline_config().with_overrides(depth_fo4=30.0)
+    def test_clock_power_depth_sensitivity(self, baseline_result):
+        counts = baseline_result.counts
+        deep = component(
+            "clock", baseline_config().with_overrides(depth_fo4=12.0), counts
+        )
+        shallow = component(
+            "clock", baseline_config().with_overrides(depth_fo4=30.0), counts
         )
         assert deep > 2 * shallow
 
     def test_regfile_power_grows_with_width(self, baseline_result):
-        narrow = structures.regfile_power(
-            baseline_config().with_overrides(width=2), baseline_result.counts
+        narrow = component(
+            "regfile",
+            baseline_config().with_overrides(width=2),
+            baseline_result.counts,
         )
-        wide = structures.regfile_power(
-            baseline_config().with_overrides(width=8), baseline_result.counts
+        wide = component(
+            "regfile",
+            baseline_config().with_overrides(width=8),
+            baseline_result.counts,
         )
         assert wide > narrow
 
     def test_cache_power_grows_with_l2(self, baseline_result):
-        small = structures.cache_power(
-            baseline_config().with_overrides(l2_mb=0.25), baseline_result.counts
+        small = component(
+            "caches",
+            baseline_config().with_overrides(l2_mb=0.25),
+            baseline_result.counts,
         )
-        large = structures.cache_power(
-            baseline_config().with_overrides(l2_mb=4.0), baseline_result.counts
+        large = component(
+            "caches",
+            baseline_config().with_overrides(l2_mb=4.0),
+            baseline_result.counts,
         )
         assert large > small
 
@@ -113,20 +129,22 @@ class TestStructurePowers:
         )
         shallow = baseline_config().with_overrides(depth_fo4=30.0)
         deep = baseline_config().with_overrides(depth_fo4=12.0)
-        clean_deep = structures.frontend_power(deep, counts_clean)
-        dirty_deep = structures.frontend_power(deep, counts_dirty)
-        clean_shallow = structures.frontend_power(shallow, counts_clean)
-        dirty_shallow = structures.frontend_power(shallow, counts_dirty)
+        clean_deep = component("frontend", deep, counts_clean)
+        dirty_deep = component("frontend", deep, counts_dirty)
+        clean_shallow = component("frontend", shallow, counts_clean)
+        dirty_shallow = component("frontend", shallow, counts_dirty)
         assert dirty_deep > clean_deep
         # deep pipelines flush more wasted work per mispredict
         assert (dirty_deep / clean_deep) > (dirty_shallow / clean_shallow)
 
     def test_issue_queue_power_grows_with_entries(self, baseline_result):
-        small = structures.issue_queue_power(
+        small = component(
+            "issue_queues",
             baseline_config().with_overrides(fx_resv=10, fp_resv=5, br_resv=6),
             baseline_result.counts,
         )
-        large = structures.issue_queue_power(
+        large = component(
+            "issue_queues",
             baseline_config().with_overrides(fx_resv=28, fp_resv=14, br_resv=15),
             baseline_result.counts,
         )
@@ -144,6 +162,18 @@ class TestPowerModel:
         )
         unit = PowerModel().breakdown(baseline_config(), baseline_result.counts)
         assert scaled.total == pytest.approx(2.0 * unit.total)
+
+    def test_no_cycles_means_no_activity_power(self):
+        """Events over zero cycles count as no activity: only the clock
+        and the standing (idle and leakage) terms remain."""
+        from repro.simulator import ActivityCounts
+
+        breakdown = PowerModel().breakdown(
+            baseline_config(), ActivityCounts(instructions=5, branches=2)
+        )
+        assert breakdown.components["frontend"] == 0.0
+        assert breakdown.components["clock"] > 0.0
+        assert all(w >= 0.0 for w in breakdown.components.values())
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):

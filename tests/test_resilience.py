@@ -200,10 +200,10 @@ def _failing_on(benchmark, error):
     """A ``_simulate_chunk`` stand-in that raises ``error`` on ``benchmark``."""
     real = campaign_module._simulate_chunk
 
-    def chunk(simulator, space, name, *args):
+    def chunk(simulator, name, *args):
         if name == benchmark:
             raise error
-        return real(simulator, space, name, *args)
+        return real(simulator, name, *args)
 
     return chunk
 
@@ -219,6 +219,28 @@ def _assert_campaigns_bitwise_equal(campaign, other):
 
 
 class TestCampaignResilience:
+    def test_pool_workers_leave_the_trace_to_the_driver(self, tmp_path):
+        """Forked workers start without the driver's trace sink, so a
+        traced pool campaign is one writer's file: ids are unique, every
+        parent resolves, and no worker-side span lands in it.  The
+        driver's replayed ``resilience.chunk`` spans are there, one per
+        benchmark."""
+        path = tmp_path / "run-trace.jsonl"
+        configure_tracing(path)
+        try:
+            campaign = run_campaign(Simulator(), scale=get_scale("ci"), workers=2)
+        finally:
+            disable_tracing()
+        assert not campaign.run_report.degraded
+        records = read_trace(path, strict=True)
+        ids = [record["id"] for record in records]
+        assert len(ids) == len(set(ids))
+        assert all(r["parent"] is None or r["parent"] in ids for r in records)
+        names = [record["name"] for record in records]
+        assert "simulator.simulate_batch" not in names
+        assert "simulator.trace_for" not in names
+        assert names.count("resilience.chunk") == len(campaign.benchmarks)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_chunk_per_benchmark(
         self, resilience_scale, clean_campaign, workers

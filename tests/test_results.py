@@ -53,13 +53,6 @@ class TestValidation:
 
 
 class TestActivityCounts:
-    def test_activity_per_cycle(self):
-        counts = ActivityCounts(cycles=100)
-        assert counts.activity(50) == 0.5
-
-    def test_activity_with_no_cycles(self):
-        assert ActivityCounts().activity(5) == 0.0
-
     def test_rates(self):
         counts = ActivityCounts(
             cycles=10, branches=10, mispredicts=2,

@@ -11,6 +11,14 @@ from repro.regression import (
     rcs_basis,
     rcs_column_names,
 )
+from repro.regression.splines import sorted_quantiles
+from repro.regression.validation import boxplot_stats
+
+#: Every quantile the knots and the boxplots take, plus the ends.
+ALL_QUANTILES = sorted(
+    {q for qs in HARRELL_QUANTILES.values() for q in qs}
+    | {0.0, 0.25, 0.5, 0.75, 1.0}
+)
 
 
 class TestKnots:
@@ -166,6 +174,45 @@ class TestBroadcastBasis:
         x = np.array([0.0] * 95 + [1.0, 2.0, 3.0, 4.0, 5.0])
         assert np.unique(np.quantile(x, HARRELL_QUANTILES[4])).size < 3
         assert quantile_knots(x, 4).tolist() == [0.0, 2.0, 3.0, 5.0]
+
+
+class TestSortedQuantiles:
+    """One sort serves every quantile; the values must be np.quantile's
+    byte for byte, since knots and boxplot quartiles feed digested text."""
+
+    @staticmethod
+    def assert_matches_numpy(values):
+        x = np.asarray(values, dtype=float)
+        got = sorted_quantiles(np.sort(x), ALL_QUANTILES)
+        assert got.tobytes() == np.quantile(x, ALL_QUANTILES).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=120))
+    def test_discrete_columns_with_ties(self, levels):
+        self.assert_matches_numpy(np.log2(np.array(levels, dtype=float) + 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=120))
+    def test_continuous_values(self, reals):
+        # ``+ 0.0`` makes every -0.0 a 0.0: a sort and numpy's partial
+        # sort may order equal zeros of either sign differently (see
+        # ``sorted_quantiles``).
+        self.assert_matches_numpy(np.array(reals) + 0.0)
+
+    @pytest.mark.parametrize(
+        "values", [[3.5], [-1.0, 2.0], [2.0, 2.0], [0.1, 0.2, 0.7]]
+    )
+    def test_one_and_two_samples(self, values):
+        self.assert_matches_numpy(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=80))
+    def test_boxplot_quartiles_match_percentile(self, reals):
+        stats = boxplot_stats(reals)
+        q1, median, q3 = np.percentile(np.array(reals), (25, 50, 75))
+        assert (stats.q1, stats.median, stats.q3) == (
+            float(q1), float(median), float(q3)
+        )
 
 
 class TestNames:
