@@ -4,8 +4,8 @@
 regenerates one (or ``all``); ``repro info`` prints the environment.
 Scale is chosen with ``--scale`` or the ``REPRO_SCALE`` env var.
 
-``repro run`` and ``repro sweep`` accept ``--workers`` for the campaign
-they may build.  The campaign runs through the chunk executor
+``repro run``, ``repro sweep`` and ``repro report`` accept ``--workers``
+for the campaign they may build.  The campaign runs through the chunk executor
 (:mod:`repro.harness.resilience`), one chunk per benchmark, serially or
 over a process pool.  Each finished benchmark is cached on disk at once,
 so a rerun of an interrupted invocation simulates only the benchmarks
@@ -347,7 +347,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from .harness.report import write_report
 
     scale = get_scale(args.scale)
-    ctx = shared_context(scale, workers=getattr(args, "workers", 1))
+    ctx = shared_context(scale, workers=args.workers)
     try:
         path = write_report(ctx, Path(args.output), experiment_ids=args.only)
     except KeyError as error:

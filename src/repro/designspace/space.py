@@ -38,12 +38,6 @@ class DesignPoint:
         except ValueError:
             raise KeyError(name) from None
 
-    def get(self, name: str, default: Optional[Number] = None) -> Optional[Number]:
-        return self[name] if name in self.names else default
-
-    def as_dict(self) -> Dict[str, Number]:
-        return dict(zip(self.names, self.values))
-
     def replace(self, **overrides: Number) -> "DesignPoint":
         """Copy of this point with some parameter values replaced."""
         unknown = set(overrides) - set(self.names)
@@ -222,15 +216,6 @@ class DesignSpace:
                 )
             )
         return DesignSpace(parameters, name=name or f"{self.name}-restricted")
-
-    def fix(self, name: Optional[str] = None, **fixed: Number) -> "DesignSpace":
-        """New space with some parameters pinned to a single value.
-
-        This is how the 'original' constrained pipeline-depth study is
-        expressed: every non-depth parameter fixed at its baseline value.
-        """
-        restrictions = {key: [value] for key, value in fixed.items()}
-        return self.restrict(restrictions, name=name or f"{self.name}-fixed")
 
     def sweep(self, parameter_name: str, base: DesignPoint) -> List[DesignPoint]:
         """All points obtained by varying one parameter around a base point."""

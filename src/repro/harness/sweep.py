@@ -301,10 +301,7 @@ class DesignLayout:
         encoded = encoded_level_tables(space)
         term_columns: List[Tuple[int, ...]] = []
         for term in bound_terms:
-            try:
-                predictors = term.predictors
-            except NotImplementedError:
-                predictors = ()
+            predictors = term.predictors
             if not predictors or not all(p in names for p in predictors):
                 raise SweepError(
                     f"term {', '.join(term.column_names)} (predictors "
@@ -697,9 +694,6 @@ class GroupedResult:
     argmax_indices: Dict[float, int]      #: sweep position of each level's best
     argmax_points: Dict[float, DesignPoint]
     argmax_values: Dict[float, float]
-
-    def levels(self) -> List[float]:
-        return list(self.values)
 
 
 class GroupedMetricReducer(SweepReducer):

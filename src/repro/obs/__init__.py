@@ -24,7 +24,6 @@ from .metrics import (
     get_registry,
     isolated_registry,
     merge_snapshots,
-    reset_registry,
 )
 from .summary import (
     SpanStats,
@@ -69,7 +68,6 @@ __all__ = [
     "render_metrics",
     "render_summary",
     "render_tree",
-    "reset_registry",
     "summarize_spans",
     "validate_record",
 ]

@@ -35,7 +35,6 @@ __all__ = [
     "get_registry",
     "isolated_registry",
     "merge_snapshots",
-    "reset_registry",
 ]
 
 
@@ -134,13 +133,6 @@ _REGISTRY = MetricsRegistry()
 
 def get_registry() -> MetricsRegistry:
     """The process-wide registry (one per process, including workers)."""
-    return _REGISTRY
-
-
-def reset_registry() -> MetricsRegistry:
-    """Replace the process-wide registry with a fresh one (tests, CLI)."""
-    global _REGISTRY
-    _REGISTRY = MetricsRegistry()
     return _REGISTRY
 
 

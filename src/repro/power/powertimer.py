@@ -33,10 +33,6 @@ class PowerBreakdown:
     def total(self) -> float:
         return sum(self.components.values())
 
-    def fraction(self, name: str) -> float:
-        total = self.total
-        return self.components[name] / total if total else 0.0
-
 
 def _count_columns(counts: Sequence[ActivityCounts]) -> SimpleNamespace:
     """One int64 column per :data:`~repro.power.structures.ACTIVITY_FIELDS`."""

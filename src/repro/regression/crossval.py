@@ -9,13 +9,13 @@ the sample-size ablation and available for model selection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
 import numpy as np
 
 from .fit import FitError, fit_ols
 from .formula import ModelSpec
-from .validation import boxplot_stats, prediction_errors
+from .validation import prediction_errors
 
 
 @dataclass
@@ -34,9 +34,6 @@ class CrossValidationResult:
     @property
     def median_percent(self) -> float:
         return 100.0 * self.median
-
-    def stats(self):
-        return boxplot_stats(self.errors)
 
 
 def _fold_indices(n: int, folds: int, seed: Optional[int]) -> List[np.ndarray]:
@@ -82,16 +79,3 @@ def cross_validate(
         fold_medians=fold_medians,
         errors=np.concatenate(all_errors),
     )
-
-
-def compare_specs(
-    specs: Mapping[str, ModelSpec],
-    data: Mapping[str, np.ndarray],
-    folds: int = 5,
-    seed: Optional[int] = 0,
-) -> Dict[str, CrossValidationResult]:
-    """Cross-validate several candidate specs on the same data."""
-    return {
-        label: cross_validate(spec, data, folds=folds, seed=seed)
-        for label, spec in specs.items()
-    }

@@ -3,8 +3,8 @@
 The paper fits Equation (1) by the method of least squares; we solve the
 normal equations with a numerically stable SVD-based ``lstsq``.  The
 returned :class:`FittedModel` carries everything later stages need:
-prediction on the original metric scale, coefficient tables for
-significance testing, and residual/goodness-of-fit summaries.
+prediction on the original metric scale, coefficients and standard
+errors for significance testing, and residual/goodness-of-fit summaries.
 
 :func:`fit_models` fits several specs to one dataset and binds each
 distinct term once: the performance and power specs share all their
@@ -91,49 +91,10 @@ class FittedModel:
         """Predictions on the original metric scale."""
         return self.spec.transform.inverse(self.predict_transformed(data))
 
-    def coefficient_table(self) -> Dict[str, float]:
-        """Coefficients keyed by column name (intercept first)."""
-        names = ("(intercept)",) + self.column_names
-        return dict(zip(names, self.coefficients.tolist()))
-
     def standard_errors(self) -> np.ndarray:
         """Standard error of each coefficient."""
         diag = np.maximum(np.diag(self.xtx_inverse), 0.0)
         return np.sqrt(diag * self.residual_variance)
-
-    def prediction_interval(
-        self, data: Columns, level: float = 0.95
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Two-sided prediction interval on the original metric scale.
-
-        Computed on the transformed scale — mean response variance
-        ``x (X'X)^-1 x' sigma^2`` plus the residual variance — then mapped
-        back through the inverse transform.  Because sqrt/log are
-        monotone, the transformed-scale interval endpoints map to valid
-        original-scale endpoints.
-        """
-        if not 0 < level < 1:
-            raise FitError(f"level must be in (0, 1), got {level}")
-        from scipy import stats as scipy_stats
-
-        X = self.design_matrix(data)
-        mean = X @ self.coefficients
-        leverage = np.einsum("ij,jk,ik->i", X, self.xtx_inverse, X)
-        spread = np.sqrt(
-            np.maximum(self.residual_variance * (1.0 + leverage), 0.0)
-        )
-        critical = float(
-            scipy_stats.t.ppf(0.5 + level / 2.0, self.degrees_of_freedom)
-        )
-        transform = self.spec.transform
-        # The sqrt inverse squares its argument, which would fold a
-        # negative transformed lower bound back upward; clamp at the
-        # transform's domain floor (0 for sqrt) before inverting.
-        floor = 0.0 if transform.name == "sqrt" else -np.inf
-        low_z = np.maximum(mean - critical * spread, floor)
-        high = transform.inverse(mean + critical * spread)
-        low = transform.inverse(low_z)
-        return low, high
 
 
 def fit_ols(spec: ModelSpec, data: Mapping[str, np.ndarray]) -> FittedModel:

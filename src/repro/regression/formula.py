@@ -61,12 +61,3 @@ class ModelSpec:
             transform=self.transform,
             name=name or self.name,
         )
-
-    def describe(self) -> str:
-        """Human-readable one-liner, e.g. for EXPERIMENTS.md."""
-        parts = []
-        for term in self.terms:
-            kind = type(term).__name__.replace("Term", "").lower()
-            parts.append(f"{kind}({'x'.join(term.predictors)})")
-        label = self.name or self.response
-        return f"{label}: {self.transform.name}({self.response}) ~ " + " + ".join(parts)

@@ -1,17 +1,15 @@
 """Statistical inference on fitted models.
 
 The paper's model derivation used significance testing (Section 3); this
-module provides the standard OLS machinery: per-coefficient t-tests, the
-overall F-test, and nested-model F-tests (used to check whether e.g. an
-interaction block earns its keep).
+module provides the standard OLS machinery: per-coefficient t-tests and
+nested-model F-tests (used to check whether e.g. an interaction block
+earns its keep).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
-import numpy as np
+from typing import List
 
 from .fit import FitError, FittedModel
 
@@ -65,29 +63,6 @@ class FTest:
     df_denominator: int
     p_value: float
 
-    def significant(self, alpha: float = 0.05) -> bool:
-        return self.p_value < alpha
-
-
-def overall_f_test(model: FittedModel) -> FTest:
-    """F-test of the whole model against the intercept-only model."""
-    from scipy import stats as scipy_stats
-
-    dof = model.degrees_of_freedom
-    p = model.n_parameters - 1  # slope parameters
-    if dof <= 0 or p <= 0:
-        raise FitError("degenerate model for F-test")
-    r2 = model.r_squared
-    if r2 >= 1.0:
-        return FTest(float("inf"), p, dof, 0.0)
-    f = (r2 / p) / ((1.0 - r2) / dof)
-    return FTest(
-        statistic=float(f),
-        df_numerator=p,
-        df_denominator=dof,
-        p_value=float(scipy_stats.f.sf(f, p, dof)),
-    )
-
 
 def nested_f_test(full: FittedModel, reduced: FittedModel) -> FTest:
     """F-test comparing a full model against a nested reduced model.
@@ -117,21 +92,3 @@ def nested_f_test(full: FittedModel, reduced: FittedModel) -> FTest:
         df_denominator=dof,
         p_value=float(scipy_stats.f.sf(f, extra, dof)),
     )
-
-
-def confidence_intervals(
-    model: FittedModel, level: float = 0.95
-) -> Dict[str, tuple]:
-    """Two-sided confidence intervals for every coefficient."""
-    from scipy import stats as scipy_stats
-
-    if not 0 < level < 1:
-        raise FitError(f"confidence level must be in (0, 1), got {level}")
-    dof = model.degrees_of_freedom
-    critical = float(scipy_stats.t.ppf(0.5 + level / 2.0, dof))
-    errors = model.standard_errors()
-    names = ("(intercept)",) + model.column_names
-    return {
-        name: (float(b - critical * se), float(b + critical * se))
-        for name, b, se in zip(names, model.coefficients, errors)
-    }

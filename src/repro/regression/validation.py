@@ -48,10 +48,6 @@ class BoxplotStats:
     outliers: tuple
     n: int
 
-    @property
-    def iqr(self) -> float:
-        return self.q3 - self.q1
-
 
 def boxplot_stats(values: Sequence[float]) -> BoxplotStats:
     """Boxplot statistics per the paper's construction.

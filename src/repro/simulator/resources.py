@@ -51,11 +51,6 @@ class OccupancyWindow:
         """Release time of the oldest slot without consuming it."""
         return self._releases[self._head]
 
-    def reset(self) -> None:
-        self._releases = [0] * self.capacity
-        self._head = 0
-        self.count = 0
-
 
 class ThroughputLimiter:
     """Bandwidth limit: at most ``rate`` events per cycle.
@@ -79,6 +74,3 @@ class ThroughputLimiter:
         time = earliest if earliest > slot else slot
         self._window.acquire(time + 1)
         return time
-
-    def reset(self) -> None:
-        self._window.reset()

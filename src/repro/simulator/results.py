@@ -43,22 +43,6 @@ class ActivityCounts:
     l2_misses: int = 0
     memory_accesses: int = 0
 
-    @property
-    def mispredict_rate(self) -> float:
-        return self.mispredicts / self.branches if self.branches else 0.0
-
-    @property
-    def dl1_miss_rate(self) -> float:
-        return self.dl1_misses / self.dl1_accesses if self.dl1_accesses else 0.0
-
-    @property
-    def il1_miss_rate(self) -> float:
-        return self.il1_misses / self.il1_accesses if self.il1_accesses else 0.0
-
-    @property
-    def l2_miss_rate(self) -> float:
-        return self.l2_misses / self.l2_accesses if self.l2_accesses else 0.0
-
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
@@ -112,22 +96,3 @@ class SimulationResult:
                 "run it through a PowerModel first"
             )
         return self.bips**3 / self.watts
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly flattening of the result.
-
-        Campaign artifacts do not use it: they store only each design's
-        (bips, watts) columns.
-        """
-        payload: Dict[str, object] = {
-            "benchmark": self.benchmark,
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "frequency_ghz": self.frequency_ghz,
-            "ref_instructions": self.ref_instructions,
-            "bips": self.bips,
-            "watts": self.watts,
-            "counts": self.counts.as_dict(),
-            "power_breakdown": dict(self.power_breakdown),
-        }
-        return payload

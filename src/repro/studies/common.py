@@ -86,16 +86,6 @@ class PredictionTable:
     def __len__(self) -> int:
         return len(self.points)
 
-    def subset(self, indices: Sequence[int]) -> "PredictionTable":
-        indices = list(indices)
-        return PredictionTable(
-            benchmark=self.benchmark,
-            points=self.points[indices],
-            bips=self.bips[indices],
-            watts=self.watts[indices],
-            ref_instructions=self.ref_instructions,
-        )
-
 
 class StudyContext:
     """One campaign + one model fit, shared by all studies.

@@ -43,10 +43,6 @@ class OriginalAnalysis:
     watts: np.ndarray
 
     @property
-    def optimal_depth(self) -> float:
-        return self.depths[int(self.efficiency.argmax())]
-
-    @property
     def optimal_efficiency(self) -> float:
         return float(self.efficiency.max())
 
@@ -86,11 +82,6 @@ class EnhancedAnalysis:
     bound_efficiency: Dict[float, float]      # relative to original optimum
     exceed_baseline_fraction: Dict[float, float]
     original: OriginalAnalysis
-
-    def bound_relative_to_best_bound(self) -> Dict[float, float]:
-        """The numbers above Figure 5a's boxplots."""
-        best = max(self.bound_efficiency.values())
-        return {d: e / best for d, e in self.bound_efficiency.items()}
 
 
 def _per_depth_efficiency(

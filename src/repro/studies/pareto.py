@@ -10,7 +10,7 @@ against simulation (Figures 3 and 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from ..harness.sweep import (
     discretized_frontier,
     pareto_indices,
 )
-from ..metrics import bips3_per_watt
 from ..regression.validation import ErrorSummary, boxplot_stats, prediction_errors
 from .common import PredictionTable, StudyContext
 
@@ -29,7 +28,6 @@ __all__ = [
     "ParetoFrontier",
     "pareto_indices",
     "discretized_frontier",
-    "hypervolume_2d",
     "characterize",
     "frontiers",
     "frontier",
@@ -55,41 +53,6 @@ class ParetoFrontier:
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-def hypervolume_2d(
-    delay: np.ndarray,
-    power: np.ndarray,
-    reference: Tuple[float, float],
-) -> float:
-    """Dominated hypervolume of a 2-D (minimize, minimize) point set.
-
-    The area between the pareto front of the points and the ``reference``
-    point (which must be dominated by every point).  A standard scalar
-    quality measure for frontiers: larger = better frontier.  Used to
-    compare the regression-predicted frontier against the simulated one
-    with one number.
-    """
-    delay = np.asarray(delay, dtype=float)
-    power = np.asarray(power, dtype=float)
-    ref_delay, ref_power = reference
-    if (delay >= ref_delay).any() or (power >= ref_power).any():
-        raise ValueError(
-            "reference point must be strictly dominated by every point"
-        )
-    frontier_idx = pareto_indices(delay, power)
-    d = delay[frontier_idx]
-    p = power[frontier_idx]
-    order = np.argsort(d)
-    d, p = d[order], p[order]
-    volume = 0.0
-    previous_power = ref_power
-    for i in range(len(d)):
-        width = ref_delay - d[i]
-        height = previous_power - p[i]
-        volume += width * height
-        previous_power = p[i]
-    return float(volume)
 
 
 def characterize(ctx: StudyContext, benchmark: str) -> PredictionTable:
@@ -207,23 +170,6 @@ class FrontierValidation:
     simulated_power: np.ndarray
     delay_errors: ErrorSummary
     power_errors: ErrorSummary
-
-    def hypervolume_ratio(self) -> float:
-        """Simulated-over-modeled frontier hypervolume (1.0 = same quality).
-
-        Both frontiers are scored against a shared reference point just
-        beyond the worst observed delay/power, so the ratio compares the
-        frontier *shapes* independent of the per-point error signs.
-        """
-        reference = (
-            1.1 * float(max(self.model_delay.max(), self.simulated_delay.max())),
-            1.1 * float(max(self.model_power.max(), self.simulated_power.max())),
-        )
-        modeled = hypervolume_2d(self.model_delay, self.model_power, reference)
-        simulated = hypervolume_2d(
-            self.simulated_delay, self.simulated_power, reference
-        )
-        return simulated / modeled
 
 
 def validate_frontier(

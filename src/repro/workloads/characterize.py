@@ -106,15 +106,6 @@ class WorkloadCharacter:
     instr_miss_curve: Dict[int, float] = field(default_factory=dict)
     footprint_blocks: int = 0
 
-    def memory_boundedness(self, l2_blocks: int = 16384) -> float:
-        """Fraction of data accesses missing a 2MB-class L2."""
-        curve = self.data_miss_curve
-        if l2_blocks in curve:
-            return curve[l2_blocks]
-        keys = sorted(curve)
-        below = [k for k in keys if k <= l2_blocks]
-        return curve[below[-1]] if below else 1.0
-
 
 def characterize(trace: Trace) -> WorkloadCharacter:
     """Full characterization of one trace."""

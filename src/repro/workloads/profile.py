@@ -169,25 +169,6 @@ class WorkloadProfile:
         if self.ref_instructions <= 0:
             raise ProfileError(f"{self.name}: ref_instructions must be positive")
 
-    @property
-    def memory_fraction(self) -> float:
-        """Fraction of instructions that touch data memory."""
-        return self.mix.get("load", 0.0) + self.mix.get("store", 0.0)
-
-    @property
-    def branch_fraction(self) -> float:
-        return self.mix.get("branch", 0.0)
-
-    @property
-    def fp_fraction(self) -> float:
-        return self.mix.get("fp", 0.0) + self.mix.get("fp_div", 0.0)
-
-    def data_footprint_bytes(self) -> int:
-        return self.data_footprint_blocks * 128
-
-    def instr_footprint_bytes(self) -> int:
-        return self.instr_footprint_blocks * 128
-
     def data_miss_rate(self, capacity_blocks: float) -> float:
         """Expected data miss rate of an LRU cache of ``capacity_blocks``."""
         return reuse_survival(self.data_reuse_strata, capacity_blocks)

@@ -182,38 +182,11 @@ class Trace:
         counts = np.bincount(self.op, minlength=OP_BRANCH + 1)
         return {OP_NAMES[code]: counts[code] / n for code in OP_NAMES}
 
-    def branch_count(self) -> int:
-        return int((self.op == OP_BRANCH).sum())
-
-    def load_count(self) -> int:
-        return int((self.op == OP_LOAD).sum())
-
-    def store_count(self) -> int:
-        return int((self.op == OP_STORE).sum())
-
     def data_footprint(self) -> int:
         """Distinct data blocks touched."""
         blocks = self.mem_block[self.mem_block >= 0]
         return int(np.unique(blocks).size) if blocks.size else 0
 
-    def instruction_footprint(self) -> int:
-        """Distinct instruction blocks fetched."""
-        return int(np.unique(self.iblock).size)
-
     def fetch_events(self) -> int:
         """Number of new-fetch-block events in the instruction stream."""
         return int((self.instr_reuse != NO_FETCH).sum())
-
-    def taken_rate(self) -> float:
-        branches = self.op == OP_BRANCH
-        count = int(branches.sum())
-        return float(self.taken[branches].mean()) if count else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        """Headline statistics used by docs, tests and the CLI."""
-        stats: Dict[str, float] = {"instructions": float(len(self))}
-        stats.update({f"mix_{k}": v for k, v in self.mix().items()})
-        stats["data_footprint_blocks"] = float(self.data_footprint())
-        stats["instr_footprint_blocks"] = float(self.instruction_footprint())
-        stats["taken_rate"] = self.taken_rate()
-        return stats

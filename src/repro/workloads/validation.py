@@ -52,19 +52,6 @@ class ConformanceReport:
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
 
-    def failures(self) -> List[Check]:
-        return [check for check in self.checks if not check.passed]
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        return {
-            check.name: {
-                "expected": check.expected,
-                "observed": check.observed,
-                "tolerance": check.tolerance,
-            }
-            for check in self.checks
-        }
-
 
 def _mix_tolerance(fraction: float, n: int) -> float:
     """3-sigma binomial tolerance with a floor for tiny samples."""

@@ -45,7 +45,7 @@ from repro.simulator.batch import (
 )
 from repro.simulator.resources import OccupancyWindow, ThroughputLimiter
 from repro.workloads import BENCHMARK_NAMES, generate_trace, get_profile
-from repro.workloads.trace import OP_BRANCH, OP_INT, OP_INT_MUL
+from repro.workloads.trace import OP_BRANCH, OP_INT, OP_INT_MUL, OP_LOAD
 
 SPACE = sampling_space()
 # Adds in-order issue and dl1 associativity, both of which reach the
@@ -528,7 +528,8 @@ class TestKernelMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * trace.load_count() * len(configs) * 8
+        n_load = int((trace.op == OP_LOAD).sum())
+        assert peak < 1.5 * n_load * len(configs) * 8
 
 
 class TestTraceCacheLRU:

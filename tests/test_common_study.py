@@ -31,13 +31,6 @@ class TestPredictionTable:
         table = self.make(ctx)
         assert table.efficiency == pytest.approx(table.bips**3 / table.watts)
 
-    def test_subset(self, ctx):
-        table = self.make(ctx)
-        subset = table.subset([0, 3])
-        assert len(subset) == 2
-        assert subset.points[1] == table.points[3]
-        assert subset.bips[1] == table.bips[3]
-
     def test_mismatched_columns_rejected(self, ctx):
         points = ctx.exploration_points()[:3]
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Tests for k-fold cross-validation and prediction intervals."""
+"""Tests for k-fold cross-validation."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,7 @@ from repro.regression import (
     LinearTerm,
     ModelSpec,
     SplineTerm,
-    SqrtTransform,
-    compare_specs,
     cross_validate,
-    fit_ols,
 )
 
 
@@ -59,66 +56,3 @@ class TestCrossValidation:
             cross_validate(
                 ModelSpec("y", (LinearTerm("x"),)), make_data(n=60), folds=100
             )
-
-    def test_compare_specs_keys(self):
-        data = make_data()
-        results = compare_specs(
-            {
-                "linear": ModelSpec("y", (LinearTerm("x"),)),
-                "spline": ModelSpec("y", (SplineTerm("x", knots=4),)),
-            },
-            data,
-        )
-        assert set(results) == {"linear", "spline"}
-
-    def test_stats_available(self):
-        data = make_data()
-        result = cross_validate(ModelSpec("y", (LinearTerm("x"),)), data)
-        stats = result.stats()
-        assert stats.n == 200
-
-
-class TestPredictionIntervals:
-    def make_model(self, noise=1.0, transform=None):
-        rng = np.random.default_rng(1)
-        x = rng.uniform(1, 10, 500)
-        y = 10.0 + 2.0 * x + noise * rng.standard_normal(500)
-        if transform is not None:
-            y = np.maximum(y, 0.1) ** 2  # keep positive for sqrt response
-            spec = ModelSpec("y", (LinearTerm("x"),), transform=transform)
-        else:
-            spec = ModelSpec("y", (LinearTerm("x"),))
-        return fit_ols(spec, {"x": x, "y": y}), x, y
-
-    def test_interval_contains_point_prediction(self):
-        model, x, _ = self.make_model()
-        query = {"x": np.linspace(1, 10, 20)}
-        low, high = model.prediction_interval(query)
-        predicted = model.predict(query)
-        assert (low <= predicted + 1e-9).all()
-        assert (high >= predicted - 1e-9).all()
-
-    def test_coverage_near_nominal(self):
-        model, x, y = self.make_model(noise=1.0)
-        low, high = model.prediction_interval({"x": x}, level=0.95)
-        coverage = ((y >= low) & (y <= high)).mean()
-        assert 0.90 <= coverage <= 0.99
-
-    def test_wider_at_higher_level(self):
-        model, _, _ = self.make_model()
-        query = {"x": np.array([5.0])}
-        low50, high50 = model.prediction_interval(query, level=0.5)
-        low99, high99 = model.prediction_interval(query, level=0.99)
-        assert high99[0] - low99[0] > high50[0] - low50[0]
-
-    def test_sqrt_transform_lower_bound_non_negative(self):
-        model, _, _ = self.make_model(noise=6.0, transform=SqrtTransform())
-        query = {"x": np.array([1.0, 5.0, 10.0])}
-        low, high = model.prediction_interval(query, level=0.999)
-        assert (low >= 0.0).all()
-        assert (high >= low).all()
-
-    def test_invalid_level(self):
-        model, _, _ = self.make_model()
-        with pytest.raises(FitError):
-            model.prediction_interval({"x": np.array([1.0])}, level=1.2)

@@ -112,7 +112,7 @@ class TestNormalizedEncoder:
             assert encoder.decode_vector(encoder.encode_point(point)) == point
 
     def test_pinned_parameter_encodes_as_zero(self, space):
-        pinned = space.fix(width=4)
+        pinned = space.restrict({"width": [4]})
         encoder = NormalizedEncoder(pinned)
         vector = encoder.encode_point(pinned.point(depth=12, width=4, l2=0.25))
         assert vector[1] == 0.0
@@ -148,7 +148,7 @@ class TestVectorizedEncode:
             assert encoder.encode(PointSet(space, indices)).tobytes() == expected
 
     def test_pinned_parameter_matches_encode_point(self, space):
-        pinned = space.fix(width=4)
+        pinned = space.restrict({"width": [4]})
         encoder = NormalizedEncoder(pinned)
         points = list(pinned)
         expected = self.stacked(encoder, points).tobytes()

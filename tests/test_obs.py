@@ -33,7 +33,6 @@ from repro.obs import (
     render_metrics,
     render_summary,
     render_tree,
-    reset_registry,
     summarize_spans,
     validate_record,
 )
@@ -42,11 +41,10 @@ from repro.obs import (
 @pytest.fixture(autouse=True)
 def clean_obs_state():
     """Each test gets a fresh registry and no trace sink."""
-    reset_registry()
-    disable_tracing()
-    yield
-    reset_registry()
-    disable_tracing()
+    with isolated_registry():
+        disable_tracing()
+        yield
+        disable_tracing()
 
 
 # -- metrics -----------------------------------------------------------------

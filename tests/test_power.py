@@ -78,11 +78,6 @@ class TestStructurePowers:
         breakdown = PowerModel().breakdown(baseline_config(), baseline_result.counts)
         assert breakdown.total == pytest.approx(sum(breakdown.components.values()))
 
-    def test_fraction(self, baseline_result):
-        breakdown = PowerModel().breakdown(baseline_config(), baseline_result.counts)
-        total = sum(breakdown.fraction(name) for name in breakdown.components)
-        assert total == pytest.approx(1.0)
-
     def test_clock_power_depth_sensitivity(self, baseline_result):
         counts = baseline_result.counts
         deep = component(

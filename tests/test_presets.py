@@ -71,12 +71,6 @@ class TestSpecs:
         power = power_spec()
         assert len(perf.terms) == len(power.terms)
 
-    def test_describe_is_readable(self):
-        text = performance_spec().describe()
-        assert "sqrt(bips)" in text
-        assert "spline(depth)" in text
-        assert "interaction(depthxdl1_kb)" in text
-
 
 class TestAblationVariants:
     def test_main_effects_only_has_no_interactions(self):

@@ -33,13 +33,6 @@ class TestOccupancyWindow:
         assert window.next_free() == 7
         assert window.acquire(9) == 7
 
-    def test_reset(self):
-        window = OccupancyWindow(2)
-        window.acquire(5)
-        window.reset()
-        assert window.next_free() == 0
-        assert window.count == 0
-
     def test_rejects_zero_capacity(self):
         with pytest.raises(ResourceError):
             OccupancyWindow(0)
@@ -74,12 +67,6 @@ class TestThroughputLimiter:
     def test_rejects_zero_rate(self):
         with pytest.raises(ResourceError):
             ThroughputLimiter(0)
-
-    def test_reset(self):
-        limiter = ThroughputLimiter(1)
-        limiter.next_slot(0)
-        limiter.reset()
-        assert limiter.next_slot(0) == 0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.lists(st.integers(0, 30), min_size=1, max_size=80))

@@ -53,37 +53,9 @@ class TestValidation:
 
 
 class TestActivityCounts:
-    def test_rates(self):
-        counts = ActivityCounts(
-            cycles=10, branches=10, mispredicts=2,
-            dl1_accesses=20, dl1_misses=5,
-            il1_accesses=10, il1_misses=1,
-            l2_accesses=6, l2_misses=3,
-        )
-        assert counts.mispredict_rate == 0.2
-        assert counts.dl1_miss_rate == 0.25
-        assert counts.il1_miss_rate == 0.1
-        assert counts.l2_miss_rate == 0.5
-
-    def test_rates_default_zero(self):
-        counts = ActivityCounts()
-        assert counts.mispredict_rate == 0.0
-        assert counts.dl1_miss_rate == 0.0
-
     def test_as_dict_round_trips_fields(self):
         counts = ActivityCounts(loads=3, stores=2)
         payload = counts.as_dict()
         assert payload["loads"] == 3
         assert payload["stores"] == 2
         assert set(payload) == set(ActivityCounts.__dataclass_fields__)
-
-
-class TestSerialization:
-    def test_as_dict(self):
-        result = make_result()
-        result.watts = 30.0
-        payload = result.as_dict()
-        assert payload["benchmark"] == "toy"
-        assert payload["bips"] == pytest.approx(1.6)
-        assert payload["watts"] == 30.0
-        assert "counts" in payload

@@ -173,7 +173,7 @@ def _list_sample_stratified(space, parameter_name, per_level, seed=None):
     rng = np.random.default_rng(seed)
     points = []
     for value in parameter.values:
-        level_space = space.fix(**{parameter_name: value})
+        level_space = space.restrict({parameter_name: [value]})
         child_seed = int(rng.integers(0, 2**31 - 1))
         points.extend(_list_sample_uar(level_space, per_level, seed=child_seed))
     return points

@@ -47,7 +47,7 @@ class TestSteepestDescent:
         result = search.steepest_descent(
             toy_space, quadratic_objective, start=toy_space.point(x=0, y=10)
         )
-        assert result.best_point.as_dict() == {"x": 7, "y": 3}
+        assert result.best_point == toy_space.point(x=7, y=3)
         assert result.best_value == 0.0
 
     def test_trajectory_is_monotone(self, toy_space):
@@ -67,7 +67,7 @@ class TestSteepestDescent:
         result = search.steepest_descent(
             toy_space, quadratic_objective, start=toy_space.point(x=7, y=3)
         )
-        assert result.best_point.as_dict() == {"x": 7, "y": 3}
+        assert result.best_point == toy_space.point(x=7, y=3)
 
 
 class TestGenetic:

@@ -105,14 +105,6 @@ class TestDesignPoint:
         with pytest.raises(KeyError):
             point["bogus"]
 
-    def test_get_with_default(self, space):
-        point = space.point_at(0)
-        assert point.get("bogus", 42) == 42
-        assert point.get("depth") == 9
-
-    def test_as_dict(self, space):
-        assert space.point_at(0).as_dict() == {"depth": 9, "width": 2, "l2": 0.25}
-
     def test_replace(self, space):
         point = space.point_at(0).replace(depth=15)
         assert point["depth"] == 15
@@ -162,7 +154,7 @@ class TestRestriction:
             space.restrict({"depth": (13,)})
 
     def test_fix_pins_single_values(self, space):
-        pinned = space.fix(depth=12, width=2)
+        pinned = space.restrict({"depth": [12], "width": [2]})
         assert len(pinned) == 3
         for point in pinned:
             assert point["depth"] == 12

@@ -24,7 +24,6 @@ class TestOriginalAnalysis:
         analysis = depth.original_analysis(ctx, "ammp")
         relative = analysis.relative()
         assert relative.max() == pytest.approx(1.0)
-        assert analysis.optimal_depth in analysis.depths
 
 
 class TestEnhancedAnalysis:
@@ -44,11 +43,6 @@ class TestEnhancedAnalysis:
         for d, stats in analysis.distributions.items():
             bound = analysis.bound_efficiency[d]
             assert bound >= stats.whisker_high - 1e-12
-
-    def test_bound_relative_to_best_bound_max_one(self, ctx):
-        analysis = depth.enhanced_analysis(ctx, "gzip")
-        relative = analysis.bound_relative_to_best_bound()
-        assert max(relative.values()) == pytest.approx(1.0)
 
     def test_exceed_fraction_in_unit_interval(self, ctx):
         analysis = depth.enhanced_analysis(ctx, "ammp")

@@ -353,7 +353,7 @@ class TestReducers:
             [[GroupedMetricReducer("depth", "efficiency")]], block_size=64,
         ).results[0]
         depths = np.array([p["depth"] for p in points], dtype=float)
-        for level in grouped.levels():
+        for level in grouped.values:
             mask = depths == level
             np.testing.assert_allclose(
                 grouped.values[level], efficiency[mask], rtol=1e-12

@@ -73,7 +73,8 @@ class TestExplorationSpace:
         sampling = sampling_space()
         for point in [exploration_space().point_at(i) for i in (0, 1000, 262_499)]:
             # every exploration point is a valid sampling-space point
-            assert sampling.point(**point.as_dict()) in sampling
+            values = dict(zip(point.names, point.values))
+            assert sampling.point(**values) in sampling
 
     def test_baseline_point_snaps_table3(self):
         point = baseline_point(exploration_space())

@@ -115,25 +115,9 @@ class TestSummaries:
         assert mix["int"] == pytest.approx(0.75)
         assert mix["load"] == pytest.approx(0.25)
 
-    def test_counts(self):
-        trace = make_trace()
-        assert trace.load_count() == 1
-        assert trace.store_count() == 0
-        assert trace.branch_count() == 0
-
     def test_footprints(self):
         trace = make_trace()
         assert trace.data_footprint() == 1
-        assert trace.instruction_footprint() == 1
 
     def test_fetch_events(self):
         assert make_trace().fetch_events() == 1
-
-    def test_taken_rate_no_branches(self):
-        assert make_trace().taken_rate() == 0.0
-
-    def test_summary_keys(self):
-        summary = generate_trace(get_profile("gzip"), 500, seed=1).summary()
-        assert summary["instructions"] == 500
-        assert "mix_int" in summary
-        assert "taken_rate" in summary
