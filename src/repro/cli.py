@@ -27,11 +27,10 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-import time
 from typing import List, Optional
 
 from . import __version__
-from .experiments import EXPERIMENTS, run_experiment, shared_context
+from .experiments import EXPERIMENTS, run_experiments, shared_context
 from .harness import (
     PRESETS,
     ArtifactError,
@@ -314,22 +313,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ids: List[str] = args.ids
     if ids == ["all"]:
         ids = list(EXPERIMENTS)
-    unknown = [i for i in ids if i not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment ids: {unknown}", file=sys.stderr)
-        print(f"choices: {', '.join(EXPERIMENTS)} or 'all'", file=sys.stderr)
-        return 2
     scale = get_scale(args.scale)
     mark = get_registry().snapshot()
+    ctx = shared_context(scale, workers=args.workers)
+    try:
+        runs = run_experiments(ctx, ids)
+    except KeyError as error:
+        print(error.args[0], file=sys.stderr)
+        print(f"choices: {', '.join(EXPERIMENTS)} or 'all'", file=sys.stderr)
+        return 2
     with _tracing_from_args(args):
-        ctx = shared_context(scale, workers=args.workers)
-        for experiment_id in ids:
-            started = time.time()
-            result = run_experiment(experiment_id, ctx=ctx)
-            elapsed = time.time() - started
+        for result, seconds in runs:
             print(
                 f"=== {result.id}: {result.title} "
-                f"[{elapsed:.1f}s @ {scale.name}] ==="
+                f"[{seconds:.1f}s @ {scale.name}] ==="
             )
             print(result.text)
             print()
@@ -349,10 +346,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     ctx = shared_context(scale, workers=args.workers)
     try:
-        path = write_report(ctx, Path(args.output), experiment_ids=args.only)
+        runs = run_experiments(ctx, args.only or list(EXPERIMENTS))
     except KeyError as error:
-        print(error, file=sys.stderr)
+        print(error.args[0], file=sys.stderr)
         return 2
+    path = write_report(ctx, Path(args.output), runs)
     print(f"wrote {path}")
     return 0
 

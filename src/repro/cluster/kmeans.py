@@ -3,9 +3,9 @@
 The paper clusters per-benchmark optimal architectures in normalized,
 weighted parameter space with the classic K-means heuristic (random
 centroid placement, assign/recompute until stable).  This implementation
-adds k-means++ seeding and multi-restart with an inertia criterion, both
-standard hardening of the same heuristic; plain random seeding (the
-paper's step 1) remains available.
+seeds with k-means++ only, in place of the paper's random placement, and
+keeps the best of several restarts by inertia; both are standard
+hardening of the same heuristic.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ def _distances_sq(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(n, k) squared Euclidean distances."""
     diff = points[:, None, :] - centroids[None, :, :]
     return np.einsum("nkd,nkd->nk", diff, diff)
-
-
-def _init_random(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """The paper's step 1: centroids at random distinct data points."""
-    indices = rng.choice(points.shape[0], size=k, replace=False)
-    return points[indices].copy()
 
 
 def _init_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -107,14 +101,13 @@ def kmeans(
     k: int,
     seed: Optional[int] = None,
     restarts: int = 10,
-    init: str = "k-means++",
     max_iterations: int = 100,
 ) -> KMeansResult:
     """Cluster ``points`` into ``k`` groups; best of ``restarts`` runs.
 
-    ``init`` is ``"k-means++"`` or ``"random"`` (the paper's plain random
-    placement).  Requires ``k <= n``; with ``k == n`` every point is its
-    own cluster (the paper's "nine benchmark architectures" upper bound).
+    Each run seeds its centroids with k-means++.  Requires ``k <= n``;
+    with ``k == n`` every point is its own cluster (the paper's "nine
+    benchmark architectures" upper bound).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -124,14 +117,11 @@ def kmeans(
         raise KMeansError(f"k must be in [1, {n}], got {k}")
     if restarts < 1:
         raise KMeansError(f"restarts must be >= 1, got {restarts}")
-    if init not in ("k-means++", "random"):
-        raise KMeansError(f"unknown init {init!r}")
 
     rng = np.random.default_rng(seed)
-    initialize = _init_plus_plus if init == "k-means++" else _init_random
     best: Optional[KMeansResult] = None
     for _ in range(restarts):
-        centroids = initialize(points, k, rng)
+        centroids = _init_plus_plus(points, k, rng)
         result = lloyd_iteration(points, centroids, max_iterations)
         if best is None or result.inertia < best.inertia:
             best = result

@@ -3,13 +3,13 @@
 Regression and clustering both consume design points as numeric vectors.
 The encoding uses each parameter's ``encode`` rule (log2 for geometric
 ranges such as width and cache sizes, identity otherwise), and the
-clustering path additionally normalizes coordinates to [0, 1] with optional
-per-parameter weights (Section 6.1's "normalized and weighted vectors").
+clustering path additionally normalizes coordinates to [0, 1] (Section
+6.1's "normalized and weighted vectors", with every weight 1).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -72,26 +72,16 @@ class DesignEncoder:
 
 
 class NormalizedEncoder(DesignEncoder):
-    """Encoder whose coordinates are scaled to [0, 1] and weighted.
+    """Encoder whose coordinates are scaled to [0, 1].
 
     Euclidean distance between these vectors is the similarity metric used
-    by K-means in the heterogeneity study.  Parameters whose encoded span is
-    zero (e.g. in a subspace with a pinned value) encode as 0.
+    by K-means in the heterogeneity study; every parameter weighs the same.
+    Parameters whose encoded span is zero (e.g. in a subspace with a pinned
+    value) encode as 0.
     """
 
-    def __init__(
-        self, space: DesignSpace, weights: Optional[Mapping[str, float]] = None
-    ):
+    def __init__(self, space: DesignSpace):
         super().__init__(space)
-        weights = dict(weights or {})
-        unknown = set(weights) - set(space.names)
-        if unknown:
-            raise ParameterError(f"weights for unknown parameters: {sorted(unknown)}")
-        if any(w < 0 for w in weights.values()):
-            raise ParameterError("weights must be non-negative")
-        self.weights: Dict[str, float] = {
-            name: float(weights.get(name, 1.0)) for name in space.names
-        }
         lows: List[float] = []
         spans: List[float] = []
         for parameter in space.parameters:
@@ -100,14 +90,12 @@ class NormalizedEncoder(DesignEncoder):
             spans.append(high - low)
         self._lows = np.array(lows)
         self._spans = np.array(spans)
-        self._weight_vector = np.array([self.weights[n] for n in space.names])
 
     def _normalize(self, raw: np.ndarray) -> np.ndarray:
-        """Scale encoded coordinates (a vector or rows) to weighted [0, 1]."""
+        """Scale encoded coordinates (a vector or rows) to [0, 1]."""
         with np.errstate(invalid="ignore"):
             safe_spans = np.where(self._spans > 0, self._spans, 1.0)
-            unit = np.where(self._spans > 0, (raw - self._lows) / safe_spans, 0.0)
-        return unit * self._weight_vector
+            return np.where(self._spans > 0, (raw - self._lows) / safe_spans, 0.0)
 
     def encode_point(self, point: DesignPoint) -> np.ndarray:
         return self._normalize(super().encode_point(point))
@@ -117,11 +105,9 @@ class NormalizedEncoder(DesignEncoder):
 
     def decode_vector(self, vector: Sequence[float]) -> DesignPoint:
         vector = np.asarray(vector, dtype=float)
-        if vector.shape != self._weight_vector.shape:
+        if vector.shape != self._spans.shape:
             raise ParameterError(
                 f"vector has {vector.size} coordinates for "
-                f"{self._weight_vector.size} parameters"
+                f"{self._spans.size} parameters"
             )
-        safe_weights = np.where(self._weight_vector > 0, self._weight_vector, 1.0)
-        raw = (vector / safe_weights) * self._spans + self._lows
-        return super().decode_vector(raw)
+        return super().decode_vector(vector * self._spans + self._lows)

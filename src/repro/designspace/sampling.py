@@ -23,14 +23,10 @@ def _generator(seed: Optional[int]) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _uar_indices(
-    size: int, count: int, rng: np.random.Generator, unique: bool
-) -> np.ndarray:
-    """``count`` UAR draws from ``range(size)`` as an int64 array."""
+def _uar_indices(size: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` distinct UAR draws from ``range(size)`` as an int64 array."""
     if count < 0:
         raise ParameterError(f"count must be non-negative, got {count}")
-    if not unique:
-        return rng.integers(0, size, size=count)
     if count > size:
         raise ParameterError(
             f"cannot draw {count} unique points from a space of {size}"
@@ -52,32 +48,25 @@ def _uar_indices(
 
 
 def sample_uar_indices(
-    space: DesignSpace,
-    count: int,
-    seed: Optional[int] = None,
-    unique: bool = True,
+    space: DesignSpace, count: int, seed: Optional[int] = None
 ) -> np.ndarray:
     """Indices into ``space`` of ``count`` points drawn uniformly at random.
 
-    With ``unique=True`` (default) points are sampled without replacement,
-    matching the paper's n=1,000 distinct training designs; requires
-    ``count <= |space|``.  Decode with :meth:`DesignSpace.point_at` or wrap
-    in a :class:`PointSet`.
+    Points are sampled without replacement, matching the paper's n=1,000
+    distinct training designs; requires ``count <= |space|``.  Decode with
+    :meth:`DesignSpace.point_at` or wrap in a :class:`PointSet`.
     """
-    return _uar_indices(len(space), count, _generator(seed), unique)
+    return _uar_indices(len(space), count, _generator(seed))
 
 
 def sample_uar(
-    space: DesignSpace,
-    count: int,
-    seed: Optional[int] = None,
-    unique: bool = True,
+    space: DesignSpace, count: int, seed: Optional[int] = None
 ) -> List[DesignPoint]:
-    """Sample ``count`` points uniformly at random from ``space``.
+    """Sample ``count`` distinct points uniformly at random from ``space``.
 
     The points of :func:`sample_uar_indices` with the same arguments.
     """
-    return list(PointSet(space, sample_uar_indices(space, count, seed, unique)))
+    return list(PointSet(space, sample_uar_indices(space, count, seed)))
 
 
 def sample_stratified_indices(
@@ -102,9 +91,7 @@ def sample_stratified_indices(
     strata = []
     for level in range(parameter.cardinality):
         child_seed = int(rng.integers(0, 2**31 - 1))
-        indices = _uar_indices(
-            level_size, per_level, _generator(child_seed), unique=True
-        )
+        indices = _uar_indices(level_size, per_level, _generator(child_seed))
         # The pinned parameter contributes factor 1 to the subspace
         # radix, so the digits above it shift up by one place of ``space``.
         high, low = np.divmod(indices, radix)
@@ -141,14 +128,13 @@ def _halton_sequence(index: int, base: int) -> float:
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def sample_halton(
-    space: DesignSpace, count: int, skip: int = 20
-) -> List[DesignPoint]:
+def sample_halton(space: DesignSpace, count: int) -> List[DesignPoint]:
     """Deterministic low-discrepancy sample of ``count`` points.
 
-    Each parameter is driven by a Halton sequence in a distinct prime base;
-    the unit-interval coordinate selects a level by equal-width binning.
-    Provided for sampler ablations against the paper's UAR choice.
+    Each parameter is driven by a Halton sequence in a distinct prime base,
+    skipping its first 20 elements; the unit-interval coordinate selects a
+    level by equal-width binning.  Provided for sampler ablations against
+    the paper's UAR choice.
     """
     if count < 0:
         raise ParameterError(f"count must be non-negative, got {count}")
@@ -160,7 +146,7 @@ def sample_halton(
     for i in range(count):
         values = {}
         for parameter, base in zip(space.parameters, _PRIMES):
-            coordinate = _halton_sequence(i + skip, base)
+            coordinate = _halton_sequence(i + 20, base)
             level = min(
                 int(coordinate * parameter.cardinality), parameter.cardinality - 1
             )

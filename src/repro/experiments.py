@@ -11,7 +11,7 @@ Experiment ids: T1-T4 (tables), F1-F9b (figures), X1-X12 (extensions).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .harness import (
     render_table,
 )
 from .harness.scale import ScalePreset
+from .obs.tracing import Stopwatch
 from .regression import (
     boxplot_stats,
     error_table,
@@ -912,11 +913,9 @@ EXPERIMENTS: Dict[str, Callable[[StudyContext], ExperimentResult]] = {
 
 
 def run_experiment(
-    experiment_id: str,
-    ctx: Optional[StudyContext] = None,
-    scale: Optional[ScalePreset] = None,
+    experiment_id: str, ctx: Optional[StudyContext] = None
 ) -> ExperimentResult:
-    """Run one experiment by id against the shared context."""
+    """Run one experiment by id against ``ctx`` or the shared context."""
     try:
         runner = EXPERIMENTS[experiment_id]
     except KeyError:
@@ -924,4 +923,27 @@ def run_experiment(
             f"unknown experiment {experiment_id!r}; "
             f"choices are {sorted(EXPERIMENTS)}"
         ) from None
-    return runner(ctx or shared_context(scale))
+    return runner(ctx or shared_context())
+
+
+def run_experiments(
+    ctx: StudyContext, ids: Sequence[str]
+) -> Iterator[Tuple[ExperimentResult, float]]:
+    """Run experiments in order on ``ctx``, yielding each with its seconds.
+
+    The one loop behind ``repro run`` and ``repro report``.  Every id is
+    checked before any experiment runs: unknown ids raise
+    :class:`KeyError` naming all of them.  Each run is timed by a
+    :class:`~repro.obs.tracing.Stopwatch` (a monotonic clock).
+    """
+    unknown = [i for i in ids if i not in EXPERIMENTS]
+    if unknown:
+        raise KeyError(f"unknown experiment ids: {unknown}")
+
+    def timed_runs() -> Iterator[Tuple[ExperimentResult, float]]:
+        for experiment_id in ids:
+            with Stopwatch() as watch:
+                result = run_experiment(experiment_id, ctx=ctx)
+            yield result, watch.wall_s
+
+    return timed_runs()

@@ -221,15 +221,15 @@ def cached_campaign(
     scale: Optional[ScalePreset] = None,
     space: Optional[DesignSpace] = None,
     benchmarks: Optional[Sequence[str]] = None,
-    refresh: bool = False,
     workers: int = 1,
 ) -> Campaign:
     """Load each benchmark's cached artifact; simulate and cache the rest.
 
-    Benchmarks without a valid file (or all of them, with ``refresh``)
-    are simulated as in :func:`repro.harness.campaign.run_campaign`, and
-    each one's file is written as soon as its chunk completes — so
-    rerunning an interrupted campaign simulates only what is missing.
+    Benchmarks without a valid file are simulated as in
+    :func:`repro.harness.campaign.run_campaign`, and each one's file is
+    written as soon as its chunk completes — so rerunning an interrupted
+    campaign simulates only what is missing.  Deleting the cache forces
+    a full rerun.
     ``artifacts.cache.hits``/``.misses`` count benchmarks loaded and
     simulated; ``run_report`` covers the simulated ones.
     """
@@ -237,7 +237,7 @@ def cached_campaign(
     registry = get_registry()
     missing = []
     for benchmark in campaign.benchmarks:
-        if not refresh and _load_cached(campaign, benchmark):
+        if _load_cached(campaign, benchmark):
             registry.increment("artifacts.cache.hits")
         else:
             registry.increment("artifacts.cache.misses")

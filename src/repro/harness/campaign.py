@@ -242,7 +242,6 @@ def _simulate_benchmarks(
 def run_campaign(
     simulator: Simulator,
     scale: Optional[ScalePreset] = None,
-    space: Optional[DesignSpace] = None,
     benchmarks: Optional[Sequence[str]] = None,
     workers: int = 1,
 ) -> Campaign:
@@ -261,7 +260,7 @@ def run_campaign(
     Each benchmark's trace is replayed once through the batched timing
     kernel, over its train and validation points together.
     """
-    campaign = _new_campaign(scale, space, benchmarks)
+    campaign = _new_campaign(scale, None, benchmarks)
     _simulate_benchmarks(simulator, campaign, campaign.benchmarks, workers)
     return campaign
 

@@ -29,11 +29,9 @@ class Series:
             )
 
 
-def render_series(series: Series, precision: int = 3) -> str:
-    """One series as a 'name: (x, y) ...' line."""
-    pairs = " ".join(
-        f"({x:g}, {y:.{precision}f})" for x, y in zip(series.x, series.y)
-    )
+def render_series(series: Series) -> str:
+    """One series as a 'name: (x, y) ...' line, y to three decimals."""
+    pairs = " ".join(f"({x:g}, {y:.3f})" for x, y in zip(series.x, series.y))
     return f"{series.name}: {pairs}"
 
 

@@ -9,29 +9,20 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Tuple
 
 from .scale import ScalePreset
 
 
-def generate_report(
-    ctx,
-    experiment_ids: Optional[Sequence[str]] = None,
-    title: str = "repro experiment report",
-) -> str:
-    """Run experiments against ``ctx`` and render a markdown report."""
-    # Imported here: repro.experiments imports the studies package, which
-    # imports this harness package at module load.
-    from ..experiments import EXPERIMENTS, run_experiment
+def generate_report(ctx, runs: Iterable[Tuple[object, float]]) -> str:
+    """Render a markdown report of ``runs`` against ``ctx``.
 
-    ids = list(experiment_ids or EXPERIMENTS)
-    unknown = [i for i in ids if i not in EXPERIMENTS]
-    if unknown:
-        raise KeyError(f"unknown experiment ids: {unknown}")
-
+    ``runs`` yields ``(result, seconds)`` pairs, as
+    :func:`repro.experiments.run_experiments` does.
+    """
     scale: ScalePreset = ctx.scale
     lines = [
-        f"# {title}",
+        "# repro experiment report",
         "",
         f"- scale: `{scale.name}` (traces {scale.trace_length}, "
         f"train {scale.n_train}, validation {scale.n_validation}, "
@@ -40,14 +31,11 @@ def generate_report(
         f"- generated: {time.strftime('%Y-%m-%d %H:%M:%S')}",
         "",
     ]
-    for experiment_id in ids:
-        started = time.time()
-        result = run_experiment(experiment_id, ctx=ctx)
-        elapsed = time.time() - started
+    for result, seconds in runs:
         lines += [
             f"## {result.id} — {result.title}",
             "",
-            f"_regenerated in {elapsed:.1f}s_",
+            f"_regenerated in {seconds:.1f}s_",
             "",
             "```",
             result.text,
@@ -57,13 +45,9 @@ def generate_report(
     return "\n".join(lines)
 
 
-def write_report(
-    ctx,
-    path: Path,
-    experiment_ids: Optional[Sequence[str]] = None,
-) -> Path:
-    """Generate and write the report; returns the path."""
+def write_report(ctx, path: Path, runs: Iterable[Tuple[object, float]]) -> Path:
+    """Generate and write the report of ``runs``; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(generate_report(ctx, experiment_ids))
+    path.write_text(generate_report(ctx, runs))
     return path

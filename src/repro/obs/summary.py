@@ -120,17 +120,14 @@ def render_summary(records: List[dict]) -> str:
     return f"{table}\n\n{total} spans, {events} events"
 
 
-def render_tree(
-    records: List[dict],
-    max_depth: int = 8,
-    max_children: int = 6,
-) -> str:
+def render_tree(records: List[dict], max_depth: int = 8) -> str:
     """The ``repro trace tree`` view: slowest paths, children by wall.
 
     Each node shows its wall time, self time (wall minus child spans),
-    and name; children are sorted slowest-first and pruned to
-    ``max_children`` per node with an elision marker.
+    and name; children are sorted slowest-first and pruned to six per
+    node with an elision marker.
     """
+    max_children = 6
     roots = build_span_tree(records)
     span_roots = [r for r in roots if r.body["kind"] == "span"]
     if not span_roots:

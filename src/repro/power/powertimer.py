@@ -44,18 +44,13 @@ def _count_columns(counts: Sequence[ActivityCounts]) -> SimpleNamespace:
 class PowerModel:
     """Evaluates total power for blocks of (config, activity) pairs.
 
-    ``scale`` multiplies every component — a calibration hook for ablations
-    (e.g. technology scaling studies) that leaves relative behaviour alone.
-
-    One formula serves every caller: :meth:`evaluate` computes a whole
+    The components are PowerTimer's unscaled structure models.  One
+    formula serves every caller: :meth:`evaluate` computes a whole
     simulated block at once, and :meth:`breakdown` one design as a block
     of one.
     """
 
-    def __init__(self, scale: float = 1.0):
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        self.scale = scale
+    def __init__(self) -> None:
         self._components: Dict[
             str, Callable[[ConfigColumns, SimpleNamespace], np.ndarray]
         ] = {
@@ -82,8 +77,7 @@ class PowerModel:
         block = config_columns(configs)
         columns = _count_columns(counts)
         components = [
-            (self.scale * model(block, columns)).tolist()
-            for model in self._components.values()
+            model(block, columns).tolist() for model in self._components.values()
         ]
         return list(zip(*components))
 

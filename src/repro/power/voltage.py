@@ -63,13 +63,10 @@ class OperatingPoint:
         return self.bips**3 / self.watts
 
 
-def split_power(
-    config: MachineConfig, result: SimulationResult, power_model: PowerModel = None
-) -> Dict[str, float]:
+def split_power(config: MachineConfig, result: SimulationResult) -> Dict[str, float]:
     """Total watts split into dynamic and static parts."""
-    power_model = power_model or PowerModel()
-    breakdown = power_model.breakdown(config, result.counts)
-    static = sum(structures.static_power(config).values()) * power_model.scale
+    breakdown = PowerModel().breakdown(config, result.counts)
+    static = sum(structures.static_power(config).values())
     total = breakdown.total
     static = min(static, total)  # guard: static can never exceed total
     return {"dynamic": total - static, "static": static, "total": total}
@@ -79,12 +76,11 @@ def scale_operating_point(
     config: MachineConfig,
     result: SimulationResult,
     voltage_scale: float,
-    power_model: PowerModel = None,
 ) -> OperatingPoint:
     """The design's performance/power at a scaled supply voltage."""
     if voltage_scale <= 0:
         raise VoltageError(f"voltage scale must be positive, got {voltage_scale}")
-    parts = split_power(config, result, power_model)
+    parts = split_power(config, result)
     k = voltage_scale
     dynamic = parts["dynamic"] * k**DYNAMIC_EXPONENT
     static = parts["static"] * k**STATIC_EXPONENT
@@ -109,7 +105,6 @@ def invariance_study(
     config: MachineConfig,
     result: SimulationResult,
     voltage_scales: Sequence[float] = (0.8, 0.9, 1.0, 1.1, 1.2),
-    power_model: PowerModel = None,
 ) -> InvarianceStudy:
     """Sweep voltage and measure each metric's spread.
 
@@ -119,10 +114,7 @@ def invariance_study(
     """
     if not voltage_scales:
         raise VoltageError("need at least one voltage scale")
-    points = [
-        scale_operating_point(config, result, k, power_model)
-        for k in voltage_scales
-    ]
+    points = [scale_operating_point(config, result, k) for k in voltage_scales]
 
     def spread(metric: str) -> float:
         values = [getattr(p, metric) for p in points]

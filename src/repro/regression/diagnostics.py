@@ -58,17 +58,14 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     return pearson(rank_data(np.asarray(x)), rank_data(np.asarray(y)))
 
 
-def correlation_matrix(
-    data: Columns, names: Sequence[str], method: str = "spearman"
-) -> np.ndarray:
-    """Pairwise correlation matrix over the named columns."""
-    correlate = spearman if method == "spearman" else pearson
+def correlation_matrix(data: Columns, names: Sequence[str]) -> np.ndarray:
+    """Pairwise Spearman correlation matrix over the named columns."""
     k = len(names)
     matrix = np.eye(k)
     columns = [np.asarray(data[name], dtype=float) for name in names]
     for i in range(k):
         for j in range(i + 1, k):
-            value = correlate(columns[i], columns[j])
+            value = spearman(columns[i], columns[j])
             matrix[i, j] = matrix[j, i] = value
     return matrix
 

@@ -24,8 +24,9 @@ class CoefficientTest:
     t_statistic: float
     p_value: float
 
-    def significant(self, alpha: float = 0.05) -> bool:
-        return self.p_value < alpha
+    def significant(self) -> bool:
+        """Significant at the 5% level."""
+        return self.p_value < 0.05
 
 
 def coefficient_tests(model: FittedModel) -> List[CoefficientTest]:

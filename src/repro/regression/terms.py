@@ -142,23 +142,15 @@ class _BoundSpline(BoundTerm):
 
 @dataclass(frozen=True)
 class InteractionTerm(Term):
-    """Product interaction between two predictors (Section 3.2).
+    """Linear product interaction between two predictors (Section 3.2).
 
-    ``order="linear"`` (the default) adds the single product column
-    ``a*b``; ``order="spline"`` crosses the full restricted-cubic basis of
-    ``a`` with the linear column of ``b`` (Harrell's restricted
-    interaction), capturing non-linear effects whose shape depends on the
-    second predictor.
+    Adds the single product column ``a*b``.
     """
 
     a: str
     b: str
-    order: str = "linear"
-    knots: int = 3
 
     def __post_init__(self) -> None:
-        if self.order not in ("linear", "spline"):
-            raise TermError(f"unknown interaction order {self.order!r}")
         if self.a == self.b:
             raise TermError(f"interaction of {self.a!r} with itself")
 
@@ -169,12 +161,7 @@ class InteractionTerm(Term):
     def bind(self, data: Columns) -> BoundTerm:
         _column(data, self.a)
         _column(data, self.b)
-        if self.order == "linear":
-            return _BoundLinearInteraction(self.a, self.b)
-        knots = quantile_knots(_column(data, self.a), self.knots)
-        if knots.size < 3:
-            return _BoundLinearInteraction(self.a, self.b)
-        return _BoundSplineInteraction(self.a, self.b, knots)
+        return _BoundLinearInteraction(self.a, self.b)
 
 
 class _BoundLinearInteraction(BoundTerm):
@@ -188,22 +175,6 @@ class _BoundLinearInteraction(BoundTerm):
 
     def design_columns(self, data: Columns) -> np.ndarray:
         return (_column(data, self.a) * _column(data, self.b))[:, None]
-
-
-class _BoundSplineInteraction(BoundTerm):
-    def __init__(self, a: str, b: str, knots: np.ndarray):
-        self.a, self.b = a, b
-        self.knots = knots
-        base_names = rcs_column_names(a, knots.size)
-        self.column_names = tuple(f"{name}*{b}" for name in base_names)
-
-    @property
-    def predictors(self) -> Tuple[str, ...]:
-        return (self.a, self.b)
-
-    def design_columns(self, data: Columns) -> np.ndarray:
-        basis = rcs_basis(_column(data, self.a), self.knots)
-        return basis * _column(data, self.b)[:, None]
 
 
 def column_names(bound: Sequence[BoundTerm]) -> Tuple[str, ...]:

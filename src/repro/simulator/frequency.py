@@ -73,17 +73,20 @@ def total_stages(depth_fo4: float) -> int:
     return stages_for_logic(TOTAL_LOGIC_FO4, depth_fo4)
 
 
-def latency_cycles(logic_fo4: float, depth_fo4: float, minimum: int = 1) -> int:
+def latency_cycles(logic_fo4: float, depth_fo4: float) -> int:
     """Cycles to evaluate ``logic_fo4`` of logic on a ``depth_fo4`` machine.
 
     Used for functional-unit latencies: a fixed amount of logic takes more
-    cycles on a deeper (higher-frequency) pipeline.
+    cycles on a deeper (higher-frequency) pipeline.  At least 1.
     """
     _check_depth(depth_fo4)
-    return max(minimum, math.ceil(logic_fo4 / depth_fo4))
+    return max(1, math.ceil(logic_fo4 / depth_fo4))
 
 
-def ns_to_cycles(latency_ns: float, depth_fo4: float, minimum: int = 1) -> int:
-    """Cycles to cover a fixed wall-clock latency (cache arrays, DRAM)."""
+def ns_to_cycles(latency_ns: float, depth_fo4: float) -> int:
+    """Cycles to cover a fixed wall-clock latency (cache arrays, DRAM).
+
+    At least 1.
+    """
     period_ns = cycle_time_ps(depth_fo4) / 1000.0
-    return max(minimum, math.ceil(latency_ns / period_ns))
+    return max(1, math.ceil(latency_ns / period_ns))

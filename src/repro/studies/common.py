@@ -99,7 +99,6 @@ class StudyContext:
         scale: Optional[ScalePreset] = None,
         simulator: Optional[Simulator] = None,
         benchmarks: Optional[Sequence[str]] = None,
-        refresh: bool = False,
         workers: int = 1,
         resilience=None,
     ):
@@ -109,16 +108,15 @@ class StudyContext:
         self.sampling_space: DesignSpace = sampling_space()
         self.exploration_space: DesignSpace = exploration_space()
         self.workers = workers
-        self._refresh = refresh
         self._campaign: Optional[Campaign] = None
         self._models: Optional[Dict[str, Dict[str, FittedModel]]] = None
         self._predictors: Dict[str, BlockPredictor] = {}
         self._exploration_points: Optional[PointSet] = None
-        self._stratified_points: Dict[str, PointSet] = {}
+        self._per_depth_points: Optional[PointSet] = None
         self._prediction_tables: Dict[tuple, PredictionTable] = {}
         self._simulations: Dict[tuple, SimulationResult] = {}
         #: Table 2 optima, memoized by ``heterogeneity.benchmark_optima``.
-        self._heterogeneity_cache: Dict[tuple, object] = {}
+        self._heterogeneity_cache: Dict[str, object] = {}
         self._sweep_results: Dict[tuple, object] = {}
 
     # -- campaign & models -------------------------------------------------
@@ -131,7 +129,6 @@ class StudyContext:
                 scale=self.scale,
                 space=self.sampling_space,
                 benchmarks=self.benchmarks,
-                refresh=self._refresh,
                 workers=self.workers,
             )
         return self._campaign
@@ -180,22 +177,22 @@ class StudyContext:
             self._exploration_points = PointSet(space, indices)
         return self._exploration_points
 
-    def per_depth_points(self, parameter: str = "depth") -> PointSet:
+    def per_depth_points(self) -> PointSet:
         """Stratified exploration set: equal designs at every depth level."""
-        if parameter not in self._stratified_points:
+        if self._per_depth_points is None:
             space = self.exploration_space
-            levels = space.parameter(parameter).cardinality
+            levels = space.parameter("depth").cardinality
             per_level = min(
                 self.scale.per_depth_designs,
                 len(space) // levels,
             )
-            self._stratified_points[parameter] = PointSet(
+            self._per_depth_points = PointSet(
                 space,
                 sample_stratified_indices(
-                    space, parameter, per_level, seed=self.scale.seed + 2
+                    space, "depth", per_level, seed=self.scale.seed + 2
                 ),
             )
-        return self._stratified_points[parameter]
+        return self._per_depth_points
 
     # -- prediction ----------------------------------------------------------
 
@@ -301,14 +298,10 @@ class StudyContext:
         self,
         benchmarks: Sequence[str],
         reducers: Callable[[], Sequence[SweepReducer]],
-        parameter: str = "depth",
     ) -> Dict[str, List[object]]:
         """Fold streaming reducers over the depth-stratified set."""
         return self._sweep(
-            benchmarks,
-            f"per-depth:{parameter}",
-            self.per_depth_points(parameter),
-            reducers,
+            benchmarks, "per-depth", self.per_depth_points(), reducers
         )
 
     # -- simulation -----------------------------------------------------------

@@ -187,16 +187,14 @@ def suite_depth_summary(ctx: StudyContext) -> SuiteDepthSummary:
 
 
 def top_percentile_cache_distribution(
-    ctx: StudyContext, percentile: float = 95.0
+    ctx: StudyContext,
 ) -> Dict[float, Dict[float, float]]:
     """Figure 5b: d-L1 size shares among each depth's top designs.
 
-    For every depth, designs above the ``percentile`` of the suite-average
-    efficiency distribution are selected and the d-L1 size histogram
-    (fractions) reported.
+    For every depth, designs at or above the 95th percentile of the
+    suite-average efficiency distribution are selected and the d-L1 size
+    histogram (fractions) reported.
     """
-    if not 0 < percentile < 100:
-        raise ValueError(f"percentile must be in (0, 100), got {percentile}")
     # Suite-average efficiency per stratified design, normalized per
     # benchmark by the original optimum (axis does not matter for ranks).
     # The sweep engine collects only the efficiency vector and the two
@@ -225,7 +223,7 @@ def top_percentile_cache_distribution(
         values = average[mask]
         if values.size == 0:
             continue
-        cut = np.percentile(values, percentile)
+        cut = np.percentile(values, 95.0)
         top = mask & (average >= cut)
         total = int(top.sum())
         result[depth] = {

@@ -43,14 +43,12 @@ class Clustering:
     inertia: float
 
 
-def benchmark_optima(
-    ctx: StudyContext, validate: bool = False
-) -> Dict[str, EfficiencyOptimum]:
+def benchmark_optima(ctx: StudyContext) -> Dict[str, EfficiencyOptimum]:
     """Table 2's architectures keyed by benchmark (memoized on the ctx)."""
-    cache_key = ("benchmark-optima", validate)
+    cache_key = "benchmark-optima"
     store = ctx._heterogeneity_cache
     if cache_key not in store:
-        rows = table2(ctx, validate=validate)
+        rows = table2(ctx, validate=False)
         store[cache_key] = {row.benchmark: row for row in rows}
     return store[cache_key]
 
@@ -59,19 +57,18 @@ def cluster_architectures(
     ctx: StudyContext,
     k: int,
     optima: Optional[Mapping[str, EfficiencyOptimum]] = None,
-    weights: Optional[Mapping[str, float]] = None,
     seed: int = 0,
 ) -> Clustering:
     """K-means over the benchmark architectures in normalized space.
 
     Centroids are snapped to the nearest valid design point (compromise
     architectures must be buildable); the paper's Euclidean similarity on
-    normalized, weighted parameter vectors is implemented by
+    normalized parameter vectors (every weight 1) is implemented by
     :class:`~repro.designspace.NormalizedEncoder`.
     """
     optima = optima or benchmark_optima(ctx)
     names = list(optima)
-    encoder = NormalizedEncoder(ctx.exploration_space, weights=weights)
+    encoder = NormalizedEncoder(ctx.exploration_space)
     vectors = encoder.encode([optima[name].point for name in names])
     result = kmeans(vectors, k, seed=seed, restarts=20)
 

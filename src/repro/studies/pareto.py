@@ -172,17 +172,14 @@ class FrontierValidation:
     power_errors: ErrorSummary
 
 
-def validate_frontier(
-    ctx: StudyContext, benchmark: str, count: int = None, bins: int = 50
-) -> FrontierValidation:
+def validate_frontier(ctx: StudyContext, benchmark: str) -> FrontierValidation:
     """Simulate designs along the predicted frontier and summarize errors.
 
-    ``count`` frontier designs are simulated, spread evenly along the
-    frontier (defaults to the scale preset's ``frontier_validations``).
+    The scale preset's ``frontier_validations`` frontier designs are
+    simulated, spread evenly along the frontier.
     """
-    front = frontier(ctx, benchmark, bins=bins)
-    count = count or ctx.scale.frontier_validations
-    count = min(count, len(front))
+    front = frontier(ctx, benchmark)
+    count = min(ctx.scale.frontier_validations, len(front))
     picks = np.unique(
         np.linspace(0, len(front) - 1, count).round().astype(int)
     )
@@ -218,21 +215,15 @@ def validate_frontier(
 
 
 def validate_frontiers(
-    ctx: StudyContext,
-    benchmarks: Sequence[str],
-    count: int = None,
-    bins: int = 50,
+    ctx: StudyContext, benchmarks: Sequence[str]
 ) -> Dict[str, FrontierValidation]:
     """:func:`validate_frontier` for several benchmarks.
 
     Their frontiers come from one sweep pass; each validation then reads
     its frontier from the context's memo.
     """
-    frontiers(ctx, benchmarks, bins=bins)
-    return {
-        benchmark: validate_frontier(ctx, benchmark, count=count, bins=bins)
-        for benchmark in benchmarks
-    }
+    frontiers(ctx, benchmarks)
+    return {benchmark: validate_frontier(ctx, benchmark) for benchmark in benchmarks}
 
 
 def resource_trend(

@@ -131,8 +131,7 @@ def schedule(
     """Assign one benchmark per core under a scheduling policy.
 
     Policies: ``"optimal"`` (Hungarian on -log efficiency — maximizes
-    geometric-mean bips^3/w), ``"greedy"`` (benchmarks claim their best
-    remaining core in order), ``"naive"`` (benchmark i on core i).
+    geometric-mean bips^3/w) and ``"naive"`` (benchmark i on core i).
     Requires exactly as many benchmarks as cores.
     """
     benchmarks = list(benchmarks or ctx.benchmarks)
@@ -149,14 +148,6 @@ def schedule(
 
     if policy == "optimal":
         pairs = hungarian(-log_efficiency)
-    elif policy == "greedy":
-        taken: set = set()
-        pairs = []
-        for b in range(len(benchmarks)):
-            order = np.argsort(-efficiency[b])
-            core = next(int(c) for c in order if int(c) not in taken)
-            taken.add(core)
-            pairs.append((b, core))
     elif policy == "naive":
         pairs = [(i, i) for i in range(len(benchmarks))]
     else:
@@ -207,7 +198,6 @@ class CMPComparison:
 def compare_cmp_designs(
     ctx: StudyContext,
     core_types: int = 4,
-    benchmarks: Optional[Sequence[str]] = None,
     seed: int = 0,
 ) -> CMPComparison:
     """Schedule the suite on a K-type heterogeneous CMP vs a homogeneous one.
@@ -216,7 +206,7 @@ def compare_cmp_designs(
     enough times to host every benchmark (replicated round-robin); the
     homogeneous machine replicates the K=1 compromise core.
     """
-    benchmarks = list(benchmarks or ctx.benchmarks)
+    benchmarks = list(ctx.benchmarks)
     n = len(benchmarks)
     hetero_clusters = cluster_architectures(ctx, core_types, seed=seed)
     hetero_cores: List[DesignPoint] = []

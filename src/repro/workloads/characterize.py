@@ -19,6 +19,9 @@ from .trace import NO_FETCH, OP_BRANCH, Trace
 #: Default capacities (in 128B blocks) for miss-rate curves: 8KB .. 8MB.
 DEFAULT_CAPACITIES = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536)
 
+#: Capacities (in fetch blocks) of the instruction miss-rate curve.
+INSTRUCTION_CAPACITIES = (128, 256, 512, 1024, 2048)
+
 
 def miss_rate_curve(
     trace: Trace, capacities: Sequence[int] = DEFAULT_CAPACITIES
@@ -30,14 +33,12 @@ def miss_rate_curve(
     return {int(c): float((reuse >= c).mean()) for c in capacities}
 
 
-def instruction_miss_rate_curve(
-    trace: Trace, capacities: Sequence[int] = (128, 256, 512, 1024, 2048)
-) -> Dict[int, float]:
+def instruction_miss_rate_curve(trace: Trace) -> Dict[int, float]:
     """Empirical fetch-block miss rate versus i-cache capacity (blocks)."""
     reuse = trace.instr_reuse[trace.instr_reuse != NO_FETCH]
     if reuse.size == 0:
-        return {int(c): 0.0 for c in capacities}
-    return {int(c): float((reuse >= c).mean()) for c in capacities}
+        return {c: 0.0 for c in INSTRUCTION_CAPACITIES}
+    return {c: float((reuse >= c).mean()) for c in INSTRUCTION_CAPACITIES}
 
 
 def dataflow_ilp(trace: Trace, window: int = 0) -> float:

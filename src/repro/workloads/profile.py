@@ -16,7 +16,7 @@ mesa has abundant instruction-level parallelism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .trace import OP_CODES
@@ -128,7 +128,6 @@ class WorkloadProfile:
     loop_length_mean: float
     loop_iterations_mean: float
     ref_instructions: float
-    extra: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.name:

@@ -194,16 +194,6 @@ class TestCachedCampaign:
         _assert_bitwise_equal(subset, fresh, ["mcf"])
         _assert_bitwise_equal(superset, fresh, ["gzip", "mcf", "mesa"])
 
-    def test_refresh_forces_rerun(self, tiny_scale):
-        scale = tiny_scale.with_overrides(name="refresh-test", n_train=8)
-        cached_campaign(Simulator(), scale=scale, benchmarks=["gzip"])
-        simulator = RecordingSimulator()
-        fresh = cached_campaign(
-            simulator, scale=scale, benchmarks=["gzip"], refresh=True
-        )
-        assert len(fresh.train_points) == 8
-        assert simulator.simulated == ["gzip"]
-
     def test_cache_file_created(self, tiny_scale):
         scale = tiny_scale.with_overrides(name="file-test", n_train=6)
         cached_campaign(Simulator(), scale=scale, benchmarks=["gzip", "mcf"])

@@ -87,25 +87,6 @@ class TestNormalizedEncoder:
         assert vector[1] == pytest.approx(0.5)
         assert vector[2] == pytest.approx(0.5)
 
-    def test_weights_scale_coordinates(self, space):
-        encoder = NormalizedEncoder(space, weights={"depth": 2.0})
-        vector = encoder.encode_point(space.point(depth=24, width=2, l2=0.25))
-        assert vector[0] == pytest.approx(2.0)
-
-    def test_zero_weight_removes_dimension(self, space):
-        encoder = NormalizedEncoder(space, weights={"width": 0.0})
-        a = encoder.encode_point(space.point(depth=12, width=2, l2=0.25))
-        b = encoder.encode_point(space.point(depth=12, width=8, l2=0.25))
-        assert np.allclose(a, b)
-
-    def test_unknown_weight_rejected(self, space):
-        with pytest.raises(ParameterError):
-            NormalizedEncoder(space, weights={"bogus": 1.0})
-
-    def test_negative_weight_rejected(self, space):
-        with pytest.raises(ParameterError):
-            NormalizedEncoder(space, weights={"depth": -1.0})
-
     def test_decode_round_trip(self, space):
         encoder = NormalizedEncoder(space)
         for point in space:
@@ -141,7 +122,7 @@ class TestVectorizedEncode:
         points = list(PointSet(space, indices))
         for encoder in (
             DesignEncoder(space),
-            NormalizedEncoder(space, weights={"depth": 2.0, "width": 0.0}),
+            NormalizedEncoder(space),
         ):
             expected = self.stacked(encoder, points).tobytes()
             assert encoder.encode(points).tobytes() == expected

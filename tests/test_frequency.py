@@ -58,7 +58,6 @@ class TestLatencies:
 
     def test_latency_minimum(self):
         assert frequency.latency_cycles(1, 30) == 1
-        assert frequency.latency_cycles(1, 30, minimum=2) == 2
 
     def test_ns_to_cycles_scales_with_frequency(self):
         at_12 = frequency.ns_to_cycles(60.0, 12)

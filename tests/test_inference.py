@@ -43,7 +43,8 @@ class TestCoefficientTests:
 
     def test_junk_is_not_significant(self, model):
         rows = {row.name: row for row in coefficient_tests(model)}
-        assert not rows["junk"].significant(alpha=0.01)
+        # the junk column is noise: not significant at the 1% level
+        assert rows["junk"].p_value >= 0.01
 
     def test_row_count(self, model):
         assert len(coefficient_tests(model)) == 3  # intercept + 2

@@ -54,11 +54,6 @@ class TestBasics:
         assert (a.assignments == b.assignments).all()
         assert a.inertia == b.inertia
 
-    def test_random_init_supported(self):
-        points, _ = blob_data()
-        result = kmeans(points, 3, seed=0, init="random")
-        assert result.k == 3
-
 
 class TestInertia:
     def test_inertia_matches_definition(self):
@@ -96,10 +91,6 @@ class TestErrors:
     def test_one_dimensional_points(self):
         with pytest.raises(KMeansError):
             kmeans(np.zeros(5), 2)
-
-    def test_bad_init(self):
-        with pytest.raises(KMeansError):
-            kmeans(np.zeros((5, 2)), 2, init="spectral")
 
     def test_bad_restarts(self):
         with pytest.raises(KMeansError):

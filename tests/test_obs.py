@@ -321,7 +321,7 @@ class TestSummaries:
         for i in range(8):
             records.append(_span(f"child{i}", 1.0, sid=f"s{i + 1}", parent="s0"))
         records[1]["status"] = "error"
-        text = render_tree(records, max_children=6)
+        text = render_tree(records)
         assert "root" in text
         assert "[error]" in text
         assert "… 2 more" in text

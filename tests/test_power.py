@@ -151,13 +151,6 @@ class TestPowerModel:
         # the POWER4-like baseline should land in the tens of watts
         assert 15.0 < baseline_result.watts < 90.0
 
-    def test_scale_hook(self, baseline_result):
-        scaled = PowerModel(scale=2.0).breakdown(
-            baseline_config(), baseline_result.counts
-        )
-        unit = PowerModel().breakdown(baseline_config(), baseline_result.counts)
-        assert scaled.total == pytest.approx(2.0 * unit.total)
-
     def test_no_cycles_means_no_activity_power(self):
         """Events over zero cycles count as no activity: only the clock
         and the standing (idle and leakage) terms remain."""
@@ -169,10 +162,6 @@ class TestPowerModel:
         assert breakdown.components["frontend"] == 0.0
         assert breakdown.components["clock"] > 0.0
         assert all(w >= 0.0 for w in breakdown.components.values())
-
-    def test_scale_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PowerModel(scale=0.0)
 
     def test_evaluate_attaches_breakdown(self, baseline_result):
         assert set(baseline_result.power_breakdown) == {

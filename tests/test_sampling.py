@@ -44,10 +44,6 @@ class TestUAR:
         with pytest.raises(ParameterError):
             sample_uar(toy_space, len(toy_space) + 1, seed=1)
 
-    def test_with_replacement_can_exceed_space(self, toy_space):
-        points = sample_uar(toy_space, 50, seed=1, unique=False)
-        assert len(points) == 50
-
     def test_deterministic_with_seed(self, toy_space):
         assert sample_uar(toy_space, 8, seed=5) == sample_uar(toy_space, 8, seed=5)
 
@@ -148,23 +144,20 @@ def _list_rejection_draws(size, count, rng):
     return indices
 
 
-def _list_sample_uar(space, count, seed=None, unique=True):
+def _list_sample_uar(space, count, seed=None):
     """The list sampler the index samplers replaced, kept as the oracle."""
     if count < 0:
         raise ParameterError(f"count must be non-negative, got {count}")
     size = len(space)
     rng = np.random.default_rng(seed)
-    if unique:
-        if count > size:
-            raise ParameterError(
-                f"cannot draw {count} unique points from a space of {size}"
-            )
-        if count * 20 < size:
-            indices = _list_rejection_draws(size, count, rng)
-        else:
-            indices = list(rng.choice(size, size=count, replace=False))
+    if count > size:
+        raise ParameterError(
+            f"cannot draw {count} unique points from a space of {size}"
+        )
+    if count * 20 < size:
+        indices = _list_rejection_draws(size, count, rng)
     else:
-        indices = list(rng.integers(0, size, size=count))
+        indices = list(rng.choice(size, size=count, replace=False))
     return [space.point_at(int(i)) for i in indices]
 
 
@@ -219,19 +212,18 @@ class TestIndexSamplers:
     @given(
         st.sampled_from(["toy", "mid", "exploration"]),
         st.integers(0, 2**31 - 1),
-        st.booleans(),
         st.data(),
     )
-    def test_uar_matches_list_sampler(self, which, seed, unique, data):
+    def test_uar_matches_list_sampler(self, which, seed, data):
         space = {"toy": _TOY, "mid": _MID, "exploration": _EXPLORATION}[which]
         # Up to just past the rejection/choice switch (count * 20 < |S|).
         limit = min(len(space), len(space) // 20 + 40)
         count = data.draw(st.integers(0, limit), label="count")
-        indices = sample_uar_indices(space, count, seed=seed, unique=unique)
+        indices = sample_uar_indices(space, count, seed=seed)
         assert indices.dtype == np.int64
-        expected = _list_sample_uar(space, count, seed=seed, unique=unique)
+        expected = _list_sample_uar(space, count, seed=seed)
         assert _points(space, indices) == expected
-        assert sample_uar(space, count, seed=seed, unique=unique) == expected
+        assert sample_uar(space, count, seed=seed) == expected
 
     @pytest.mark.parametrize(
         "space,count",
@@ -274,7 +266,7 @@ class TestIndexSamplers:
     def test_rejection_rounds_skip_kept_indices(self, script):
         """Later rejection rounds (rare with a real generator) dedup
         against every index kept so far, exactly as the list loop did."""
-        got = _uar_indices(1000, 3, _ScriptedRng(script), unique=True)
+        got = _uar_indices(1000, 3, _ScriptedRng(script))
         assert got.tolist() == _list_rejection_draws(1000, 3, _ScriptedRng(script))
 
     def test_stratified_choice_branch_on_exploration_space(self):

@@ -70,19 +70,15 @@ class TestSuiteSummary:
 
 class TestCacheDistribution:
     def test_fractions_sum_to_one(self, ctx):
-        distribution = depth.top_percentile_cache_distribution(ctx, percentile=90)
+        distribution = depth.top_percentile_cache_distribution(ctx)
         for d, shares in distribution.items():
             assert sum(shares.values()) == pytest.approx(1.0)
 
     def test_sizes_are_space_levels(self, ctx):
-        distribution = depth.top_percentile_cache_distribution(ctx, percentile=90)
+        distribution = depth.top_percentile_cache_distribution(ctx)
         sizes = set(ctx.exploration_space.parameter("dl1_kb").values)
         for shares in distribution.values():
             assert set(shares) == sizes
-
-    def test_invalid_percentile(self, ctx):
-        with pytest.raises(ValueError):
-            depth.top_percentile_cache_distribution(ctx, percentile=0)
 
 
 class TestValidation:

@@ -48,26 +48,6 @@ class TestClustering:
         assert clustering.k == 1
         assert len(clustering.clusters[0].benchmarks) == len(ctx.benchmarks)
 
-    def test_weights_change_clustering_space(self, ctx):
-        # zero weight on everything but L2 clusters purely by cache size
-        clustering = heterogeneity.cluster_architectures(
-            ctx, 2,
-            weights={
-                name: 0.0
-                for name in ctx.exploration_space.names
-                if name != "l2_mb"
-            },
-        )
-        l2_by_cluster = [
-            {optimum_l2 for optimum_l2 in
-             (heterogeneity.benchmark_optima(ctx)[b].point["l2_mb"]
-              for b in cluster.benchmarks)}
-            for cluster in clustering.clusters
-        ]
-        # clusters must be contiguous in l2: no value can belong to both
-        if len(l2_by_cluster) == 2:
-            assert not (l2_by_cluster[0] & l2_by_cluster[1])
-
 
 class TestTable4:
     def test_annotated_metrics(self, ctx):

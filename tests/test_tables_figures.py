@@ -60,7 +60,7 @@ class TestSeries:
 
     def test_precision(self):
         series = Series("p", (1,), (0.123456,))
-        assert "0.12346" in render_series(series, precision=5)
+        assert render_series(series) == "p: (1, 0.123)"
 
 
 class TestBoxplotRendering:

@@ -78,24 +78,9 @@ class TestInteractionTerm:
     def test_column_name(self, data):
         assert InteractionTerm("depth", "l2").bind(data).column_names == ("depth*l2",)
 
-    def test_spline_interaction_columns(self, data):
-        bound = InteractionTerm("depth", "l2", order="spline", knots=3).bind(data)
-        columns = bound.design_columns(data)
-        assert columns.shape[1] == 2  # rcs(depth,3) x l2
-        assert bound.column_names == ("depth*l2", "depth'*l2")
-
-    def test_spline_interaction_falls_back(self, data):
-        constant = dict(data, depth=np.full(200, 18.0))
-        bound = InteractionTerm("depth", "l2", order="spline").bind(constant)
-        assert bound.column_names == ("depth*l2",)
-
     def test_rejects_self_interaction(self):
         with pytest.raises(TermError):
             InteractionTerm("depth", "depth")
-
-    def test_rejects_unknown_order(self):
-        with pytest.raises(TermError):
-            InteractionTerm("depth", "l2", order="cubic")
 
     def test_predictors_property(self):
         assert InteractionTerm("a", "b").predictors == ("a", "b")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.power import (
-    PowerModel,
     VoltageError,
     invariance_study,
     scale_operating_point,
@@ -35,12 +34,6 @@ class TestSplitPower:
         small = split_power(baseline_config().with_overrides(l2_mb=0.25), result)
         large = split_power(baseline_config().with_overrides(l2_mb=4.0), result)
         assert large["static"] > small["static"]
-
-    def test_respects_power_model_scale(self, result):
-        parts = split_power(baseline_config(), result, PowerModel(scale=2.0))
-        assert parts["static"] == pytest.approx(
-            2.0 * split_power(baseline_config(), result)["static"]
-        )
 
 
 class TestOperatingPoint:
